@@ -1,16 +1,19 @@
 """TX current allocation: sum-power maximization via SDR and friends.
 
-The delivered-power maximization for a fixed power-profile vector reduces
-to a TX sum-power minimization with minimum-delivery constraints; an outer
-bisection over the delivered power compares the minimized TX power with
-the total power cap.
+The delivered-power maximization for a fixed power-profile vector (P0) is
+relaxed once, jointly in the current covariance X and the delivered power
+t: maximize t subject to Tr(M_q X) >= d_q t per receiver, the total power
+cap and (optionally) the peak limits.  Its value bounds the optimum from
+above; a rank-one X, scaled to the largest gain the limits allow, meets
+that bound.
 
-Without peak voltage/current limits the minimization is a real SDP whose
-optimal matrix can always be realized exactly by time-sharing its scaled
-eigenvectors.  With peak limits it is a Hermitian SDP (solved through the
-real embedding); rank-one solutions are extracted directly, higher-rank
-ones are rounded either by a per-slot rescaled time-sharing LP or by
-Gaussian randomization.
+The fixed-target TX sum-power minimization (P1) has the same structure
+with the delivery floors fixed.  Without peak voltage/current limits its
+relaxation is a real SDP whose optimal matrix can always be realized
+exactly by time-sharing its scaled eigenvectors.  With peak limits it is a
+Hermitian SDP (solved through the real embedding); rank-one solutions are
+extracted directly, higher-rank ones are rounded either by a per-slot
+rescaled time-sharing LP or by Gaussian randomization.
 """
 
 import math
@@ -33,6 +36,8 @@ METHOD_RANDOMIZATION = "randomization"
 METHOD_BENCHMARK = "benchmark"
 
 _SLACK_TOL = 1e-6
+# relative shortfall a delivered power may have against its floor
+_DELIVERY_REL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -270,57 +275,84 @@ def solve_p1_sdr(scenario, profile, target_power, model=None,
     return conic, rank
 
 
-def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None,
-                   tolerances=DEFAULT_TOLERANCES, rank_rel_tol=1e-6):
-    """Time-sharing rounding of a higher-rank relaxed solution.
-
-    Fixes the eigenvector directions, then jointly optimizes per-slot time
-    fractions and power scalings by an LP whose per-slot rows keep every
-    peak limit satisfied inside each slot; infeasibility of the LP means
-    the target delivery is unreachable by this schedule family.
-    """
-    model = _model_for(scenario, model)
-    rhs = delivery_rhs(scenario, profile, target_power)
+def _eigen_directions(x_star, rank_rel_tol):
+    """Leading eigenvalues and eigenvectors of a relaxed solution (at least one)."""
     evals, evecs = psd_eigendecomposition(x_star)
-    n_slots = max(numerical_rank(evals, rank_rel_tol), 1)
-    vecs = evecs[:, :n_slots]
+    rank = max(numerical_rank(evals, rank_rel_tol), 1)
+    return evals[:rank], evecs[:, :rank]
 
+
+def _peak_gain2(scenario, model, y):
+    """Largest squared gain per column of ``y`` that keeps every peak limit."""
+    q_volt = np.abs(model.b_columns.conj() @ y) ** 2
+    q_curr = np.abs(y) ** 2
+    with np.errstate(divide="ignore"):
+        cap_v = scenario.peak_voltage[:, None] ** 2 / q_volt
+        cap_i = scenario.peak_current[:, None] ** 2 / q_curr
+    return np.minimum(cap_v.min(axis=0), cap_i.min(axis=0))
+
+
+def _delivery_gain2(model, y, rhs):
+    """Smallest squared gain per column of ``y`` meeting every delivery floor."""
+    q_delivery = np.abs(model.m_vectors @ y) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = np.where(rhs[:, None] > 0, rhs[:, None] / q_delivery, 0.0)
+    return need.max(axis=0, initial=0.0)
+
+
+def _within_reach(lower, upper):
+    """True where the squared-gain need ``lower`` fits under the cap ``upper``.
+
+    A need above the cap by at most the delivery tolerance still fits.
+    """
+    return np.isfinite(lower) & (lower * (1.0 - _DELIVERY_REL_TOL) <= upper)
+
+
+def _schedule_peak_gain2(scenario, model, solution):
+    """Largest common squared gain keeping every slot within its peak limits."""
+    currents = np.stack([exc.currents for exc, _ in solution.slots], axis=1)
+    return float(np.min(_peak_gain2(scenario, model, currents)))
+
+
+def _rescaled(scenario, model, solution, gain2):
+    """The schedule with every slot's currents scaled by ``sqrt(gain2)``."""
+    mu = math.sqrt(gain2)
+    slots = [(Excitation(mu * exc.currents), tau) for exc, tau in solution.slots]
+    return make_solution(scenario, model, slots, solution.method,
+                         solution.sdr_rank)
+
+
+def _slot_lp_rows(scenario, model, vecs):
+    """Coefficients of the per-slot LP over the fixed directions ``vecs``.
+
+    The LP variables start with ``[phi_1..phi_L, tau_1..tau_L]``: slot l
+    runs ``vecs[:, l]`` at squared gain ``phi_l / tau_l`` for the time
+    fraction ``tau_l``.  Returns the TX power and per-RX delivery quadratic
+    forms of each direction, and the rows keeping every peak limit inside
+    each slot (``<= 0``).
+    """
     c0 = np.real(np.einsum("il,ij,jl->l", vecs.conj(), model.b_bar, vecs))
     c1 = np.real(np.einsum("il,qij,jl->lq", vecs.conj(), model.rank_one_rx, vecs))
-    c2 = np.abs(model.b_columns.conj() @ vecs) ** 2       # (N, L)
-    c3 = np.abs(vecs) ** 2                                # (N, L)
+    gains = np.stack([np.abs(model.b_columns.conj() @ vecs) ** 2,
+                      np.abs(vecs) ** 2], axis=2)                  # (N, L, 2)
+    limits = np.stack([scenario.peak_voltage ** 2,
+                       scenario.peak_current ** 2], axis=1)        # (N, 2)
+    eye = np.eye(vecs.shape[1])[None, :, None, :]
+    peak_rows = np.concatenate([gains[..., None] * eye,
+                                -limits[:, None, :, None] * eye], axis=3)
+    return c0, c1, peak_rows.reshape(-1, 2 * vecs.shape[1])
 
-    n, q, L = scenario.n_tx, scenario.n_rx, n_slots
-    # variables: [phi_1..phi_L, tau_1..tau_L]
-    a_ub = []
-    b_ub = []
-    for j in range(q):
-        a_ub.append(np.concatenate([-c1[:, j], np.zeros(L)]))
-        b_ub.append(-rhs[j])
-    for i in range(n):
-        for l in range(L):
-            row = np.zeros(2 * L)
-            row[l] = c2[i, l]
-            row[L + l] = -scenario.peak_voltage[i] ** 2
-            a_ub.append(row)
-            b_ub.append(0.0)
-            row = np.zeros(2 * L)
-            row[l] = c3[i, l]
-            row[L + l] = -scenario.peak_current[i] ** 2
-            a_ub.append(row)
-            b_ub.append(0.0)
-    a_eq = np.concatenate([np.zeros(L), np.ones(L)])[None, :]
-    lp = LpProblem(objective=np.concatenate([c0 / 2.0, np.zeros(L)]),
-                   a_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                   a_eq=a_eq, b_eq=np.array([1.0]))
+
+def _slot_lp_schedule(lp, scenario, model, vecs, tolerances):
+    """Solve a per-slot LP and turn its solution into a schedule."""
     lp_sol = solve_lp(lp, tolerances)
     if lp_sol.status == INFEASIBLE:
         raise InfeasibleError("per-slot peak limits cannot support this delivery")
     if not lp_sol.is_optimal:
         raise SolverError(f"time-sharing LP ended with status {lp_sol.status}")
-
-    phi = np.maximum(lp_sol.x[:L], 0.0)
-    tau = np.maximum(lp_sol.x[L:], 0.0)
+    n_slots = vecs.shape[1]
+    phi = np.maximum(lp_sol.x[:n_slots], 0.0)
+    tau = np.maximum(lp_sol.x[n_slots:2 * n_slots], 0.0)
     keep = tau > 1e-9
     idx = np.nonzero(keep)[0]
     theta = phi[keep] / tau[keep]          # per-slot squared gain, peak-safe
@@ -329,6 +361,44 @@ def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None,
              for th, t, l in zip(theta, tau_kept, idx)]
     return make_solution(scenario, model, slots, METHOD_TIME_SHARING,
                          sdr_rank=n_slots)
+
+
+def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None,
+                   tolerances=DEFAULT_TOLERANCES, rank_rel_tol=1e-6):
+    """Time-sharing rounding of a higher-rank relaxed solution.
+
+    Fixes the eigenvector directions, then jointly optimizes per-slot time
+    fractions and power scalings by an LP whose per-slot rows keep every
+    peak limit satisfied inside each slot; infeasibility of the LP means
+    the target delivery is unreachable by this schedule family.  The LP
+    meets the deliveries up to the delivery tolerance; the schedule is then
+    scaled back up as far as that tolerance and every slot's peaks allow.
+    """
+    model = _model_for(scenario, model)
+    rhs = delivery_rhs(scenario, profile, target_power) * (1.0 - _DELIVERY_REL_TOL)
+    _, vecs = _eigen_directions(x_star, rank_rel_tol)
+    n_slots = vecs.shape[1]
+    c0, c1, peak_rows = _slot_lp_rows(scenario, model, vecs)
+    lp = LpProblem(objective=np.concatenate([c0 / 2.0, np.zeros(n_slots)]),
+                   a_ub=np.vstack([np.hstack([-c1.T, np.zeros((rhs.size, n_slots))]),
+                                   peak_rows]),
+                   b_ub=np.concatenate([-rhs, np.zeros(len(peak_rows))]),
+                   a_eq=np.concatenate([np.zeros(n_slots), np.ones(n_slots)])[None, :],
+                   b_eq=np.array([1.0]))
+    sol = _slot_lp_schedule(lp, scenario, model, vecs, tolerances)
+    gain2 = min(1.0 / (1.0 - _DELIVERY_REL_TOL),
+                _schedule_peak_gain2(scenario, model, sol))
+    return _rescaled(scenario, model, sol, gain2)
+
+
+def _gaussian_draws(x_star, draws, seed, rank_rel_tol):
+    """Complex Gaussian vectors shaped by the eigenstructure of ``x_star``."""
+    evals, vecs = _eigen_directions(x_star, rank_rel_tol)
+    shaped = vecs * np.sqrt(np.maximum(evals, 0.0))
+    rank = vecs.shape[1]
+    rng = np.random.default_rng([int(seed), 0x6D72])
+    w = (rng.standard_normal((rank, draws)) + 1j * rng.standard_normal((rank, draws)))
+    return shaped @ (w / math.sqrt(2.0)), rank             # (N, draws)
 
 
 def randomization_extract(x_star, scenario, profile, target_power, model=None,
@@ -344,31 +414,12 @@ def randomization_extract(x_star, scenario, profile, target_power, model=None,
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
     rhs = delivery_rhs(scenario, profile, target_power)
-    evals, evecs = psd_eigendecomposition(x_star)
-    rank = max(numerical_rank(evals, rank_rel_tol), 1)
-    shaped = evecs[:, :rank] * np.sqrt(np.maximum(evals[:rank], 0.0))
-
-    rng = np.random.default_rng([int(seed), 0x6D72])
-    w = (rng.standard_normal((rank, draws)) + 1j * rng.standard_normal((rank, draws)))
-    y = shaped @ (w / math.sqrt(2.0))                      # (N, draws)
-
-    q_delivery = np.abs(model.m_vectors @ y) ** 2          # (Q, draws)
-    q_volt = np.abs(model.b_columns.conj() @ y) ** 2       # (N, draws)
-    q_curr = np.abs(y) ** 2                                # (N, draws)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        need = np.where(rhs[:, None] > 0,
-                        rhs[:, None] / q_delivery, 0.0)    # may be inf
-        lower = need.max(axis=0) if rhs.size else np.zeros(draws)
-        cap_v = np.where(q_volt > 0,
-                         scenario.peak_voltage[:, None] ** 2 / q_volt, np.inf)
-        cap_i = np.where(q_curr > 0,
-                         scenario.peak_current[:, None] ** 2 / q_curr, np.inf)
-    upper = np.minimum(cap_v.min(axis=0), cap_i.min(axis=0))
-    # a draw whose binding delivery exactly meets a binding cap has a
-    # single-point interval; allow solver-level fuzz and never overshoot
-    # the caps when the interval degenerates
-    ok = np.isfinite(lower) & (lower <= upper * (1 + 1e-6))
+    y, rank = _gaussian_draws(x_star, draws, seed, rank_rel_tol)
+    lower = _delivery_gain2(model, y, rhs)
+    upper = _peak_gain2(scenario, model, y)
+    # a draw whose binding delivery meets a binding cap within the delivery
+    # tolerance is clipped at the cap
+    ok = _within_reach(lower, upper)
     if not np.any(ok):
         raise InfeasibleError("no randomized draw satisfies all constraints")
 
@@ -385,24 +436,14 @@ def _feasible_rescale(scenario, model, y, rhs, use_peaks):
     """Best feasible scaling of a candidate vector, or None.
 
     Returns ``mu`` minimizing TX power such that ``mu*y`` meets every
-    delivery floor and (optionally) every peak cap, allowing solver-level
-    fuzz when the scaling interval degenerates to a point.
+    delivery floor and (optionally) every peak cap; a need above the caps
+    by no more than the delivery tolerance is clipped at the caps.
     """
-    q_delivery = np.abs(model.m_vectors @ y) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        need = np.where(rhs > 0, rhs / q_delivery, 0.0)
-    lower = float(np.max(need, initial=0.0))
-    upper = np.inf
-    if use_peaks:
-        q_volt = np.abs(model.b_columns.conj() @ y) ** 2
-        q_curr = np.abs(y) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cap_v = np.where(q_volt > 0, scenario.peak_voltage ** 2 / q_volt, np.inf)
-            cap_i = np.where(q_curr > 0, scenario.peak_current ** 2 / q_curr, np.inf)
-        upper = float(min(cap_v.min(), cap_i.min()))
-    if not np.isfinite(lower) or lower > upper * (1 + 1e-6):
+    lower = _delivery_gain2(model, y[:, None], rhs)[0]
+    upper = _peak_gain2(scenario, model, y[:, None])[0] if use_peaks else np.inf
+    if not _within_reach(lower, upper):
         return None
-    return math.sqrt(min(lower, upper)) if upper < np.inf else math.sqrt(lower)
+    return math.sqrt(min(lower, upper))
 
 
 def _slot_peaks_ok(scenario, model, solution, tol=_SLACK_TOL):
@@ -413,7 +454,7 @@ def _slot_peaks_ok(scenario, model, solution, tol=_SLACK_TOL):
     return True
 
 
-def _delivers_target(solution, profile, target_power, rel_tol=1e-6):
+def _delivers_target(solution, profile, target_power, rel_tol=_DELIVERY_REL_TOL):
     want = profile.alpha * target_power
     slack = solution.per_rx_power - want
     return bool(np.all(slack >= -rel_tol * np.maximum(want, 1e-9)))
@@ -468,7 +509,7 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
             sol = make_solution(scenario, model, [(Excitation(mu * y), 1.0)],
                                 METHOD_SDR_RANK1, sdr_rank=1)
             if _slot_peaks_ok(scenario, model, sol) and \
-                    _delivers_target(sol, profile, target_power, 1e-5):
+                    _delivers_target(sol, profile, target_power):
                 return sol
         # borderline rank: fall through to the rounding schemes
     if options.method == "sdr":
@@ -494,20 +535,141 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
             pass
     candidates = [c for c in candidates
                   if _slot_peaks_ok(scenario, model, c)
-                  and _delivers_target(c, profile, target_power, 1e-5)]
+                  and _delivers_target(c, profile, target_power)]
     if not candidates:
         raise InfeasibleError("no rounding scheme produced a feasible schedule")
     return min(candidates, key=lambda c: c.tx_power)
 
 
+def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True,
+                 tolerances=DEFAULT_TOLERANCES):
+    """Joint relaxation of the delivered-power maximization for one profile.
+
+    Maximizes t over (X, t) subject to ``Tr(M_q X) >= d_q t`` for every
+    receiver with a positive share (``d_q`` the per-watt delivery floor),
+    ``0.5 Tr(Bbar X) <= P_cap``, optionally every peak row, ``X`` PSD and
+    ``t >= 0``; one mixed PSD+orthant solve.  ``X`` is real without peaks
+    and Hermitian with them.  The optimal t, ``conic.u[0]``, bounds the
+    achievable profile-respecting sum power from above.
+    """
+    model = _model_for(scenario, model)
+    _check_profile(scenario, profile)
+    per_watt = delivery_rhs(scenario, profile, 1.0)
+    constraints = [SdpConstraint(matrix=model.rank_one_rx[q], sense=GE, rhs=0.0,
+                                 linear=(-per_watt[q],))
+                   for q in np.flatnonzero(profile.alpha > 0)]
+    constraints.append(SdpConstraint(matrix=model.b_bar / 2.0, sense=LE,
+                                     rhs=float(scenario.total_power_cap),
+                                     linear=(0.0,)))
+    if use_peak_constraints:
+        constraints += _peak_constraints(scenario, model)
+    problem = SdpProblem(dimension=scenario.n_tx,
+                         objective=np.zeros((scenario.n_tx, scenario.n_tx)),
+                         constraints=constraints, linear_objective=(-1.0,))
+    return solve_sdp(problem, tolerances)
+
+
+def _at_limits(scenario, model, solution, use_peaks):
+    """The schedule scaled by the largest gain the cap (and peaks) allow.
+
+    The total power cap binds the time-averaged TX power, each peak limit
+    every slot.
+    """
+    gain2 = scenario.total_power_cap / solution.tx_power
+    if use_peaks:
+        gain2 = min(gain2, _schedule_peak_gain2(scenario, model, solution))
+    return _rescaled(scenario, model, solution, gain2)
+
+
+def _randomization_max(x_star, scenario, profile, model, draws, seed,
+                       rank_rel_tol):
+    """Gaussian draw delivering the most profile-respecting power at its limits."""
+    y, rank = _gaussian_draws(x_star, draws, seed, rank_rel_tol)
+    p_tx = 0.5 * np.real(np.einsum("id,ij,jd->d", y.conj(), model.b_bar, y))
+    gain2 = np.minimum(scenario.total_power_cap / p_tx,
+                       _peak_gain2(scenario, model, y))
+    per_watt = delivery_rhs(scenario, profile, 1.0)
+    best = int(np.argmax(gain2 / _delivery_gain2(model, y, per_watt)))
+    sol = make_solution(scenario, model, [(Excitation(y[:, best]), 1.0)],
+                        METHOD_RANDOMIZATION, sdr_rank=rank)
+    return _at_limits(scenario, model, sol, use_peaks=True)
+
+
+def _ts_lp_max(x_star, scenario, profile, model, tolerances, rank_rel_tol):
+    """Time-sharing over the eigendirections that maximizes the delivered power.
+
+    The per-slot LP of :func:`solve_p1_ts_lp` with one more variable t:
+    maximize t subject to deliveries ``>= d_q t``, the time-averaged cap
+    and every peak limit inside each slot.
+    """
+    _, vecs = _eigen_directions(x_star, rank_rel_tol)
+    n_slots = vecs.shape[1]
+    c0, c1, peak_rows = _slot_lp_rows(scenario, model, vecs)
+    per_watt = delivery_rhs(scenario, profile, 1.0)
+    zeros = np.zeros((per_watt.size, n_slots))
+    a_ub = np.vstack([
+        np.hstack([-c1.T, zeros, per_watt[:, None]]),
+        np.concatenate([c0 / 2.0, np.zeros(n_slots + 1)])[None, :],
+        np.hstack([peak_rows, np.zeros((len(peak_rows), 1))]),
+    ])
+    b_ub = np.concatenate([np.zeros(per_watt.size), [scenario.total_power_cap],
+                           np.zeros(len(peak_rows))])
+    lp = LpProblem(objective=np.concatenate([np.zeros(2 * n_slots), [-1.0]]),
+                   a_ub=a_ub, b_ub=b_ub,
+                   a_eq=np.concatenate([np.zeros(n_slots), np.ones(n_slots),
+                                        [0.0]])[None, :],
+                   b_eq=np.array([1.0]))
+    sol = _slot_lp_schedule(lp, scenario, model, vecs, tolerances)
+    return _at_limits(scenario, model, sol, use_peaks=True)
+
+
+def _p0_roundings(conic, scenario, profile, options, model):
+    """Schedules realizing the relaxed P0 solution, each at its limits."""
+    use_peaks = options.use_peak_constraints
+    if options.method == METHOD_CLOSED_FORM:
+        # exact without peaks (and rejected with them) by solve_p1
+        return [_at_limits(scenario, model, solve_p1(scenario, profile, 1.0,
+                                                     options, model), False)]
+    evals, evecs = psd_eigendecomposition(conic.x)
+    rank = numerical_rank(evals, options.rank_rel_tol)
+    if rank <= 1 or not use_peaks:
+        if rank <= 1:
+            y = math.sqrt(max(evals[0], 0.0)) * evecs[:, 0]
+            sol = make_solution(scenario, model, [(Excitation(y), 1.0)],
+                                METHOD_SDR_RANK1, sdr_rank=1)
+        else:
+            sol = time_sharing_from_sdr(scenario, conic.x, model,
+                                        options.rank_rel_tol)
+        return [_at_limits(scenario, model, sol, use_peaks)]
+    if options.method == "sdr":
+        raise SolverError("relaxed solution is not rank-one; "
+                          "use method auto, ts, or randomization")
+    candidates = []
+    if options.method in ("auto", "ts"):
+        try:
+            candidates.append(_ts_lp_max(conic.x, scenario, profile, model,
+                                         options.tolerances, options.rank_rel_tol))
+        except (InfeasibleError, SolverError):
+            pass
+    if options.method in ("auto", "randomization"):
+        candidates.append(_randomization_max(
+            conic.x, scenario, profile, model, options.randomization_draws,
+            options.seed, options.rank_rel_tol))
+    return candidates
+
+
 def solve_p0_bisection(scenario, profile, eps=1e-2, options=DEFAULT_OPTIONS,
                        model=None):
-    """Maximize the delivered sum power by bisecting on its target value.
+    """Maximize the delivered sum power for one power profile.
 
-    A midpoint is kept when the minimized TX power fits under the total
-    cap; infeasibility (or a solver breakdown, which cannot certify
-    feasibility) shrinks the upper end.  Returns the converged power and
-    the schedule realizing it.
+    One joint relaxation (:func:`solve_p0_sdr`) gives an upper bound; its
+    solution is rounded to schedules scaled to the largest gain the limits
+    allow (exact for a rank-one solution, and without peaks always).  Only
+    when the best rounding lands more than ``eps`` below the bound does a
+    bisection with the fixed-target solver search the bracket [rounded
+    value, bound] down to ``eps``; a failed step there only lowers the
+    bracket's upper end.  Returns the profile-respecting power the schedule
+    delivers, ``min_q per_rx_q / alpha_q``, and the schedule.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -516,20 +678,31 @@ def solve_p0_bisection(scenario, profile, eps=1e-2, options=DEFAULT_OPTIONS,
     if _uncoupled_demand(scenario, model, profile, 1.0):
         return 0.0, zero_solution(scenario, model)
 
-    p_lo, p_hi = 0.0, scenario.total_power_cap
-    best = zero_solution(scenario, model)
+    conic = solve_p0_sdr(scenario, profile, model, options.use_peak_constraints,
+                         options.tolerances)
+    if not conic.is_optimal:
+        raise SolverError(f"relaxation ended with status {conic.status}")
+
+    def delivered(sol):
+        return profile_capped_power(sol, profile)
+
+    best = max(_p0_roundings(conic, scenario, profile, options, model),
+               key=delivered, default=zero_solution(scenario, model))
+    p_lo, p_hi = delivered(best), float(conic.u[0])
     while p_hi - p_lo > eps:
         p_mid = 0.5 * (p_lo + p_hi)
         try:
-            sol = solve_p1(scenario, profile, p_mid, options, model)
-            feasible = sol.tx_power <= scenario.total_power_cap * (1 + 1e-9)
+            sol = _at_limits(scenario, model,
+                             solve_p1(scenario, profile, p_mid, options, model),
+                             options.use_peak_constraints)
         except (InfeasibleError, SolverError):
-            feasible = False
-        if feasible:
-            p_lo, best = p_mid, sol
+            sol = None
+        if sol is not None and delivered(sol) >= p_mid * (1.0 - _DELIVERY_REL_TOL):
+            p_lo = p_mid
+            best = max(best, sol, key=delivered)
         else:
             p_hi = p_mid
-    return p_lo, best
+    return delivered(best), best
 
 
 def benchmark_uncoordinated(scenario, target_power=None, max_feasible=False,

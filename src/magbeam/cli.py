@@ -373,7 +373,7 @@ def build_parser():
     pb.add_argument("--draws", type=int, default=4000,
                     help="randomization draw count")
     pb.add_argument("--eps", type=float, default=1e-2,
-                    help="bisection tolerance (W)")
+                    help="tolerance of the rank>1 fallback search (W)")
     pb.add_argument("--out", default=None, help="result JSON path (default stdout)")
     pb.add_argument("--no-manifest", action="store_true", help=argparse.SUPPRESS)
     pb.set_defaults(func=cmd_beamform)
@@ -391,7 +391,8 @@ def build_parser():
                     help="also report the identical-current baseline")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--draws", type=int, default=4000)
-    pr.add_argument("--eps", type=float, default=1e-2)
+    pr.add_argument("--eps", type=float, default=1e-2,
+                    help="tolerance of the rank>1 fallback search (W)")
     pr.add_argument("--out", default=None, help="output CSV path")
     pr.add_argument("--no-manifest", action="store_true", help=argparse.SUPPRESS)
     pr.set_defaults(func=cmd_region)

@@ -67,7 +67,9 @@ def _max_step_pos(v, dv):
     neg = dv < 0
     if not np.any(neg):
         return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+    # a denormal step overflows the ratio to +inf, which is the right bound
+    with np.errstate(over="ignore"):
+        return float(np.min(-v[neg] / dv[neg]))
 
 
 def _nt_scaling(x, z):

@@ -1,10 +1,12 @@
 """Public problem containers and solver entry points.
 
 ``solve_sdp`` handles trace-inequality-constrained SDPs over real symmetric
-or complex Hermitian variables; Hermitian data is routed through the
-2n x 2n real embedding (single kernel code path) and projected back, with
-the trace scaling fixed so that objective value, constraint senses and dual
-multipliers are preserved exactly.
+or complex Hermitian variables, optionally joined by a block of nonnegative
+scalar variables (the mixed PSD+orthant form, one kernel call either way);
+Hermitian data is routed through the 2n x 2n real embedding (single kernel
+code path) and projected back, with the trace scaling fixed so that
+objective value, constraint senses and dual multipliers are preserved
+exactly.
 
 ``solve_lp`` reuses the same interior-point kernel restricted to the
 orthant (no PSD block), i.e. the diagonal-barrier specialization.
@@ -34,11 +36,16 @@ DEFAULT_TOLERANCES = Tolerances()
 
 @dataclass(frozen=True)
 class SdpConstraint:
-    """One trace inequality  Tr(matrix @ X) (>=|<=) rhs."""
+    """One inequality  Tr(matrix @ X) + linear . u  (>=|<=) rhs.
+
+    ``linear`` holds the coefficients of the problem's nonnegative scalar
+    variables ``u`` and may be omitted when the row does not involve them.
+    """
 
     matrix: np.ndarray
     sense: str
     rhs: float
+    linear: tuple = ()
 
     def __post_init__(self):
         if self.sense not in (GE, LE):
@@ -47,20 +54,26 @@ class SdpConstraint:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """minimize 0.5*Tr(objective @ X)  s.t. trace inequalities, X PSD.
+    """minimize 0.5*Tr(objective @ X) + linear_objective . u
+    s.t. the constraint rows, X PSD, u >= 0.
 
     ``objective`` and all constraint matrices must be symmetric (real) or
     Hermitian (complex); mixing is allowed and promotes the whole problem
-    to the complex path.
+    to the complex path.  ``linear_objective`` sets the number of scalar
+    variables ``u`` (none by default).
     """
 
     dimension: int
     objective: np.ndarray
     constraints: list
+    linear_objective: tuple = ()
 
     def __post_init__(self):
         if not self.constraints:
             raise ValueError("at least one constraint is required")
+        n_lin = len(self.linear_objective)
+        if any(len(c.linear) not in (0, n_lin) for c in self.constraints):
+            raise ValueError("linear coefficients do not match linear_objective")
         mats = [self.objective] + [c.matrix for c in self.constraints]
         for m in mats:
             m = np.asarray(m)
@@ -94,7 +107,10 @@ class LpProblem:
 
 @dataclass
 class ConicSolution:
-    """Solver outcome; ``x`` is the primal matrix (SDP) or vector (LP)."""
+    """Solver outcome; ``x`` is the primal matrix (SDP) or vector (LP).
+
+    ``u`` holds the nonnegative scalar variables of a mixed SDP.
+    """
 
     status: str
     value: float
@@ -104,16 +120,19 @@ class ConicSolution:
     iterations: int
     primal_infeas: float = 0.0
     dual_infeas: float = 0.0
+    u: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def is_optimal(self):
         return self.status == OPTIMAL
 
 
-def _row_scales(matrices, rhs):
+def _row_scales(matrices, linear, rhs):
+    # each row's own data norm, taken before its unit slack is appended
     scales = np.empty(len(matrices))
     for i, m in enumerate(matrices):
-        scales[i] = max(float(np.linalg.norm(m)), abs(rhs[i]), 1e-300)
+        data = np.hypot(np.linalg.norm(m), np.linalg.norm(linear[i]))
+        scales[i] = max(float(data), abs(rhs[i]), 1e-300)
     return scales
 
 
@@ -126,29 +145,39 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
 
 
 def _solve_sdp_real(problem, tolerances, trace):
-    n = problem.dimension
     k = len(problem.constraints)
+    objective = np.asarray(problem.objective, dtype=float)
+    c_u = np.asarray(problem.linear_objective, dtype=float)
     mats = [np.asarray(c.matrix, dtype=float) for c in problem.constraints]
+    linear = np.zeros((k, c_u.size))
+    for i, c in enumerate(problem.constraints):
+        if len(c.linear):
+            linear[i] = c.linear
     rhs = np.array([c.rhs for c in problem.constraints], dtype=float)
     signs = np.array([1.0 if c.sense == LE else -1.0 for c in problem.constraints])
 
-    obj_scale = max(float(np.linalg.norm(problem.objective)), 1e-300)
-    scales = _row_scales(mats, rhs)
+    # orthant block: the problem's own scalar variables, then one unit
+    # slack per row
+    obj_scale = max(float(np.hypot(np.linalg.norm(objective), np.linalg.norm(c_u))),
+                    1e-300)
+    scales = _row_scales(mats, linear, rhs)
     a_psd = np.stack([(m + m.T) / (2.0 * s) for m, s in zip(mats, scales)])
-    a_lin = np.diag(signs)
+    a_lin = np.hstack([linear / scales[:, None], np.diag(signs)])
     res = kernel.solve_mixed_cone(
-        c_psd=np.asarray(problem.objective, dtype=float) / (2.0 * obj_scale),
-        c_lin=np.zeros(k),
+        c_psd=objective / (2.0 * obj_scale),
+        c_lin=np.concatenate([c_u, np.zeros(k)]) / obj_scale,
         a_psd=a_psd, a_lin=a_lin, b=rhs / scales,
         gap_tol=tolerances.rel_gap, feas_tol=tolerances.feasibility,
         max_iter=tolerances.max_iterations, trace=trace)
 
     x = (res.x + res.x.T) / 2.0
-    value = 0.5 * float(np.sum(np.asarray(problem.objective) * x))
+    u = res.u[:c_u.size]
+    value = 0.5 * float(np.sum(objective * x)) + float(c_u @ u)
     duals = res.y * obj_scale / scales
     return ConicSolution(status=res.status, value=value, x=x, duals=duals,
                          rel_gap=res.rel_gap, iterations=res.iterations,
-                         primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas)
+                         primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas,
+                         u=u)
 
 
 def _solve_sdp_complex(problem, tolerances, trace):
@@ -158,16 +187,20 @@ def _solve_sdp_complex(problem, tolerances, trace):
         dimension=2 * problem.dimension,
         objective=embed_hermitian(problem.objective) / 2.0,
         constraints=[
-            SdpConstraint(matrix=embed_hermitian(c.matrix) / 2.0, sense=c.sense, rhs=c.rhs)
+            SdpConstraint(matrix=embed_hermitian(c.matrix) / 2.0, sense=c.sense,
+                          rhs=c.rhs, linear=c.linear)
             for c in problem.constraints
         ],
+        linear_objective=problem.linear_objective,
     )
     res = _solve_sdp_real(embedded, tolerances, trace)
     x = project_embedded(res.x)
-    value = 0.5 * float(np.real(np.sum(np.asarray(problem.objective).conj() * x)))
+    value = 0.5 * float(np.real(np.sum(np.asarray(problem.objective).conj() * x))) \
+        + float(np.asarray(problem.linear_objective, dtype=float) @ res.u)
     return ConicSolution(status=res.status, value=value, x=x, duals=res.duals,
                          rel_gap=res.rel_gap, iterations=res.iterations,
-                         primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas)
+                         primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas,
+                         u=res.u)
 
 
 def solve_lp(problem: LpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,

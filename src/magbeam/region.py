@@ -1,25 +1,26 @@
 """Tracing the multi-user power region boundary by profile sweeps.
 
 Each boundary point fixes a power-profile vector and maximizes the
-delivered sum power by the bisection solver; a two-user sweep walks the
-first share over a uniform grid.  The uncoordinated identical-current
-baseline is reported per profile through its profile-capped sum power
-(its current direction is fixed, so a profile is only honored up to the
-worst-served receiver).
+delivered sum power with one joint relaxation, rounded to a schedule that
+delivers it (a bisection over fixed-target solves runs only where a
+higher-rank relaxation rounds more than ``eps`` below its bound); a
+two-user sweep walks the first share over a uniform grid.  The
+uncoordinated identical-current baseline is reported per profile through
+its profile-capped sum power (its current direction is fixed, so a
+profile is only honored up to the worst-served receiver).
 """
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .beamforming import (DEFAULT_OPTIONS, PowerProfile, SolveOptions,
+from .beamforming import (DEFAULT_OPTIONS, PowerProfile,
                           benchmark_uncoordinated, profile_capped_power,
                           solve_p0_bisection)
 from .circuit import build_impedance
-from .errors import InfeasibleError
 from .scenario import scenario_hash
 
 
@@ -38,23 +39,12 @@ def boundary_point(scenario, alpha, constrained=True, eps=1e-2,
     """Maximum-sum-power point of the region for one profile vector."""
     if not isinstance(alpha, PowerProfile):
         alpha = PowerProfile(alpha)
-    opts = options or DEFAULT_OPTIONS
-    opts = SolveOptions(use_peak_constraints=constrained, method=opts.method,
-                        seed=opts.seed, randomization_draws=opts.randomization_draws,
-                        rank_rel_tol=opts.rank_rel_tol, tolerances=opts.tolerances)
+    opts = replace(options or DEFAULT_OPTIONS, use_peak_constraints=constrained)
     model = build_impedance(scenario) if model is None else model
-    try:
-        p_star, sol = solve_p0_bisection(scenario, alpha, eps, opts, model)
-    except InfeasibleError:
-        p_star, sol = 0.0, None
-    if sol is None:
-        per_rx = np.zeros(scenario.n_rx)
-        method, rank = "infeasible", 0
-    else:
-        per_rx, method, rank = sol.per_rx_power, sol.method, sol.sdr_rank
-    return PowerRegionPoint(alpha=alpha, p_star=float(p_star), per_rx=per_rx,
-                            constrained=constrained, solution_method=method,
-                            sdr_rank=rank)
+    p_star, sol = solve_p0_bisection(scenario, alpha, eps, opts, model)
+    return PowerRegionPoint(alpha=alpha, p_star=float(p_star),
+                            per_rx=sol.per_rx_power, constrained=constrained,
+                            solution_method=sol.method, sdr_rank=sol.sdr_rank)
 
 
 def benchmark_point(scenario, alpha, constrained=True, model=None) -> PowerRegionPoint:
@@ -128,9 +118,9 @@ def write_region_csv(sweep: RegionSweep, path):
         writer = csv.writer(fh)
         writer.writerow(header)
         for point, scheme in all_points:
-            writer.writerow([repr(a) for a in point.alpha.alpha]
-                            + [repr(point.p_star)]
-                            + [repr(v) for v in point.per_rx]
+            writer.writerow([repr(float(a)) for a in point.alpha.alpha]
+                            + [repr(float(point.p_star))]
+                            + [repr(float(v)) for v in point.per_rx]
                             + [scheme, point.solution_method, point.sdr_rank,
                                int(point.constrained)])
 

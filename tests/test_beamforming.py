@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario
-from magbeam.beamforming import (PowerProfile, SolveOptions,
+from magbeam.beamforming import (PowerProfile, SolveOptions, _slot_lp_rows,
                                  benchmark_uncoordinated, delivery_rhs,
                                  profile_capped_power, randomization_extract,
-                                 rank_bound, solve_p0_bisection, solve_p1,
-                                 solve_p1_sdr, solve_p1_ts_lp,
+                                 rank_bound, solve_p0_bisection, solve_p0_sdr,
+                                 solve_p1, solve_p1_sdr, solve_p1_ts_lp,
                                  solve_p2_closed_form_single_rx, solve_p2_sdr,
                                  time_sharing_from_sdr, zero_solution)
 from magbeam.circuit import (Excitation, Scenario, build_impedance,
                              constraint_slacks, delivered_powers,
                              tx_total_power, tx_voltages)
-from magbeam.conic import INFEASIBLE
+from magbeam.conic import INFEASIBLE, numerical_rank, psd_eigendecomposition
 from magbeam.errors import InfeasibleError
+from magbeam.region import two_user_profiles
 from magbeam.scenario import table_scenario
 
 NO_PEAKS = SolveOptions(use_peak_constraints=False)
@@ -245,6 +246,25 @@ class TestTimeSharingLp:
             assert ts.tx_power <= rand.tx_power + 1e-9
             assert ts.tx_power == pytest.approx(conic.value, rel=1e-4)
 
+    def test_peak_rows_match_loop_construction(self, tabletop):
+        model = build_impedance(tabletop)
+        vecs = np.linalg.qr(np.random.default_rng(4).standard_normal((5, 3))
+                            + 0j)[0]
+        _, _, rows = _slot_lp_rows(tabletop, model, vecs)
+        c2 = np.abs(model.b_columns.conj() @ vecs) ** 2
+        c3 = np.abs(vecs) ** 2
+        n_slots = vecs.shape[1]
+        expected = []
+        for i in range(tabletop.n_tx):
+            for l in range(n_slots):
+                for gain, limit in ((c2, tabletop.peak_voltage),
+                                    (c3, tabletop.peak_current)):
+                    row = np.zeros(2 * n_slots)
+                    row[l] = gain[i, l]
+                    row[n_slots + l] = -limit[i] ** 2
+                    expected.append(row)
+        assert np.array_equal(rows, np.array(expected))
+
     def test_zero_time_slots_dropped(self, tabletop):
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
         conic, _ = solve_p1_sdr(tabletop, profile, 5.0)
@@ -368,6 +388,51 @@ class TestBisection:
             sol = solve_p1(tabletop_miso, profile, target, model=miso_model)
             values.append(sol.tx_power)
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+
+
+class TestBoundaryMaximum:
+    """The maximized power against the joint relaxation's upper bound."""
+
+    def test_pinned_two_user_point_meets_bound(self, tabletop_two_user):
+        profile = PowerProfile([0.35, 0.65])
+        p_star, _ = solve_p0_bisection(tabletop_two_user, profile)
+        bound = solve_p0_sdr(tabletop_two_user, profile).u[0]
+        assert p_star >= 73.28
+        assert p_star == pytest.approx(bound, rel=1e-5)
+
+    def test_pinned_four_user_reference_profile(self, tabletop):
+        profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
+        p_star, _ = solve_p0_bisection(tabletop, profile)
+        assert p_star >= 16.95
+
+    def test_one_ulp_continuity(self, tabletop_two_user):
+        a, b = 0.35, float(np.nextafter(0.35, 1.0))
+        assert b == 0.35000000000000003
+        p_a, _ = solve_p0_bisection(tabletop_two_user, PowerProfile([a, 1.0 - a]))
+        p_b, _ = solve_p0_bisection(tabletop_two_user, PowerProfile([b, 1.0 - b]))
+        assert abs(p_a - p_b) < 1e-2
+
+    @pytest.mark.parametrize("use_peaks", [True, False], ids=["peaks", "no_peaks"])
+    def test_grid_schedules_feasible_and_bounded(self, tabletop_two_user, use_peaks):
+        sc = tabletop_two_user
+        model = build_impedance(sc)
+        options = SolveOptions(use_peak_constraints=use_peaks)
+        for profile in two_user_profiles(40):
+            p_star, sol = solve_p0_bisection(sc, profile, options=options,
+                                             model=model)
+            conic = solve_p0_sdr(sc, profile, model, use_peaks)
+            bound = conic.u[0]
+            assert p_star <= bound * (1 + 1e-6)
+            if numerical_rank(psd_eigendecomposition(conic.x)[0], 1e-6) == 1:
+                assert p_star >= bound * (1 - 1e-5)
+            assert np.all(sol.per_rx_power >= profile.alpha * p_star * (1 - 1e-12))
+            assert sol.tx_power <= sc.total_power_cap * (1 + 1e-9)
+            assert sum(tau for _, tau in sol.slots) == pytest.approx(1.0)
+            if use_peaks:
+                for exc, _ in sol.slots:
+                    rep = constraint_slacks(sc, model, exc)
+                    assert min(rep.voltage_slack.min(),
+                               rep.current_slack.min()) >= -1e-9
 
 
 class TestBenchmark:

@@ -99,6 +99,18 @@ class TestRegion:
         assert schemes == {"beamforming", "baseline"}
         assert len(rows) == 6
 
+    def test_csv_numbers_parse_as_float(self, tmp_path):
+        out = tmp_path / "region.csv"
+        code = main(["region", TWO_USER, "--grid", "2", "--baseline",
+                     "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        numeric = [k for k in rows[0] if k not in ("scheme", "method")]
+        for row in rows:
+            for key in numeric:
+                float(row[key])
+
     def test_q_mismatch_usage_error(self, tmp_path):
         out = tmp_path / "region.csv"
         assert main(["region", TABLE, "--out", str(out)]) == 64

@@ -8,6 +8,7 @@ from magbeam.conic import (GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, LpProblem,
                            SdpConstraint, SdpProblem, Tolerances,
                            embed_hermitian, numerical_rank, project_embedded,
                            psd_eigendecomposition, solve_lp, solve_sdp)
+from magbeam.conic.kernel import _max_step_pos
 
 W_TABLE = 42.6e6
 R_RX = 10.5367
@@ -176,6 +177,50 @@ class TestComplexEmbedding:
         prob, b_bar, rhs = _single_rx_problem()
         sol = solve_sdp(prob)
         assert not np.iscomplexobj(sol.x)
+
+
+class TestStepLength:
+    def test_denormal_step_is_unbounded(self):
+        # the ratio overflows to +inf, the right bound, without a warning
+        assert _max_step_pos(np.array([1.0, 2.0]),
+                             np.array([-1e-310, 1.0])) == math.inf
+
+
+class TestOrthantVariables:
+    """SDPs joined by nonnegative scalar variables (one kernel call)."""
+
+    @staticmethod
+    def _max_t(a):
+        # maximize t s.t. Tr(A X) >= t, Tr(X) <= 1: t* = lambda_max(A)
+        n = a.shape[0]
+        return SdpProblem(n, np.zeros((n, n)),
+                          [SdpConstraint(a, GE, 0.0, linear=(-1.0,)),
+                           SdpConstraint(np.eye(n), LE, 1.0)],
+                          linear_objective=(-1.0,))
+
+    def test_max_t_real(self):
+        g = np.random.default_rng(5).standard_normal((4, 4))
+        a = g @ g.T
+        sol = solve_sdp(self._max_t(a))
+        assert sol.status == OPTIMAL
+        lmax = np.linalg.eigvalsh(a)[-1]
+        assert sol.u[0] == pytest.approx(lmax, rel=1e-6)
+        assert sol.value == pytest.approx(-lmax, rel=1e-6)
+
+    def test_max_t_hermitian(self):
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        a = g @ g.conj().T
+        sol = solve_sdp(self._max_t(a))
+        assert sol.status == OPTIMAL
+        assert sol.u[0] == pytest.approx(np.linalg.eigvalsh(a)[-1], rel=1e-6)
+        assert np.iscomplexobj(sol.x)
+
+    def test_rejects_mismatched_linear_coefficients(self):
+        with pytest.raises(ValueError):
+            SdpProblem(2, np.eye(2), [SdpConstraint(np.eye(2), GE, 1.0,
+                                                    linear=(1.0, 2.0))],
+                       linear_objective=(1.0,))
 
 
 class TestSolveLp:
