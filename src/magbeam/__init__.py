@@ -13,10 +13,10 @@ from .beamforming import (BeamformingSolution, PowerProfile, SolveOptions,
                           benchmark_uncoordinated, randomization_extract,
                           solve_p0_bisection, solve_p1, solve_p1_sdr,
                           solve_p1_ts_lp, solve_p2_closed_form_single_rx,
-                          solve_p2_sdr, time_sharing_from_sdr)
+                          time_sharing_from_sdr)
 from .circuit import (Excitation, ImpedanceModel, Scenario, build_impedance,
-                      constraint_slacks, delivered_power, delivered_powers,
-                      efficiency, rx_currents, tx_total_power, tx_voltages)
+                      constraint_slacks, delivered_powers, efficiency,
+                      rx_currents, tx_total_power, tx_voltages)
 from .errors import (EfficiencyUndefinedError, EstimationError,
                      InfeasibleError, MagbeamError, ScenarioError, SolverError)
 from .estimation import (EstimationResult, TrainingProtocol, TrainingRecord,
@@ -33,11 +33,11 @@ __all__ = [
     "__version__",
     # circuit
     "Scenario", "ImpedanceModel", "Excitation", "build_impedance",
-    "rx_currents", "delivered_power", "delivered_powers", "tx_voltages",
+    "rx_currents", "delivered_powers", "tx_voltages",
     "tx_total_power", "efficiency", "constraint_slacks",
     # beamforming
     "PowerProfile", "BeamformingSolution", "SolveOptions",
-    "solve_p2_closed_form_single_rx", "solve_p2_sdr", "time_sharing_from_sdr",
+    "solve_p2_closed_form_single_rx", "time_sharing_from_sdr",
     "solve_p1_sdr", "solve_p1_ts_lp", "randomization_extract", "solve_p1",
     "solve_p0_bisection", "benchmark_uncoordinated",
     # region

@@ -4,17 +4,17 @@ The delivered-power maximization for a fixed power-profile vector (P0) is
 relaxed once, jointly in the current covariance X and the delivered power
 t: maximize t subject to Tr(M_q X) >= d_q t per receiver, the total power
 cap and (optionally) the peak limits.  Its value bounds the optimum from
-above; a rank-one X, scaled to the largest gain the limits allow, meets
-that bound.
+above.  The fixed-target TX sum-power minimization (P1) has the same
+structure with the delivery floors fixed; its relaxation is one SDP with
+the peak rows optional, real exactly when its data is.
 
-The fixed-target TX sum-power minimization (P1) has the same structure
-with the delivery floors fixed.  Without peak voltage/current limits its
-relaxation is a real SDP: an optimal matrix of rank at most two is realized
-exactly by one complex current, a higher-rank one (possible only for six
-or more receivers) by time-sharing its scaled eigenvectors.  With peak
-limits it is a Hermitian SDP (solved through the real embedding); rank-one
-solutions are extracted directly, higher-rank ones are rounded either by a
-per-slot rescaled time-sharing LP or by Gaussian randomization.
+Both problems realize a relaxed solution the same way.  It is used as is
+when it is exact: rank one (the principal eigenvector), a real rank-two X
+(the one complex current whose real outer product it is) or, without peak
+limits, any rank (time-sharing its scaled eigenvectors).  Otherwise it is
+rounded by a per-slot rescaled time-sharing LP or by Gaussian
+randomization.  P1 scales the result down to its delivery floors, P0 up
+to its limits.
 """
 
 import math
@@ -25,15 +25,14 @@ import numpy as np
 from .circuit import (Excitation, build_impedance, constraint_slacks,
                       delivered_powers, tx_total_power)
 from .conic import (GE, INFEASIBLE, LE, LpProblem, SdpConstraint, SdpProblem,
-                    Tolerances, numerical_rank, psd_eigendecomposition,
-                    solve_lp, solve_sdp)
-from .conic.problems import DEFAULT_TOLERANCES
+                    numerical_rank, psd_eigendecomposition, solve_lp,
+                    solve_sdp)
 from .errors import InfeasibleError, SolverError
 
 METHOD_CLOSED_FORM = "closed_form"
 # one current taken from the relaxed matrix: its principal eigenvector, or,
-# for a real no-peaks relaxation of rank two, the complex current whose real
-# outer product is that matrix; ``sdr_rank`` tells the two apart
+# for a real relaxation of rank two, the complex current whose real outer
+# product is that matrix; ``sdr_rank`` tells the two apart
 METHOD_SDR_RANK1 = "sdr_rank1"
 METHOD_TIME_SHARING = "time_sharing"
 METHOD_RANDOMIZATION = "randomization"
@@ -42,6 +41,8 @@ METHOD_BENCHMARK = "benchmark"
 _SLACK_TOL = 1e-6
 # relative shortfall a delivered power may have against its floor
 _DELIVERY_REL_TOL = 1e-5
+# eigenvalues below this fraction of the largest do not count toward a rank
+_RANK_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,12 +59,6 @@ class PowerProfile:
             raise ValueError("profile entries must sum to 1")
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
-
-    @classmethod
-    def single(cls, q, n_rx):
-        a = np.zeros(n_rx)
-        a[q] = 1.0
-        return cls(a)
 
     @classmethod
     def uniform(cls, n_rx):
@@ -104,8 +99,6 @@ class SolveOptions:
     method: str = "auto"
     seed: int = 0
     randomization_draws: int = 4000
-    rank_rel_tol: float = 1e-6
-    tolerances: Tolerances = DEFAULT_TOLERANCES
 
 
 DEFAULT_OPTIONS = SolveOptions()
@@ -186,11 +179,6 @@ def solve_p2_closed_form_single_rx(scenario, target_power, model=None):
     return sol
 
 
-def _delivery_constraints(model, rhs):
-    return [SdpConstraint(matrix=model.rank_one_rx[q], sense=GE, rhs=float(rhs[q]))
-            for q in range(rhs.size)]
-
-
 def _peak_constraints(scenario, model):
     cons = []
     for n in range(scenario.n_tx):
@@ -204,43 +192,7 @@ def _peak_constraints(scenario, model):
     return cons
 
 
-def solve_p2_sdr(scenario, profile, target_power, model=None,
-                 tolerances=DEFAULT_TOLERANCES, rank_rel_tol=1e-6):
-    """Relaxed sum-power minimization without peak limits (real SDP).
-
-    Returns the conic solution and, when the optimal matrix has rank at
-    most two, the extracted single-slot beamforming solution (otherwise
-    None).  Every data matrix is real, so a rank-two optimum
-    ``l1 v1 v1^T + l2 v2 v2^T`` equals ``Re(x x^H)`` for the one complex
-    current ``x = sqrt(l1) v1 + j sqrt(l2) v2``, which therefore meets the
-    relaxed value: the rank-one optimum of the Hermitian relaxation.
-    """
-    model = _model_for(scenario, model)
-    _check_profile(scenario, profile)
-    rhs = delivery_rhs(scenario, profile, target_power)
-    problem = SdpProblem(dimension=scenario.n_tx, objective=model.b_bar,
-                         constraints=_delivery_constraints(model, rhs))
-    conic = solve_sdp(problem, tolerances)
-    if not conic.is_optimal:
-        return conic, None
-    if np.max(rhs, initial=0.0) <= 0.0:
-        # nothing to deliver: the zero matrix is the exact optimum
-        return conic, zero_solution(scenario, model)
-    evals, evecs = psd_eigendecomposition(conic.x)
-    rank = numerical_rank(evals, rank_rel_tol)
-    extracted = None
-    if rank <= 2:
-        gains = np.sqrt(np.maximum(evals[:max(rank, 1)], 0.0))
-        cur = evecs[:, :gains.size] @ (gains * np.array([1.0, 1j])[:gains.size])
-        mu = _feasible_rescale(scenario, model, cur, rhs, use_peaks=False)
-        if mu is not None:
-            cur = mu * cur
-        extracted = make_solution(scenario, model, [(Excitation(cur), 1.0)],
-                                  METHOD_SDR_RANK1, sdr_rank=max(rank, 0))
-    return conic, extracted
-
-
-def time_sharing_from_sdr(scenario, x_star, model=None, rank_rel_tol=1e-6):
+def time_sharing_from_sdr(scenario, x_star, model=None):
     """Realize an SDR matrix exactly by time-sharing its eigenvectors.
 
     Slot l runs the scaled eigenvector ``sqrt(sum_k lambda_k) v_l`` for the
@@ -249,7 +201,7 @@ def time_sharing_from_sdr(scenario, x_star, model=None, rank_rel_tol=1e-6):
     """
     model = _model_for(scenario, model)
     evals, evecs = psd_eigendecomposition(x_star)
-    rank = numerical_rank(evals, rank_rel_tol)
+    rank = numerical_rank(evals, _RANK_REL_TOL)
     if rank == 0:
         raise ValueError("cannot build a schedule from the zero matrix")
     lam = evals[:rank]
@@ -265,30 +217,64 @@ def rank_bound(n_rx, n_tx):
 
 
 def solve_p1_sdr(scenario, profile, target_power, model=None,
-                 tolerances=DEFAULT_TOLERANCES, rank_rel_tol=1e-6):
-    """Relaxed sum-power minimization with all peak limits (Hermitian SDP)."""
+                 use_peak_constraints=True):
+    """Relaxed sum-power minimization, optionally with all peak limits.
+
+    The SDP is real exactly when its data is: always without the peak rows,
+    and with them when no TX is coupled to another.  Returns the conic
+    solution and the numerical rank of its matrix (0 when it is not optimal
+    or nothing is to be delivered).  With peaks, a rank above
+    :func:`rank_bound` means the solver stopped short of an extreme optimum
+    and raises ``SolverError``.
+    """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
     rhs = delivery_rhs(scenario, profile, target_power)
-    constraints = _delivery_constraints(model, rhs) + _peak_constraints(scenario, model)
-    problem = SdpProblem(dimension=scenario.n_tx,
-                         objective=model.b_bar.astype(complex),
+    constraints = [SdpConstraint(matrix=model.rank_one_rx[q], sense=GE,
+                                 rhs=float(rhs[q])) for q in range(rhs.size)]
+    if use_peak_constraints:
+        constraints += _peak_constraints(scenario, model)
+    problem = SdpProblem(dimension=scenario.n_tx, objective=model.b_bar,
                          constraints=constraints)
-    conic = solve_sdp(problem, tolerances)
+    conic = solve_sdp(problem)
     rank = 0
     if conic.is_optimal and np.max(rhs, initial=0.0) > 0.0:
         evals, _ = psd_eigendecomposition(conic.x)
-        rank = numerical_rank(evals, rank_rel_tol)
-        assert rank <= rank_bound(scenario.n_rx, scenario.n_tx), \
-            f"rank {rank} exceeds the provable bound"
+        rank = numerical_rank(evals, _RANK_REL_TOL)
+        bound = rank_bound(scenario.n_rx, scenario.n_tx)
+        if use_peak_constraints and rank > bound:
+            raise SolverError(f"relaxed solution has rank {rank}, above the "
+                              f"provable bound {bound}: the solver stopped short")
     return conic, rank
 
 
-def _eigen_directions(x_star, rank_rel_tol):
+def _eigen_directions(x_star):
     """Leading eigenvalues and eigenvectors of a relaxed solution (at least one)."""
     evals, evecs = psd_eigendecomposition(x_star)
-    rank = max(numerical_rank(evals, rank_rel_tol), 1)
+    rank = max(numerical_rank(evals, _RANK_REL_TOL), 1)
     return evals[:rank], evecs[:, :rank]
+
+
+def _exact_realization(scenario, model, x_star, use_peaks):
+    """A schedule reproducing every trace of a relaxed solution, or None.
+
+    Rank at most one gives the principal eigenvector.  A real rank-two
+    ``l1 v1 v1^T + l2 v2 v2^T`` equals ``Re(x x^H)`` for the one complex
+    current ``x = sqrt(l1) v1 + j sqrt(l2) v2``; a real relaxation has real
+    data, so x meets the relaxed value (the rank-one optimum of the complex
+    rank bound, Huang & Palomar 2010).  Without peak limits any higher rank
+    is realized by time-sharing; with them it has no exact realization.
+    """
+    evals, evecs = psd_eigendecomposition(x_star)
+    rank = numerical_rank(evals, _RANK_REL_TOL)
+    if rank <= 1 or (rank == 2 and np.isrealobj(x_star)):
+        k = max(rank, 1)
+        gains = np.sqrt(np.maximum(evals[:k], 0.0)) * np.array([1.0, 1j])[:k]
+        return make_solution(scenario, model, [(Excitation(evecs[:, :k] @ gains), 1.0)],
+                             METHOD_SDR_RANK1, sdr_rank=k)
+    if not use_peaks:
+        return time_sharing_from_sdr(scenario, x_star, model)
+    return None
 
 
 def _peak_gain2(scenario, model, y):
@@ -301,9 +287,15 @@ def _peak_gain2(scenario, model, y):
     return np.minimum(cap_v.min(axis=0), cap_i.min(axis=0))
 
 
-def _delivery_gain2(model, y, rhs):
-    """Smallest squared gain per column of ``y`` meeting every delivery floor."""
+def _delivery_gain2(model, y, rhs, tau=None):
+    """Smallest squared gain per column of ``y`` meeting every delivery floor.
+
+    With time fractions ``tau`` the columns are the slots of one schedule,
+    and the one gain returned is that of its time-averaged deliveries.
+    """
     q_delivery = np.abs(model.m_vectors @ y) ** 2
+    if tau is not None:
+        q_delivery = q_delivery @ tau[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         need = np.where(rhs[:, None] > 0, rhs[:, None] / q_delivery, 0.0)
     return need.max(axis=0, initial=0.0)
@@ -331,6 +323,33 @@ def _rescaled(scenario, model, solution, gain2):
                          solution.sdr_rank)
 
 
+def _at_floors(scenario, model, solution, rhs, use_peaks):
+    """The schedule scaled to the smallest gain meeting every delivery floor.
+
+    With peaks, a need above some slot's peak limits by at most the delivery
+    tolerance is clipped at them; a larger one gives None.
+    """
+    currents = np.stack([exc.currents for exc, _ in solution.slots], axis=1)
+    tau = np.array([t for _, t in solution.slots])
+    lower = float(_delivery_gain2(model, currents, rhs, tau)[0])
+    upper = _schedule_peak_gain2(scenario, model, solution) if use_peaks else math.inf
+    if not _within_reach(lower, upper):
+        return None
+    return _rescaled(scenario, model, solution, min(lower, upper))
+
+
+def _at_limits(scenario, model, solution, use_peaks):
+    """The schedule scaled by the largest gain the cap (and peaks) allow.
+
+    The total power cap binds the time-averaged TX power, each peak limit
+    every slot.
+    """
+    gain2 = scenario.total_power_cap / solution.tx_power
+    if use_peaks:
+        gain2 = min(gain2, _schedule_peak_gain2(scenario, model, solution))
+    return _rescaled(scenario, model, solution, gain2)
+
+
 def _slot_lp_rows(scenario, model, vecs):
     """Coefficients of the per-slot LP over the fixed directions ``vecs``.
 
@@ -352,9 +371,9 @@ def _slot_lp_rows(scenario, model, vecs):
     return c0, c1, peak_rows.reshape(-1, 2 * vecs.shape[1])
 
 
-def _slot_lp_schedule(lp, scenario, model, vecs, tolerances):
+def _slot_lp_schedule(lp, scenario, model, vecs):
     """Solve a per-slot LP and turn its solution into a schedule."""
-    lp_sol = solve_lp(lp, tolerances)
+    lp_sol = solve_lp(lp)
     if lp_sol.status == INFEASIBLE:
         raise InfeasibleError("per-slot peak limits cannot support this delivery")
     if not lp_sol.is_optimal:
@@ -372,8 +391,7 @@ def _slot_lp_schedule(lp, scenario, model, vecs, tolerances):
                          sdr_rank=n_slots)
 
 
-def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None,
-                   tolerances=DEFAULT_TOLERANCES, rank_rel_tol=1e-6):
+def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None):
     """Time-sharing rounding of a higher-rank relaxed solution.
 
     Fixes the eigenvector directions, then jointly optimizes per-slot time
@@ -385,7 +403,7 @@ def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None,
     """
     model = _model_for(scenario, model)
     rhs = delivery_rhs(scenario, profile, target_power) * (1.0 - _DELIVERY_REL_TOL)
-    _, vecs = _eigen_directions(x_star, rank_rel_tol)
+    _, vecs = _eigen_directions(x_star)
     n_slots = vecs.shape[1]
     c0, c1, peak_rows = _slot_lp_rows(scenario, model, vecs)
     lp = LpProblem(objective=np.concatenate([c0 / 2.0, np.zeros(n_slots)]),
@@ -394,15 +412,15 @@ def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None,
                    b_ub=np.concatenate([-rhs, np.zeros(len(peak_rows))]),
                    a_eq=np.concatenate([np.zeros(n_slots), np.ones(n_slots)])[None, :],
                    b_eq=np.array([1.0]))
-    sol = _slot_lp_schedule(lp, scenario, model, vecs, tolerances)
+    sol = _slot_lp_schedule(lp, scenario, model, vecs)
     gain2 = min(1.0 / (1.0 - _DELIVERY_REL_TOL),
                 _schedule_peak_gain2(scenario, model, sol))
     return _rescaled(scenario, model, sol, gain2)
 
 
-def _gaussian_draws(x_star, draws, seed, rank_rel_tol):
+def _gaussian_draws(x_star, draws, seed):
     """Complex Gaussian vectors shaped by the eigenstructure of ``x_star``."""
-    evals, vecs = _eigen_directions(x_star, rank_rel_tol)
+    evals, vecs = _eigen_directions(x_star)
     shaped = vecs * np.sqrt(np.maximum(evals, 0.0))
     rank = vecs.shape[1]
     rng = np.random.default_rng([int(seed), 0x6D72])
@@ -411,7 +429,7 @@ def _gaussian_draws(x_star, draws, seed, rank_rel_tol):
 
 
 def randomization_extract(x_star, scenario, profile, target_power, model=None,
-                          draws=4000, seed=0, rank_rel_tol=1e-6):
+                          draws=4000, seed=0):
     """Gaussian rounding of a relaxed solution to a feasible single vector.
 
     Each draw is shaped by the eigenstructure of the relaxed matrix and then
@@ -423,7 +441,7 @@ def randomization_extract(x_star, scenario, profile, target_power, model=None,
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
     rhs = delivery_rhs(scenario, profile, target_power)
-    y, rank = _gaussian_draws(x_star, draws, seed, rank_rel_tol)
+    y, rank = _gaussian_draws(x_star, draws, seed)
     lower = _delivery_gain2(model, y, rhs)
     upper = _peak_gain2(scenario, model, y)
     # a draw whose binding delivery meets a binding cap within the delivery
@@ -441,18 +459,24 @@ def randomization_extract(x_star, scenario, profile, target_power, model=None,
                          METHOD_RANDOMIZATION, sdr_rank=rank)
 
 
-def _feasible_rescale(scenario, model, y, rhs, use_peaks):
-    """Best feasible scaling of a candidate vector, or None.
+def _roundings(options, time_sharing, randomization):
+    """Schedules from the rounding schemes that ``options.method`` selects.
 
-    Returns ``mu`` minimizing TX power such that ``mu*y`` meets every
-    delivery floor and (optionally) every peak cap; a need above the caps
-    by no more than the delivery tolerance is clipped at the caps.
+    ``time_sharing`` and ``randomization`` each build one schedule; a scheme
+    that finds none is left out.  Method ``sdr`` takes exact realizations
+    only, so reaching a rounding is an error for it.
     """
-    lower = _delivery_gain2(model, y[:, None], rhs)[0]
-    upper = _peak_gain2(scenario, model, y[:, None])[0] if use_peaks else np.inf
-    if not _within_reach(lower, upper):
-        return None
-    return math.sqrt(min(lower, upper))
+    if options.method == "sdr":
+        raise SolverError("relaxed solution has no exact realization; "
+                          "use method auto, ts, or randomization")
+    candidates = []
+    for method, rounding in (("ts", time_sharing), ("randomization", randomization)):
+        if options.method in ("auto", method):
+            try:
+                candidates.append(rounding())
+            except (InfeasibleError, SolverError):
+                pass
+    return candidates
 
 
 def _slot_peaks_ok(scenario, model, solution, tol=_SLACK_TOL):
@@ -472,11 +496,10 @@ def _delivers_target(solution, profile, target_power, rel_tol=_DELIVERY_REL_TOL)
 def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=None):
     """Minimize TX sum power subject to per-RX delivery shares.
 
-    Dispatch: without peak limits the real SDR is exact (by one complex
-    current for rank at most two, by time-sharing for rank three or more).
-    With peak limits, a rank-one relaxed solution is extracted directly;
-    otherwise both the rescaled time-sharing LP and Gaussian randomization
-    run and the feasible one with lower TX power is returned.
+    An exact realization of the relaxed solution (there always is one
+    without peak limits) is scaled down to the delivery floors.  Otherwise
+    the rescaled time-sharing LP and Gaussian randomization run, and the
+    feasible one with lower TX power is returned.
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
@@ -485,63 +508,30 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
     if _uncoupled_demand(scenario, model, profile, target_power):
         raise InfeasibleError("positive share assigned to an uncoupled receiver")
 
+    use_peaks = options.use_peak_constraints
     if options.method == METHOD_CLOSED_FORM:
-        if options.use_peak_constraints:
+        if use_peaks:
             raise ValueError("closed form ignores peak limits; use --no-peaks")
         return solve_p2_closed_form_single_rx(scenario, target_power, model)
 
-    if not options.use_peak_constraints:
-        conic, extracted = solve_p2_sdr(scenario, profile, target_power, model,
-                                        options.tolerances, options.rank_rel_tol)
-        if conic.status == INFEASIBLE:
-            raise InfeasibleError("delivery shares are unreachable")
-        if not conic.is_optimal:
-            raise SolverError(f"relaxation ended with status {conic.status}")
-        if extracted is not None:
-            return extracted
-        return time_sharing_from_sdr(scenario, conic.x, model,
-                                     options.rank_rel_tol)
-
-    conic, rank = solve_p1_sdr(scenario, profile, target_power, model,
-                               options.tolerances, options.rank_rel_tol)
+    conic, _ = solve_p1_sdr(scenario, profile, target_power, model, use_peaks)
     if conic.status == INFEASIBLE:
-        raise InfeasibleError("delivery shares are unreachable under peak limits")
+        raise InfeasibleError("delivery shares are unreachable")
     if not conic.is_optimal:
         raise SolverError(f"relaxation ended with status {conic.status}")
 
-    if rank == 1 and options.method in ("auto", "sdr"):
-        evals, evecs = psd_eigendecomposition(conic.x)
-        y = math.sqrt(max(evals[0], 0.0)) * evecs[:, 0]
-        rhs = delivery_rhs(scenario, profile, target_power)
-        mu = _feasible_rescale(scenario, model, y, rhs, use_peaks=True)
-        if mu is not None:
-            sol = make_solution(scenario, model, [(Excitation(mu * y), 1.0)],
-                                METHOD_SDR_RANK1, sdr_rank=1)
-            if _slot_peaks_ok(scenario, model, sol) and \
-                    _delivers_target(sol, profile, target_power):
-                return sol
-        # borderline rank: fall through to the rounding schemes
-    if options.method == "sdr":
-        raise SolverError("relaxed solution is not rank-one; "
-                          "use method auto, ts, or randomization")
-
-    candidates = []
-    if options.method in ("auto", "ts"):
-        try:
-            candidates.append(solve_p1_ts_lp(conic.x, scenario, profile,
-                                             target_power, model,
-                                             options.tolerances,
-                                             options.rank_rel_tol))
-        except (InfeasibleError, SolverError):
-            pass
-    if options.method in ("auto", "randomization"):
-        try:
-            candidates.append(randomization_extract(
-                conic.x, scenario, profile, target_power, model,
-                options.randomization_draws, options.seed,
-                options.rank_rel_tol))
-        except (InfeasibleError, SolverError):
-            pass
+    exact = _exact_realization(scenario, model, conic.x, use_peaks)
+    if exact is not None:
+        exact = _at_floors(scenario, model, exact,
+                           delivery_rhs(scenario, profile, target_power), use_peaks)
+    if exact is not None:
+        return exact
+    candidates = _roundings(
+        options,
+        lambda: solve_p1_ts_lp(conic.x, scenario, profile, target_power, model),
+        lambda: randomization_extract(conic.x, scenario, profile, target_power,
+                                      model, options.randomization_draws,
+                                      options.seed))
     candidates = [c for c in candidates
                   if _slot_peaks_ok(scenario, model, c)
                   and _delivers_target(c, profile, target_power)]
@@ -550,8 +540,7 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
     return min(candidates, key=lambda c: c.tx_power)
 
 
-def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True,
-                 tolerances=DEFAULT_TOLERANCES):
+def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True):
     """Joint relaxation of the delivered-power maximization for one profile.
 
     Maximizes t over (X, t) subject to ``Tr(M_q X) >= d_q t`` for every
@@ -575,25 +564,12 @@ def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True,
     problem = SdpProblem(dimension=scenario.n_tx,
                          objective=np.zeros((scenario.n_tx, scenario.n_tx)),
                          constraints=constraints, linear_objective=(-1.0,))
-    return solve_sdp(problem, tolerances)
+    return solve_sdp(problem)
 
 
-def _at_limits(scenario, model, solution, use_peaks):
-    """The schedule scaled by the largest gain the cap (and peaks) allow.
-
-    The total power cap binds the time-averaged TX power, each peak limit
-    every slot.
-    """
-    gain2 = scenario.total_power_cap / solution.tx_power
-    if use_peaks:
-        gain2 = min(gain2, _schedule_peak_gain2(scenario, model, solution))
-    return _rescaled(scenario, model, solution, gain2)
-
-
-def _randomization_max(x_star, scenario, profile, model, draws, seed,
-                       rank_rel_tol):
+def _randomization_max(x_star, scenario, profile, model, draws, seed):
     """Gaussian draw delivering the most profile-respecting power at its limits."""
-    y, rank = _gaussian_draws(x_star, draws, seed, rank_rel_tol)
+    y, rank = _gaussian_draws(x_star, draws, seed)
     p_tx = 0.5 * np.real(np.einsum("id,ij,jd->d", y.conj(), model.b_bar, y))
     gain2 = np.minimum(scenario.total_power_cap / p_tx,
                        _peak_gain2(scenario, model, y))
@@ -604,14 +580,14 @@ def _randomization_max(x_star, scenario, profile, model, draws, seed,
     return _at_limits(scenario, model, sol, use_peaks=True)
 
 
-def _ts_lp_max(x_star, scenario, profile, model, tolerances, rank_rel_tol):
+def _ts_lp_max(x_star, scenario, profile, model):
     """Time-sharing over the eigendirections that maximizes the delivered power.
 
     The per-slot LP of :func:`solve_p1_ts_lp` with one more variable t:
     maximize t subject to deliveries ``>= d_q t``, the time-averaged cap
     and every peak limit inside each slot.
     """
-    _, vecs = _eigen_directions(x_star, rank_rel_tol)
+    _, vecs = _eigen_directions(x_star)
     n_slots = vecs.shape[1]
     c0, c1, peak_rows = _slot_lp_rows(scenario, model, vecs)
     per_watt = delivery_rhs(scenario, profile, 1.0)
@@ -628,7 +604,7 @@ def _ts_lp_max(x_star, scenario, profile, model, tolerances, rank_rel_tol):
                    a_eq=np.concatenate([np.zeros(n_slots), np.ones(n_slots),
                                         [0.0]])[None, :],
                    b_eq=np.array([1.0]))
-    sol = _slot_lp_schedule(lp, scenario, model, vecs, tolerances)
+    sol = _slot_lp_schedule(lp, scenario, model, vecs)
     return _at_limits(scenario, model, sol, use_peaks=True)
 
 
@@ -639,32 +615,14 @@ def _p0_roundings(conic, scenario, profile, options, model):
         # exact without peaks (and rejected with them) by solve_p1
         return [_at_limits(scenario, model, solve_p1(scenario, profile, 1.0,
                                                      options, model), False)]
-    evals, evecs = psd_eigendecomposition(conic.x)
-    rank = numerical_rank(evals, options.rank_rel_tol)
-    if rank <= 1 or not use_peaks:
-        if rank <= 1:
-            y = math.sqrt(max(evals[0], 0.0)) * evecs[:, 0]
-            sol = make_solution(scenario, model, [(Excitation(y), 1.0)],
-                                METHOD_SDR_RANK1, sdr_rank=1)
-        else:
-            sol = time_sharing_from_sdr(scenario, conic.x, model,
-                                        options.rank_rel_tol)
-        return [_at_limits(scenario, model, sol, use_peaks)]
-    if options.method == "sdr":
-        raise SolverError("relaxed solution is not rank-one; "
-                          "use method auto, ts, or randomization")
-    candidates = []
-    if options.method in ("auto", "ts"):
-        try:
-            candidates.append(_ts_lp_max(conic.x, scenario, profile, model,
-                                         options.tolerances, options.rank_rel_tol))
-        except (InfeasibleError, SolverError):
-            pass
-    if options.method in ("auto", "randomization"):
-        candidates.append(_randomization_max(
-            conic.x, scenario, profile, model, options.randomization_draws,
-            options.seed, options.rank_rel_tol))
-    return candidates
+    exact = _exact_realization(scenario, model, conic.x, use_peaks)
+    if exact is not None:
+        return [_at_limits(scenario, model, exact, use_peaks)]
+    return _roundings(
+        options,
+        lambda: _ts_lp_max(conic.x, scenario, profile, model),
+        lambda: _randomization_max(conic.x, scenario, profile, model,
+                                   options.randomization_draws, options.seed))
 
 
 def solve_p0_bisection(scenario, profile, eps=1e-2, options=DEFAULT_OPTIONS,
@@ -672,10 +630,11 @@ def solve_p0_bisection(scenario, profile, eps=1e-2, options=DEFAULT_OPTIONS,
     """Maximize the delivered sum power for one power profile.
 
     One joint relaxation (:func:`solve_p0_sdr`) gives an upper bound; its
-    solution is rounded to schedules scaled to the largest gain the limits
-    allow (exact for a rank-one solution, and without peaks always).  Only
-    when the best rounding lands more than ``eps`` below the bound does a
-    bisection with the fixed-target solver search the bracket [rounded
+    solution is realized exactly where it can be (see
+    :func:`_exact_realization`, always without peaks) and rounded
+    otherwise, each schedule scaled to the largest gain the limits allow.
+    Only when the best of them lands more than ``eps`` below the bound does
+    a bisection with the fixed-target solver search the bracket [rounded
     value, bound] down to ``eps``; a failed step there only lowers the
     bracket's upper end.  Returns the profile-respecting power the schedule
     delivers, ``min_q per_rx_q / alpha_q``, and the schedule.
@@ -687,8 +646,7 @@ def solve_p0_bisection(scenario, profile, eps=1e-2, options=DEFAULT_OPTIONS,
     if _uncoupled_demand(scenario, model, profile, 1.0):
         return 0.0, zero_solution(scenario, model)
 
-    conic = solve_p0_sdr(scenario, profile, model, options.use_peak_constraints,
-                         options.tolerances)
+    conic = solve_p0_sdr(scenario, profile, model, options.use_peak_constraints)
     if not conic.is_optimal:
         raise SolverError(f"relaxation ended with status {conic.status}")
 

@@ -18,13 +18,13 @@ from . import __version__
 from .beamforming import (PowerProfile, SolveOptions, benchmark_uncoordinated,
                           solve_p0_bisection, solve_p1)
 from .circuit import (Excitation, build_impedance, constraint_slacks,
-                      delivered_powers, efficiency, tx_total_power, tx_voltages)
+                      delivered_powers, tx_total_power, tx_voltages)
 from .errors import InfeasibleError, MagbeamError, ScenarioError, SolverError
 from .estimation import (BLOCK_SINGLE_TX, DRIVEN_ZERO, OPEN_CIRCUIT,
                          RANDOM_VOLTAGE, TrainingProtocol, monte_carlo_mse,
                          write_mse_csv)
-from .region import boundary_point, sweep_region, write_region_csv, write_sweep_summary
-from .scenario import bundled_scenario_path, load_scenario, scenario_hash
+from .region import sweep_region, write_region_csv, write_sweep_summary
+from .scenario import load_scenario, scenario_hash
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -123,58 +123,7 @@ def _emit_json(doc, out_path):
         sys.stdout.write(text)
 
 
-def _reference_beamform():
-    """End-to-end run of the bundled single-RX workflow with headline numbers."""
-    scenario = load_scenario(bundled_scenario_path("table2_miso"))
-    model = build_impedance(scenario)
-    profile = PowerProfile([1.0])
-    sol1 = solve_p1(scenario, profile, 1.0, model=model)
-    eta1 = efficiency(scenario, model, list(sol1.slots))
-    print(f"target 1 W: method={sol1.method} tx_power={sol1.tx_power:.4f} W "
-          f"efficiency={eta1:.4f}")
-    p_star, sol = solve_p0_bisection(scenario, profile, model=model)
-    print(f"maximized delivery: {p_star:.3f} W at efficiency "
-          f"{p_star / sol.tx_power:.4f}")
-    bench = benchmark_uncoordinated(scenario, max_feasible=True, model=model)
-    print(f"identical-current baseline: {bench.achieved_sum_power:.4f} W at "
-          f"efficiency {bench.achieved_sum_power / bench.tx_power:.4f}")
-    return EXIT_OK
-
-
-def _reference_region():
-    scenario = load_scenario(bundled_scenario_path("table2_two_user"))
-    for constrained in (False, True):
-        label = "with peaks" if constrained else "no peaks"
-        corners = [boundary_point(scenario, [1.0, 0.0], constrained).p_star,
-                   boundary_point(scenario, [0.0, 1.0], constrained).p_star]
-        print(f"{label}: corner powers {corners[0]:.2f} / {corners[1]:.2f} W")
-    return EXIT_OK
-
-
-def _reference_estimate():
-    scenario = load_scenario(bundled_scenario_path("table2"))
-    rows = monte_carlo_mse(scenario, "ls", TrainingProtocol(n_slots=10),
-                           [20.0, 30.0, 40.0], trials=20_000, seed=0)
-    for r in rows:
-        print(f"LS T=10 snr={r.snr_db:.0f} dB: normalized MSE {r.mse:.3e}")
-    return EXIT_OK
-
-
-def _reference_validate():
-    for name in ("table2", "table2_miso", "table2_two_user"):
-        print(f"--- {name} ---")
-        code = cmd_validate(argparse.Namespace(
-            scenario=bundled_scenario_path(name), reference_suite=False))
-        if code != EXIT_OK:
-            return code
-    return EXIT_OK
-
-
 def cmd_beamform(args):
-    if args.reference_suite:
-        return _reference_beamform()
-    if not args.scenario:
-        raise UsageError("scenario file is required")
     scenario = load_scenario(args.scenario)
     model = build_impedance(scenario)
     if args.alpha:
@@ -226,10 +175,6 @@ def cmd_beamform(args):
 
 
 def cmd_region(args):
-    if args.reference_suite:
-        return _reference_region()
-    if not args.scenario:
-        raise UsageError("scenario file is required")
     if not args.out:
         raise UsageError("--out is required")
     scenario = load_scenario(args.scenario)
@@ -255,10 +200,6 @@ def cmd_region(args):
 
 
 def cmd_estimate(args):
-    if args.reference_suite:
-        return _reference_estimate()
-    if not args.scenario:
-        raise UsageError("scenario file is required")
     if not args.out:
         raise UsageError("--out is required")
     scenario = load_scenario(args.scenario)
@@ -282,10 +223,6 @@ def cmd_estimate(args):
 
 
 def cmd_validate(args):
-    if getattr(args, "reference_suite", False):
-        return _reference_validate()
-    if not args.scenario:
-        raise UsageError("scenario file is required")
     checks = []
 
     def add(name, ok, detail=""):
@@ -312,7 +249,6 @@ def cmd_validate(args):
     ok_recip, ok_energy = True, True
     for _ in range(8):
         cur = rng.standard_normal(scenario.n_tx) + 1j * rng.standard_normal(scenario.n_tx)
-        from .circuit import Excitation, tx_total_power
         exc = Excitation(cur)
         v_direct = tx_voltages(model, exc)
         v_expanded = model.b_complex.conj() @ cur
@@ -356,9 +292,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     pb = sub.add_parser("beamform", help="optimize TX currents for a scenario")
-    pb.add_argument("scenario", nargs="?", help="scenario JSON file")
-    pb.add_argument("--reference-suite", action="store_true",
-                    help=argparse.SUPPRESS)
+    pb.add_argument("scenario", help="scenario JSON file")
     pb.add_argument("--alpha", help="comma-separated power-profile shares")
     pb.add_argument("--target-power", type=float, default=None,
                     help="delivered sum power to hit (W)")
@@ -379,9 +313,7 @@ def build_parser():
     pb.set_defaults(func=cmd_beamform)
 
     pr = sub.add_parser("region", help="trace the multi-user power region")
-    pr.add_argument("scenario", nargs="?")
-    pr.add_argument("--reference-suite", action="store_true",
-                    help=argparse.SUPPRESS)
+    pr.add_argument("scenario")
     pr.add_argument("--grid", type=int, default=40,
                     help="two-user grid resolution")
     pr.add_argument("--alpha", action="append",
@@ -398,9 +330,7 @@ def build_parser():
     pr.set_defaults(func=cmd_region)
 
     pe = sub.add_parser("estimate", help="Monte-Carlo coupling-estimation MSE")
-    pe.add_argument("scenario", nargs="?")
-    pe.add_argument("--reference-suite", action="store_true",
-                    help=argparse.SUPPRESS)
+    pe.add_argument("scenario")
     pe.add_argument("--estimator", default="ls",
                     choices=["ls", "perfect", "pairwise"])
     pe.add_argument("--snr-list", default="20,30,40",
@@ -418,9 +348,7 @@ def build_parser():
     pe.set_defaults(func=cmd_estimate)
 
     pv = sub.add_parser("validate", help="check a scenario file's invariants")
-    pv.add_argument("scenario", nargs="?")
-    pv.add_argument("--reference-suite", action="store_true",
-                    help=argparse.SUPPRESS)
+    pv.add_argument("scenario")
     pv.set_defaults(func=cmd_validate)
     return parser
 

@@ -168,11 +168,6 @@ def _cscg(rng, shape, sigma2):
     return s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def training_slot_powers(record: TrainingRecord) -> np.ndarray:
-    """Per-slot total power drawn from the sources (reported, not enforced)."""
-    return 0.5 * np.real(np.sum(record.h * record.y.conj(), axis=0))
-
-
 def _truncate_real(m, what, tol=1e-9):
     scale = max(float(np.max(np.abs(m))), 1e-300)
     if float(np.max(np.abs(m.imag))) > tol * scale:
@@ -243,22 +238,35 @@ def pairwise_circuit(scenario: Scenario):
     return i_tx, i_rx
 
 
+def _pairwise_setup(scenario: Scenario, snr_db: float, v: float):
+    """Two-coil responses at drive ``v`` and the feedback noise variance.
+
+    The noise is set from the mean received-current power over all pairs,
+    so that its ratio to the noise variance equals the requested SNR.
+    """
+    i_tx, i_rx = pairwise_circuit(scenario)
+    i_tx, i_rx = v * i_tx, v * i_rx
+    sigma2 = 0.0 if math.isinf(snr_db) else \
+        float(np.mean(np.abs(i_rx) ** 2)) / 10.0 ** (snr_db / 10.0)
+    return i_tx, i_rx, sigma2
+
+
+def _pairwise_estimates(scenario, i_tx, i_rx, v, sigma2, rng, trials):
+    """Pairwise estimates of M from ``trials`` noise draws, (trials, N, Q)."""
+    noisy = i_rx[None] + _cscg(rng, (trials,) + i_rx.shape, sigma2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_hat = np.real((scenario.tx_resistance[None, :, None] * i_tx[None] - v)
+                        / (1j * scenario.omega * noisy))
+    return np.where(np.isfinite(m_hat), m_hat, 0.0)
+
+
 def estimate_pairwise_benchmark(scenario: Scenario, snr_db: float, seed: int = 0,
                                 active_voltage: float = 0.75) -> EstimationResult:
     """One-pair-at-a-time benchmark: N*Q slots, one estimate per slot."""
-    v = active_voltage
-    i_tx, i_rx = pairwise_circuit(scenario)
-    i_tx, i_rx = v * i_tx, v * i_rx
-    if math.isinf(snr_db):
-        sigma2 = 0.0
-    else:
-        sigma2 = float(np.mean(np.abs(i_rx) ** 2)) / 10.0 ** (snr_db / 10.0)
+    i_tx, i_rx, sigma2 = _pairwise_setup(scenario, snr_db, active_voltage)
     rng = np.random.default_rng([int(seed), 0x7633])
-    noisy = i_rx + _cscg(rng, i_rx.shape, sigma2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_hat = np.real((scenario.tx_resistance[:, None] * i_tx - v)
-                        / (1j * scenario.omega * noisy))
-    m_hat = np.where(np.isfinite(m_hat), m_hat, 0.0)
+    m_hat = _pairwise_estimates(scenario, i_tx, i_rx, active_voltage, sigma2,
+                                rng, 1)[0]
     return EstimationResult(m_hat=m_hat,
                             normalized_mse=_normalized_mse(scenario, m_hat))
 
@@ -279,16 +287,6 @@ def _ls_mse_batch(record, sigma2, rng, trials):
     den = 2.0 * np.real(np.einsum("cqt,cpt->cqp", z_t, z_t.conj()))
     m_hat = np.linalg.solve(den, num.transpose(0, 2, 1)).transpose(0, 2, 1)
     err = m_hat - record.scenario.mutual_tx_rx[None, :, :]
-    return np.sum(err ** 2, axis=(1, 2))
-
-
-def _pairwise_mse_batch(scenario, i_tx, i_rx, v, sigma2, rng, trials):
-    noisy = i_rx[None] + _cscg(rng, (trials,) + i_rx.shape, sigma2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_hat = np.real((scenario.tx_resistance[None, :, None] * i_tx[None] - v)
-                        / (1j * scenario.omega * noisy))
-    m_hat = np.where(np.isfinite(m_hat), m_hat, 0.0)
-    err = m_hat - scenario.mutual_tx_rx[None, :, :]
     return np.sum(err ** 2, axis=(1, 2))
 
 
@@ -319,11 +317,8 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
             sigma2 = record.sigma2
             n_slots = protocol.n_slots
         else:
-            i_tx, i_rx = pairwise_circuit(scenario)
-            v = 0.75
-            i_tx, i_rx = v * i_tx, v * i_rx
-            sigma2 = 0.0 if math.isinf(snr_db) else \
-                float(np.mean(np.abs(i_rx) ** 2)) / 10.0 ** (snr_db / 10.0)
+            v = protocol.active_voltage
+            i_tx, i_rx, sigma2 = _pairwise_setup(scenario, snr_db, v)
             n_slots = scenario.n_tx * scenario.n_rx
 
         sq_errors = np.empty(trials)
@@ -335,7 +330,9 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
             if estimator == "ls":
                 sq = _ls_mse_batch(record, sigma2, rng, count)
             else:
-                sq = _pairwise_mse_batch(scenario, i_tx, i_rx, v, sigma2, rng, count)
+                m_hat = _pairwise_estimates(scenario, i_tx, i_rx, v, sigma2, rng, count)
+                sq = np.sum((m_hat - scenario.mutual_tx_rx) ** 2, axis=(1, 2))
+                del m_hat   # one chunk's estimates alive at a time
             sq_errors[done:done + count] = sq
             done += count
             chunk_idx += 1
@@ -344,18 +341,6 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
                            float(mse.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
                            trials, estimator, n_slots))
     return rows
-
-
-def protocol_to_dict(protocol: TrainingProtocol) -> dict:
-    return {"mode": protocol.mode, "n_slots": protocol.n_slots,
-            "active_voltage": protocol.active_voltage, "seed": protocol.seed,
-            "inactive_tx": protocol.inactive_tx}
-
-
-def protocol_from_dict(doc: dict) -> TrainingProtocol:
-    return TrainingProtocol(**{k: doc[k] for k in
-                               ("mode", "n_slots", "active_voltage", "seed",
-                                "inactive_tx") if k in doc})
 
 
 def write_mse_csv(rows, path):

@@ -6,7 +6,6 @@ Self-inductance is never computed: at resonance it cancels against the
 tuning capacitance and drops out of every working equation.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -96,32 +95,3 @@ def layout_mutual_matrix(tx_coils, rx_coils, quadrature_points: int = 256) -> np
     return np.array([[mutual_inductance(a, b, quadrature_points) for b in rx_coils]
                      for a in tx_coils])
 
-
-def _coil_from_dict(doc):
-    return CoilGeometry(center=tuple(doc["center_m"]),
-                        radius=float(doc["radius_m"]),
-                        turns=int(doc.get("turns", 1)),
-                        axis=tuple(doc.get("axis", (0.0, 0.0, 1.0))))
-
-
-def load_layout(path):
-    """Synthetic layout JSON: {"tx": [coil...], "rx": [coil...]}.
-
-    Each coil object carries center_m, radius_m, turns and an optional axis.
-    Returns (tx_coils, rx_coils).
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return ([_coil_from_dict(c) for c in doc.get("tx", [])],
-            [_coil_from_dict(c) for c in doc.get("rx", [])])
-
-
-def save_layout(tx_coils, rx_coils, path):
-    def coil_doc(c):
-        return {"center_m": list(c.center), "radius_m": c.radius,
-                "turns": c.turns, "axis": list(c.axis)}
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"tx": [coil_doc(c) for c in tx_coils],
-                   "rx": [coil_doc(c) for c in rx_coils]}, fh, indent=2)
-        fh.write("\n")

@@ -22,7 +22,7 @@ from magbeam.beamforming import (PowerProfile, SolveOptions,
                                  profile_capped_power, randomization_extract,
                                  rank_bound, solve_p0_bisection, solve_p0_sdr,
                                  solve_p1, solve_p1_sdr, solve_p1_ts_lp,
-                                 solve_p2_closed_form_single_rx, solve_p2_sdr,
+                                 solve_p2_closed_form_single_rx,
                                  time_sharing_from_sdr)
 from magbeam.circuit import (Excitation, build_impedance, constraint_slacks,
                              delivered_powers, efficiency, tx_total_power,
@@ -237,8 +237,8 @@ def test_criterion_5_rank_certificates(tabletop):
     # The Q<=3 clause is the complex rank bound (m <= 3 constraints admit a
     # rank-one Hermitian optimum).  The real relaxation may be rank two at
     # Q=3 and then has no rank-one *real* optimum, but with real data a
-    # rank-two X is Re(x x^H) for one complex current x, so solve_p2_sdr
-    # must return a single-slot solution on every draw.
+    # rank-two X is Re(x x^H) for one complex current x, so solve_p1
+    # without peaks must return a single-slot solution on every draw.
     crit = Criterion(5, "relaxation rank certificates")
     rng = np.random.default_rng(50)
 
@@ -270,9 +270,9 @@ def test_criterion_5_rank_certificates(tabletop):
         q = int(rng.integers(1, 4))
         sc = random_scenario(rng, n_rx=q)
         profile = PowerProfile.normalized(rng.uniform(0.05, 1.0, q))
-        conic, extracted = solve_p2_sdr(sc, profile, 1.0)
+        sol = solve_p1(sc, profile, 1.0, NO_PEAKS)
         by_q[q][1] += 1
-        if conic.is_optimal and extracted is not None:
+        if len(sol.slots) == 1:
             by_q[q][0] += 1
     total_ok = sum(v[0] for v in by_q.values())
     crit.check("no-peaks relaxation rank one for Q <= 3", total_ok == 50,
@@ -476,7 +476,8 @@ def test_criterion_10_property_suites():
         sc = random_scenario(rng, n_rx=int(rng.integers(1, 3)))
         model = build_impedance(sc)
         profile = PowerProfile.normalized(rng.uniform(0.1, 1.0, sc.n_rx))
-        conic, _ = solve_p2_sdr(sc, profile, 0.5, model)
+        conic, _ = solve_p1_sdr(sc, profile, 0.5, model,
+                                use_peak_constraints=False)
         if not conic.is_optimal:
             continue
         rand = randomization_extract(conic.x, sc, profile, 0.5, model,

@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario
-from magbeam.beamforming import (PowerProfile, SolveOptions, _slot_lp_rows,
-                                 benchmark_uncoordinated, delivery_rhs,
-                                 profile_capped_power, randomization_extract,
-                                 rank_bound, solve_p0_bisection, solve_p0_sdr,
-                                 solve_p1, solve_p1_sdr, solve_p1_ts_lp,
-                                 solve_p2_closed_form_single_rx, solve_p2_sdr,
-                                 time_sharing_from_sdr, zero_solution)
+from magbeam import beamforming
+from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits,
+                                 _slot_lp_rows, benchmark_uncoordinated,
+                                 delivery_rhs, profile_capped_power,
+                                 randomization_extract, rank_bound,
+                                 solve_p0_bisection, solve_p0_sdr, solve_p1,
+                                 solve_p1_sdr, solve_p1_ts_lp,
+                                 solve_p2_closed_form_single_rx,
+                                 time_sharing_from_sdr)
 from magbeam.circuit import (Excitation, Scenario, build_impedance,
                              constraint_slacks, delivered_powers,
                              tx_total_power, tx_voltages)
-from magbeam.conic import INFEASIBLE, numerical_rank, psd_eigendecomposition
-from magbeam.errors import InfeasibleError
+from magbeam.conic import numerical_rank, psd_eigendecomposition
+from magbeam.errors import InfeasibleError, SolverError
 from magbeam.region import two_user_profiles
 from magbeam.scenario import table_scenario
 
@@ -111,11 +113,10 @@ class TestClosedFormSingleRx:
 
 class TestRelaxationWithoutPeaks:
     def test_single_rx_matches_closed_form(self, tabletop_miso, miso_model):
-        conic, extracted = solve_p2_sdr(tabletop_miso, PowerProfile([1.0]), 1.0,
-                                        miso_model)
+        conic, rank = solve_p1_sdr(tabletop_miso, PowerProfile([1.0]), 1.0,
+                                   miso_model, use_peak_constraints=False)
         closed = solve_p2_closed_form_single_rx(tabletop_miso, 1.0, miso_model)
-        assert conic.is_optimal
-        assert extracted is not None and extracted.sdr_rank == 1
+        assert conic.is_optimal and rank == 1
         assert conic.value == pytest.approx(closed.tx_power, rel=1e-6)
 
     def test_two_receivers_always_rank_one(self):
@@ -124,9 +125,10 @@ class TestRelaxationWithoutPeaks:
         for trial in range(20):
             sc = random_scenario(rng, n_rx=int(rng.integers(1, 3)))
             profile = PowerProfile.normalized(rng.uniform(0.05, 1.0, sc.n_rx))
-            conic, extracted = solve_p2_sdr(sc, profile, 1.0)
+            conic, rank = solve_p1_sdr(sc, profile, 1.0,
+                                       use_peak_constraints=False)
             assert conic.is_optimal, f"trial {trial}: {conic.status}"
-            assert extracted is not None, f"trial {trial}: rank > 1"
+            assert rank == 1, f"trial {trial}: rank {rank}"
 
     def test_three_receivers_rank_two_realized_by_time_sharing(self):
         # at Q = 3 the real optimum may be rank two; both the two-slot
@@ -137,15 +139,17 @@ class TestRelaxationWithoutPeaks:
         for _ in range(25):
             sc = random_scenario(rng, n_rx=3)
             profile = PowerProfile.normalized(rng.uniform(0.05, 1.0, 3))
-            conic, extracted = solve_p2_sdr(sc, profile, 1.0)
+            conic, rank = solve_p1_sdr(sc, profile, 1.0,
+                                       use_peak_constraints=False)
             assert conic.is_optimal
-            if numerical_rank(psd_eigendecomposition(conic.x)[0]) == 2:
+            if rank == 2:
                 sol = time_sharing_from_sdr(sc, conic.x)
                 assert len(sol.slots) == 2
                 # the schedule reproduces the full matrix's power exactly;
                 # against the reported objective only solver wiggle remains
                 assert sol.tx_power == pytest.approx(conic.value, rel=1e-5)
-                assert extracted is not None and len(extracted.slots) == 1
+                extracted = solve_p1(sc, profile, 1.0, NO_PEAKS)
+                assert len(extracted.slots) == 1
                 assert extracted.sdr_rank == 2
                 assert extracted.tx_power == pytest.approx(conic.value, rel=1e-5)
                 saw_rank2 = True
@@ -155,8 +159,8 @@ class TestRelaxationWithoutPeaks:
         # with a zero share on the second receiver the optimum matches the
         # single-delivery closed form evaluated on the same two-user circuit
         model = build_impedance(tabletop_two_user)
-        conic2, _ = solve_p2_sdr(tabletop_two_user, PowerProfile([1.0, 0.0]), 2.0,
-                                 model)
+        conic2, _ = solve_p1_sdr(tabletop_two_user, PowerProfile([1.0, 0.0]), 2.0,
+                                 model, use_peak_constraints=False)
         rhs1 = delivery_rhs(tabletop_two_user, PowerProfile([1.0, 0.0]), 2.0)[0]
         ell = np.linalg.inv(np.linalg.cholesky(model.b_bar))
         lmax = float(np.linalg.eigvalsh(
@@ -227,6 +231,14 @@ class TestRelaxationWithPeaks:
         assert rank_bound(1, 5) == 1
         assert rank_bound(4, 5) == 4
         assert rank_bound(9, 1) == 4
+
+    def test_rank_above_bound_is_solver_error(self, tabletop, monkeypatch):
+        # a rank above the provable bound means the solver stopped short;
+        # it is a numerical failure, also under ``python -O``
+        monkeypatch.setattr(beamforming, "numerical_rank",
+                            lambda evals, rel_tol=1e-6: tabletop.n_tx)
+        with pytest.raises(SolverError, match="provable bound"):
+            solve_p1(tabletop, PowerProfile.uniform(4), 2.0)
 
 
 class TestTimeSharingLp:
@@ -409,6 +421,24 @@ class TestBoundaryMaximum:
         p_star, _ = solve_p0_bisection(tabletop, profile)
         assert p_star >= 16.95
 
+    def test_four_user_no_peaks_one_complex_current(self, tabletop):
+        # the real relaxation is rank two here; one complex current realizes
+        # it exactly, so it delivers what the two-slot time-sharing does and
+        # meets the bound up to the kernel's 1e-8 gap tolerance
+        profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
+        model = build_impedance(tabletop)
+        p_star, sol = solve_p0_bisection(tabletop, profile, options=NO_PEAKS,
+                                         model=model)
+        conic = solve_p0_sdr(tabletop, profile, model, use_peak_constraints=False)
+        assert len(sol.slots) == 1 and sol.sdr_rank == 2
+        shared = _at_limits(tabletop, model,
+                            time_sharing_from_sdr(tabletop, conic.x, model), False)
+        assert len(shared.slots) == 2
+        assert p_star == pytest.approx(profile_capped_power(shared, profile),
+                                       rel=1e-9)
+        bound = conic.u[0]
+        assert bound * (1 - 1e-9) <= p_star <= bound * (1 + 1e-8)
+
     def test_one_ulp_continuity(self, tabletop_two_user):
         a, b = 0.35, float(np.nextafter(0.35, 1.0))
         assert b == 0.35000000000000003
@@ -480,7 +510,8 @@ class TestSandwichProperty:
             sc = random_scenario(rng, n_rx=int(rng.integers(1, 3)))
             model = build_impedance(sc)
             profile = PowerProfile.normalized(rng.uniform(0.1, 1.0, sc.n_rx))
-            conic, _ = solve_p2_sdr(sc, profile, 0.5, model)
+            conic, _ = solve_p1_sdr(sc, profile, 0.5, model,
+                                    use_peak_constraints=False)
             assert conic.is_optimal
             # any feasible rank-one point costs at least the relaxed value
             rhs = delivery_rhs(sc, profile, 0.5)

@@ -5,9 +5,8 @@ import pytest
 
 from conftest import random_excitation, random_scenario
 from magbeam.circuit import (Excitation, Scenario, SlackReport, build_impedance,
-                             constraint_slacks, delivered_power,
-                             delivered_powers, efficiency, rx_currents,
-                             tx_total_power, tx_voltages)
+                             constraint_slacks, delivered_powers, efficiency,
+                             rx_currents, tx_total_power, tx_voltages)
 from magbeam.errors import EfficiencyUndefinedError, ScenarioError
 
 W_TABLE = 42.6e6
@@ -89,12 +88,12 @@ class TestRxCurrents:
 
 class TestDeliveredPower:
     def test_zero(self, tabletop_miso, miso_model):
-        assert delivered_power(tabletop_miso, miso_model,
-                               Excitation(np.zeros(5)), 0) == 0.0
+        assert np.all(delivered_powers(tabletop_miso, miso_model,
+                                       Excitation(np.zeros(5))) == 0.0)
 
     def test_identical_current_value(self, tabletop_miso, miso_model):
         exc = Excitation(np.full(5, 0.0631, dtype=complex))
-        p = delivered_power(tabletop_miso, miso_model, exc, 0)
+        (p,) = delivered_powers(tabletop_miso, miso_model, exc)
         i_mag = W_TABLE * 0.79488e-6 / R_RX * 0.0631
         assert p == pytest.approx(0.5 * i_mag ** 2 * 10.0, rel=1e-9)
         assert p == pytest.approx(0.2056, abs=3e-4)
@@ -107,18 +106,14 @@ class TestDeliveredPower:
         scaled = delivered_powers(tabletop, model, Excitation(1.7j * cur))
         assert np.allclose(scaled, abs(1.7j) ** 2 * base, rtol=1e-12)
 
-    def test_index_out_of_range(self, tabletop_miso, miso_model):
-        with pytest.raises(IndexError):
-            delivered_power(tabletop_miso, miso_model, Excitation(np.zeros(5)), 1)
-
     def test_accounting_modes(self, tabletop_miso):
         total = Scenario(**{**_scenario_kwargs(tabletop_miso),
                             "load_accounting": "total_rx_resistance"})
         m_load = build_impedance(tabletop_miso)
         m_total = build_impedance(total)
         exc = Excitation(np.full(5, 0.1, dtype=complex))
-        p_load = delivered_power(tabletop_miso, m_load, exc, 0)
-        p_total = delivered_power(total, m_total, exc, 0)
+        p_load = delivered_powers(tabletop_miso, m_load, exc)
+        p_total = delivered_powers(total, m_total, exc)
         assert p_load == pytest.approx(p_total * 10.0 / R_RX, rel=1e-12)
 
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from magbeam import beamforming
 from magbeam.cli import main
 from magbeam.scenario import bundled_scenario_path, save_scenario, table_scenario
 
@@ -55,25 +56,15 @@ class TestBeamform:
     def test_alpha_required_for_multi_rx(self):
         assert main(["beamform", TWO_USER, "--maximize"]) == 64
 
-    def test_reference_suite_runs(self, capsys):
-        assert main(["beamform", "--reference-suite"]) == 0
-        out = capsys.readouterr().out
-        assert "maximized delivery" in out
-
-
-class TestReferenceSuites:
-    def test_region(self, capsys):
-        assert main(["region", "--reference-suite"]) == 0
-        assert "corner powers" in capsys.readouterr().out
-
-    def test_estimate(self, capsys):
-        assert main(["estimate", "--reference-suite"]) == 0
-        assert "normalized MSE" in capsys.readouterr().out
-
-    def test_validate(self, capsys):
-        assert main(["validate", "--reference-suite"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("--- ") == 3 and "[FAIL]" not in out
+    def test_rank_bound_failure_exits_70(self, monkeypatch, capsys):
+        # a relaxed rank above the provable bound is a numerical failure,
+        # reported with its exit code rather than as a traceback
+        monkeypatch.setattr(beamforming, "numerical_rank",
+                            lambda evals, rel_tol=1e-6: 5)
+        code = main(["beamform", TABLE, "--alpha", "0.25,0.25,0.25,0.25",
+                     "--target-power", "2"])
+        assert code == 70
+        assert "provable bound" in capsys.readouterr().err
 
 
 class TestRegion:
@@ -171,8 +162,9 @@ class TestEstimate:
 
 
 class TestValidate:
-    def test_bundled_passes(self, capsys):
-        assert main(["validate", TABLE]) == 0
+    @pytest.mark.parametrize("name", ["table2", "table2_miso", "table2_two_user"])
+    def test_bundled_passes(self, name, capsys):
+        assert main(["validate", str(bundled_scenario_path(name))]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 

@@ -10,8 +10,7 @@ from magbeam.estimation import (BLOCK_SINGLE_TX, DRIVEN_ZERO, RANDOM_VOLTAGE,
                                 TrainingProtocol, TrainingRecord,
                                 estimate_ls, estimate_pairwise_benchmark,
                                 estimate_perfect, ls_estimate_matrices,
-                                monte_carlo_mse, simulate_training,
-                                training_slot_powers)
+                                monte_carlo_mse, simulate_training)
 
 
 def _scalar_scenario():
@@ -57,12 +56,6 @@ class TestSimulateTraining:
         rec = simulate_training(tabletop, TrainingProtocol(n_slots=10), 20.0)
         assert rec.sigma2 == pytest.approx(
             float(np.mean(np.abs(rec.z) ** 2)) / 100.0, rel=1e-12)
-
-    def test_slot_powers_reported(self, tabletop):
-        rec = simulate_training(tabletop, TrainingProtocol(n_slots=10), 40.0)
-        powers = training_slot_powers(rec)
-        assert powers.shape == (10,)
-        assert np.all(powers >= 0.0)
 
 
 class TestPerfectEstimate:
@@ -226,11 +219,3 @@ class TestNoiselessIdentifiability:
             if proto.n_slots == sc.n_rx:
                 perfect = estimate_perfect(rec)
                 assert np.linalg.norm(perfect.m_hat - sc.mutual_tx_rx) <= 1e-9 * scale
-
-
-class TestProtocolConfig:
-    def test_round_trip(self):
-        from magbeam.estimation import protocol_from_dict, protocol_to_dict
-        proto = TrainingProtocol(mode=RANDOM_VOLTAGE, n_slots=12,
-                                 active_voltage=1.5, seed=3)
-        assert protocol_from_dict(protocol_to_dict(proto)) == proto

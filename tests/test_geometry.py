@@ -86,13 +86,3 @@ class TestTabletopLayout:
         computed = np.abs(layout_mutual_matrix(txs, rxs, 128))
         reference = table_scenario().mutual_tx_rx
         assert np.all(np.abs(computed - reference) <= 0.25 * reference)
-
-
-class TestLayoutJson:
-    def test_round_trip(self, tmp_path):
-        from magbeam.geometry import load_layout, save_layout
-        txs, rxs = tabletop_layout()
-        path = tmp_path / "layout.json"
-        save_layout(txs, rxs, path)
-        txs2, rxs2 = load_layout(path)
-        assert txs2 == txs and rxs2 == rxs
