@@ -1,8 +1,7 @@
 """Self-contained dense conic solvers (SDP with trace inequalities, LP)."""
 
 from .kernel import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, UNBOUNDED
-from .linalg import (embed_hermitian, numerical_rank, project_embedded,
-                     psd_eigendecomposition)
+from .linalg import numerical_rank, psd_eigendecomposition
 from .problems import (GE, LE, ConicSolution, LpProblem, SdpConstraint,
                        SdpProblem, Tolerances, solve_lp, solve_sdp)
 
@@ -12,5 +11,4 @@ __all__ = [
     "SdpProblem", "SdpConstraint", "LpProblem", "ConicSolution", "Tolerances",
     "solve_sdp", "solve_lp",
     "psd_eigendecomposition", "numerical_rank",
-    "embed_hermitian", "project_embedded",
 ]

@@ -4,7 +4,7 @@ Solves the standard-form problem
 
     minimize    <C, X> + c.u
     subject to  <A_i, X> + a_i.u = b_i,   i = 1..k
-                X  symmetric PSD (n x n, n may be 0)
+                X  symmetric or Hermitian PSD (n x n, n may be 0)
                 u >= 0                    (length p, p may be 0)
 
 with an infeasible start, Nesterov-Todd scaling of the PSD block and a
@@ -13,7 +13,7 @@ problem sizes are a handful of variables and a few tens of constraints,
 so no sparsity or low-rank machinery is warranted.
 
 The dual is  max b.y  s.t.  sum_i y_i A_i + Z = C (Z PSD),
-a_lin^T y + z = c (z >= 0).
+a_lin^T y + z = c (z >= 0).  X is real or complex as its data are.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +28,13 @@ NUMERICAL_FAILURE = "numerical_failure"
 
 _STEP_FRACTION = 0.99
 _MIN_STEP = 1e-10
+
+# A complex block keeps the geometry of its real 2n x 2n embedding: inner
+# product 2 Re tr(A^H B), norms scaled by sqrt(2), barrier degree 2n, and
+# data passed halved.  Over the 41 peak-limited P0 relaxations of the
+# two-user region, the natural geometry (Re tr, degree n) took 1270
+# iterations against 929.
+HERMITIAN_WEIGHT = 2.0
 
 
 @dataclass
@@ -48,7 +55,7 @@ class KernelResult:
 
 
 def _sym(m):
-    return (m + m.T) / 2.0
+    return (m + m.conj().T) / 2.0
 
 
 def _max_step_psd(m, dm):
@@ -56,7 +63,7 @@ def _max_step_psd(m, dm):
     if m.shape[0] == 0:
         return np.inf
     ell = np.linalg.cholesky(m)
-    s = np.linalg.solve(ell, np.linalg.solve(ell, dm).T).T
+    s = np.linalg.solve(ell, np.linalg.solve(ell, dm).conj().T).conj().T
     lam = np.linalg.eigvalsh(_sym(s))[0]
     if lam >= -1e-14:
         return np.inf
@@ -75,15 +82,15 @@ def _max_step_pos(v, dv):
 def _nt_scaling(x, z):
     """NT scaling of the PSD block.
 
-    Returns (r, r_inv, d) with r^{-1} x r^{-T} = r^T z r = diag(d) and the
-    scaling matrix w = r r^T satisfying w z w = x.
+    Returns (r, r_inv, d) with r^{-1} x r^{-H} = r^H z r = diag(d) and the
+    scaling matrix w = r r^H satisfying w z w = x.
     """
     lx = np.linalg.cholesky(x)
     lz = np.linalg.cholesky(z)
-    uu, ss, vvt = np.linalg.svd(lz.T @ lx)
+    uu, ss, vvh = np.linalg.svd(lz.conj().T @ lx)
     sqrt_s = np.sqrt(ss)
-    r = lx @ (vvt.T / sqrt_s)
-    r_inv = (uu.T @ lz.T) / sqrt_s[:, None]
+    r = lx @ (vvh.conj().T / sqrt_s)
+    r_inv = (uu.conj().T @ lz.conj().T) / sqrt_s[:, None]
     return r, r_inv, ss
 
 
@@ -107,19 +114,30 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
     b = np.asarray(b, dtype=float)
     k = b.size
     n = 0 if c_psd is None else c_psd.shape[0]
-    c_psd = np.zeros((n, n)) if c_psd is None else _sym(np.asarray(c_psd, dtype=float))
+    dtype = complex if np.iscomplexobj(c_psd) or np.iscomplexobj(a_psd) else float
+    weight = HERMITIAN_WEIGHT if dtype is complex else 1.0
+    c_psd = np.zeros((n, n)) if c_psd is None else _sym(np.asarray(c_psd, dtype=dtype))
     c_lin = np.zeros(0) if c_lin is None else np.asarray(c_lin, dtype=float)
     p = c_lin.size
-    a_psd = np.zeros((k, n, n)) if a_psd is None else np.asarray(a_psd, dtype=float)
+    a_psd = np.zeros((k, n, n)) if a_psd is None else np.asarray(a_psd, dtype=dtype)
     a_lin = np.zeros((k, p)) if a_lin is None else np.asarray(a_lin, dtype=float)
     if a_psd.shape != (k, n, n) or a_lin.shape != (k, p):
         raise ValueError("constraint data dimensions are inconsistent")
     if n + p == 0 or k == 0:
         raise ValueError("empty problem")
 
+    a_conj = a_psd.conj()
+    degree = weight * n + p
+
+    def inner(m1, m2):
+        return weight * np.sum(m1.conj() * m2).real
+
+    def norm_psd2(m):
+        return weight * np.linalg.norm(m) ** 2
+
     norm_b = 1.0 + np.linalg.norm(b)
-    norm_c = 1.0 + np.sqrt(np.linalg.norm(c_psd) ** 2 + np.linalg.norm(c_lin) ** 2)
-    eye = np.eye(n)
+    norm_c = 1.0 + np.sqrt(norm_psd2(c_psd) + np.linalg.norm(c_lin) ** 2)
+    eye = np.eye(n, dtype=dtype)
 
     rho_p = max(1.0, float(np.max(np.abs(b))))
     rho_d = max(1.0, float(np.max(np.abs(c_psd))) if n else 0.0,
@@ -133,7 +151,7 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
     def a_op(xm, uv):
         out = a_lin @ uv if p else np.zeros(k)
         if n:
-            out = out + np.einsum("kij,ij->k", a_psd, xm)
+            out = out + weight * np.einsum("kij,ij->k", a_conj, xm).real
         return out
 
     def at_op(yv):
@@ -152,13 +170,13 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
         r_d_psd = c_psd - aty_psd - z_psd if n else np.zeros((0, 0))
         r_d_lin = c_lin - aty_lin - z_lin if p else np.zeros(0)
 
-        gap = (np.sum(x * z_psd) if n else 0.0) + (u @ z_lin if p else 0.0)
-        mu = gap / (n + p)
-        pobj = (np.sum(c_psd * x) if n else 0.0) + (c_lin @ u if p else 0.0)
+        gap = (inner(x, z_psd) if n else 0.0) + (u @ z_lin if p else 0.0)
+        mu = gap / degree
+        pobj = (inner(c_psd, x) if n else 0.0) + (c_lin @ u if p else 0.0)
         dobj = b @ y
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         p_inf = np.linalg.norm(r_p) / norm_b
-        d_inf = np.sqrt(np.linalg.norm(r_d_psd) ** 2 + np.linalg.norm(r_d_lin) ** 2) / norm_c
+        d_inf = np.sqrt(norm_psd2(r_d_psd) + np.linalg.norm(r_d_lin) ** 2) / norm_c
         history.append((it, pobj, dobj, p_inf, d_inf, mu))
         if trace is not None:
             trace.write(f"iter {it:3d}  pobj {pobj: .9e}  dobj {dobj: .9e}  "
@@ -177,7 +195,7 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
             ref = 1.0
             if n:
                 viol = max(viol, max(0.0, float(np.linalg.eigvalsh(_sym(s_cand))[-1])))
-                ref = max(ref, float(np.linalg.norm(s_cand)))
+                ref = max(ref, float(np.sqrt(weight) * np.linalg.norm(s_cand)))
             if p:
                 viol = max(viol, max(0.0, float(np.max(v_cand))))
                 ref = max(ref, float(np.max(np.abs(v_cand))))
@@ -187,7 +205,7 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
                 break
 
         # improving-ray certificate of unboundedness
-        ray_scale = (np.trace(x) if n else 0.0) + (np.sum(u) if p else 0.0)
+        ray_scale = (weight * np.trace(x).real if n else 0.0) + (np.sum(u) if p else 0.0)
         if ray_scale > 0 and pobj / ray_scale < -max(1e-6, 100 * feas_tol) and \
                 np.linalg.norm(a_op(x, u)) / ray_scale <= feas_tol:
             status = UNBOUNDED
@@ -200,9 +218,9 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
             except np.linalg.LinAlgError:
                 status = NUMERICAL_FAILURE
                 break
-            w_mat = r_mat @ r_mat.T
+            w_mat = r_mat @ r_mat.conj().T
             wa = np.einsum("ab,kbc,cd->kad", w_mat, a_psd, w_mat)
-            gram = np.einsum("kij,lij->kl", a_psd, wa)
+            gram = weight * np.einsum("kij,lij->kl", a_conj, wa).real
         else:
             r_mat = r_inv = w_mat = None
             d_spec = np.zeros(0)
@@ -216,7 +234,7 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
             rhs = r_p.copy()
             if n:
                 corr = v_psd - w_mat @ r_d_psd @ w_mat
-                rhs -= np.einsum("kij,ij->k", a_psd, corr)
+                rhs -= weight * np.einsum("kij,ij->k", a_conj, corr).real
             if p:
                 rhs -= a_lin @ (v_lin - d_lin * r_d_lin)
             return rhs
@@ -236,20 +254,20 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
         dx_a, du_a, dy_a, dzp_a, dzl_a = directions(v_psd_aff, v_lin_aff)
         ap_aff = min(1.0, min(_max_step_psd(x, dx_a), _max_step_pos(u, du_a)))
         ad_aff = min(1.0, min(_max_step_psd(z_psd, dzp_a), _max_step_pos(z_lin, dzl_a)))
-        gap_aff = (np.sum((x + ap_aff * dx_a) * (z_psd + ad_aff * dzp_a)) if n else 0.0) \
+        gap_aff = (inner(x + ap_aff * dx_a, z_psd + ad_aff * dzp_a) if n else 0.0) \
             + ((u + ap_aff * du_a) @ (z_lin + ad_aff * dzl_a) if p else 0.0)
-        mu_aff = max(gap_aff, 0.0) / (n + p)
+        mu_aff = max(gap_aff, 0.0) / degree
         sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
 
         # corrector with Mehrotra second-order term, in the scaled space
         if n:
-            ddx = r_inv @ dx_a @ r_inv.T
-            ddz = r_mat.T @ dzp_a @ r_mat
+            ddx = r_inv @ dx_a @ r_inv.conj().T
+            ddz = r_mat.conj().T @ dzp_a @ r_mat
             cross = _sym(ddx @ ddz)
             target = -cross
             target[np.diag_indices(n)] += sigma * mu - d_spec ** 2
             t_mat = 2.0 * target / (d_spec[:, None] + d_spec[None, :])
-            v_psd = r_mat @ _sym(t_mat) @ r_mat.T
+            v_psd = r_mat @ _sym(t_mat) @ r_mat.conj().T
         else:
             v_psd = np.zeros((0, 0))
         v_lin = (sigma * mu - u * z_lin - du_a * dzl_a) / z_lin if p else np.zeros(0)
@@ -280,7 +298,7 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
 
     r_p = b - a_op(x, u)
     aty_psd, aty_lin = at_op(y)
-    pobj = (np.sum(c_psd * x) if n else 0.0) + (c_lin @ u if p else 0.0)
+    pobj = (inner(c_psd, x) if n else 0.0) + (c_lin @ u if p else 0.0)
     dobj = b @ y
     return KernelResult(
         status=status,
@@ -290,7 +308,7 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
         rel_gap=float(abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))),
         primal_infeas=float(np.linalg.norm(r_p) / norm_b),
         dual_infeas=float(np.sqrt(
-            np.linalg.norm(c_psd - aty_psd - z_psd) ** 2
+            norm_psd2(c_psd - aty_psd - z_psd)
             + np.linalg.norm(c_lin - aty_lin - z_lin) ** 2) / norm_c),
         iterations=it,
         history=history,

@@ -1,4 +1,4 @@
-"""Eigen utilities for PSD matrices and the complex-to-real embedding."""
+"""Eigen utilities for real symmetric and complex Hermitian PSD matrices."""
 
 import numpy as np
 
@@ -35,25 +35,3 @@ def numerical_rank(eigenvalues, rel_tol=1e-6):
         return 0
     return int(np.count_nonzero(w > rel_tol * largest))
 
-
-def embed_hermitian(h):
-    """Real symmetric 2n x 2n embedding [[Re, -Im], [Im, Re]] of Hermitian h."""
-    h = np.asarray(h, dtype=complex)
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def project_embedded(y):
-    """Inverse of :func:`embed_hermitian` on the embedded subspace.
-
-    For a general symmetric 2n x 2n matrix this is the orthogonal projection
-    onto embedded matrices; it maps PSD to PSD and preserves all trace inner
-    products against embedded constraint matrices.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0] // 2
-    re = (y[:n, :n] + y[n:, n:]) / 2.0
-    im = (y[n:, :n] - y[:n, n:]) / 2.0
-    re = (re + re.T) / 2.0
-    im = (im - im.T) / 2.0
-    return re + 1j * im

@@ -2,11 +2,9 @@
 
 ``solve_sdp`` handles trace-inequality-constrained SDPs over real symmetric
 or complex Hermitian variables, optionally joined by a block of nonnegative
-scalar variables (the mixed PSD+orthant form, one kernel call either way);
-Hermitian data is routed through the 2n x 2n real embedding (single kernel
-code path) and projected back, with the trace scaling fixed so that
-objective value, constraint senses and dual multipliers are preserved
-exactly.
+scalar variables (the mixed PSD+orthant form, one kernel call either way).
+The kernel runs in the dtype of the data, so a Hermitian problem of
+dimension n is solved as an n x n complex block.
 
 ``solve_lp`` reuses the same interior-point kernel restricted to the
 orthant (no PSD block), i.e. the diagonal-barrier specialization.
@@ -18,7 +16,6 @@ import numpy as np
 
 from . import kernel
 from .kernel import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, UNBOUNDED
-from .linalg import embed_hermitian, project_embedded
 
 GE = ">="
 LE = "<="
@@ -58,9 +55,9 @@ class SdpProblem:
     s.t. the constraint rows, X PSD, u >= 0.
 
     ``objective`` and all constraint matrices must be symmetric (real) or
-    Hermitian (complex); mixing is allowed and promotes the whole problem
-    to the complex path.  ``linear_objective`` sets the number of scalar
-    variables ``u`` (none by default).
+    Hermitian (complex); mixing is allowed and makes X complex Hermitian.
+    ``linear_objective`` sets the number of scalar variables ``u`` (none by
+    default).
     """
 
     dimension: int
@@ -127,11 +124,12 @@ class ConicSolution:
         return self.status == OPTIMAL
 
 
-def _row_scales(matrices, linear, rhs):
-    # each row's own data norm, taken before its unit slack is appended
+def _row_scales(matrices, linear, rhs, root_weight):
+    # each row's own data norm in the kernel's geometry, taken before its
+    # unit slack is appended
     scales = np.empty(len(matrices))
     for i, m in enumerate(matrices):
-        data = np.hypot(np.linalg.norm(m), np.linalg.norm(linear[i]))
+        data = np.hypot(np.linalg.norm(m) / root_weight, np.linalg.norm(linear[i]))
         scales[i] = max(float(data), abs(rhs[i]), 1e-300)
     return scales
 
@@ -139,16 +137,15 @@ def _row_scales(matrices, linear, rhs):
 def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
               trace=None) -> ConicSolution:
     """Solve a trace-constrained SDP; see :class:`SdpProblem` for the form."""
-    if problem.is_complex:
-        return _solve_sdp_complex(problem, tolerances, trace)
-    return _solve_sdp_real(problem, tolerances, trace)
-
-
-def _solve_sdp_real(problem, tolerances, trace):
     k = len(problem.constraints)
-    objective = np.asarray(problem.objective, dtype=float)
+    dtype = complex if problem.is_complex else float
+    # the kernel weighs a Hermitian block's trace products by this factor,
+    # so its data goes in divided by it and its norms grow by the root
+    weight = kernel.HERMITIAN_WEIGHT if dtype is complex else 1.0
+    root_weight = np.sqrt(weight)
+    objective = np.asarray(problem.objective, dtype=dtype)
     c_u = np.asarray(problem.linear_objective, dtype=float)
-    mats = [np.asarray(c.matrix, dtype=float) for c in problem.constraints]
+    mats = [np.asarray(c.matrix, dtype=dtype) for c in problem.constraints]
     linear = np.zeros((k, c_u.size))
     for i, c in enumerate(problem.constraints):
         if len(c.linear):
@@ -158,49 +155,25 @@ def _solve_sdp_real(problem, tolerances, trace):
 
     # orthant block: the problem's own scalar variables, then one unit
     # slack per row
-    obj_scale = max(float(np.hypot(np.linalg.norm(objective), np.linalg.norm(c_u))),
-                    1e-300)
-    scales = _row_scales(mats, linear, rhs)
-    a_psd = np.stack([(m + m.T) / (2.0 * s) for m, s in zip(mats, scales)])
+    obj_scale = max(float(np.hypot(np.linalg.norm(objective) / root_weight,
+                                   np.linalg.norm(c_u))), 1e-300)
+    scales = _row_scales(mats, linear, rhs, root_weight)
+    a_psd = np.stack([(m + m.conj().T) / (2.0 * weight * s) for m, s in zip(mats, scales)])
     a_lin = np.hstack([linear / scales[:, None], np.diag(signs)])
     res = kernel.solve_mixed_cone(
-        c_psd=objective / (2.0 * obj_scale),
+        c_psd=objective / (2.0 * weight * obj_scale),
         c_lin=np.concatenate([c_u, np.zeros(k)]) / obj_scale,
         a_psd=a_psd, a_lin=a_lin, b=rhs / scales,
         gap_tol=tolerances.rel_gap, feas_tol=tolerances.feasibility,
         max_iter=tolerances.max_iterations, trace=trace)
 
-    x = (res.x + res.x.T) / 2.0
     u = res.u[:c_u.size]
-    value = 0.5 * float(np.sum(objective * x)) + float(c_u @ u)
+    value = 0.5 * float(np.sum(objective.conj() * res.x).real) + float(c_u @ u)
     duals = res.y * obj_scale / scales
-    return ConicSolution(status=res.status, value=value, x=x, duals=duals,
+    return ConicSolution(status=res.status, value=value, x=res.x, duals=duals,
                          rel_gap=res.rel_gap, iterations=res.iterations,
                          primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas,
                          u=u)
-
-
-def _solve_sdp_complex(problem, tolerances, trace):
-    # real embedding doubles every trace inner product, so halving the
-    # embedded data preserves objective value, senses, rhs and duals
-    embedded = SdpProblem(
-        dimension=2 * problem.dimension,
-        objective=embed_hermitian(problem.objective) / 2.0,
-        constraints=[
-            SdpConstraint(matrix=embed_hermitian(c.matrix) / 2.0, sense=c.sense,
-                          rhs=c.rhs, linear=c.linear)
-            for c in problem.constraints
-        ],
-        linear_objective=problem.linear_objective,
-    )
-    res = _solve_sdp_real(embedded, tolerances, trace)
-    x = project_embedded(res.x)
-    value = 0.5 * float(np.real(np.sum(np.asarray(problem.objective).conj() * x))) \
-        + float(np.asarray(problem.linear_objective, dtype=float) @ res.u)
-    return ConicSolution(status=res.status, value=value, x=x, duals=res.duals,
-                         rel_gap=res.rel_gap, iterations=res.iterations,
-                         primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas,
-                         u=res.u)
 
 
 def solve_lp(problem: LpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,

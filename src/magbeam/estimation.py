@@ -194,16 +194,16 @@ def estimate_perfect(record: TrainingRecord) -> EstimationResult:
                             normalized_mse=_normalized_mse(record.scenario, m_hat))
 
 
-def ls_estimate_matrices(g, z_tilde):
-    """Raw least-squares solution of ``G = M Z`` for real M, complex data.
+def _ls_estimates(g, z_t):
+    """Least-squares estimates of real M from a batch of feedback (c, Q, T).
 
-    Minimizing ``||G - M Z||_F^2`` over real matrices gives
-    ``M = (G Z^H + G* Z^T) (Z Z^H + Z* Z^T)^{-1}``; both factors are real
-    up to roundoff by conjugate symmetry.
+    Minimizing ``||G - M Z||_F^2`` over real matrices gives the real normal
+    equations ``M 2Re(Z Z^H) = 2Re(G Z^H)``.  Returns the estimates
+    (c, N, Q) and the Gram matrices ``2Re(Z Z^H)`` (c, Q, Q).
     """
-    num = g @ z_tilde.conj().T + g.conj() @ z_tilde.T
-    den = z_tilde @ z_tilde.conj().T + z_tilde.conj() @ z_tilde.T
-    return num, den
+    num = 2.0 * np.real(np.einsum("nt,cqt->cnq", g, z_t.conj()))
+    den = 2.0 * np.real(np.einsum("cqt,cpt->cqp", z_t, z_t.conj()))
+    return np.linalg.solve(den, num.transpose(0, 2, 1)).transpose(0, 2, 1), den
 
 
 def estimate_ls(record: TrainingRecord) -> EstimationResult:
@@ -211,11 +211,14 @@ def estimate_ls(record: TrainingRecord) -> EstimationResult:
     q, t = record.z_tilde.shape
     if t < q:
         raise EstimationError(f"need at least Q={q} slots, got {t}")
-    num, den = ls_estimate_matrices(record.g, record.z_tilde)
-    if np.linalg.cond(den) > _COND_LIMIT:
+    try:
+        m_hat, den = _ls_estimates(record.g, record.z_tilde[None])
+        deficient = np.linalg.cond(den[0]) > _COND_LIMIT
+    except np.linalg.LinAlgError:
+        deficient = True
+    if deficient:
         raise EstimationError("feedback Gram matrix is rank deficient")
-    m_hat = np.linalg.solve(den.T, num.T).T
-    m_hat = _truncate_real(m_hat, "least-squares estimate")
+    m_hat = m_hat[0]
     resid = record.g - m_hat @ record.z_tilde
     j = float(np.real(np.sum(resid * resid.conj())))
     return EstimationResult(m_hat=m_hat,
@@ -281,15 +284,6 @@ class MseRow:
     n_slots: int
 
 
-def _ls_mse_batch(record, sigma2, rng, trials):
-    z_t = record.z[None, :, :] + _cscg(rng, (trials,) + record.z.shape, sigma2)
-    num = 2.0 * np.real(np.einsum("nt,cqt->cnq", record.g, z_t.conj()))
-    den = 2.0 * np.real(np.einsum("cqt,cpt->cqp", z_t, z_t.conj()))
-    m_hat = np.linalg.solve(den, num.transpose(0, 2, 1)).transpose(0, 2, 1)
-    err = m_hat - record.scenario.mutual_tx_rx[None, :, :]
-    return np.sum(err ** 2, axis=(1, 2))
-
-
 def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtocol,
                     snr_db_list, trials: int = 100_000, seed: int = 0):
     """Normalized-MSE table over SNR points, averaged over noise draws.
@@ -328,12 +322,13 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
             count = min(_CHUNK, trials - done)
             rng = np.random.default_rng([int(seed), snr_idx, chunk_idx])
             if estimator == "ls":
-                sq = _ls_mse_batch(record, sigma2, rng, count)
+                m_hat = _ls_estimates(record.g, record.z + _cscg(
+                    rng, (count,) + record.z.shape, sigma2))[0]
             else:
                 m_hat = _pairwise_estimates(scenario, i_tx, i_rx, v, sigma2, rng, count)
-                sq = np.sum((m_hat - scenario.mutual_tx_rx) ** 2, axis=(1, 2))
-                del m_hat   # one chunk's estimates alive at a time
-            sq_errors[done:done + count] = sq
+            err = m_hat - scenario.mutual_tx_rx
+            sq_errors[done:done + count] = np.sum(err ** 2, axis=(1, 2))
+            del m_hat, err   # one chunk's estimates alive at a time
             done += count
             chunk_idx += 1
         mse = sq_errors / m_norm2

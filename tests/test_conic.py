@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from magbeam.conic import (GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, LpProblem,
-                           SdpConstraint, SdpProblem, Tolerances,
-                           embed_hermitian, numerical_rank, project_embedded,
-                           psd_eigendecomposition, solve_lp, solve_sdp)
+                           SdpConstraint, SdpProblem, Tolerances, kernel,
+                           numerical_rank, psd_eigendecomposition, solve_lp,
+                           solve_sdp)
 from magbeam.conic.kernel import _max_step_pos
 
 W_TABLE = 42.6e6
@@ -141,23 +141,9 @@ class TestKktCertificates:
 
 
 class TestComplexEmbedding:
-    def test_embed_project_roundtrip(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = (a + a.conj().T) / 2
-        y = embed_hermitian(h)
-        assert np.allclose(y, y.T)
-        assert np.allclose(project_embedded(y), h)
-        # trace inner products double under embedding
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        g = (b + b.conj().T) / 2
-        lhs = float(np.sum(embed_hermitian(h) * embed_hermitian(g)))
-        rhs = 2.0 * float(np.real(np.sum(h.conj() * g)))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
     def test_hermitian_value_matches_direct_arithmetic(self):
-        # closed form computed with native complex arithmetic is reproduced
-        # by the embedded solve
+        # the solve reproduces a closed form computed with native complex
+        # arithmetic
         rng = np.random.default_rng(13)
         for _ in range(10):
             n = 4
@@ -172,6 +158,24 @@ class TestComplexEmbedding:
             assert sol.is_optimal
             assert sol.value == pytest.approx(0.5 * rhs / lmax, rel=1e-6)
             assert np.linalg.norm(sol.x - sol.x.conj().T) <= 1e-10
+
+    def test_kernel_gets_native_complex_block(self, monkeypatch):
+        # a Hermitian problem of dimension n reaches the kernel as one n x n
+        # complex block, not as a 2n x 2n real embedding
+        seen = []
+        solve = kernel.solve_mixed_cone
+
+        def spy(**kwargs):
+            seen.append((kwargs["c_psd"], kwargs["a_psd"]))
+            return solve(**kwargs)
+
+        monkeypatch.setattr(kernel, "solve_mixed_cone", spy)
+        g = np.array([[2.0, 1j], [-1j, 1.0]])
+        sol = solve_sdp(SdpProblem(2, np.eye(2), [SdpConstraint(g, GE, 1.0)]))
+        assert sol.is_optimal
+        (c_psd, a_psd), = seen
+        assert c_psd.shape == (2, 2) and a_psd.shape == (1, 2, 2)
+        assert np.iscomplexobj(c_psd) and np.iscomplexobj(a_psd)
 
     def test_real_data_stays_on_real_path(self):
         prob, b_bar, rhs = _single_rx_problem()
