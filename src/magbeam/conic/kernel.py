@@ -8,9 +8,21 @@ Solves the standard-form problem
                 u >= 0                    (length p, p may be 0)
 
 with an infeasible start, Nesterov-Todd scaling of the PSD block and a
-Mehrotra predictor-corrector step.  Everything is dense: the intended
-problem sizes are a handful of variables and a few tens of constraints,
-so no sparsity or low-rank machinery is warranted.
+Mehrotra predictor-corrector step, as in SDPT3 (Toh, Todd & Tutuncu 1999).
+Everything is dense.  Per iteration: the NT scaling (two Choleskys and an
+SVD give r with r^-1 X r^-H = r^H Z r = diag(d), W = r r^H); the Schur
+complement as a batched matmul W A_i W and one real GEMM of the (k, n^2)
+data against it; one Cholesky of it, shared by predictor and corrector;
+step lengths from lambda_min of each direction in the NT frame.
+``beamforming.solve_p0_sdr`` with peaks, 4 receivers and N chargers
+(k = 2N + 5 rows), one OpenBLAS thread on a 2-vCPU Xeon VM, in ms:
+
+    N                     5    10    20     30    64
+    single-loop Schur    53    95  1408  12202     -
+    GEMM Schur           42    27    44    231  2751  (49/28/28/39/55 iterations)
+
+At N = 30 forming the Schur complement is a third of the solve; with the
+constraints' rank-one factors it would cost O(k n^2 + k^2 n), not O(k^2 n^2).
 
 The dual is  max b.y  s.t.  sum_i y_i A_i + Z = C (Z PSD),
 a_lin^T y + z = c (z >= 0).  X is real or complex as its data are.
@@ -58,13 +70,18 @@ def _sym(m):
     return (m + m.conj().T) / 2.0
 
 
-def _max_step_psd(m, dm):
-    """Largest alpha with m + alpha*dm PSD, for m positive definite."""
-    if m.shape[0] == 0:
+def _flat(m):
+    """Trailing n x n matrices as rows of reals, so Re tr(A^H B) is a dot."""
+    m = np.ascontiguousarray(m)
+    return m.reshape(m.shape[:-2] + (-1,)).view(float)
+
+
+def _max_step_psd(d, ds):
+    """Largest alpha with diag(d) + alpha*ds PSD (d > 0: an NT-frame iterate)."""
+    if d.size == 0:
         return np.inf
-    ell = np.linalg.cholesky(m)
-    s = np.linalg.solve(ell, np.linalg.solve(ell, dm).conj().T).conj().T
-    lam = np.linalg.eigvalsh(_sym(s))[0]
+    s = 1.0 / np.sqrt(d)
+    lam = np.linalg.eigvalsh(_sym(ds * np.outer(s, s)))[0]
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -94,18 +111,18 @@ def _nt_scaling(x, z):
     return r, r_inv, ss
 
 
-def _solve_normal(m, rhs):
-    """Solve the (nominally SPD) normal system with escalating regularization."""
+def _factor_normal(m):
+    """Solver for the (nominally SPD) normal matrix: one factor, escalating jitter."""
     n = m.shape[0]
     base = np.max(np.abs(np.diag(m))) if n else 1.0
     jitter = 0.0
-    for attempt in range(6):
+    for _ in range(6):
         try:
             ell = np.linalg.cholesky(m + jitter * np.eye(n))
-            return np.linalg.solve(ell.T, np.linalg.solve(ell, rhs))
+            return lambda rhs: np.linalg.solve(ell.T, np.linalg.solve(ell, rhs))
         except np.linalg.LinAlgError:
             jitter = max(base * 1e-14, jitter * 100.0) if jitter else base * 1e-14
-    return np.linalg.lstsq(m, rhs, rcond=None)[0]
+    return lambda rhs: np.linalg.lstsq(m, rhs, rcond=None)[0]
 
 
 def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
@@ -126,38 +143,34 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
     if n + p == 0 or k == 0:
         raise ValueError("empty problem")
 
-    a_conj = a_psd.conj()
+    a_flat = _flat(a_psd)
     degree = weight * n + p
 
     def inner(m1, m2):
-        return weight * np.sum(m1.conj() * m2).real
+        return weight * np.sum(m1.conj() * m2).real if n else 0.0
 
     def norm_psd2(m):
         return weight * np.linalg.norm(m) ** 2
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.sqrt(norm_psd2(c_psd) + np.linalg.norm(c_lin) ** 2)
-    eye = np.eye(n, dtype=dtype)
 
     rho_p = max(1.0, float(np.max(np.abs(b))))
-    rho_d = max(1.0, float(np.max(np.abs(c_psd))) if n else 0.0,
-                float(np.max(np.abs(c_lin))) if p else 0.0)
-    x = rho_p * eye.copy()
+    rho_d = max(1.0, float(np.max(np.abs(c_psd), initial=0.0)),
+                float(np.max(np.abs(c_lin), initial=0.0)))
+    x = rho_p * np.eye(n, dtype=dtype)
     u = rho_p * np.ones(p)
     y = np.zeros(k)
-    z_psd = rho_d * eye.copy()
+    z_psd = rho_d * np.eye(n, dtype=dtype)
     z_lin = rho_d * np.ones(p)
 
+    # an empty orthant block (p = 0) contributes exact zeros below; an empty
+    # PSD block (n = 0, an LP) skips the PSD work
     def a_op(xm, uv):
-        out = a_lin @ uv if p else np.zeros(k)
-        if n:
-            out = out + weight * np.einsum("kij,ij->k", a_conj, xm).real
-        return out
+        return a_lin @ uv + (weight * (a_flat @ _flat(xm)) if n else 0.0)
 
     def at_op(yv):
-        zm = np.einsum("k,kij->ij", yv, a_psd) if n else np.zeros((0, 0))
-        zv = a_lin.T @ yv if p else np.zeros(0)
-        return zm, zv
+        return (yv @ a_flat).view(dtype).reshape(n, n), a_lin.T @ yv
 
     history = []
     status = NUMERICAL_FAILURE
@@ -167,12 +180,11 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
     for it in range(1, max_iter + 1):
         r_p = b - a_op(x, u)
         aty_psd, aty_lin = at_op(y)
-        r_d_psd = c_psd - aty_psd - z_psd if n else np.zeros((0, 0))
-        r_d_lin = c_lin - aty_lin - z_lin if p else np.zeros(0)
+        r_d_psd = c_psd - aty_psd - z_psd
+        r_d_lin = c_lin - aty_lin - z_lin
 
-        gap = (inner(x, z_psd) if n else 0.0) + (u @ z_lin if p else 0.0)
-        mu = gap / degree
-        pobj = (inner(c_psd, x) if n else 0.0) + (c_lin @ u if p else 0.0)
+        mu = (inner(x, z_psd) + u @ z_lin) / degree
+        pobj = inner(c_psd, x) + c_lin @ u
         dobj = b @ y
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         p_inf = np.linalg.norm(r_p) / norm_b
@@ -205,7 +217,7 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
                 break
 
         # improving-ray certificate of unboundedness
-        ray_scale = (weight * np.trace(x).real if n else 0.0) + (np.sum(u) if p else 0.0)
+        ray_scale = weight * np.trace(x).real + np.sum(u)
         if ray_scale > 0 and pobj / ray_scale < -max(1e-6, 100 * feas_tol) and \
                 np.linalg.norm(a_op(x, u)) / ray_scale <= feas_tol:
             status = UNBOUNDED
@@ -219,63 +231,54 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
                 status = NUMERICAL_FAILURE
                 break
             w_mat = r_mat @ r_mat.conj().T
-            wa = np.einsum("ab,kbc,cd->kad", w_mat, a_psd, w_mat)
-            gram = weight * np.einsum("kij,lij->kl", a_conj, wa).real
+            wrw = w_mat @ r_d_psd @ w_mat
+            gram = weight * (a_flat @ _flat(w_mat @ a_psd @ w_mat).T)
         else:
-            r_mat = r_inv = w_mat = None
+            r_mat = r_inv = w_mat = wrw = np.zeros((0, 0))
             d_spec = np.zeros(0)
-            wa = None
             gram = np.zeros((k, k))
-        if p:
-            d_lin = u / z_lin
-            gram = gram + (a_lin * d_lin) @ a_lin.T
-
-        def build_rhs(v_psd, v_lin):
-            rhs = r_p.copy()
-            if n:
-                corr = v_psd - w_mat @ r_d_psd @ w_mat
-                rhs -= weight * np.einsum("kij,ij->k", a_conj, corr).real
-            if p:
-                rhs -= a_lin @ (v_lin - d_lin * r_d_lin)
-            return rhs
+        d_lin = u / z_lin
+        solve_normal = _factor_normal(gram + (a_lin * d_lin) @ a_lin.T)
 
         def directions(v_psd, v_lin):
-            dy = _solve_normal(gram, build_rhs(v_psd, v_lin))
+            rhs = r_p - (weight * (a_flat @ _flat(v_psd - wrw)) if n else 0.0)
+            dy = solve_normal(rhs - a_lin @ (v_lin - d_lin * r_d_lin))
             dz_psd_, dz_lin_ = at_op(dy)
-            dz_psd_ = _sym(r_d_psd - dz_psd_) if n else np.zeros((0, 0))
-            dz_lin_ = r_d_lin - dz_lin_ if p else np.zeros(0)
-            dx_ = _sym(v_psd - w_mat @ dz_psd_ @ w_mat) if n else np.zeros((0, 0))
-            du_ = v_lin - d_lin * dz_lin_ if p else np.zeros(0)
-            return dx_, du_, dy, dz_psd_, dz_lin_
+            dz_psd_ = _sym(r_d_psd - dz_psd_) if n else dz_psd_
+            dz_lin_ = r_d_lin - dz_lin_
+            dx_ = _sym(v_psd - w_mat @ dz_psd_ @ w_mat) if n else v_psd
+            return dx_, v_lin - d_lin * dz_lin_, dy, dz_psd_, dz_lin_
+
+        def nt_frame(dx_, dz_):
+            # PSD directions where x and z_psd are both diag(d_spec)
+            if not n:
+                return dx_, dz_
+            return r_inv @ dx_ @ r_inv.conj().T, r_mat.conj().T @ dz_ @ r_mat
 
         # predictor (affine scaling) direction
-        v_psd_aff = -x if n else np.zeros((0, 0))
-        v_lin_aff = -u if p else np.zeros(0)
-        dx_a, du_a, dy_a, dzp_a, dzl_a = directions(v_psd_aff, v_lin_aff)
-        ap_aff = min(1.0, min(_max_step_psd(x, dx_a), _max_step_pos(u, du_a)))
-        ad_aff = min(1.0, min(_max_step_psd(z_psd, dzp_a), _max_step_pos(z_lin, dzl_a)))
-        gap_aff = (inner(x + ap_aff * dx_a, z_psd + ad_aff * dzp_a) if n else 0.0) \
-            + ((u + ap_aff * du_a) @ (z_lin + ad_aff * dzl_a) if p else 0.0)
+        dx_a, du_a, dy_a, dzp_a, dzl_a = directions(-x, -u)
+        ddx, ddz = nt_frame(dx_a, dzp_a)
+        ap_aff = min(1.0, min(_max_step_psd(d_spec, ddx), _max_step_pos(u, du_a)))
+        ad_aff = min(1.0, min(_max_step_psd(d_spec, ddz), _max_step_pos(z_lin, dzl_a)))
+        gap_aff = inner(x + ap_aff * dx_a, z_psd + ad_aff * dzp_a) \
+            + (u + ap_aff * du_a) @ (z_lin + ad_aff * dzl_a)
         mu_aff = max(gap_aff, 0.0) / degree
         sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
 
         # corrector with Mehrotra second-order term, in the scaled space
+        v_psd = ddx                     # the empty block of an LP
         if n:
-            ddx = r_inv @ dx_a @ r_inv.conj().T
-            ddz = r_mat.conj().T @ dzp_a @ r_mat
-            cross = _sym(ddx @ ddz)
-            target = -cross
+            target = -_sym(ddx @ ddz)
             target[np.diag_indices(n)] += sigma * mu - d_spec ** 2
             t_mat = 2.0 * target / (d_spec[:, None] + d_spec[None, :])
             v_psd = r_mat @ _sym(t_mat) @ r_mat.conj().T
-        else:
-            v_psd = np.zeros((0, 0))
-        v_lin = (sigma * mu - u * z_lin - du_a * dzl_a) / z_lin if p else np.zeros(0)
+        v_lin = (sigma * mu - u * z_lin - du_a * dzl_a) / z_lin
 
         dx, du, dy, dz_psd, dz_lin = directions(v_psd, v_lin)
-        alpha_p = min(1.0, _STEP_FRACTION * min(_max_step_psd(x, dx),
+        ddx, ddz = nt_frame(dx, dz_psd)
+        alpha_p = min(1.0, _STEP_FRACTION * min(_max_step_psd(d_spec, ddx),
                                                 _max_step_pos(u, du)))
-        alpha_d = min(1.0, _STEP_FRACTION * min(_max_step_psd(z_psd, dz_psd),
+        alpha_d = min(1.0, _STEP_FRACTION * min(_max_step_psd(d_spec, ddz),
                                                 _max_step_pos(z_lin, dz_lin)))
         if alpha_p < _MIN_STEP and alpha_d < _MIN_STEP:
             stall += 1
@@ -298,7 +301,7 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
 
     r_p = b - a_op(x, u)
     aty_psd, aty_lin = at_op(y)
-    pobj = (inner(c_psd, x) if n else 0.0) + (c_lin @ u if p else 0.0)
+    pobj = inner(c_psd, x) + c_lin @ u
     dobj = b @ y
     return KernelResult(
         status=status,

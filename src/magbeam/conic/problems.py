@@ -64,6 +64,7 @@ class SdpProblem:
     objective: np.ndarray
     constraints: list
     linear_objective: tuple = ()
+    _matrices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.constraints:
@@ -72,19 +73,19 @@ class SdpProblem:
         if any(len(c.linear) not in (0, n_lin) for c in self.constraints):
             raise ValueError("linear coefficients do not match linear_objective")
         mats = [self.objective] + [c.matrix for c in self.constraints]
-        for m in mats:
-            m = np.asarray(m)
-            if m.shape != (self.dimension, self.dimension):
-                raise ValueError("matrix dimensions do not match the problem")
-            if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-                raise ValueError("matrices must be finite")
-            if np.linalg.norm(m - m.conj().T) > 1e-9 * max(1.0, np.linalg.norm(m)):
-                raise ValueError("matrices must be symmetric/Hermitian")
+        if any(np.shape(m) != (self.dimension, self.dimension) for m in mats):
+            raise ValueError("matrix dimensions do not match the problem")
+        mats = np.stack(mats)           # objective first: (k+1, n, n)
+        object.__setattr__(self, "_matrices", mats)
+        if not np.all(np.isfinite(mats)):
+            raise ValueError("matrices must be finite")
+        skew = np.linalg.norm(mats - mats.conj().transpose(0, 2, 1), axis=(1, 2))
+        if np.any(skew > 1e-9 * np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))):
+            raise ValueError("matrices must be symmetric/Hermitian")
 
     @property
     def is_complex(self):
-        mats = [self.objective] + [c.matrix for c in self.constraints]
-        return any(np.iscomplexobj(m) and np.abs(np.imag(m)).max() > 0 for m in mats)
+        return bool(np.any(self._matrices.imag))
 
 
 @dataclass(frozen=True)
@@ -124,16 +125,6 @@ class ConicSolution:
         return self.status == OPTIMAL
 
 
-def _row_scales(matrices, linear, rhs, root_weight):
-    # each row's own data norm in the kernel's geometry, taken before its
-    # unit slack is appended
-    scales = np.empty(len(matrices))
-    for i, m in enumerate(matrices):
-        data = np.hypot(np.linalg.norm(m) / root_weight, np.linalg.norm(linear[i]))
-        scales[i] = max(float(data), abs(rhs[i]), 1e-300)
-    return scales
-
-
 def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
               trace=None) -> ConicSolution:
     """Solve a trace-constrained SDP; see :class:`SdpProblem` for the form."""
@@ -143,13 +134,12 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     # so its data goes in divided by it and its norms grow by the root
     weight = kernel.HERMITIAN_WEIGHT if dtype is complex else 1.0
     root_weight = np.sqrt(weight)
-    objective = np.asarray(problem.objective, dtype=dtype)
+    stack = problem._matrices
+    stack = np.asarray(stack if dtype is complex else stack.real, dtype=dtype)
+    objective, mats = stack[0], stack[1:]
     c_u = np.asarray(problem.linear_objective, dtype=float)
-    mats = [np.asarray(c.matrix, dtype=dtype) for c in problem.constraints]
-    linear = np.zeros((k, c_u.size))
-    for i, c in enumerate(problem.constraints):
-        if len(c.linear):
-            linear[i] = c.linear
+    linear = np.array([c.linear if len(c.linear) else np.zeros(c_u.size)
+                       for c in problem.constraints], dtype=float)
     rhs = np.array([c.rhs for c in problem.constraints], dtype=float)
     signs = np.array([1.0 if c.sense == LE else -1.0 for c in problem.constraints])
 
@@ -157,8 +147,12 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     # slack per row
     obj_scale = max(float(np.hypot(np.linalg.norm(objective) / root_weight,
                                    np.linalg.norm(c_u))), 1e-300)
-    scales = _row_scales(mats, linear, rhs, root_weight)
-    a_psd = np.stack([(m + m.conj().T) / (2.0 * weight * s) for m, s in zip(mats, scales)])
+    # each row's own data norm in the kernel's geometry, taken before its
+    # unit slack is appended
+    scales = np.hypot(np.linalg.norm(mats, axis=(1, 2)) / root_weight,
+                      np.linalg.norm(linear, axis=1))
+    scales = np.maximum(np.maximum(scales, np.abs(rhs)), 1e-300)
+    a_psd = (mats + mats.conj().transpose(0, 2, 1)) / (2.0 * weight * scales[:, None, None])
     a_lin = np.hstack([linear / scales[:, None], np.diag(signs)])
     res = kernel.solve_mixed_cone(
         c_psd=objective / (2.0 * weight * obj_scale),

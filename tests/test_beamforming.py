@@ -16,7 +16,7 @@ from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits,
 from magbeam.circuit import (Excitation, Scenario, build_impedance,
                              constraint_slacks, delivered_powers,
                              tx_total_power, tx_voltages)
-from magbeam.conic import numerical_rank, psd_eigendecomposition
+from magbeam.conic import GE, numerical_rank, psd_eigendecomposition
 from magbeam.errors import InfeasibleError, SolverError
 from magbeam.region import two_user_profiles
 from magbeam.scenario import table_scenario
@@ -239,6 +239,36 @@ class TestRelaxationWithPeaks:
                             lambda evals, rel_tol=1e-6: tabletop.n_tx)
         with pytest.raises(SolverError, match="provable bound"):
             solve_p1(tabletop, PowerProfile.uniform(4), 2.0)
+
+    def test_wide_array_joint_relaxation_kkt(self, monkeypatch):
+        # thirty chargers and four receivers: 65 rows on a 30 x 30 Hermitian
+        # block; the KKT checks of the conic tests hold at this size too
+        seen = []
+        solve = beamforming.solve_sdp
+
+        def spy(problem):
+            seen.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(beamforming, "solve_sdp", spy)
+        sc = random_scenario(np.random.default_rng(30), n_tx=30, n_rx=4)
+        sol = solve_p0_sdr(sc, PowerProfile.uniform(4))
+        prob, = seen
+        assert sol.is_optimal and np.iscomplexobj(sol.x)
+        assert len(prob.constraints) == 4 + 1 + 2 * 30
+        # the objective has no PSD part, so the dual slack is -sum_i y_i A_i
+        s = -sum(y * np.asarray(con.matrix)
+                 for y, con in zip(sol.duals, prob.constraints))
+        scale = 1.0 + abs(sol.value)
+        for y, con in zip(sol.duals, prob.constraints):
+            trace = float(np.sum(np.conj(con.matrix) * sol.x).real)
+            lhs = trace + float(np.dot(con.linear, sol.u)) if con.linear else trace
+            slack = lhs - con.rhs if con.sense == GE else con.rhs - lhs
+            assert slack >= -1e-6 * max(abs(trace), abs(con.rhs), 1e-300)
+            assert (y if con.sense == GE else -y) >= -1e-6 * scale
+        # complementary slackness and a PSD dual slack
+        assert abs(np.real(np.sum(s.conj() * sol.x))) <= 1e-6 * scale
+        assert float(np.linalg.eigvalsh((s + s.conj().T) / 2)[0]) >= -1e-6 * np.linalg.norm(s)
 
 
 class TestTimeSharingLp:

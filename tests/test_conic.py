@@ -8,7 +8,7 @@ from magbeam.conic import (GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, LpProblem,
                            SdpConstraint, SdpProblem, Tolerances, kernel,
                            numerical_rank, psd_eigendecomposition, solve_lp,
                            solve_sdp)
-from magbeam.conic.kernel import _max_step_pos
+from magbeam.conic.kernel import _max_step_pos, _max_step_psd, _nt_scaling
 
 W_TABLE = 42.6e6
 R_RX = 10.5367
@@ -188,6 +188,52 @@ class TestStepLength:
         # the ratio overflows to +inf, the right bound, without a warning
         assert _max_step_pos(np.array([1.0, 2.0]),
                              np.array([-1e-310, 1.0])) == math.inf
+
+    @staticmethod
+    def _largest_psd_step(m, dm):
+        # bisection on the sign of lambda_min(m + alpha*dm)
+        def psd(alpha):
+            return np.linalg.eigvalsh(m + alpha * dm)[0] >= 0.0
+
+        hi = 1.0
+        while psd(hi):
+            hi *= 2.0
+            if hi > 1e12:
+                return math.inf
+        lo = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if psd(mid) else (lo, mid)
+        return lo
+
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_psd_step_in_nt_frame_matches_brute_force(self, complex_data):
+        # in the NT frame of (x, z) both iterates are diag(d); the step taken
+        # there is the largest alpha keeping x + alpha*dm and z + alpha*dm PSD
+        rng = np.random.default_rng(14)
+
+        def rand(n):
+            a = rng.standard_normal((n, n))
+            return a + 1j * rng.standard_normal((n, n)) if complex_data else a
+
+        unbounded = 0
+        for trial in range(40):
+            n = int(rng.integers(1, 8))
+            a, b, h = rand(n), rand(n), rand(n)
+            x = a @ a.conj().T + 0.1 * np.eye(n)
+            z = b @ b.conj().T + 0.1 * np.eye(n)
+            # every fourth direction is PSD: no step leaves the cone
+            dm = h @ h.conj().T if trial % 4 == 0 else (h + h.conj().T) / 2.0
+            r, r_inv, d = _nt_scaling(x, z)
+            for m, step in ((x, _max_step_psd(d, r_inv @ dm @ r_inv.conj().T)),
+                            (z, _max_step_psd(d, r.conj().T @ dm @ r))):
+                expected = self._largest_psd_step(m, dm)
+                if expected == math.inf:
+                    unbounded += 1
+                    assert step == math.inf
+                else:
+                    assert step == pytest.approx(expected, rel=1e-9)
+        assert unbounded >= 20
 
 
 class TestOrthantVariables:
