@@ -20,8 +20,8 @@ from .circuit import (Excitation, ImpedanceModel, Scenario, build_impedance,
 from .errors import (EfficiencyUndefinedError, EstimationError,
                      InfeasibleError, MagbeamError, ScenarioError, SolverError)
 from .estimation import (EstimationResult, TrainingProtocol, TrainingRecord,
-                         estimate_ls, estimate_pairwise_benchmark,
-                         estimate_perfect, monte_carlo_mse, simulate_training)
+                         estimate_ls, estimate_pairwise_benchmark, estimate_perfect,
+                         ls_first_order_nmse, monte_carlo_mse, simulate_training)
 from .geometry import (CoilGeometry, layout_mutual_matrix, mutual_inductance,
                        tabletop_layout)
 from .region import (PowerRegionPoint, RegionSweep, boundary_point,
@@ -45,7 +45,7 @@ __all__ = [
     # estimation
     "TrainingProtocol", "TrainingRecord", "EstimationResult",
     "simulate_training", "estimate_perfect", "estimate_ls",
-    "estimate_pairwise_benchmark", "monte_carlo_mse",
+    "estimate_pairwise_benchmark", "monte_carlo_mse", "ls_first_order_nmse",
     # geometry and scenarios
     "CoilGeometry", "mutual_inductance", "tabletop_layout",
     "layout_mutual_matrix", "load_scenario", "save_scenario", "scenario_hash",

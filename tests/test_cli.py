@@ -137,6 +137,8 @@ class TestEstimate:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["mse"]) <= 1e-18
+        # one noiseless estimate, whatever --trials asks for
+        assert rows[0]["trials"] == "1" and float(rows[0]["stderr"]) == 0.0
 
     def test_pairwise_slots(self, tmp_path):
         out = tmp_path / "mse.csv"

@@ -6,10 +6,11 @@ import pytest
 from conftest import random_scenario
 from magbeam.circuit import Scenario
 from magbeam.errors import EstimationError
-from magbeam.estimation import (BLOCK_SINGLE_TX, DRIVEN_ZERO, RANDOM_VOLTAGE,
-                                TrainingProtocol, TrainingRecord,
+from magbeam.estimation import (_CHUNK, BLOCK_SINGLE_TX, DRIVEN_ZERO,
+                                RANDOM_VOLTAGE, TrainingProtocol, TrainingRecord,
                                 estimate_ls, estimate_pairwise_benchmark,
-                                estimate_perfect, monte_carlo_mse,
+                                estimate_perfect, ls_first_order_nmse,
+                                monte_carlo_mse, pairwise_circuit,
                                 simulate_training)
 
 
@@ -181,11 +182,27 @@ class TestMonteCarlo:
         assert a.mse == pytest.approx(b.mse, rel=1e-12)
 
     def test_deterministic_and_chunk_independent(self, tabletop):
+        # three chunks, so both draw buffers are filled and one is reused
+        trials = 2 * _CHUNK + 100
         rows1 = monte_carlo_mse(tabletop, "ls", TrainingProtocol(n_slots=10),
-                                [30.0], trials=5000, seed=6)
+                                [30.0], trials=trials, seed=6)
         rows2 = monte_carlo_mse(tabletop, "ls", TrainingProtocol(n_slots=10),
-                                [30.0], trials=5000, seed=6)
+                                [30.0], trials=trials, seed=6)
         assert rows1[0].mse == rows2[0].mse
+
+    def test_rank_deficient_feedback_is_an_error(self, tabletop):
+        proto = TrainingProtocol(n_slots=5, active_voltage=1e-300)
+        with pytest.raises(EstimationError):
+            monte_carlo_mse(tabletop, "ls", proto, [40.0], trials=10)
+
+    @pytest.mark.parametrize("snr_db", [30.0, 40.0])
+    def test_ls_matches_first_order_oracle(self, tabletop, snr_db):
+        # the second-order term is visible at 20 dB, so the oracle is held
+        # to the Monte-Carlo only from 30 dB up
+        proto = TrainingProtocol(n_slots=10)
+        row = monte_carlo_mse(tabletop, "ls", proto, [snr_db], trials=100_000)[0]
+        oracle = ls_first_order_nmse(tabletop, proto, snr_db)
+        assert abs(row.mse - oracle) <= 3.0 * row.stderr
 
     def test_row_metadata(self, tabletop):
         rows = monte_carlo_mse(tabletop, "pairwise", TrainingProtocol(n_slots=10),
@@ -214,3 +231,73 @@ class TestNoiselessIdentifiability:
             if proto.n_slots == sc.n_rx:
                 perfect = estimate_perfect(rec)
                 assert np.linalg.norm(perfect.m_hat - sc.mutual_tx_rx) <= 1e-9 * scale
+
+
+class TestSameDraws:
+    """The Monte-Carlo against the complex formulas it replaced, draw for draw."""
+
+    @staticmethod
+    def _complex_noise(rng, shape, sigma2):
+        s = math.sqrt(sigma2 / 2.0)
+        return s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    @staticmethod
+    def _pairwise(scenario, v, snr_db):
+        i_tx, i_rx = pairwise_circuit(scenario)
+        i_tx, i_rx = v * i_tx, v * i_rx
+        sigma2 = float(np.mean(np.abs(i_rx) ** 2)) / 10.0 ** (snr_db / 10.0)
+        return i_tx, i_rx, sigma2
+
+    @staticmethod
+    def _pairwise_m_hat(scenario, i_tx, v, noisy):
+        return np.real((scenario.tx_resistance[:, None] * i_tx - v)
+                       / (1j * scenario.omega * noisy))
+
+    def _reference_mse(self, scenario, estimator, protocol, snr_db, trials, seed):
+        m = scenario.mutual_tx_rx
+        v = protocol.active_voltage
+        if estimator == "ls":
+            record = simulate_training(scenario, protocol, snr_db)
+            clean, sigma2 = record.z, record.sigma2
+        else:
+            i_tx, clean, sigma2 = self._pairwise(scenario, v, snr_db)
+        sq_errors = []
+        for chunk_idx, start in enumerate(range(0, trials, _CHUNK)):
+            rng = np.random.default_rng([seed, 0, chunk_idx])
+            count = min(_CHUNK, trials - start)
+            noisy = clean + self._complex_noise(rng, (count,) + clean.shape, sigma2)
+            if estimator == "ls":
+                num = 2.0 * np.real(np.einsum("nt,cqt->cnq", record.g, noisy.conj()))
+                den = 2.0 * np.real(np.einsum("cqt,cpt->cqp", noisy, noisy.conj()))
+                m_hat = np.linalg.solve(den, num.transpose(0, 2, 1)).transpose(0, 2, 1)
+            else:
+                m_hat = self._pairwise_m_hat(scenario, i_tx, v, noisy)
+            sq_errors.append(np.sum((m_hat - m) ** 2, axis=(1, 2)))
+        mse = np.concatenate(sq_errors) / np.sum(m ** 2)
+        return mse.mean(), mse.std(ddof=1) / math.sqrt(trials)
+
+    @pytest.mark.parametrize("estimator", ["ls", "pairwise"])
+    def test_monte_carlo_matches_complex_reference(self, tabletop, estimator):
+        # two chunks, the second one short
+        proto = TrainingProtocol(n_slots=10, seed=3)
+        trials = _CHUNK + 17
+        row = monte_carlo_mse(tabletop, estimator, proto, [25.0], trials=trials,
+                              seed=3)[0]
+        mse, stderr = self._reference_mse(tabletop, estimator, proto, 25.0, trials, 3)
+        assert row.trials == trials
+        assert row.mse == pytest.approx(mse, rel=1e-12)
+        assert row.stderr == pytest.approx(stderr, rel=1e-12)
+
+    def test_training_feedback_bit_identical(self, tabletop):
+        record = simulate_training(tabletop, TrainingProtocol(n_slots=10, seed=4), 20.0)
+        rng = np.random.default_rng([4, 0x7632])
+        expect = record.z + self._complex_noise(rng, record.z.shape, record.sigma2)
+        assert np.array_equal(record.z_tilde, expect)
+
+    def test_pairwise_benchmark_matches_complex_reference(self, tabletop):
+        i_tx, i_rx, sigma2 = self._pairwise(tabletop, 0.75, 20.0)
+        rng = np.random.default_rng([5, 0x7633])
+        noisy = i_rx + self._complex_noise(rng, i_rx.shape, sigma2)
+        expect = self._pairwise_m_hat(tabletop, i_tx, 0.75, noisy)
+        m_hat = estimate_pairwise_benchmark(tabletop, 20.0, seed=5).m_hat
+        np.testing.assert_allclose(m_hat, expect, rtol=1e-12, atol=0.0)
