@@ -13,8 +13,8 @@ when it is exact: rank one (the principal eigenvector), a real rank-two X
 (the one complex current whose real outer product it is) or, without peak
 limits, any rank (time-sharing its scaled eigenvectors).  Otherwise it is
 rounded by a per-slot rescaled time-sharing LP or by Gaussian
-randomization.  P1 scales the result down to its delivery floors, P0 up
-to its limits.
+randomization, and P0 also re-solves its relaxation under a rank penalty.
+P1 scales the result down to its delivery floors, P0 up to its limits.
 """
 
 import math
@@ -37,12 +37,18 @@ METHOD_SDR_RANK1 = "sdr_rank1"
 METHOD_TIME_SHARING = "time_sharing"
 METHOD_RANDOMIZATION = "randomization"
 METHOD_BENCHMARK = "benchmark"
+# principal eigenvector of a rank-penalized re-solve of the P0 relaxation
+METHOD_RANK_PENALTY = "rank_penalty"
 
 _SLACK_TOL = 1e-6
 # relative shortfall a delivered power may have against its floor
 _DELIVERY_REL_TOL = 1e-5
 # eigenvalues below this fraction of the largest do not count toward a rank
 _RANK_REL_TOL = 1e-6
+# P0 rank-penalty weights, one re-solve each, in units of the relaxation's
+# bound per unit trace; the schedule matters: {1e-2, 3e-2, 1e-1} x 2 left
+# table2_two_user at alpha_1 = 0.55 at rank two
+_RANK_PENALTY_WEIGHTS = (3e-2, 3e-2, 3e-2, 3e-1, 3e-1, 3e-1)
 
 
 @dataclass(frozen=True)
@@ -540,6 +546,21 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
     return min(candidates, key=lambda c: c.tx_power)
 
 
+def _p0_problem(scenario, profile, model, use_peaks, objective):
+    """The joint P0 relaxation with ``0.5 Tr(objective X) - t`` to minimize."""
+    per_watt = delivery_rhs(scenario, profile, 1.0)
+    constraints = [SdpConstraint(matrix=model.rank_one_rx[q], sense=GE, rhs=0.0,
+                                 linear=(-per_watt[q],))
+                   for q in np.flatnonzero(profile.alpha > 0)]
+    constraints.append(SdpConstraint(matrix=model.b_bar / 2.0, sense=LE,
+                                     rhs=float(scenario.total_power_cap),
+                                     linear=(0.0,)))
+    if use_peaks:
+        constraints += _peak_constraints(scenario, model)
+    return SdpProblem(dimension=scenario.n_tx, objective=objective,
+                      constraints=constraints, linear_objective=(-1.0,))
+
+
 def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True):
     """Joint relaxation of the delivered-power maximization for one profile.
 
@@ -552,19 +573,8 @@ def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True):
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
-    per_watt = delivery_rhs(scenario, profile, 1.0)
-    constraints = [SdpConstraint(matrix=model.rank_one_rx[q], sense=GE, rhs=0.0,
-                                 linear=(-per_watt[q],))
-                   for q in np.flatnonzero(profile.alpha > 0)]
-    constraints.append(SdpConstraint(matrix=model.b_bar / 2.0, sense=LE,
-                                     rhs=float(scenario.total_power_cap),
-                                     linear=(0.0,)))
-    if use_peak_constraints:
-        constraints += _peak_constraints(scenario, model)
-    problem = SdpProblem(dimension=scenario.n_tx,
-                         objective=np.zeros((scenario.n_tx, scenario.n_tx)),
-                         constraints=constraints, linear_objective=(-1.0,))
-    return solve_sdp(problem)
+    return solve_sdp(_p0_problem(scenario, profile, model, use_peak_constraints,
+                                 np.zeros((scenario.n_tx, scenario.n_tx))))
 
 
 def _randomization_max(x_star, scenario, profile, model, draws, seed):
@@ -608,68 +618,70 @@ def _ts_lp_max(x_star, scenario, profile, model):
     return _at_limits(scenario, model, sol, use_peaks=True)
 
 
-def _p0_roundings(conic, scenario, profile, options, model):
-    """Schedules realizing the relaxed P0 solution, each at its limits."""
-    use_peaks = options.use_peak_constraints
-    if options.method == METHOD_CLOSED_FORM:
-        # exact without peaks (and rejected with them) by solve_p1
-        return [_at_limits(scenario, model, solve_p1(scenario, profile, 1.0,
-                                                     options, model), False)]
-    exact = _exact_realization(scenario, model, conic.x, use_peaks)
-    if exact is not None:
-        return [_at_limits(scenario, model, exact, use_peaks)]
-    return _roundings(
-        options,
-        lambda: _ts_lp_max(conic.x, scenario, profile, model),
-        lambda: _randomization_max(conic.x, scenario, profile, model,
-                                   options.randomization_draws, options.seed))
+def _rank_penalized(conic, scenario, profile, model, use_peaks):
+    """Schedules from re-solving the P0 relaxation under a rank penalty.
+
+    Convex iteration on the rank (Dattorro, *Convex Optimization & Euclidean
+    Distance Geometry*, ch. 4): each solve adds ``lam t*/Tr X*`` times
+    ``Tr((I - v v^H) X)`` to the objective, v the principal eigenvector of
+    the previous solution and (t*, X*) the unpenalized one.  Each solution's
+    principal eigenvector is scaled to its limits, up to the first solve
+    that is not optimal.
+    """
+    scale = 2.0 * float(conic.u[0]) / float(np.trace(conic.x).real)
+    v = psd_eigendecomposition(conic.x)[1][:, 0]
+    schedules = []
+    for lam in _RANK_PENALTY_WEIGHTS:
+        penalty = lam * scale * (np.eye(scenario.n_tx) - np.outer(v, v.conj()))
+        step = solve_sdp(_p0_problem(scenario, profile, model, use_peaks, penalty))
+        if not step.is_optimal:
+            break
+        evals, evecs = psd_eigendecomposition(step.x)
+        v = evecs[:, 0]
+        sol = make_solution(scenario, model, [(Excitation(v), 1.0)], METHOD_RANK_PENALTY,
+                            numerical_rank(evals, _RANK_REL_TOL))
+        schedules.append(_at_limits(scenario, model, sol, use_peaks))
+    return schedules
 
 
-def solve_p0_bisection(scenario, profile, eps=1e-2, options=DEFAULT_OPTIONS,
-                       model=None):
+def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None):
     """Maximize the delivered sum power for one power profile.
 
     One joint relaxation (:func:`solve_p0_sdr`) gives an upper bound; its
     solution is realized exactly where it can be (see
-    :func:`_exact_realization`, always without peaks) and rounded
-    otherwise, each schedule scaled to the largest gain the limits allow.
-    Only when the best of them lands more than ``eps`` below the bound does
-    a bisection with the fixed-target solver search the bracket [rounded
-    value, bound] down to ``eps``; a failed step there only lowers the
-    bracket's upper end.  Returns the profile-respecting power the schedule
-    delivers, ``min_q per_rx_q / alpha_q``, and the schedule.
+    :func:`_exact_realization`, always without peaks).  Otherwise the
+    roundings that ``options.method`` selects run next to the rank-penalized
+    re-solves of the same relaxation (:func:`_rank_penalized`), each
+    schedule scaled to the largest gain the limits allow, and the best one
+    wins.  Returns the profile-respecting power the schedule delivers,
+    ``min_q per_rx_q / alpha_q``, and the schedule.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
     if _uncoupled_demand(scenario, model, profile, 1.0):
         return 0.0, zero_solution(scenario, model)
 
-    conic = solve_p0_sdr(scenario, profile, model, options.use_peak_constraints)
-    if not conic.is_optimal:
-        raise SolverError(f"relaxation ended with status {conic.status}")
-
-    def delivered(sol):
-        return profile_capped_power(sol, profile)
-
-    best = max(_p0_roundings(conic, scenario, profile, options, model),
-               key=delivered, default=zero_solution(scenario, model))
-    p_lo, p_hi = delivered(best), float(conic.u[0])
-    while p_hi - p_lo > eps:
-        p_mid = 0.5 * (p_lo + p_hi)
-        try:
-            sol = _at_limits(scenario, model,
-                             solve_p1(scenario, profile, p_mid, options, model),
-                             options.use_peak_constraints)
-        except (InfeasibleError, SolverError):
-            sol = None
-        if sol is not None and delivered(sol) >= p_mid * (1.0 - _DELIVERY_REL_TOL):
-            p_lo = p_mid
-            best = max(best, sol, key=delivered)
+    use_peaks = options.use_peak_constraints
+    if options.method == METHOD_CLOSED_FORM:
+        # exact without peaks (and rejected with them) by solve_p1
+        candidates = [_at_limits(scenario, model, solve_p1(scenario, profile, 1.0,
+                                                           options, model), False)]
+    else:
+        conic = solve_p0_sdr(scenario, profile, model, use_peaks)
+        if not conic.is_optimal:
+            raise SolverError(f"relaxation ended with status {conic.status}")
+        exact = _exact_realization(scenario, model, conic.x, use_peaks)
+        if exact is not None:
+            candidates = [_at_limits(scenario, model, exact, use_peaks)]
         else:
-            p_hi = p_mid
-    return delivered(best), best
+            candidates = _roundings(
+                options, lambda: _ts_lp_max(conic.x, scenario, profile, model),
+                lambda: _randomization_max(conic.x, scenario, profile, model,
+                                           options.randomization_draws, options.seed))
+            candidates += _rank_penalized(conic, scenario, profile, model, use_peaks)
+    best = max(candidates, key=lambda c: profile_capped_power(c, profile),
+               default=zero_solution(scenario, model))
+    return profile_capped_power(best, profile), best
 
 
 def benchmark_uncoordinated(scenario, target_power=None, max_feasible=False,

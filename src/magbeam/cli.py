@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .beamforming import (PowerProfile, SolveOptions, benchmark_uncoordinated,
-                          solve_p0_bisection, solve_p1)
+                          solve_p0, solve_p1)
 from .circuit import (Excitation, build_impedance, constraint_slacks,
                       delivered_powers, tx_total_power, tx_voltages)
 from .errors import InfeasibleError, MagbeamError, ScenarioError, SolverError
@@ -143,18 +143,11 @@ def cmd_beamform(args):
                            method="auto" if args.method == "benchmark" else args.method,
                            seed=args.seed, randomization_draws=args.draws)
     if args.method == "benchmark":
-        if args.maximize:
-            sol = benchmark_uncoordinated(scenario, max_feasible=True,
-                                          use_peak_constraints=not args.no_peaks,
-                                          model=model)
-            p_star = sol.achieved_sum_power
-        else:
-            sol = benchmark_uncoordinated(scenario, target_power=args.target_power,
-                                          use_peak_constraints=not args.no_peaks,
-                                          model=model)
-            p_star = args.target_power
+        sol = benchmark_uncoordinated(scenario, args.target_power, args.maximize,
+                                      options.use_peak_constraints, model)
+        p_star = sol.achieved_sum_power if args.maximize else args.target_power
     elif args.maximize:
-        p_star, sol = solve_p0_bisection(scenario, profile, args.eps, options, model)
+        p_star, sol = solve_p0(scenario, profile, options, model)
     else:
         sol = solve_p1(scenario, profile, args.target_power, options, model)
         p_star = args.target_power
@@ -185,9 +178,8 @@ def cmd_region(args):
     started = _utc_now()
     options = SolveOptions(use_peak_constraints=not args.no_peaks,
                            seed=args.seed, randomization_draws=args.draws)
-    sweep = sweep_region(scenario, grid_size=args.grid,
-                         constrained=not args.no_peaks, baseline=args.baseline,
-                         alphas=alphas, eps=args.eps, options=options)
+    sweep = sweep_region(scenario, grid_size=args.grid, baseline=args.baseline,
+                         alphas=alphas, options=options)
     write_region_csv(sweep, args.out)
     outputs = [args.out]
     summary = args.out + ".summary.json"
@@ -306,8 +298,6 @@ def build_parser():
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--draws", type=int, default=4000,
                     help="randomization draw count")
-    pb.add_argument("--eps", type=float, default=1e-2,
-                    help="tolerance of the rank>1 fallback search (W)")
     pb.add_argument("--out", default=None, help="result JSON path (default stdout)")
     pb.add_argument("--no-manifest", action="store_true", help=argparse.SUPPRESS)
     pb.set_defaults(func=cmd_beamform)
@@ -323,8 +313,6 @@ def build_parser():
                     help="also report the identical-current baseline")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--draws", type=int, default=4000)
-    pr.add_argument("--eps", type=float, default=1e-2,
-                    help="tolerance of the rank>1 fallback search (W)")
     pr.add_argument("--out", default=None, help="output CSV path")
     pr.add_argument("--no-manifest", action="store_true", help=argparse.SUPPRESS)
     pr.set_defaults(func=cmd_region)

@@ -1,10 +1,11 @@
 """Tracing the multi-user power region boundary by profile sweeps.
 
 Each boundary point fixes a power-profile vector and maximizes the
-delivered sum power with one joint relaxation, rounded to a schedule that
-delivers it (a bisection over fixed-target solves runs only where a
-higher-rank relaxation rounds more than ``eps`` below its bound); a
-two-user sweep walks the first share over a uniform grid.  The
+delivered sum power with one joint relaxation, realized or rounded to a
+schedule that delivers it (rank-penalized re-solves of the same relaxation
+join the roundings where it has no exact realization); a two-user sweep
+walks the first share over a uniform grid.  Peak limits apply as
+``options.use_peak_constraints`` says (on by default).  The
 uncoordinated identical-current baseline is reported per profile through
 its profile-capped sum power (its current direction is fixed, so a
 profile is only honored up to the worst-served receiver).
@@ -12,14 +13,14 @@ profile is only honored up to the worst-served receiver).
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .beamforming import (DEFAULT_OPTIONS, PowerProfile,
                           benchmark_uncoordinated, profile_capped_power,
-                          solve_p0_bisection)
+                          solve_p0)
 from .circuit import build_impedance
 from .scenario import scenario_hash
 
@@ -34,16 +35,15 @@ class PowerRegionPoint:
     sdr_rank: int = 1
 
 
-def boundary_point(scenario, alpha, constrained=True, eps=1e-2,
-                   options=None, model=None) -> PowerRegionPoint:
+def boundary_point(scenario, alpha, options=DEFAULT_OPTIONS,
+                   model=None) -> PowerRegionPoint:
     """Maximum-sum-power point of the region for one profile vector."""
     if not isinstance(alpha, PowerProfile):
         alpha = PowerProfile(alpha)
-    opts = replace(options or DEFAULT_OPTIONS, use_peak_constraints=constrained)
-    model = build_impedance(scenario) if model is None else model
-    p_star, sol = solve_p0_bisection(scenario, alpha, eps, opts, model)
+    p_star, sol = solve_p0(scenario, alpha, options, model)
     return PowerRegionPoint(alpha=alpha, p_star=float(p_star),
-                            per_rx=sol.per_rx_power, constrained=constrained,
+                            per_rx=sol.per_rx_power,
+                            constrained=options.use_peak_constraints,
                             solution_method=sol.method, sdr_rank=sol.sdr_rank)
 
 
@@ -73,14 +73,9 @@ class RegionSweep:
     settings: dict
 
 
-def sweep_region(scenario, grid_size=40, constrained=True, baseline=False,
-                 alphas=None, eps=1e-2, options=None) -> RegionSweep:
-    """Boundary points over a profile grid (two-user) or an explicit list.
-
-    Points come back sorted by profile regardless of evaluation order so
-    sweeps are reproducible even if boundary points are computed in
-    parallel some day.
-    """
+def sweep_region(scenario, grid_size=40, baseline=False, alphas=None,
+                 options=DEFAULT_OPTIONS) -> RegionSweep:
+    """Boundary points, sorted by profile, of a two-user grid or a list."""
     if alphas is None:
         if scenario.n_rx != 2:
             raise ValueError("the grid sweep is two-user; pass explicit alphas "
@@ -89,16 +84,14 @@ def sweep_region(scenario, grid_size=40, constrained=True, baseline=False,
     else:
         profiles = [a if isinstance(a, PowerProfile) else PowerProfile(a)
                     for a in alphas]
+    profiles.sort(key=lambda p: tuple(p.alpha))
     model = build_impedance(scenario)
-    points = [boundary_point(scenario, prof, constrained, eps, options, model)
-              for prof in profiles]
+    constrained = options.use_peak_constraints
+    points = [boundary_point(scenario, prof, options, model) for prof in profiles]
     base = [benchmark_point(scenario, prof, constrained, model)
             for prof in profiles] if baseline else []
-    order = sorted(range(len(profiles)), key=lambda i: tuple(profiles[i].alpha))
-    points = [points[i] for i in order]
-    base = [base[i] for i in order] if base else []
     settings = {"grid_size": grid_size if alphas is None else None,
-                "constrained": constrained, "baseline": baseline, "eps": eps,
+                "constrained": constrained, "baseline": baseline,
                 "tool_version": __version__}
     return RegionSweep(points=points, baseline_points=base,
                        scenario_digest=scenario_hash(scenario), settings=settings)

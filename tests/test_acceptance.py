@@ -20,7 +20,7 @@ from conftest import random_scenario
 from magbeam.beamforming import (PowerProfile, SolveOptions,
                                  benchmark_uncoordinated, delivery_rhs,
                                  profile_capped_power, randomization_extract,
-                                 rank_bound, solve_p0_bisection, solve_p0_sdr,
+                                 rank_bound, solve_p0, solve_p0_sdr,
                                  solve_p1, solve_p1_sdr, solve_p1_ts_lp,
                                  solve_p2_closed_form_single_rx,
                                  time_sharing_from_sdr)
@@ -94,8 +94,8 @@ def test_criterion_2_single_rx_constrained_maximum(tabletop_miso, miso_model):
     # all three constraint families of the problem (total power cap, per-TX
     # peak voltage, per-TX peak current) while delivering 58.1 W.
     crit = Criterion(2, "single-RX constrained maximum")
-    p_star, sol = solve_p0_bisection(tabletop_miso, PowerProfile([1.0]),
-                                     model=miso_model)
+    p_star, sol = solve_p0(tabletop_miso, PowerProfile([1.0]),
+                           model=miso_model)
     crit.check("maximum reaches the 56 W reference", p_star >= 56.0 * (1 - 0.02),
                f"got {p_star:.6g}")
     bound = float(solve_p0_sdr(tabletop_miso, PowerProfile([1.0]),
@@ -319,14 +319,14 @@ def test_criterion_7_two_user_region(tabletop_two_user):
     crit = Criterion(7, "two-user power region")
     model = build_impedance(tabletop_two_user)
 
-    corners_free = [solve_p0_bisection(tabletop_two_user, PowerProfile(a),
-                                       options=NO_PEAKS, model=model)[0]
+    corners_free = [solve_p0(tabletop_two_user, PowerProfile(a),
+                             options=NO_PEAKS, model=model)[0]
                     for a in ([1.0, 0.0], [0.0, 1.0])]
     crit.within("unconstrained corner RX1", corners_free[0], 87.5, rel=0.03)
     crit.within("unconstrained corner RX2", corners_free[1], 77.5, rel=0.03)
 
-    corners_cap = [solve_p0_bisection(tabletop_two_user, PowerProfile(a),
-                                      model=model)[0]
+    corners_cap = [solve_p0(tabletop_two_user, PowerProfile(a),
+                            model=model)[0]
                    for a in ([1.0, 0.0], [0.0, 1.0])]
     crit.within("constrained corner RX1", corners_cap[0], 46.0, rel=0.03)
     crit.within("constrained corner RX2", corners_cap[1], 57.5, rel=0.03)
@@ -346,8 +346,8 @@ def test_criterion_7_two_user_region(tabletop_two_user):
         for a1 in np.linspace(0.0, 1.0, 9):
             profile = PowerProfile([a1, 1.0 - a1])
             opts = SolveOptions(use_peak_constraints=constrained)
-            p_star, _ = solve_p0_bisection(tabletop_two_user, profile,
-                                           options=opts, model=model)
+            p_star, _ = solve_p0(tabletop_two_user, profile,
+                                 options=opts, model=model)
             p_bench = profile_capped_power(bench, profile)
             crit.check(f"dominance constrained={constrained} a1={a1:.3f}",
                        p_star >= p_bench - 1e-6,
@@ -358,7 +358,7 @@ def test_criterion_7_two_user_region(tabletop_two_user):
 def test_criterion_8_four_user_comparison(tabletop):
     crit = Criterion(8, "four-user schedule comparison")
     model = build_impedance(tabletop)
-    p_ref, _ = solve_p0_bisection(tabletop, FOUR_USER_PROFILE, model=model)
+    p_ref, _ = solve_p0(tabletop, FOUR_USER_PROFILE, model=model)
     compared = 0
     for frac in (0.2, 0.4, 0.6, 0.8, 0.95):
         target = frac * p_ref

@@ -70,7 +70,7 @@ class TestBeamform:
 class TestRegion:
     def test_grid_two_rows(self, tmp_path):
         out = tmp_path / "region.csv"
-        code = main(["region", TWO_USER, "--grid", "2", "--eps", "0.2",
+        code = main(["region", TWO_USER, "--grid", "2",
                      "--out", str(out)])
         assert code == 0
         with open(out, newline="") as fh:
@@ -81,7 +81,7 @@ class TestRegion:
 
     def test_baseline_rows(self, tmp_path):
         out = tmp_path / "region.csv"
-        code = main(["region", TWO_USER, "--grid", "2", "--eps", "0.2",
+        code = main(["region", TWO_USER, "--grid", "2",
                      "--baseline", "--out", str(out)])
         assert code == 0
         with open(out, newline="") as fh:
@@ -109,7 +109,7 @@ class TestRegion:
     def test_explicit_alpha_for_four_users(self, tmp_path):
         out = tmp_path / "r4.csv"
         code = main(["region", TABLE, "--alpha", "0.25,0.25,0.25,0.25",
-                     "--eps", "0.5", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))

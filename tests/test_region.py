@@ -3,28 +3,36 @@ import csv
 import numpy as np
 import pytest
 
-from magbeam.beamforming import PowerProfile
+from magbeam.beamforming import PowerProfile, SolveOptions, solve_p0
 from magbeam.region import (RegionSweep, benchmark_point, boundary_point,
                             sweep_region, two_user_profiles, write_region_csv,
                             write_sweep_summary)
 from magbeam.scenario import table_scenario
 
+NO_PEAKS = SolveOptions(use_peak_constraints=False)
+
 
 @pytest.fixture(scope="module")
 def small_sweep(tabletop_two_user):
-    return sweep_region(tabletop_two_user, grid_size=4, constrained=True,
-                        baseline=True, eps=0.1)
+    return sweep_region(tabletop_two_user, grid_size=4, baseline=True)
 
 
 class TestBoundaryPoint:
     def test_corner_unconstrained(self, tabletop_two_user):
-        point = boundary_point(tabletop_two_user, [0.0, 1.0], constrained=False)
+        point = boundary_point(tabletop_two_user, [0.0, 1.0], options=NO_PEAKS)
         assert point.p_star == pytest.approx(77.5, rel=0.03)
         assert point.per_rx[1] == pytest.approx(point.p_star, rel=1e-3)
 
     def test_corner_constrained(self, tabletop_two_user):
-        point = boundary_point(tabletop_two_user, [0.0, 1.0], constrained=True)
+        point = boundary_point(tabletop_two_user, [0.0, 1.0])
         assert point.p_star == pytest.approx(57.5, rel=0.03)
+
+    def test_options_switch_off_peaks(self, tabletop_two_user):
+        profile = PowerProfile([0.3, 0.7])
+        point = boundary_point(tabletop_two_user, profile, options=NO_PEAKS)
+        free, _ = solve_p0(tabletop_two_user, profile, options=NO_PEAKS)
+        assert point.p_star == free
+        assert not point.constrained
 
     def test_uncoupled_receiver_gives_origin(self, tabletop_two_user):
         stripped = table_scenario([0, 1])
@@ -56,16 +64,14 @@ class TestSweep:
     def test_tradeoff_monotonicity(self, small_sweep):
         p1 = [p.per_rx[0] for p in small_sweep.points]
         p2 = [p.per_rx[1] for p in small_sweep.points]
-        tol = 0.2  # bisection eps plus incidental-delivery wiggle
+        tol = 0.2  # rounding shortfall plus incidental-delivery wiggle
         assert all(b >= a - tol for a, b in zip(p1, p1[1:]))
         assert all(b <= a + tol for a, b in zip(p2, p2[1:]))
 
     def test_peaks_never_increase_power(self, tabletop_two_user):
         for alpha in ([0.3, 0.7], [0.8, 0.2]):
-            free = boundary_point(tabletop_two_user, alpha, constrained=False,
-                                  eps=0.1)
-            capped = boundary_point(tabletop_two_user, alpha, constrained=True,
-                                    eps=0.1)
+            free = boundary_point(tabletop_two_user, alpha, options=NO_PEAKS)
+            capped = boundary_point(tabletop_two_user, alpha)
             assert capped.p_star <= free.p_star + 0.2
 
     def test_beamforming_dominates_baseline(self, small_sweep):
@@ -80,14 +86,13 @@ class TestSweep:
             mid = (a.per_rx + b.per_rx) / 2.0
             if mid.sum() <= 0:
                 continue
-            probe = boundary_point(tabletop_two_user, mid / mid.sum(),
-                                   constrained=True, eps=0.1)
+            probe = boundary_point(tabletop_two_user, mid / mid.sum())
             tol = 0.15 + 0.01 * mid
             assert np.all(probe.per_rx >= mid - tol)
 
     def test_four_user_explicit_profile(self, tabletop):
         prof = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
-        sweep = sweep_region(tabletop, alphas=[prof], eps=0.1)
+        sweep = sweep_region(tabletop, alphas=[prof])
         assert len(sweep.points) == 1
         assert sweep.points[0].p_star > 5.0
 
