@@ -465,6 +465,12 @@ def randomization_extract(x_star, scenario, profile, target_power, model=None,
                          METHOD_RANDOMIZATION, sdr_rank=rank)
 
 
+def _debug(message, *args):
+    """Log on the ``magbeam`` logger at DEBUG."""
+    import logging  # here: `import magbeam` skips its 8 ms
+    logging.getLogger("magbeam").debug(message, *args)
+
+
 def _roundings(options, time_sharing, randomization):
     """Schedules from the rounding schemes that ``options.method`` selects.
 
@@ -480,8 +486,8 @@ def _roundings(options, time_sharing, randomization):
         if options.method in ("auto", method):
             try:
                 candidates.append(rounding())
-            except (InfeasibleError, SolverError):
-                pass
+            except (InfeasibleError, SolverError) as exc:
+                _debug("rounding %s found no schedule: %s", method, exc)
     return candidates
 
 
@@ -624,23 +630,32 @@ def _rank_penalized(conic, scenario, profile, model, use_peaks):
     Convex iteration on the rank (Dattorro, *Convex Optimization & Euclidean
     Distance Geometry*, ch. 4): each solve adds ``lam t*/Tr X*`` times
     ``Tr((I - v v^H) X)`` to the objective, v the principal eigenvector of
-    the previous solution and (t*, X*) the unpenalized one.  Each solution's
-    principal eigenvector is scaled to its limits, up to the first solve
-    that is not optimal.
+    the previous solution and (t*, X*) the unpenalized one.  Each solve
+    starts from the one before it (the first from ``conic``): only the
+    objective changes, so the previous primal-dual pair is a warm start.
+    Each solution's principal eigenvector is scaled to its limits, up to
+    the first solve that is not optimal.
     """
     scale = 2.0 * float(conic.u[0]) / float(np.trace(conic.x).real)
     v = psd_eigendecomposition(conic.x)[1][:, 0]
     schedules = []
+    step = conic
     for lam in _RANK_PENALTY_WEIGHTS:
         penalty = lam * scale * (np.eye(scenario.n_tx) - np.outer(v, v.conj()))
-        step = solve_sdp(_p0_problem(scenario, profile, model, use_peaks, penalty))
+        step = solve_sdp(_p0_problem(scenario, profile, model, use_peaks, penalty),
+                         start=step)
         if not step.is_optimal:
+            _debug("rank penalty %g: %s after %d iterations", lam, step.status,
+                   step.iterations)
             break
         evals, evecs = psd_eigendecomposition(step.x)
         v = evecs[:, 0]
-        sol = make_solution(scenario, model, [(Excitation(v), 1.0)], METHOD_RANK_PENALTY,
-                            numerical_rank(evals, _RANK_REL_TOL))
-        schedules.append(_at_limits(scenario, model, sol, use_peaks))
+        rank = numerical_rank(evals, _RANK_REL_TOL)
+        sol = _at_limits(scenario, model, make_solution(
+            scenario, model, [(Excitation(v), 1.0)], METHOD_RANK_PENALTY, rank), use_peaks)
+        _debug("rank penalty %g: %s after %d iterations, rank %d, p %.9g W", lam,
+               step.status, step.iterations, rank, profile_capped_power(sol, profile))
+        schedules.append(sol)
     return schedules
 
 

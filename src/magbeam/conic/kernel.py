@@ -40,6 +40,11 @@ NUMERICAL_FAILURE = "numerical_failure"
 
 _STEP_FRACTION = 0.99
 _MIN_STEP = 1e-10
+# a start iterate moves into the interior by this fraction of each cone
+# block's mean eigenvalue (Yildirim & Wright 2002); on the 18 rank-penalized
+# P0 re-solves of the two-user grid, 0.03, 0.05, 0.1 and 0.2 took 227, 281,
+# 179 and 185 iterations
+_WARM_START_SHIFT = 0.1
 
 # A complex block keeps the geometry of its real 2n x 2n embedding: inner
 # product 2 Re tr(A^H B), norms scaled by sqrt(2), barrier degree 2n, and
@@ -88,12 +93,12 @@ def _max_step_psd(d, ds):
 
 
 def _max_step_pos(v, dv):
-    neg = dv < 0
-    if not np.any(neg):
-        return np.inf
-    # a denormal step overflows the ratio to +inf, which is the right bound
+    """Largest alpha with v + alpha*dv >= 0 (v > 0), as min -v_i/dv_i over dv_i < 0."""
+    ratio = np.full(v.shape, -np.inf)
+    # a denormal step overflows its ratio to -inf, an unbounded step, rightly
     with np.errstate(over="ignore"):
-        return float(np.min(-v[neg] / dv[neg]))
+        np.divide(v, dv, out=ratio, where=dv < 0)
+    return -float(ratio.max(initial=-np.inf))
 
 
 def _nt_scaling(x, z):
@@ -125,9 +130,26 @@ def _factor_normal(m):
     return lambda rhs: np.linalg.lstsq(m, rhs, rcond=None)[0]
 
 
+def _interior(m):
+    """``m`` plus ``_WARM_START_SHIFT`` times its mean eigenvalue (times I for a matrix)."""
+    if m.ndim == 1:
+        return m + _WARM_START_SHIFT * np.sum(m) / max(m.size, 1)
+    return m + _WARM_START_SHIFT * np.trace(m).real / max(len(m), 1) * np.eye(len(m))
+
+
 def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
-                     gap_tol=1e-8, feas_tol=1e-8, max_iter=100, trace=None):
-    """Run the interior-point iteration; see module docstring for the form."""
+                     gap_tol=1e-8, feas_tol=1e-8, max_iter=100, trace=None,
+                     start=None):
+    """Run the interior-point iteration; see module docstring for the form.
+
+    ``start`` is an optional iterate ``(x, u, y, z_psd, z_lin)`` to start
+    from instead of the scaled identity, typically the final iterate of a
+    problem with the same constraint rows and another objective.  Each of
+    its cone blocks is shifted into the interior by ``_WARM_START_SHIFT``
+    times its mean eigenvalue, and the multipliers ``y`` restart at zero.
+    A start of other dimensions, or complex for real data, raises
+    ``ValueError``.
+    """
     b = np.asarray(b, dtype=float)
     k = b.size
     n = 0 if c_psd is None else c_psd.shape[0]
@@ -158,11 +180,19 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
     rho_p = max(1.0, float(np.max(np.abs(b))))
     rho_d = max(1.0, float(np.max(np.abs(c_psd), initial=0.0)),
                 float(np.max(np.abs(c_lin), initial=0.0)))
-    x = rho_p * np.eye(n, dtype=dtype)
-    u = rho_p * np.ones(p)
+    if start is None:
+        x = rho_p * np.eye(n, dtype=dtype)
+        u = rho_p * np.ones(p)
+        z_psd = rho_d * np.eye(n, dtype=dtype)
+        z_lin = rho_d * np.ones(p)
+    else:
+        if [np.shape(m) for m in start] != [(n, n), (p,), (k,), (n, n), (p,)] \
+                or (dtype is float and np.iscomplexobj(start[0])):
+            raise ValueError("start iterate does not match the problem")
+        x, u, _, z_psd, z_lin = start
+        x, z_psd = (_interior(np.asarray(m, dtype=dtype)) for m in (x, z_psd))
+        u, z_lin = (_interior(np.asarray(m, dtype=float)) for m in (u, z_lin))
     y = np.zeros(k)
-    z_psd = rho_d * np.eye(n, dtype=dtype)
-    z_lin = rho_d * np.ones(p)
 
     # an empty orthant block (p = 0) contributes exact zeros below; an empty
     # PSD block (n = 0, an LP) skips the PSD work

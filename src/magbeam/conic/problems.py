@@ -108,6 +108,8 @@ class ConicSolution:
     """Solver outcome; ``x`` is the primal matrix (SDP) or vector (LP).
 
     ``u`` holds the nonnegative scalar variables of a mixed SDP.
+    ``iterate`` is the kernel's final ``(x, u, y, z_psd, z_lin)`` in its own
+    scaled form, the ``start`` of a later solve with the same rows.
     """
 
     status: str
@@ -119,6 +121,7 @@ class ConicSolution:
     primal_infeas: float = 0.0
     dual_infeas: float = 0.0
     u: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    iterate: tuple = None
 
     @property
     def is_optimal(self):
@@ -126,8 +129,15 @@ class ConicSolution:
 
 
 def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
-              trace=None) -> ConicSolution:
-    """Solve a trace-constrained SDP; see :class:`SdpProblem` for the form."""
+              trace=None, start: ConicSolution = None) -> ConicSolution:
+    """Solve a trace-constrained SDP; see :class:`SdpProblem` for the form.
+
+    ``start`` is an earlier solution of a problem with the same constraint
+    rows, typically with another objective; the kernel starts from its
+    final iterate moved into the interior, not from the identity.  A start
+    whose dimension, row count or number of scalar variables differs
+    raises ``ValueError``.
+    """
     k = len(problem.constraints)
     dtype = complex if problem.is_complex else float
     # the kernel weighs a Hermitian block's trace products by this factor,
@@ -159,7 +169,8 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
         c_lin=np.concatenate([c_u, np.zeros(k)]) / obj_scale,
         a_psd=a_psd, a_lin=a_lin, b=rhs / scales,
         gap_tol=tolerances.rel_gap, feas_tol=tolerances.feasibility,
-        max_iter=tolerances.max_iterations, trace=trace)
+        max_iter=tolerances.max_iterations, trace=trace,
+        start=None if start is None else start.iterate)
 
     u = res.u[:c_u.size]
     value = 0.5 * float(np.sum(objective.conj() * res.x).real) + float(c_u @ u)
@@ -167,7 +178,7 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     return ConicSolution(status=res.status, value=value, x=res.x, duals=duals,
                          rel_gap=res.rel_gap, iterations=res.iterations,
                          primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas,
-                         u=u)
+                         u=u, iterate=(res.x, res.u, res.y, res.z_psd, res.z_lin))
 
 
 def solve_lp(problem: LpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
@@ -216,4 +227,5 @@ def solve_lp(problem: LpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     return ConicSolution(status=res.status, value=float(c @ x),
                          x=x, duals=res.y * obj_scale / scales,
                          rel_gap=res.rel_gap, iterations=res.iterations,
-                         primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas)
+                         primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas,
+                         iterate=(res.x, res.u, res.y, res.z_psd, res.z_lin))

@@ -320,8 +320,8 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
 
     Each chunk of ``_CHUNK`` trials draws from its own stream keyed by (seed,
     SNR index, chunk index), so results are reproducible and do not depend
-    on the order in which chunks are processed.  A ``perfect`` row is one
-    noiseless estimate.
+    on the order in which chunks are processed.  A ``perfect`` row, and any
+    row at an infinite SNR, is one noiseless estimate (``trials`` 1).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -354,27 +354,35 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
                 i_tx, i_rx, sigma2 = _pairwise_setup(scenario, snr_db, protocol.active_voltage)
                 clean = i_rx[..., None]
             clean = np.stack([clean.real, clean.imag])
-            s = math.sqrt(sigma2 / 2.0)
-            mse = np.empty(trials)   # squared errors until normalized
-            pending = pool.submit(draw, snr_idx, 0)
-            for k, count in enumerate(counts):
-                noise = pending.result()
-                if k + 1 < len(counts):
-                    pending = pool.submit(draw, snr_idx, k + 1)
-                if ls:   # in place; the Gram einsums put the trial axis last
-                    noisy = np.multiply(noise, s, out=noise)
-                else:    # a trial-last copy
-                    noisy = np.multiply(noise.transpose(0, 2, 3, 1), s,
-                                        out=np.empty((2,) + shape + (count,)))
-                noisy += clean
+
+            def squared_errors(noisy):
                 m_hat = (_ls_estimates(_ls_normal_equations(record.g, noisy)) if ls else
                          _pairwise_estimates(scenario, i_tx, protocol.active_voltage, noisy))
                 m_hat -= m[..., None]
-                mse[k * _CHUNK:k * _CHUNK + count] = np.einsum("nqc,nqc->c", m_hat, m_hat)
+                return np.einsum("nqc,nqc->c", m_hat, m_hat)
+
+            if sigma2 == 0.0:   # an infinite SNR: every trial is this noiseless one
+                mse = squared_errors(clean)
+            else:
+                s = math.sqrt(sigma2 / 2.0)
+                mse = np.empty(trials)   # squared errors until normalized
+                pending = pool.submit(draw, snr_idx, 0)
+                for k, count in enumerate(counts):
+                    noise = pending.result()
+                    if k + 1 < len(counts):
+                        pending = pool.submit(draw, snr_idx, k + 1)
+                    if ls:   # in place; the Gram einsums put the trial axis last
+                        noisy = np.multiply(noise, s, out=noise)
+                    else:    # a trial-last copy
+                        noisy = np.multiply(noise.transpose(0, 2, 3, 1), s,
+                                            out=np.empty((2,) + shape + (count,)))
+                    noisy += clean
+                    mse[k * _CHUNK:k * _CHUNK + count] = squared_errors(noisy)
             mse /= float(np.sum(m ** 2))
+            n = mse.size
             rows.append(MseRow(float(snr_db), float(mse.mean()),
-                               float(mse.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
-                               trials, estimator, protocol.n_slots if ls else m.size))
+                               float(mse.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+                               n, estimator, protocol.n_slots if ls else m.size))
     return rows
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_scenario
 from magbeam import beamforming
 from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits,
+                                 _rank_penalized, _roundings,
                                  _slot_lp_rows, benchmark_uncoordinated,
                                  delivery_rhs, profile_capped_power,
                                  randomization_extract, rank_bound,
@@ -17,7 +18,8 @@ from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits,
 from magbeam.circuit import (Excitation, Scenario, build_impedance,
                              constraint_slacks, delivered_powers,
                              tx_total_power, tx_voltages)
-from magbeam.conic import GE, numerical_rank, psd_eigendecomposition
+from magbeam.conic import (GE, kernel, numerical_rank, psd_eigendecomposition,
+                           solve_sdp)
 from magbeam.errors import InfeasibleError, SolverError
 from magbeam.region import two_user_profiles
 from magbeam.scenario import table_scenario
@@ -511,6 +513,65 @@ class TestBoundaryMaximum:
                      peak_current=tabletop_two_user.peak_current * 1e-2)
         p_star, _ = solve_p0(sc, PowerProfile([0.575, 0.425]))
         assert p_star / 1e-4 >= 73.40
+
+
+class TestRankPenalty:
+    """P0's rank-penalized re-solves where the relaxation has no realization."""
+
+    # alpha_1 = 0.55, 0.575 and 0.6 on the 40-step two-user grid, with peaks
+    FALLBACK = (22, 23, 24)
+
+    def _best_penalized(self, sc, model):
+        values = []
+        for k in self.FALLBACK:
+            profile = two_user_profiles(40)[k]
+            conic = solve_p0_sdr(sc, profile, model)
+            schedules = _rank_penalized(conic, sc, profile, model, True)
+            assert len(schedules) == 6
+            values.append(max(profile_capped_power(s, profile) for s in schedules))
+        return values
+
+    def test_warm_starts_match_cold_starts(self, tabletop_two_user, monkeypatch):
+        sc = tabletop_two_user
+        model = build_impedance(sc)
+        iterations = []
+        solve = kernel.solve_mixed_cone
+
+        def spy(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            if kwargs.get("start") is not None:
+                iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(kernel, "solve_mixed_cone", spy)
+        warm = self._best_penalized(sc, model)
+        # 540 iterations when every re-solve started from the identity
+        assert len(iterations) == 18 and sum(iterations) < 300
+        monkeypatch.setattr(beamforming, "solve_sdp",
+                            lambda problem, start=None: solve_sdp(problem))
+        cold = self._best_penalized(sc, model)
+        assert len(iterations) == 18
+        assert warm == pytest.approx(cold, rel=1e-6)
+
+    def test_debug_log(self, tabletop_two_user, caplog):
+        caplog.set_level("DEBUG", logger="magbeam")
+        solve_p0(tabletop_two_user, two_user_profiles(40)[self.FALLBACK[0]])
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("rank penalty")]
+        assert len(lines) == 6
+        assert all(" optimal after " in line and ", rank " in line for line in lines)
+        assert lines[0].startswith("rank penalty 0.03:")
+        assert lines[-1].startswith("rank penalty 0.3:")
+
+    def test_swallowed_rounding_is_logged(self, caplog):
+        caplog.set_level("DEBUG", logger="magbeam")
+
+        def unreachable():
+            raise InfeasibleError("no schedule here")
+
+        assert _roundings(SolveOptions(), unreachable, lambda: "schedule") == ["schedule"]
+        assert [r.getMessage() for r in caplog.records] == \
+            ["rounding ts found no schedule: no schedule here"]
 
 
 class TestBenchmark:

@@ -140,6 +140,20 @@ class TestEstimate:
         # one noiseless estimate, whatever --trials asks for
         assert rows[0]["trials"] == "1" and float(rows[0]["stderr"]) == 0.0
 
+    @pytest.mark.parametrize("estimator", ["ls", "pairwise"])
+    def test_noisy_estimators_inf_snr(self, tmp_path, estimator):
+        # every trial at an infinite SNR is the same noiseless estimate, so
+        # the row is one; a finite-SNR row next to it keeps its trials
+        out = tmp_path / "mse.csv"
+        code = main(["estimate", TABLE, "--estimator", estimator, "--slots", "10",
+                     "--snr-list", "inf,30", "--trials", "500", "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[0]["mse"]) <= 1e-18
+        assert rows[0]["trials"] == "1" and float(rows[0]["stderr"]) == 0.0
+        assert rows[1]["trials"] == "500" and float(rows[1]["stderr"]) > 0.0
+
     def test_pairwise_slots(self, tmp_path):
         out = tmp_path / "mse.csv"
         code = main(["estimate", TABLE, "--estimator", "pairwise",

@@ -273,6 +273,71 @@ class TestOrthantVariables:
                        linear_objective=(1.0,))
 
 
+class TestWarmStart:
+    """A solve started from the final iterate of one with the same rows."""
+
+    N = 6
+
+    @classmethod
+    def _problem(cls, objective, n_rows=3):
+        # maximize t subject to Tr(g g^H X) >= d t per row, Tr X <= 1 and
+        # X_ii <= 1/4, plus 0.5 Tr(objective X); rank two without objective
+        rng = np.random.default_rng(1)
+        n = cls.N
+        cons = []
+        for _ in range(n_rows):
+            g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            cons.append(SdpConstraint(np.outer(g, g.conj()), GE, 0.0,
+                                      linear=(-float(rng.uniform(0.5, 2.0)),)))
+        cons.append(SdpConstraint(np.eye(n), LE, 1.0, linear=(0.0,)))
+        cons += [SdpConstraint(np.diag(np.eye(n)[i]), LE, 0.25, linear=(0.0,))
+                 for i in range(n)]
+        return SdpProblem(n, objective, cons, linear_objective=(-1.0,))
+
+    @staticmethod
+    def _assert_kkt(prob, sol):
+        # rows met, multiplier signs, dual slacks in their cones and
+        # complementary slackness, as for the wide-array P0 relaxation
+        scale = 1.0 + abs(sol.value)
+        s = np.asarray(prob.objective) / 2.0
+        s_lin = np.array(prob.linear_objective, dtype=float)
+        for y, con in zip(sol.duals, prob.constraints):
+            trace = float(np.sum(np.conj(con.matrix) * sol.x).real)
+            lhs = trace + float(np.dot(con.linear, sol.u))
+            slack = lhs - con.rhs if con.sense == GE else con.rhs - lhs
+            assert slack >= -1e-6 * max(abs(trace), abs(con.rhs), 1e-300)
+            assert (y if con.sense == GE else -y) >= -1e-6 * scale
+            s = s - y * np.asarray(con.matrix)
+            s_lin = s_lin - y * np.array(con.linear)
+        assert abs(np.real(np.sum(s.conj() * sol.x))) <= 1e-6 * scale
+        assert float(np.linalg.eigvalsh((s + s.conj().T) / 2)[0]) >= -1e-6 * np.linalg.norm(s)
+        assert np.all(s_lin >= -1e-6 * scale) and abs(s_lin @ sol.u) <= 1e-6 * scale
+
+    def test_changed_objective_reaches_cold_value(self):
+        n = self.N
+        base = solve_sdp(self._problem(np.zeros((n, n))))
+        evals, evecs = psd_eigendecomposition(base.x)
+        assert base.is_optimal and numerical_rank(evals, 1e-6) == 2
+        v = evecs[:, 0]
+        prob = self._problem(0.6 * base.u[0] / np.trace(base.x).real
+                             * (np.eye(n) - np.outer(v, v.conj())))
+        cold = solve_sdp(prob)
+        warm = solve_sdp(prob, start=base)
+        assert cold.is_optimal and warm.is_optimal
+        assert warm.value == pytest.approx(cold.value, rel=1e-7)
+        assert warm.iterations < cold.iterations
+        self._assert_kkt(prob, warm)
+
+    def test_start_from_other_rows_rejected(self):
+        n = self.N
+        base = solve_sdp(self._problem(np.zeros((n, n))))
+        with pytest.raises(ValueError):
+            solve_sdp(self._problem(np.eye(n), n_rows=4), start=base)
+        with pytest.raises(ValueError):
+            solve_sdp(SdpProblem(2, np.eye(2), [SdpConstraint(np.eye(2), GE, 1.0)]),
+                      start=base)
+
+
 class TestSolveLp:
     def test_lower_bound_only(self):
         sol = solve_lp(LpProblem(objective=[1.0], a_ub=[[1.0]], b_ub=[10.0],
