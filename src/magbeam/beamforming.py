@@ -18,7 +18,7 @@ P1 scales the result down to its delivery floors, P0 up to its limits.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,7 +82,11 @@ class PowerProfile:
 
 @dataclass(frozen=True)
 class BeamformingSolution:
-    """One or more (excitation, time fraction) slots plus achieved powers."""
+    """One or more (excitation, time fraction) slots plus achieved powers.
+
+    ``relaxation`` is the conic solution of the P0 relaxation that
+    :func:`solve_p0` realized or rounded, and None for every other solution.
+    """
 
     slots: tuple
     achieved_sum_power: float
@@ -90,6 +94,7 @@ class BeamformingSolution:
     per_rx_power: np.ndarray
     method: str
     sdr_rank: int = 1
+    relaxation: object = field(default=None, compare=False, repr=False)
 
     @property
     def excitation(self):
@@ -553,11 +558,15 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
 
 
 def _p0_problem(scenario, profile, model, use_peaks, objective):
-    """The joint P0 relaxation with ``0.5 Tr(objective X) - t`` to minimize."""
+    """The joint P0 relaxation with ``0.5 Tr(objective X) - t`` to minimize.
+
+    Every receiver has a delivery row, also at a zero share, where it is
+    redundant; so every profile of a scenario gives the same rows.
+    """
     per_watt = delivery_rhs(scenario, profile, 1.0)
     constraints = [SdpConstraint(matrix=model.rank_one_rx[q], sense=GE, rhs=0.0,
                                  linear=(-per_watt[q],))
-                   for q in np.flatnonzero(profile.alpha > 0)]
+                   for q in range(scenario.n_rx)]
     constraints.append(SdpConstraint(matrix=model.b_bar / 2.0, sense=LE,
                                      rhs=float(scenario.total_power_cap),
                                      linear=(0.0,)))
@@ -567,20 +576,34 @@ def _p0_problem(scenario, profile, model, use_peaks, objective):
                       constraints=constraints, linear_objective=(-1.0,))
 
 
-def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True):
+def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True,
+                 start=None):
     """Joint relaxation of the delivered-power maximization for one profile.
 
     Maximizes t over (X, t) subject to ``Tr(M_q X) >= d_q t`` for every
-    receiver with a positive share (``d_q`` the per-watt delivery floor),
+    receiver (``d_q`` the per-watt delivery floor, zero at a zero share),
     ``0.5 Tr(Bbar X) <= P_cap``, optionally every peak row, ``X`` PSD and
     ``t >= 0``; one mixed PSD+orthant solve.  ``X`` is real without peaks
     and Hermitian with them.  The optimal t, ``conic.u[0]``, bounds the
     achievable profile-respecting sum power from above.
+
+    ``start`` is the relaxation of another profile of the same scenario and
+    peak setting (the rows are the same, only the coefficients on t move);
+    the solve starts from it, and a warm solve that does not end optimal is
+    solved once more from the cold start.
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
-    return solve_sdp(_p0_problem(scenario, profile, model, use_peak_constraints,
-                                 np.zeros((scenario.n_tx, scenario.n_tx))))
+    problem = _p0_problem(scenario, profile, model, use_peak_constraints,
+                          np.zeros((scenario.n_tx, scenario.n_tx)))
+    if start is None:
+        return solve_sdp(problem)
+    conic = solve_sdp(problem, start=start)
+    if not conic.is_optimal:
+        _debug("warm-started relaxation ended %s after %d iterations; "
+               "solving it from the cold start", conic.status, conic.iterations)
+        conic = solve_sdp(problem)
+    return conic
 
 
 def _randomization_max(x_star, scenario, profile, model, draws, seed):
@@ -659,17 +682,19 @@ def _rank_penalized(conic, scenario, profile, model, use_peaks):
     return schedules
 
 
-def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None):
+def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None):
     """Maximize the delivered sum power for one power profile.
 
-    One joint relaxation (:func:`solve_p0_sdr`) gives an upper bound; its
-    solution is realized exactly where it can be (see
+    One joint relaxation (:func:`solve_p0_sdr`, started from ``start``, the
+    relaxation of another profile, when one is given) gives an upper bound;
+    its solution is realized exactly where it can be (see
     :func:`_exact_realization`, always without peaks).  Otherwise the
     roundings that ``options.method`` selects run next to the rank-penalized
     re-solves of the same relaxation (:func:`_rank_penalized`), each
     schedule scaled to the largest gain the limits allow, and the best one
     wins.  Returns the profile-respecting power the schedule delivers,
-    ``min_q per_rx_q / alpha_q``, and the schedule.
+    ``min_q per_rx_q / alpha_q``, and the schedule, whose ``relaxation``
+    is the relaxation solved (None for ``closed_form``).
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
@@ -677,12 +702,13 @@ def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None):
         return 0.0, zero_solution(scenario, model)
 
     use_peaks = options.use_peak_constraints
+    conic = None
     if options.method == METHOD_CLOSED_FORM:
         # exact without peaks (and rejected with them) by solve_p1
         candidates = [_at_limits(scenario, model, solve_p1(scenario, profile, 1.0,
                                                            options, model), False)]
     else:
-        conic = solve_p0_sdr(scenario, profile, model, use_peaks)
+        conic = solve_p0_sdr(scenario, profile, model, use_peaks, start)
         if not conic.is_optimal:
             raise SolverError(f"relaxation ended with status {conic.status}")
         exact = _exact_realization(scenario, model, conic.x, use_peaks)
@@ -696,7 +722,7 @@ def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None):
             candidates += _rank_penalized(conic, scenario, profile, model, use_peaks)
     best = max(candidates, key=lambda c: profile_capped_power(c, profile),
                default=zero_solution(scenario, model))
-    return profile_capped_power(best, profile), best
+    return profile_capped_power(best, profile), replace(best, relaxation=conic)
 
 
 def benchmark_uncoordinated(scenario, target_power=None, max_feasible=False,

@@ -93,11 +93,14 @@ def _max_step_psd(d, ds):
 
 
 def _max_step_pos(v, dv):
-    """Largest alpha with v + alpha*dv >= 0 (v > 0), as min -v_i/dv_i over dv_i < 0."""
+    """Largest alpha with v + alpha*dv >= 0 (v > 0), as min -v_i/dv_i over dv_i < 0.
+
+    A bound beyond 1e300 reads as unbounded (inf).
+    """
     ratio = np.full(v.shape, -np.inf)
-    # a denormal step overflows its ratio to -inf, an unbounded step, rightly
-    with np.errstate(over="ignore"):
-        np.divide(v, dv, out=ratio, where=dv < 0)
+    # an entry with |dv_i| <= 1e-300 v_i, whose ratio could overflow, bounds
+    # the step only beyond 1e300, which every caller's min(1, .) drops
+    np.divide(v, dv, out=ratio, where=dv < -1e-300 * v)
     return -float(ratio.max(initial=-np.inf))
 
 

@@ -574,6 +574,50 @@ class TestRankPenalty:
             ["rounding ts found no schedule: no schedule here"]
 
 
+class TestWarmStartedRelaxation:
+    """P0 relaxations started from the relaxation of another profile."""
+
+    def test_zero_share_keeps_the_rows(self, tabletop_two_user):
+        model = build_impedance(tabletop_two_user)
+        corner = solve_p0_sdr(tabletop_two_user, PowerProfile([0.0, 1.0]), model)
+        inner = solve_p0_sdr(tabletop_two_user, PowerProfile([0.5, 0.5]), model)
+        assert corner.duals.size == inner.duals.size == 2 + 1 + 2 * 5
+
+    def test_failed_warm_start_is_retried_cold(self, tabletop_two_user, monkeypatch,
+                                               caplog):
+        sc = tabletop_two_user
+        model = build_impedance(sc)
+        profile = PowerProfile([0.3, 0.7])
+        start = solve_p0_sdr(sc, PowerProfile([0.275, 0.725]), model)
+        cold_p, cold = solve_p0(sc, profile, model=model)
+        solve = beamforming.solve_sdp
+        warm_iterations = []
+
+        def failing_when_warm(problem, start=None):
+            sol = solve(problem, start=start)
+            if start is None:
+                return sol
+            warm_iterations.append(sol.iterations)
+            return replace(sol, status="numerical_failure")
+
+        monkeypatch.setattr(beamforming, "solve_sdp", failing_when_warm)
+        caplog.set_level("DEBUG", logger="magbeam")
+        p_star, sol = solve_p0(sc, profile, model=model, start=start)
+        assert p_star == cold_p
+        assert sol.relaxation.is_optimal
+        assert sol.relaxation.iterations == cold.relaxation.iterations
+        assert (sol.method, sol.sdr_rank) == (cold.method, cold.sdr_rank)
+        assert len(warm_iterations) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"warm-started relaxation ended numerical_failure after "
+            f"{warm_iterations[0]} iterations; solving it from the cold start"]
+
+    def test_closed_form_has_no_relaxation(self, tabletop_miso, miso_model):
+        options = SolveOptions(use_peak_constraints=False, method="closed_form")
+        _, sol = solve_p0(tabletop_miso, PowerProfile([1.0]), options, miso_model)
+        assert sol.relaxation is None
+
+
 class TestBenchmark:
     def test_miso_max_feasible(self, tabletop_miso, miso_model):
         sol = benchmark_uncoordinated(tabletop_miso, max_feasible=True,

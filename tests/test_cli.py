@@ -97,7 +97,7 @@ class TestRegion:
         assert code == 0
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        numeric = [k for k in rows[0] if k not in ("scheme", "method")]
+        numeric = [k for k in rows[0] if k not in ("scheme", "method", "relax_status")]
         for row in rows:
             for key in numeric:
                 float(row[key])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from magbeam.beamforming import PowerProfile, SolveOptions, solve_p0
+from magbeam.circuit import build_impedance
+from magbeam.conic import kernel
 from magbeam.region import (RegionSweep, benchmark_point, boundary_point,
                             sweep_region, two_user_profiles, write_region_csv,
                             write_sweep_summary)
@@ -101,6 +103,49 @@ class TestSweep:
             sweep_region(tabletop, grid_size=4)
 
 
+class TestWarmStartedSweep:
+    """A sweep chains its relaxations; each point must keep its cold answer."""
+
+    @staticmethod
+    def _kernel_iterations(monkeypatch):
+        counts = []
+        solve = kernel.solve_mixed_cone
+
+        def spy(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            counts.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(kernel, "solve_mixed_cone", spy)
+        return counts
+
+    @pytest.mark.parametrize("use_peaks", [True, False], ids=["peaks", "no_peaks"])
+    def test_grid_matches_cold_points(self, tabletop_two_user, use_peaks, monkeypatch):
+        sc = tabletop_two_user
+        options = SolveOptions(use_peak_constraints=use_peaks)
+        counts = self._kernel_iterations(monkeypatch)
+        sweep = sweep_region(sc, grid_size=40, options=options)
+        warm_kernel = sum(counts)
+        counts.clear()
+        model = build_impedance(sc)
+        cold = [solve_p0(sc, p.alpha, options, model) for p in sweep.points]
+        cold_kernel = sum(counts)
+        # alpha_1 = 0.55, 0.575 and 0.6 round with peaks (rank-penalty floors)
+        floors = {22: 73.94, 23: 73.41, 24: 72.83} if use_peaks else {}
+        for k, (point, (cold_p, cold_sol)) in enumerate(zip(sweep.points, cold)):
+            assert point.relaxation.is_optimal
+            assert (point.solution_method, point.sdr_rank) == \
+                (cold_sol.method, cold_sol.sdr_rank)
+            assert point.p_star == pytest.approx(cold_p, rel=2e-6)
+            assert point.p_star <= point.relaxation.u[0] * (1 + 1e-6)
+            assert point.p_star >= floors.get(k, 0.0)
+        warm_relax = sum(p.relaxation.iterations for p in sweep.points)
+        cold_relax = sum(sol.relaxation.iterations for _, sol in cold)
+        # 463 against 925 iterations with peaks, 278 against 517 without
+        assert warm_relax <= cold_relax * 2 / 3
+        assert warm_kernel < cold_kernel
+
+
 class TestBaselinePoint:
     def test_profile_capped_value(self, tabletop_two_user):
         point = benchmark_point(tabletop_two_user, [1.0, 0.0], constrained=False)
@@ -118,10 +163,22 @@ class TestOutputs:
         assert len(rows) == 10
         assert set(rows[0]) == {"alpha_1", "alpha_2", "p_star", "p_rx_1",
                                 "p_rx_2", "scheme", "method", "sdr_rank",
-                                "constrained"}
+                                "constrained", "relax_status", "relax_iterations"}
         beam = [r for r in rows if r["scheme"] == "beamforming"]
         assert float(beam[0]["p_star"]) == pytest.approx(
             small_sweep.points[0].p_star)
+
+    def test_csv_relaxation_columns(self, small_sweep, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_region_csv(small_sweep, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        beam = [r for r in rows if r["scheme"] == "beamforming"]
+        base = [r for r in rows if r["scheme"] == "baseline"]
+        assert [(r["relax_status"], int(r["relax_iterations"])) for r in beam] == \
+            [("optimal", p.relaxation.iterations) for p in small_sweep.points]
+        assert all(p.relaxation.iterations > 0 for p in small_sweep.points)
+        assert {(r["relax_status"], r["relax_iterations"]) for r in base} == {("none", "0")}
 
     def test_summary(self, small_sweep, tmp_path):
         import json
