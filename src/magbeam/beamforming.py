@@ -24,9 +24,8 @@ import numpy as np
 
 from .circuit import (Excitation, build_impedance, constraint_slacks,
                       delivered_powers, tx_total_power)
-from .conic import (GE, INFEASIBLE, LE, LpProblem, SdpConstraint, SdpProblem,
-                    numerical_rank, psd_eigendecomposition, solve_lp,
-                    solve_sdp)
+from .conic import (EQ, GE, INFEASIBLE, LE, SdpProblem, numerical_rank,
+                    psd_eigendecomposition, solve_sdp)
 from .errors import InfeasibleError, SolverError
 
 METHOD_CLOSED_FORM = "closed_form"
@@ -190,17 +189,20 @@ def solve_p2_closed_form_single_rx(scenario, target_power, model=None):
     return sol
 
 
-def _peak_constraints(scenario, model):
-    cons = []
-    for n in range(scenario.n_tx):
-        cons.append(SdpConstraint(matrix=model.rank_one_tx[n], sense=LE,
-                                  rhs=float(scenario.peak_voltage[n] ** 2)))
-    for n in range(scenario.n_tx):
-        w_n = np.zeros((scenario.n_tx, scenario.n_tx))
-        w_n[n, n] = 1.0
-        cons.append(SdpConstraint(matrix=w_n, sense=LE,
-                                  rhs=float(scenario.peak_current[n] ** 2)))
-    return cons
+def _peak_rows(scenario, model):
+    """The peak limits as ``<=`` rows ``(matrices, rhs)``, voltages then currents."""
+    eye = np.eye(scenario.n_tx)
+    matrices = np.concatenate([model.rank_one_tx, eye[:, :, None] * eye[:, None, :]])
+    return matrices, np.concatenate([scenario.peak_voltage, scenario.peak_current]) ** 2
+
+
+def _spectrum(x_star):
+    """Eigenvalues (descending) and eigenvectors of a relaxed solution, and its rank.
+
+    The one place a relaxed matrix's numerical rank is decided.
+    """
+    evals, evecs = psd_eigendecomposition(x_star)
+    return evals, evecs, numerical_rank(evals, _RANK_REL_TOL)
 
 
 def time_sharing_from_sdr(scenario, x_star, model=None):
@@ -211,8 +213,7 @@ def time_sharing_from_sdr(scenario, x_star, model=None):
     powers then reproduce the matrix traces identically.
     """
     model = _model_for(scenario, model)
-    evals, evecs = psd_eigendecomposition(x_star)
-    rank = numerical_rank(evals, _RANK_REL_TOL)
+    evals, evecs, rank = _spectrum(x_star)
     if rank == 0:
         raise ValueError("cannot build a schedule from the zero matrix")
     lam = evals[:rank]
@@ -241,29 +242,21 @@ def solve_p1_sdr(scenario, profile, target_power, model=None,
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
     rhs = delivery_rhs(scenario, profile, target_power)
-    constraints = [SdpConstraint(matrix=model.rank_one_rx[q], sense=GE,
-                                 rhs=float(rhs[q])) for q in range(rhs.size)]
+    matrices, bounds = model.rank_one_rx, rhs
     if use_peak_constraints:
-        constraints += _peak_constraints(scenario, model)
-    problem = SdpProblem(dimension=scenario.n_tx, objective=model.b_bar,
-                         constraints=constraints)
-    conic = solve_sdp(problem)
+        peak_matrices, peak_rhs = _peak_rows(scenario, model)
+        matrices = np.concatenate([matrices, peak_matrices])
+        bounds = np.concatenate([rhs, peak_rhs])
+    sense = (GE,) * rhs.size + (LE,) * (len(bounds) - rhs.size)
+    conic = solve_sdp(SdpProblem(model.b_bar, matrices, sense, bounds))
     rank = 0
     if conic.is_optimal and np.max(rhs, initial=0.0) > 0.0:
-        evals, _ = psd_eigendecomposition(conic.x)
-        rank = numerical_rank(evals, _RANK_REL_TOL)
+        rank = _spectrum(conic.x)[2]
         bound = rank_bound(scenario.n_rx, scenario.n_tx)
         if use_peak_constraints and rank > bound:
             raise SolverError(f"relaxed solution has rank {rank}, above the "
                               f"provable bound {bound}: the solver stopped short")
     return conic, rank
-
-
-def _eigen_directions(x_star):
-    """Leading eigenvalues and eigenvectors of a relaxed solution (at least one)."""
-    evals, evecs = psd_eigendecomposition(x_star)
-    rank = max(numerical_rank(evals, _RANK_REL_TOL), 1)
-    return evals[:rank], evecs[:, :rank]
 
 
 def _exact_realization(scenario, model, x_star, use_peaks):
@@ -276,8 +269,7 @@ def _exact_realization(scenario, model, x_star, use_peaks):
     rank bound, Huang & Palomar 2010).  Without peak limits any higher rank
     is realized by time-sharing; with them it has no exact realization.
     """
-    evals, evecs = psd_eigendecomposition(x_star)
-    rank = numerical_rank(evals, _RANK_REL_TOL)
+    evals, evecs, rank = _spectrum(x_star)
     if rank <= 1 or (rank == 2 and np.isrealobj(x_star)):
         k = max(rank, 1)
         gains = np.sqrt(np.maximum(evals[:k], 0.0)) * np.array([1.0, 1j])[:k]
@@ -382,16 +374,26 @@ def _slot_lp_rows(scenario, model, vecs):
     return c0, c1, peak_rows.reshape(-1, 2 * vecs.shape[1])
 
 
-def _slot_lp_schedule(lp, scenario, model, vecs):
-    """Solve a per-slot LP and turn its solution into a schedule."""
-    lp_sol = solve_lp(lp)
+def _slot_lp_schedule(scenario, model, vecs, objective, a_le, b_le):
+    """Solve a per-slot LP and turn its solution into a schedule.
+
+    The LP minimizes ``objective`` over the nonnegative variables subject to
+    the rows ``a_le x <= b_le`` and, last, ``sum_l tau_l = 1``.
+    """
+    n_slots = vecs.shape[1]
+    tau_row = np.zeros(a_le.shape[1])
+    tau_row[n_slots:2 * n_slots] = 1.0
+    k = len(b_le) + 1
+    lp_sol = solve_sdp(SdpProblem(
+        np.zeros((0, 0)), np.zeros((k, 0, 0)), (LE,) * (k - 1) + (EQ,),
+        np.append(b_le, 1.0), linear_objective=objective,
+        linear=np.vstack([a_le, tau_row])))
     if lp_sol.status == INFEASIBLE:
         raise InfeasibleError("per-slot peak limits cannot support this delivery")
     if not lp_sol.is_optimal:
         raise SolverError(f"time-sharing LP ended with status {lp_sol.status}")
-    n_slots = vecs.shape[1]
-    phi = np.maximum(lp_sol.x[:n_slots], 0.0)
-    tau = np.maximum(lp_sol.x[n_slots:2 * n_slots], 0.0)
+    phi = np.maximum(lp_sol.u[:n_slots], 0.0)
+    tau = np.maximum(lp_sol.u[n_slots:2 * n_slots], 0.0)
     keep = tau > 1e-9
     idx = np.nonzero(keep)[0]
     theta = phi[keep] / tau[keep]          # per-slot squared gain, peak-safe
@@ -414,16 +416,14 @@ def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None):
     """
     model = _model_for(scenario, model)
     rhs = delivery_rhs(scenario, profile, target_power) * (1.0 - _DELIVERY_REL_TOL)
-    _, vecs = _eigen_directions(x_star)
+    _, evecs, rank = _spectrum(x_star)
+    vecs = evecs[:, :max(rank, 1)]
     n_slots = vecs.shape[1]
     c0, c1, peak_rows = _slot_lp_rows(scenario, model, vecs)
-    lp = LpProblem(objective=np.concatenate([c0 / 2.0, np.zeros(n_slots)]),
-                   a_ub=np.vstack([np.hstack([-c1.T, np.zeros((rhs.size, n_slots))]),
-                                   peak_rows]),
-                   b_ub=np.concatenate([-rhs, np.zeros(len(peak_rows))]),
-                   a_eq=np.concatenate([np.zeros(n_slots), np.ones(n_slots)])[None, :],
-                   b_eq=np.array([1.0]))
-    sol = _slot_lp_schedule(lp, scenario, model, vecs)
+    sol = _slot_lp_schedule(
+        scenario, model, vecs, np.concatenate([c0 / 2.0, np.zeros(n_slots)]),
+        np.vstack([np.hstack([-c1.T, np.zeros((rhs.size, n_slots))]), peak_rows]),
+        np.concatenate([-rhs, np.zeros(len(peak_rows))]))
     gain2 = min(1.0 / (1.0 - _DELIVERY_REL_TOL),
                 _schedule_peak_gain2(scenario, model, sol))
     return _rescaled(scenario, model, sol, gain2)
@@ -431,9 +431,9 @@ def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None):
 
 def _gaussian_draws(x_star, draws, seed):
     """Complex Gaussian vectors shaped by the eigenstructure of ``x_star``."""
-    evals, vecs = _eigen_directions(x_star)
-    shaped = vecs * np.sqrt(np.maximum(evals, 0.0))
-    rank = vecs.shape[1]
+    evals, evecs, rank = _spectrum(x_star)
+    rank = max(rank, 1)
+    shaped = evecs[:, :rank] * np.sqrt(np.maximum(evals[:rank], 0.0))
     rng = np.random.default_rng([int(seed), 0x6D72])
     w = (rng.standard_normal((rank, draws)) + 1j * rng.standard_normal((rank, draws)))
     return shaped @ (w / math.sqrt(2.0)), rank             # (N, draws)
@@ -563,17 +563,18 @@ def _p0_problem(scenario, profile, model, use_peaks, objective):
     Every receiver has a delivery row, also at a zero share, where it is
     redundant; so every profile of a scenario gives the same rows.
     """
-    per_watt = delivery_rhs(scenario, profile, 1.0)
-    constraints = [SdpConstraint(matrix=model.rank_one_rx[q], sense=GE, rhs=0.0,
-                                 linear=(-per_watt[q],))
-                   for q in range(scenario.n_rx)]
-    constraints.append(SdpConstraint(matrix=model.b_bar / 2.0, sense=LE,
-                                     rhs=float(scenario.total_power_cap),
-                                     linear=(0.0,)))
+    n_rx = scenario.n_rx
+    matrices = [model.rank_one_rx, model.b_bar[None] / 2.0]
+    rhs = [np.zeros(n_rx), [scenario.total_power_cap]]
     if use_peaks:
-        constraints += _peak_constraints(scenario, model)
-    return SdpProblem(dimension=scenario.n_tx, objective=objective,
-                      constraints=constraints, linear_objective=(-1.0,))
+        peak_matrices, peak_rhs = _peak_rows(scenario, model)
+        matrices.append(peak_matrices)
+        rhs.append(peak_rhs)
+    matrices = np.concatenate(matrices)
+    linear = np.zeros((len(matrices), 1))
+    linear[:n_rx, 0] = -delivery_rhs(scenario, profile, 1.0)
+    return SdpProblem(objective, matrices, (GE,) * n_rx + (LE,) * (len(matrices) - n_rx),
+                      np.concatenate(rhs), linear_objective=(-1.0,), linear=linear)
 
 
 def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True,
@@ -626,24 +627,21 @@ def _ts_lp_max(x_star, scenario, profile, model):
     maximize t subject to deliveries ``>= d_q t``, the time-averaged cap
     and every peak limit inside each slot.
     """
-    _, vecs = _eigen_directions(x_star)
+    _, evecs, rank = _spectrum(x_star)
+    vecs = evecs[:, :max(rank, 1)]
     n_slots = vecs.shape[1]
     c0, c1, peak_rows = _slot_lp_rows(scenario, model, vecs)
     per_watt = delivery_rhs(scenario, profile, 1.0)
     zeros = np.zeros((per_watt.size, n_slots))
-    a_ub = np.vstack([
+    a_le = np.vstack([
         np.hstack([-c1.T, zeros, per_watt[:, None]]),
         np.concatenate([c0 / 2.0, np.zeros(n_slots + 1)])[None, :],
         np.hstack([peak_rows, np.zeros((len(peak_rows), 1))]),
     ])
-    b_ub = np.concatenate([np.zeros(per_watt.size), [scenario.total_power_cap],
+    b_le = np.concatenate([np.zeros(per_watt.size), [scenario.total_power_cap],
                            np.zeros(len(peak_rows))])
-    lp = LpProblem(objective=np.concatenate([np.zeros(2 * n_slots), [-1.0]]),
-                   a_ub=a_ub, b_ub=b_ub,
-                   a_eq=np.concatenate([np.zeros(n_slots), np.ones(n_slots),
-                                        [0.0]])[None, :],
-                   b_eq=np.array([1.0]))
-    sol = _slot_lp_schedule(lp, scenario, model, vecs)
+    sol = _slot_lp_schedule(scenario, model, vecs,
+                            np.concatenate([np.zeros(2 * n_slots), [-1.0]]), a_le, b_le)
     return _at_limits(scenario, model, sol, use_peaks=True)
 
 
@@ -671,9 +669,8 @@ def _rank_penalized(conic, scenario, profile, model, use_peaks):
             _debug("rank penalty %g: %s after %d iterations", lam, step.status,
                    step.iterations)
             break
-        evals, evecs = psd_eigendecomposition(step.x)
+        _, evecs, rank = _spectrum(step.x)
         v = evecs[:, 0]
-        rank = numerical_rank(evals, _RANK_REL_TOL)
         sol = _at_limits(scenario, model, make_solution(
             scenario, model, [(Excitation(v), 1.0)], METHOD_RANK_PENALTY, rank), use_peaks)
         _debug("rank penalty %g: %s after %d iterations, rank %d, p %.9g W", lam,

@@ -1,14 +1,14 @@
-"""Self-contained dense conic solvers (SDP with trace inequalities, LP)."""
+"""Self-contained dense conic solver: SDPs with trace constraints, and LPs."""
 
 from .kernel import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, UNBOUNDED
 from .linalg import numerical_rank, psd_eigendecomposition
-from .problems import (GE, LE, ConicSolution, LpProblem, SdpConstraint,
-                       SdpProblem, Tolerances, solve_lp, solve_sdp)
+from .problems import (EQ, GE, LE, ConicSolution, SdpProblem, Tolerances,
+                       solve_sdp)
 
 __all__ = [
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED", "NUMERICAL_FAILURE",
-    "GE", "LE",
-    "SdpProblem", "SdpConstraint", "LpProblem", "ConicSolution", "Tolerances",
-    "solve_sdp", "solve_lp",
+    "GE", "LE", "EQ",
+    "SdpProblem", "ConicSolution", "Tolerances",
+    "solve_sdp",
     "psd_eigendecomposition", "numerical_rank",
 ]

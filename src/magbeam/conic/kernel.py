@@ -28,7 +28,7 @@ The dual is  max b.y  s.t.  sum_i y_i A_i + Z = C (Z PSD),
 a_lin^T y + z = c (z >= 0).  X is real or complex as its data are.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +62,10 @@ class KernelResult:
     y: np.ndarray          # equality multipliers
     z_psd: np.ndarray      # dual slack, PSD block
     z_lin: np.ndarray      # dual slack, orthant block
-    primal_obj: float
-    dual_obj: float
     rel_gap: float
     primal_infeas: float
     dual_infeas: float
     iterations: int
-    history: list = field(default_factory=list)
 
 
 def _sym(m):
@@ -141,9 +138,11 @@ def _interior(m):
 
 
 def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
-                     gap_tol=1e-8, feas_tol=1e-8, max_iter=100, trace=None,
-                     start=None):
+                     gap_tol=1e-8, feas_tol=1e-8, max_iter=100, start=None):
     """Run the interior-point iteration; see module docstring for the form.
+
+    An LP has ``c_psd`` 0 x 0 and ``a_psd`` k x 0 x 0.  Each iteration logs
+    one line at DEBUG on ``magbeam.conic``, a child of the ``magbeam`` logger.
 
     ``start`` is an optional iterate ``(x, u, y, z_psd, z_lin)`` to start
     from instead of the scaled identity, typically the final iterate of a
@@ -155,14 +154,14 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
     """
     b = np.asarray(b, dtype=float)
     k = b.size
-    n = 0 if c_psd is None else c_psd.shape[0]
+    n = c_psd.shape[0]
     dtype = complex if np.iscomplexobj(c_psd) or np.iscomplexobj(a_psd) else float
     weight = HERMITIAN_WEIGHT if dtype is complex else 1.0
-    c_psd = np.zeros((n, n)) if c_psd is None else _sym(np.asarray(c_psd, dtype=dtype))
-    c_lin = np.zeros(0) if c_lin is None else np.asarray(c_lin, dtype=float)
+    c_psd = _sym(np.asarray(c_psd, dtype=dtype))
+    c_lin = np.asarray(c_lin, dtype=float)
     p = c_lin.size
-    a_psd = np.zeros((k, n, n)) if a_psd is None else np.asarray(a_psd, dtype=dtype)
-    a_lin = np.zeros((k, p)) if a_lin is None else np.asarray(a_lin, dtype=float)
+    a_psd = np.asarray(a_psd, dtype=dtype)
+    a_lin = np.asarray(a_lin, dtype=float)
     if a_psd.shape != (k, n, n) or a_lin.shape != (k, p):
         raise ValueError("constraint data dimensions are inconsistent")
     if n + p == 0 or k == 0:
@@ -205,7 +204,9 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
     def at_op(yv):
         return (yv @ a_flat).view(dtype).reshape(n, n), a_lin.T @ yv
 
-    history = []
+    import logging  # here: `import magbeam` skips its 5 ms
+    log = logging.getLogger("magbeam.conic")
+    debug = log.isEnabledFor(logging.DEBUG)
     status = NUMERICAL_FAILURE
     best_cert = np.inf           # best Farkas-certificate residual seen
     stall = 0
@@ -222,10 +223,9 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         p_inf = np.linalg.norm(r_p) / norm_b
         d_inf = np.sqrt(norm_psd2(r_d_psd) + np.linalg.norm(r_d_lin) ** 2) / norm_c
-        history.append((it, pobj, dobj, p_inf, d_inf, mu))
-        if trace is not None:
-            trace.write(f"iter {it:3d}  pobj {pobj: .9e}  dobj {dobj: .9e}  "
-                        f"pinf {p_inf:.2e}  dinf {d_inf:.2e}  mu {mu:.2e}\n")
+        if debug:
+            log.debug("iter %3d  pobj % .9e  dobj % .9e  pinf %.2e  dinf %.2e  mu %.2e",
+                      it, pobj, dobj, p_inf, d_inf, mu)
 
         if p_inf <= feas_tol and d_inf <= feas_tol and rel_gap <= gap_tol:
             status = OPTIMAL
@@ -337,15 +337,11 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
     pobj = inner(c_psd, x) + c_lin @ u
     dobj = b @ y
     return KernelResult(
-        status=status,
-        x=x, u=u, y=y,
-        z_psd=z_psd, z_lin=z_lin,
-        primal_obj=float(pobj), dual_obj=float(dobj),
+        status=status, x=x, u=u, y=y, z_psd=z_psd, z_lin=z_lin,
         rel_gap=float(abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))),
         primal_infeas=float(np.linalg.norm(r_p) / norm_b),
         dual_infeas=float(np.sqrt(
             norm_psd2(c_psd - aty_psd - z_psd)
             + np.linalg.norm(c_lin - aty_lin - z_lin) ** 2) / norm_c),
         iterations=it,
-        history=history,
     )

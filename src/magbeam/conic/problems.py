@@ -1,13 +1,12 @@
-"""Public problem containers and solver entry points.
+"""The public problem form and its solver entry point.
 
-``solve_sdp`` handles trace-inequality-constrained SDPs over real symmetric
-or complex Hermitian variables, optionally joined by a block of nonnegative
-scalar variables (the mixed PSD+orthant form, one kernel call either way).
-The kernel runs in the dtype of the data, so a Hermitian problem of
-dimension n is solved as an n x n complex block.
-
-``solve_lp`` reuses the same interior-point kernel restricted to the
-orthant (no PSD block), i.e. the diagonal-barrier specialization.
+``solve_sdp`` handles trace-constrained SDPs over real symmetric or complex
+Hermitian variables, optionally joined by a block of nonnegative scalar
+variables (the mixed PSD+orthant form, one kernel call either way).  The
+kernel runs in the dtype of the data, so a Hermitian problem of dimension
+n is solved as an n x n complex block.  A problem of dimension 0 is an LP:
+the same kernel restricted to the orthant, i.e. the diagonal-barrier
+specialization.
 """
 
 from dataclasses import dataclass, field
@@ -15,10 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .kernel import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, UNBOUNDED
+from .kernel import OPTIMAL
 
 GE = ">="
 LE = "<="
+EQ = "=="
+# the coefficient of each sense's unit slack column; an equality has none
+_SLACK_SIGN = {LE: 1.0, GE: -1.0, EQ: 0.0}
 
 
 @dataclass(frozen=True)
@@ -32,82 +34,62 @@ DEFAULT_TOLERANCES = Tolerances()
 
 
 @dataclass(frozen=True)
-class SdpConstraint:
-    """One inequality  Tr(matrix @ X) + linear . u  (>=|<=) rhs.
-
-    ``linear`` holds the coefficients of the problem's nonnegative scalar
-    variables ``u`` and may be omitted when the row does not involve them.
-    """
-
-    matrix: np.ndarray
-    sense: str
-    rhs: float
-    linear: tuple = ()
-
-    def __post_init__(self):
-        if self.sense not in (GE, LE):
-            raise ValueError(f"sense must be '>=' or '<=', got {self.sense!r}")
-
-
-@dataclass(frozen=True)
 class SdpProblem:
-    """minimize 0.5*Tr(objective @ X) + linear_objective . u
-    s.t. the constraint rows, X PSD, u >= 0.
+    """minimize 0.5*Tr(objective @ X) + linear_objective . u  subject to
+    Tr(matrices[i] @ X) + linear[i] . u  (sense[i])  rhs[i]  for each row i,
+    X PSD and u >= 0.
 
-    ``objective`` and all constraint matrices must be symmetric (real) or
-    Hermitian (complex); mixing is allowed and makes X complex Hermitian.
-    ``linear_objective`` sets the number of scalar variables ``u`` (none by
-    default).
+    ``objective`` is n x n and ``matrices`` k x n x n, all symmetric (real)
+    or Hermitian (complex); mixing is allowed and makes X complex Hermitian.
+    Dimension n = 0 is an LP in u.  ``sense`` holds k entries of ``GE``,
+    ``LE`` or ``EQ``.  ``linear_objective`` sets the number p of scalar
+    variables ``u`` (none by default), and ``linear`` (k x p) their row
+    coefficients, zeros by default.
     """
 
-    dimension: int
     objective: np.ndarray
-    constraints: list
-    linear_objective: tuple = ()
-    _matrices: np.ndarray = field(init=False, repr=False, compare=False)
+    matrices: np.ndarray
+    sense: tuple
+    rhs: np.ndarray
+    linear_objective: np.ndarray = ()
+    linear: np.ndarray = None
 
     def __post_init__(self):
-        if not self.constraints:
+        objective = np.asarray(self.objective)
+        matrices = np.asarray(self.matrices)
+        k = len(matrices)
+        if k == 0:
             raise ValueError("at least one constraint is required")
-        n_lin = len(self.linear_objective)
-        if any(len(c.linear) not in (0, n_lin) for c in self.constraints):
-            raise ValueError("linear coefficients do not match linear_objective")
-        mats = [self.objective] + [c.matrix for c in self.constraints]
-        if any(np.shape(m) != (self.dimension, self.dimension) for m in mats):
+        n = objective.shape[0] if objective.ndim == 2 else -1
+        if objective.shape != (n, n) or matrices.shape != (k, n, n):
             raise ValueError("matrix dimensions do not match the problem")
-        mats = np.stack(mats)           # objective first: (k+1, n, n)
-        object.__setattr__(self, "_matrices", mats)
-        if not np.all(np.isfinite(mats)):
-            raise ValueError("matrices must be finite")
+        sense = tuple(self.sense)
+        if any(s not in _SLACK_SIGN for s in sense):
+            raise ValueError(f"each sense must be '>=', '<=' or '==', got {sense!r}")
+        rhs = np.asarray(self.rhs, dtype=float)
+        c_u = np.asarray(self.linear_objective, dtype=float)
+        linear = np.zeros((k, c_u.size)) if self.linear is None \
+            else np.asarray(self.linear, dtype=float)
+        if len(sense) != k or rhs.shape != (k,):
+            raise ValueError("sense and rhs must have one entry per constraint")
+        if c_u.ndim != 1 or linear.shape != (k, c_u.size):
+            raise ValueError("linear coefficients do not match linear_objective")
+        for name, value in (("objective", objective), ("matrices", matrices),
+                            ("sense", sense), ("rhs", rhs),
+                            ("linear_objective", c_u), ("linear", linear)):
+            object.__setattr__(self, name, value)
+        if not all(np.all(np.isfinite(a)) for a in (objective, matrices, rhs, c_u, linear)):
+            raise ValueError("problem data must be finite")
+        mats = np.concatenate([objective[None], matrices])
         skew = np.linalg.norm(mats - mats.conj().transpose(0, 2, 1), axis=(1, 2))
         if np.any(skew > 1e-9 * np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))):
             raise ValueError("matrices must be symmetric/Hermitian")
 
-    @property
-    def is_complex(self):
-        return bool(np.any(self._matrices.imag))
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    """minimize c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x >= lower_bounds.
-
-    ``lower_bounds`` defaults to zero; >=-rows should be passed negated.
-    """
-
-    objective: np.ndarray
-    a_ub: np.ndarray = None
-    b_ub: np.ndarray = None
-    a_eq: np.ndarray = None
-    b_eq: np.ndarray = None
-    lower_bounds: np.ndarray = None
-
 
 @dataclass
 class ConicSolution:
-    """Solver outcome; ``x`` is the primal matrix (SDP) or vector (LP).
+    """Solver outcome: the primal matrix ``x`` (0 x 0 for an LP) and scalars ``u``.
 
-    ``u`` holds the nonnegative scalar variables of a mixed SDP.
     ``iterate`` is the kernel's final ``(x, u, y, z_psd, z_lin)`` in its own
     scaled form, the ``start`` of a later solve with the same rows.
     """
@@ -129,32 +111,28 @@ class ConicSolution:
 
 
 def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
-              trace=None, start: ConicSolution = None) -> ConicSolution:
-    """Solve a trace-constrained SDP; see :class:`SdpProblem` for the form.
+              start: ConicSolution = None) -> ConicSolution:
+    """Solve a trace-constrained SDP or LP; see :class:`SdpProblem` for the form.
 
     ``start`` is an earlier solution of a problem with the same constraint
     rows, typically with another objective; the kernel starts from its
     final iterate moved into the interior, not from the identity.  A start
     whose dimension, row count or number of scalar variables differs
-    raises ``ValueError``.
+    raises ``ValueError``.  The kernel logs each iteration at DEBUG on
+    the ``magbeam.conic`` logger.
     """
-    k = len(problem.constraints)
-    dtype = complex if problem.is_complex else float
+    dtype = complex if np.any(problem.objective.imag) or np.any(problem.matrices.imag) else float
     # the kernel weighs a Hermitian block's trace products by this factor,
     # so its data goes in divided by it and its norms grow by the root
     weight = kernel.HERMITIAN_WEIGHT if dtype is complex else 1.0
     root_weight = np.sqrt(weight)
-    stack = problem._matrices
-    stack = np.asarray(stack if dtype is complex else stack.real, dtype=dtype)
-    objective, mats = stack[0], stack[1:]
-    c_u = np.asarray(problem.linear_objective, dtype=float)
-    linear = np.array([c.linear if len(c.linear) else np.zeros(c_u.size)
-                       for c in problem.constraints], dtype=float)
-    rhs = np.array([c.rhs for c in problem.constraints], dtype=float)
-    signs = np.array([1.0 if c.sense == LE else -1.0 for c in problem.constraints])
+    objective, mats = (np.asarray(m if dtype is complex else m.real, dtype=dtype)
+                       for m in (problem.objective, problem.matrices))
+    c_u, linear, rhs = problem.linear_objective, problem.linear, problem.rhs
+    signs = np.array([_SLACK_SIGN[s] for s in problem.sense])
 
     # orthant block: the problem's own scalar variables, then one unit
-    # slack per row
+    # slack per inequality row
     obj_scale = max(float(np.hypot(np.linalg.norm(objective) / root_weight,
                                    np.linalg.norm(c_u))), 1e-300)
     # each row's own data norm in the kernel's geometry, taken before its
@@ -163,13 +141,15 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
                       np.linalg.norm(linear, axis=1))
     scales = np.maximum(np.maximum(scales, np.abs(rhs)), 1e-300)
     a_psd = (mats + mats.conj().transpose(0, 2, 1)) / (2.0 * weight * scales[:, None, None])
-    a_lin = np.hstack([linear / scales[:, None], np.diag(signs)])
+    # np.compress, unlike a boolean index, keeps the slack columns C-ordered;
+    # the kernel's BLAS products round differently on another layout
+    a_lin = np.hstack([linear / scales[:, None], np.compress(signs, np.diag(signs), axis=1)])
     res = kernel.solve_mixed_cone(
         c_psd=objective / (2.0 * weight * obj_scale),
-        c_lin=np.concatenate([c_u, np.zeros(k)]) / obj_scale,
+        c_lin=np.concatenate([c_u, np.zeros(a_lin.shape[1] - c_u.size)]) / obj_scale,
         a_psd=a_psd, a_lin=a_lin, b=rhs / scales,
         gap_tol=tolerances.rel_gap, feas_tol=tolerances.feasibility,
-        max_iter=tolerances.max_iterations, trace=trace,
+        max_iter=tolerances.max_iterations,
         start=None if start is None else start.iterate)
 
     u = res.u[:c_u.size]
@@ -179,53 +159,3 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
                          rel_gap=res.rel_gap, iterations=res.iterations,
                          primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas,
                          u=u, iterate=(res.x, res.u, res.y, res.z_psd, res.z_lin))
-
-
-def solve_lp(problem: LpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
-             trace=None) -> ConicSolution:
-    """Solve a dense LP with the orthant-only interior-point kernel."""
-    c = np.atleast_1d(np.asarray(problem.objective, dtype=float))
-    nv = c.size
-    lb = np.zeros(nv) if problem.lower_bounds is None \
-        else np.asarray(problem.lower_bounds, dtype=float)
-    if lb.shape != (nv,) or not np.all(np.isfinite(lb)):
-        raise ValueError("lower_bounds must be a finite vector matching the objective")
-
-    a_ub = np.zeros((0, nv)) if problem.a_ub is None \
-        else np.atleast_2d(np.asarray(problem.a_ub, dtype=float))
-    b_ub = np.zeros(0) if problem.b_ub is None \
-        else np.atleast_1d(np.asarray(problem.b_ub, dtype=float))
-    a_eq = np.zeros((0, nv)) if problem.a_eq is None \
-        else np.atleast_2d(np.asarray(problem.a_eq, dtype=float))
-    b_eq = np.zeros(0) if problem.b_eq is None \
-        else np.atleast_1d(np.asarray(problem.b_eq, dtype=float))
-    if a_ub.shape[1] != nv or a_eq.shape[1] != nv:
-        raise ValueError("constraint row length does not match the objective")
-    m_ub, m_eq = a_ub.shape[0], b_eq.size
-    if m_ub + m_eq == 0:
-        raise ValueError("at least one constraint row is required")
-
-    # shift to x' = x - lb >= 0, equilibrate each row by its own data norm
-    # (before slacks are appended, so badly scaled rows keep their meaning),
-    # then add one unit slack per inequality row
-    raw = np.vstack([a_ub, a_eq])
-    b_all = np.concatenate([b_ub - a_ub @ lb, b_eq - a_eq @ lb])
-    scales = np.maximum(np.linalg.norm(raw, axis=1), np.abs(b_all))
-    scales = np.maximum(scales, 1e-300)
-    slack_cols = np.vstack([np.eye(m_ub), np.zeros((m_eq, m_ub))])
-    rows = np.hstack([raw / scales[:, None], slack_cols])
-    c_all = np.concatenate([c, np.zeros(m_ub)])
-
-    obj_scale = max(float(np.linalg.norm(c)), 1e-300)
-    res = kernel.solve_mixed_cone(
-        c_psd=None, c_lin=c_all / obj_scale,
-        a_psd=None, a_lin=rows, b=b_all / scales,
-        gap_tol=tolerances.rel_gap, feas_tol=tolerances.feasibility,
-        max_iter=tolerances.max_iterations, trace=trace)
-
-    x = res.u[:nv] + lb
-    return ConicSolution(status=res.status, value=float(c @ x),
-                         x=x, duals=res.y * obj_scale / scales,
-                         rel_gap=res.rel_gap, iterations=res.iterations,
-                         primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas,
-                         iterate=(res.x, res.u, res.y, res.z_psd, res.z_lin))

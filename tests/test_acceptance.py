@@ -27,8 +27,7 @@ from magbeam.beamforming import (PowerProfile, SolveOptions,
 from magbeam.circuit import (Excitation, build_impedance, constraint_slacks,
                              delivered_powers, efficiency, tx_total_power,
                              tx_voltages)
-from magbeam.conic import (GE, LE, SdpConstraint, SdpProblem,
-                           psd_eigendecomposition, solve_sdp)
+from magbeam.conic import GE, LE, SdpProblem, psd_eigendecomposition, solve_sdp
 from magbeam.errors import InfeasibleError
 from magbeam.estimation import (RANDOM_VOLTAGE, TrainingProtocol, estimate_ls,
                                 estimate_perfect, monte_carlo_mse,
@@ -511,17 +510,19 @@ def test_criterion_10_property_suites():
         c = a @ a.T + n * np.eye(n)
         x0_m = rng.standard_normal((n, n))
         x0 = x0_m @ x0_m.T + 0.5 * np.eye(n)
-        cons = []
+        mats, sense, rhs = [], [], []
         for _ in range(int(rng.integers(2, 6))):
             g_m = rng.standard_normal((n, n))
             g = g_m @ g_m.T
             v = float(np.sum(g * x0))
-            cons.append(SdpConstraint(g, GE, 0.7 * v) if rng.random() < 0.5
-                        else SdpConstraint(g, LE, 1.3 * v))
-        sol = solve_sdp(SdpProblem(n, c, cons))
+            ge = rng.random() < 0.5
+            mats.append(g)
+            sense.append(GE if ge else LE)
+            rhs.append(0.7 * v if ge else 1.3 * v)
+        sol = solve_sdp(SdpProblem(c, np.stack(mats), sense, rhs))
         if not sol.is_optimal:
             continue
-        s = c / 2.0 - sum(y * con.matrix for y, con in zip(sol.duals, cons))
+        s = c / 2.0 - sum(y * g for y, g in zip(sol.duals, mats))
         comp = abs(float(np.sum(s * sol.x)))
         psd = float(np.linalg.eigvalsh((s + s.T) / 2)[0])
         if comp <= 1e-6 * (1 + abs(sol.value)) and psd >= -1e-6 * np.linalg.norm(s):

@@ -258,17 +258,17 @@ class TestRelaxationWithPeaks:
         sol = solve_p0_sdr(sc, PowerProfile.uniform(4))
         prob, = seen
         assert sol.is_optimal and np.iscomplexobj(sol.x)
-        assert len(prob.constraints) == 4 + 1 + 2 * 30
+        assert len(prob.matrices) == 4 + 1 + 2 * 30
         # the objective has no PSD part, so the dual slack is -sum_i y_i A_i
-        s = -sum(y * np.asarray(con.matrix)
-                 for y, con in zip(sol.duals, prob.constraints))
+        s = -sum(y * a for y, a in zip(sol.duals, prob.matrices))
         scale = 1.0 + abs(sol.value)
-        for y, con in zip(sol.duals, prob.constraints):
-            trace = float(np.sum(np.conj(con.matrix) * sol.x).real)
-            lhs = trace + float(np.dot(con.linear, sol.u)) if con.linear else trace
-            slack = lhs - con.rhs if con.sense == GE else con.rhs - lhs
-            assert slack >= -1e-6 * max(abs(trace), abs(con.rhs), 1e-300)
-            assert (y if con.sense == GE else -y) >= -1e-6 * scale
+        for y, a, sense, rhs, lin in zip(sol.duals, prob.matrices, prob.sense,
+                                         prob.rhs, prob.linear):
+            trace = float(np.sum(np.conj(a) * sol.x).real)
+            lhs = trace + float(np.dot(lin, sol.u))
+            slack = lhs - rhs if sense == GE else rhs - lhs
+            assert slack >= -1e-6 * max(abs(trace), abs(rhs), 1e-300)
+            assert (y if sense == GE else -y) >= -1e-6 * scale
         # complementary slackness and a PSD dual slack
         assert abs(np.real(np.sum(s.conj() * sol.x))) <= 1e-6 * scale
         assert float(np.linalg.eigvalsh((s + s.conj().T) / 2)[0]) >= -1e-6 * np.linalg.norm(s)
@@ -608,7 +608,7 @@ class TestWarmStartedRelaxation:
         assert sol.relaxation.iterations == cold.relaxation.iterations
         assert (sol.method, sol.sdr_rank) == (cold.method, cold.sdr_rank)
         assert len(warm_iterations) == 1
-        assert [r.getMessage() for r in caplog.records] == [
+        assert [r.getMessage() for r in caplog.records if r.name == "magbeam"] == [
             f"warm-started relaxation ended numerical_failure after "
             f"{warm_iterations[0]} iterations; solving it from the cold start"]
 

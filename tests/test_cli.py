@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from magbeam import beamforming
+from magbeam import beamforming, region
 from magbeam.cli import main
+from magbeam.conic import ConicSolution
 from magbeam.scenario import bundled_scenario_path, save_scenario, table_scenario
 
 MISO = str(bundled_scenario_path("table2_miso"))
@@ -202,3 +203,39 @@ class TestValidate:
         doc["mutual_tx_rx"]["values"][0][0] = float("nan")
         doc_path.write_text(json.dumps(doc))
         assert main(["validate", str(doc_path)]) == 1
+
+
+class TestHookPoints:
+    """Library names that outside tools patch to time and probe a CLI run."""
+
+    def test_sweep_calls_boundary_point_per_profile(self, tmp_path, monkeypatch):
+        # an op clock on ``magbeam.region.boundary_point`` sees one call per
+        # profile of the sweep
+        calls = []
+        point = region.boundary_point
+
+        def clocked(*args, **kwargs):
+            calls.append(args[1])
+            return point(*args, **kwargs)
+
+        monkeypatch.setattr(region, "boundary_point", clocked)
+        assert main(["region", TWO_USER, "--grid", "2", "--no-peaks",
+                     "--out", str(tmp_path / "region.csv")]) == 0
+        assert sorted(float(p.alpha[0]) for p in calls) == [0.0, 0.5, 1.0]
+
+    def test_target_power_reaches_p1_relaxation(self, monkeypatch, capsys):
+        # ``beamform --target-power`` solves its relaxation through
+        # ``beamforming.solve_p1_sdr``, which returns ``(conic, rank)``
+        results = []
+        relax = beamforming.solve_p1_sdr
+
+        def probe(*args, **kwargs):
+            results.append(relax(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(beamforming, "solve_p1_sdr", probe)
+        assert main(["beamform", TABLE, "--alpha", "0.25,0.25,0.25,0.25",
+                     "--target-power", "2"]) == 0
+        (conic, rank), = results
+        assert isinstance(conic, ConicSolution) and conic.is_optimal
+        assert isinstance(rank, int) and rank >= 1

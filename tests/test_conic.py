@@ -1,12 +1,12 @@
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from magbeam.conic import (GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, LpProblem,
-                           SdpConstraint, SdpProblem, Tolerances, kernel,
-                           numerical_rank, psd_eigendecomposition, solve_lp,
+from magbeam.conic import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, SdpProblem,
+                           Tolerances, kernel, numerical_rank, psd_eigendecomposition,
                            solve_sdp)
 from magbeam.conic.kernel import _max_step_pos, _max_step_psd, _nt_scaling
 
@@ -26,14 +26,13 @@ def _single_constraint_optimum(b_bar, m_vec, rhs):
 def _single_rx_problem():
     b_bar = 13.44 * np.eye(5) + W_TABLE ** 2 * np.outer(M_RX2, M_RX2) / R_RX
     rhs = 2.0 * R_RX ** 2 * 1.0 / (W_TABLE ** 2 * 10.0)
-    problem = SdpProblem(5, b_bar,
-                         [SdpConstraint(np.outer(M_RX2, M_RX2), GE, rhs)])
+    problem = SdpProblem(b_bar, np.outer(M_RX2, M_RX2)[None], (GE,), [rhs])
     return problem, b_bar, rhs
 
 
 class TestSolveSdp:
     def test_scalar_trivial(self):
-        sol = solve_sdp(SdpProblem(1, np.eye(1), [SdpConstraint(np.eye(1), GE, 2.0)]))
+        sol = solve_sdp(SdpProblem(np.eye(1), np.eye(1)[None], (GE,), [2.0]))
         assert sol.is_optimal
         assert sol.value == pytest.approx(1.0, rel=1e-7)
         assert sol.x[0, 0] == pytest.approx(2.0, rel=1e-6)
@@ -43,7 +42,7 @@ class TestSolveSdp:
         m = np.array([0.8, 0.35])
         b_bar = np.diag([2.0, 5.0]) + 3.0 * np.outer(m, m)
         rhs = 0.7
-        prob = SdpProblem(2, b_bar, [SdpConstraint(np.outer(m, m), GE, rhs)])
+        prob = SdpProblem(b_bar, np.outer(m, m)[None], (GE,), [rhs])
         sol = solve_sdp(prob)
         best = np.inf
         for theta in np.linspace(0.0, math.pi, 200_001):
@@ -62,22 +61,21 @@ class TestSolveSdp:
         assert sol.value == pytest.approx(_single_constraint_optimum(b_bar, M_RX2, rhs), rel=1e-6)
 
     def test_infeasible_via_dual_ray(self):
-        prob = SdpProblem(2, np.eye(2), [SdpConstraint(np.eye(2), LE, 1.0),
-                                         SdpConstraint(np.eye(2), GE, 3.0)])
+        prob = SdpProblem(np.eye(2), np.stack([np.eye(2), np.eye(2)]), (LE, GE),
+                          [1.0, 3.0])
         assert solve_sdp(prob).status == INFEASIBLE
 
     def test_unbounded(self):
-        prob = SdpProblem(2, -np.eye(2), [SdpConstraint(np.eye(2), GE, 1.0)])
+        prob = SdpProblem(-np.eye(2), np.eye(2)[None], (GE,), [1.0])
         assert solve_sdp(prob).status == UNBOUNDED
 
     def test_requires_constraints(self):
         with pytest.raises(ValueError):
-            SdpProblem(2, np.eye(2), [])
+            SdpProblem(np.eye(2), np.zeros((0, 2, 2)), (), [])
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            SdpProblem(2, np.array([[1.0, 2.0], [0.0, 1.0]]),
-                       [SdpConstraint(np.eye(2), GE, 1.0)])
+            SdpProblem(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2)[None], (GE,), [1.0])
 
 
 class TestKktCertificates:
@@ -94,15 +92,18 @@ class TestKktCertificates:
 
         c = rand_psd() + n * np.eye(n)
         x0 = rand_psd() + 0.5 * np.eye(n)
-        cons = []
+        mats, sense, rhs = [], [], []
         for _ in range(k):
             a = rand_psd()
             v = float(np.real(np.sum(a.conj() * x0)))
+            mats.append(a)
             if rng.random() < 0.5:
-                cons.append(SdpConstraint(a, GE, 0.7 * v))
+                sense.append(GE)
+                rhs.append(0.7 * v)
             else:
-                cons.append(SdpConstraint(a, LE, 1.3 * v))
-        return SdpProblem(n, c, cons)
+                sense.append(LE)
+                rhs.append(1.3 * v)
+        return SdpProblem(c, np.stack(mats), sense, rhs)
 
     def test_kkt_on_random_instances(self):
         rng = np.random.default_rng(10)
@@ -111,15 +112,14 @@ class TestKktCertificates:
             sol = solve_sdp(prob)
             assert sol.is_optimal, f"trial {trial}: {sol.status}"
             c_half = np.asarray(prob.objective) / 2.0
-            s = c_half - sum(y * np.asarray(con.matrix)
-                             for y, con in zip(sol.duals, prob.constraints))
+            s = c_half - sum(y * a for y, a in zip(sol.duals, prob.matrices))
             scale = 1.0 + abs(sol.value)
             # complementary slackness
             assert abs(np.real(np.sum(s.conj() * sol.x))) <= 1e-6 * scale
             # dual feasibility: S PSD, multiplier signs match the senses
             assert float(np.linalg.eigvalsh((s + s.conj().T) / 2)[0]) >= -1e-6 * np.linalg.norm(s)
-            for y, con in zip(sol.duals, prob.constraints):
-                if con.sense == GE:
+            for y, sense in zip(sol.duals, prob.sense):
+                if sense == GE:
                     assert y >= -1e-6 * scale
                 else:
                     assert y <= 1e-6 * scale
@@ -131,11 +131,9 @@ class TestKktCertificates:
         for _ in range(10):
             prob = self._random_problem(rng)
             base = solve_sdp(prob).value
-            tightened = []
-            for con in prob.constraints:
-                rhs = con.rhs * (1.05 if con.sense == GE else 0.95)
-                tightened.append(SdpConstraint(con.matrix, con.sense, rhs))
-            harder = solve_sdp(SdpProblem(prob.dimension, prob.objective, tightened))
+            rhs = [b * (1.05 if sense == GE else 0.95)
+                   for b, sense in zip(prob.rhs, prob.sense)]
+            harder = solve_sdp(SdpProblem(prob.objective, prob.matrices, prob.sense, rhs))
             if harder.is_optimal:
                 assert harder.value >= base - 1e-7 * (1 + abs(base))
 
@@ -152,7 +150,7 @@ class TestComplexEmbedding:
             b_m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             g = b_m @ b_m.conj().T
             rhs = float(rng.uniform(0.5, 2.0))
-            sol = solve_sdp(SdpProblem(n, c, [SdpConstraint(g, GE, rhs)]))
+            sol = solve_sdp(SdpProblem(c, g[None], (GE,), [rhs]))
             ell_inv = np.linalg.inv(np.linalg.cholesky(c))
             lmax = float(np.linalg.eigvalsh(ell_inv @ g @ ell_inv.conj().T)[-1].real)
             assert sol.is_optimal
@@ -171,7 +169,7 @@ class TestComplexEmbedding:
 
         monkeypatch.setattr(kernel, "solve_mixed_cone", spy)
         g = np.array([[2.0, 1j], [-1j, 1.0]])
-        sol = solve_sdp(SdpProblem(2, np.eye(2), [SdpConstraint(g, GE, 1.0)]))
+        sol = solve_sdp(SdpProblem(np.eye(2), g[None], (GE,), [1.0]))
         assert sol.is_optimal
         (c_psd, a_psd), = seen
         assert c_psd.shape == (2, 2) and a_psd.shape == (1, 2, 2)
@@ -243,10 +241,8 @@ class TestOrthantVariables:
     def _max_t(a):
         # maximize t s.t. Tr(A X) >= t, Tr(X) <= 1: t* = lambda_max(A)
         n = a.shape[0]
-        return SdpProblem(n, np.zeros((n, n)),
-                          [SdpConstraint(a, GE, 0.0, linear=(-1.0,)),
-                           SdpConstraint(np.eye(n), LE, 1.0)],
-                          linear_objective=(-1.0,))
+        return SdpProblem(np.zeros((n, n)), np.stack([a, np.eye(n)]), (GE, LE), [0.0, 1.0],
+                          linear_objective=(-1.0,), linear=[[-1.0], [0.0]])
 
     def test_max_t_real(self):
         g = np.random.default_rng(5).standard_normal((4, 4))
@@ -268,9 +264,8 @@ class TestOrthantVariables:
 
     def test_rejects_mismatched_linear_coefficients(self):
         with pytest.raises(ValueError):
-            SdpProblem(2, np.eye(2), [SdpConstraint(np.eye(2), GE, 1.0,
-                                                    linear=(1.0, 2.0))],
-                       linear_objective=(1.0,))
+            SdpProblem(np.eye(2), np.eye(2)[None], (GE,), [1.0],
+                       linear_objective=(1.0,), linear=[[1.0, 2.0]])
 
 
 class TestWarmStart:
@@ -284,15 +279,17 @@ class TestWarmStart:
         # X_ii <= 1/4, plus 0.5 Tr(objective X); rank two without objective
         rng = np.random.default_rng(1)
         n = cls.N
-        cons = []
+        mats, linear = [], []
         for _ in range(n_rows):
             g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            cons.append(SdpConstraint(np.outer(g, g.conj()), GE, 0.0,
-                                      linear=(-float(rng.uniform(0.5, 2.0)),)))
-        cons.append(SdpConstraint(np.eye(n), LE, 1.0, linear=(0.0,)))
-        cons += [SdpConstraint(np.diag(np.eye(n)[i]), LE, 0.25, linear=(0.0,))
-                 for i in range(n)]
-        return SdpProblem(n, objective, cons, linear_objective=(-1.0,))
+            mats.append(np.outer(g, g.conj()))
+            linear.append([-float(rng.uniform(0.5, 2.0))])
+        mats.append(np.eye(n))
+        mats += [np.diag(np.eye(n)[i]) for i in range(n)]
+        linear += [[0.0]] * (n + 1)
+        return SdpProblem(objective, np.stack(mats), (GE,) * n_rows + (LE,) * (n + 1),
+                          [0.0] * n_rows + [1.0] + [0.25] * n,
+                          linear_objective=(-1.0,), linear=linear)
 
     @staticmethod
     def _assert_kkt(prob, sol):
@@ -301,14 +298,15 @@ class TestWarmStart:
         scale = 1.0 + abs(sol.value)
         s = np.asarray(prob.objective) / 2.0
         s_lin = np.array(prob.linear_objective, dtype=float)
-        for y, con in zip(sol.duals, prob.constraints):
-            trace = float(np.sum(np.conj(con.matrix) * sol.x).real)
-            lhs = trace + float(np.dot(con.linear, sol.u))
-            slack = lhs - con.rhs if con.sense == GE else con.rhs - lhs
-            assert slack >= -1e-6 * max(abs(trace), abs(con.rhs), 1e-300)
-            assert (y if con.sense == GE else -y) >= -1e-6 * scale
-            s = s - y * np.asarray(con.matrix)
-            s_lin = s_lin - y * np.array(con.linear)
+        for y, a, sense, rhs, lin in zip(sol.duals, prob.matrices, prob.sense,
+                                         prob.rhs, prob.linear):
+            trace = float(np.sum(np.conj(a) * sol.x).real)
+            lhs = trace + float(np.dot(lin, sol.u))
+            slack = lhs - rhs if sense == GE else rhs - lhs
+            assert slack >= -1e-6 * max(abs(trace), abs(rhs), 1e-300)
+            assert (y if sense == GE else -y) >= -1e-6 * scale
+            s = s - y * a
+            s_lin = s_lin - y * lin
         assert abs(np.real(np.sum(s.conj() * sol.x))) <= 1e-6 * scale
         assert float(np.linalg.eigvalsh((s + s.conj().T) / 2)[0]) >= -1e-6 * np.linalg.norm(s)
         assert np.all(s_lin >= -1e-6 * scale) and abs(s_lin @ sol.u) <= 1e-6 * scale
@@ -334,40 +332,39 @@ class TestWarmStart:
         with pytest.raises(ValueError):
             solve_sdp(self._problem(np.eye(n), n_rows=4), start=base)
         with pytest.raises(ValueError):
-            solve_sdp(SdpProblem(2, np.eye(2), [SdpConstraint(np.eye(2), GE, 1.0)]),
-                      start=base)
+            solve_sdp(SdpProblem(np.eye(2), np.eye(2)[None], (GE,), [1.0]), start=base)
+
+
+def _lp(objective, rows, sense, rhs):
+    """The LP  minimize objective . u  s.t.  rows u (sense) rhs, u >= 0."""
+    k = len(rhs)
+    return SdpProblem(np.zeros((0, 0)), np.zeros((k, 0, 0)), sense, rhs,
+                      linear_objective=objective, linear=rows)
 
 
 class TestSolveLp:
-    def test_lower_bound_only(self):
-        sol = solve_lp(LpProblem(objective=[1.0], a_ub=[[1.0]], b_ub=[10.0],
-                                 lower_bounds=[3.0]))
-        assert sol.is_optimal
-        assert sol.value == pytest.approx(3.0, abs=1e-8)
+    """LPs: problems of dimension 0."""
 
     def test_two_variable_vertex(self):
         # min -x - y  s.t. x + 2y <= 4, 3x + y <= 6 -> vertex (1.6, 1.2)
-        sol = solve_lp(LpProblem(objective=[-1.0, -1.0],
-                                 a_ub=[[1.0, 2.0], [3.0, 1.0]], b_ub=[4.0, 6.0]))
+        sol = solve_sdp(_lp([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], (LE, LE), [4.0, 6.0]))
         assert sol.is_optimal
-        assert sol.x == pytest.approx([1.6, 1.2], abs=1e-7)
+        assert sol.u == pytest.approx([1.6, 1.2], abs=1e-7)
         assert sol.value == pytest.approx(-2.8, abs=1e-7)
 
     def test_infeasible(self):
-        sol = solve_lp(LpProblem(objective=[1.0, 1.0],
-                                 a_ub=[[1.0, 1.0]], b_ub=[-1.0]))
+        sol = solve_sdp(_lp([1.0, 1.0], [[1.0, 1.0]], (LE,), [-1.0]))
         assert sol.status == INFEASIBLE
 
     def test_unbounded(self):
-        sol = solve_lp(LpProblem(objective=[-1.0], a_ub=[[-1.0]], b_ub=[0.0]))
+        sol = solve_sdp(_lp([-1.0], [[-1.0]], (LE,), [0.0]))
         assert sol.status == UNBOUNDED
 
     def test_equality_rows(self):
-        sol = solve_lp(LpProblem(objective=[1.0, 2.0],
-                                 a_eq=[[1.0, 1.0]], b_eq=[1.0]))
+        sol = solve_sdp(_lp([1.0, 2.0], [[1.0, 1.0]], (EQ,), [1.0]))
         assert sol.is_optimal
         assert sol.value == pytest.approx(1.0, abs=1e-8)
-        assert sol.x == pytest.approx([1.0, 0.0], abs=1e-7)
+        assert sol.u == pytest.approx([1.0, 0.0], abs=1e-7)
 
     def test_vertex_enumeration_oracle(self):
         rng = np.random.default_rng(14)
@@ -389,10 +386,66 @@ class TestSolveLp:
                 x = np.linalg.solve(sub, rhs_all[list(active)])
                 if np.all(rows_all @ x <= rhs_all + 1e-9):
                     best = min(best, float(c @ x))
-            sol = solve_lp(LpProblem(objective=c, a_ub=a_rows, b_ub=b_rows),
-                           Tolerances(rel_gap=1e-11, feasibility=1e-11))
+            sol = solve_sdp(_lp(c, a_rows, (LE,) * len(b_rows), b_rows),
+                            Tolerances(rel_gap=1e-11, feasibility=1e-11))
             assert sol.is_optimal, f"trial {trial}"
             assert sol.value == pytest.approx(best, abs=1e-8 * (1 + abs(best)))
+
+
+class TestProblemForm:
+    """The stacked-row problem form and its senses."""
+
+    def test_rejects_unknown_sense(self):
+        with pytest.raises(ValueError, match="sense"):
+            SdpProblem(np.eye(2), np.eye(2)[None], ("=>",), [1.0])
+
+    @pytest.mark.parametrize("field", ["rhs", "sense", "linear"])
+    def test_rejects_row_count_mismatch(self, field):
+        rows = {"rhs": [1.0, 2.0], "sense": (GE, LE), "linear": [[0.0], [0.0]]}
+        rows[field] = rows[field][:1]
+        with pytest.raises(ValueError):
+            SdpProblem(np.eye(2), np.stack([np.eye(2), np.eye(2)]), rows["sense"],
+                       rows["rhs"], linear_objective=(1.0,), linear=rows["linear"])
+
+    @pytest.mark.parametrize("field", ["objective", "matrices", "rhs",
+                                       "linear_objective", "linear"])
+    def test_rejects_non_finite_data(self, field):
+        data = {"objective": np.eye(2), "matrices": np.eye(2)[None], "rhs": [1.0],
+                "linear_objective": [1.0], "linear": [[1.0]]}
+        data[field] = np.full(np.shape(data[field]), np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            SdpProblem(data["objective"], data["matrices"], (GE,), data["rhs"],
+                       linear_objective=data["linear_objective"], linear=data["linear"])
+
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_equality_row_on_psd_block(self, complex_data):
+        # minimize Tr X s.t. Tr(A X) = b: X = (b / lambda_max) v v^H
+        rng = np.random.default_rng(16)
+        g = rng.standard_normal((4, 4))
+        if complex_data:
+            g = g + 1j * rng.standard_normal((4, 4))
+        a = g @ g.conj().T
+        sol = solve_sdp(SdpProblem(2.0 * np.eye(4), a[None], (EQ,), [3.0]))
+        assert sol.is_optimal
+        assert sol.value == pytest.approx(3.0 / np.linalg.eigvalsh(a)[-1], rel=1e-6)
+        assert float(np.sum(a.conj() * sol.x).real) == pytest.approx(3.0, rel=1e-7)
+
+    def test_one_slack_column_per_inequality_row(self, monkeypatch):
+        # +1 for a <= row, -1 for a >= row, none for an == row
+        seen = []
+        solve = kernel.solve_mixed_cone
+
+        def spy(**kwargs):
+            seen.append(kwargs["a_lin"])
+            return solve(**kwargs)
+
+        monkeypatch.setattr(kernel, "solve_mixed_cone", spy)
+        sol = solve_sdp(_lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                            (LE, GE, EQ), [2.0, 0.5, 1.5]))
+        assert sol.is_optimal and sol.value == pytest.approx(1.5, abs=1e-8)
+        a_lin, = seen
+        assert a_lin.shape == (3, 4)
+        assert np.sign(a_lin[:, 2:]).tolist() == [[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]]
 
 
 class TestEigUtilities:
@@ -430,12 +483,11 @@ class TestEigUtilities:
 
 
 class TestTraceLog:
-    def test_iterate_dump(self):
-        import io
-        buf = io.StringIO()
-        prob = SdpProblem(2, np.eye(2), [SdpConstraint(np.eye(2), GE, 1.0)])
-        sol = solve_sdp(prob, trace=buf)
+    def test_iterate_dump(self, caplog):
+        prob = SdpProblem(np.eye(2), np.eye(2)[None], (GE,), [1.0])
+        with caplog.at_level(logging.DEBUG, logger="magbeam"):
+            sol = solve_sdp(prob)
         assert sol.is_optimal
-        lines = buf.getvalue().strip().splitlines()
+        lines = [r.getMessage() for r in caplog.records]
         assert len(lines) == sol.iterations
         assert "pobj" in lines[0] and "mu" in lines[0]
