@@ -13,7 +13,8 @@ Everything is dense.  Per iteration: the NT scaling (two Choleskys and an
 SVD give r with r^-1 X r^-H = r^H Z r = diag(d), W = r r^H); the Schur
 complement as a batched matmul W A_i W and one real GEMM of the (k, n^2)
 data against it; one Cholesky of it, shared by predictor and corrector;
-step lengths from lambda_min of each direction in the NT frame.
+step lengths from lambda_min of the primal and dual directions in the NT
+frame, one batched eigvalsh per step.
 ``beamforming.solve_p0_sdr`` with peaks, 4 receivers and N chargers
 (k = 2N + 5 rows), one OpenBLAS thread on a 2-vCPU Xeon VM, in ms:
 
@@ -69,7 +70,7 @@ class KernelResult:
 
 
 def _sym(m):
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _flat(m):
@@ -79,14 +80,17 @@ def _flat(m):
 
 
 def _max_step_psd(d, ds):
-    """Largest alpha with diag(d) + alpha*ds PSD (d > 0: an NT-frame iterate)."""
-    if d.size == 0:
-        return np.inf
-    s = 1.0 / np.sqrt(d)
-    lam = np.linalg.eigvalsh(_sym(ds * np.outer(s, s)))[0]
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
+    """Largest alpha with diag(d) + alpha*ds PSD (d > 0: an NT-frame iterate).
+
+    ``ds`` is one matrix or a stack (..., n, n) sharing one batched eigvalsh;
+    returns a float, or an array over the stack.
+    """
+    step = np.full(ds.shape[:-2], np.inf)
+    if d.size:
+        s = 1.0 / np.sqrt(d)
+        lam = np.linalg.eigvalsh(_sym(ds * np.outer(s, s)))[..., 0]
+        np.divide(-1.0, lam, out=step, where=~(lam >= -1e-14))
+    return step if step.ndim else float(step)
 
 
 def _max_step_pos(v, dv):
@@ -291,8 +295,9 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
         # predictor (affine scaling) direction
         dx_a, du_a, dy_a, dzp_a, dzl_a = directions(-x, -u)
         ddx, ddz = nt_frame(dx_a, dzp_a)
-        ap_aff = min(1.0, min(_max_step_psd(d_spec, ddx), _max_step_pos(u, du_a)))
-        ad_aff = min(1.0, min(_max_step_psd(d_spec, ddz), _max_step_pos(z_lin, dzl_a)))
+        step_x, step_z = _max_step_psd(d_spec, np.stack((ddx, ddz)))
+        ap_aff = min(1.0, min(step_x, _max_step_pos(u, du_a)))
+        ad_aff = min(1.0, min(step_z, _max_step_pos(z_lin, dzl_a)))
         gap_aff = inner(x + ap_aff * dx_a, z_psd + ad_aff * dzp_a) \
             + (u + ap_aff * du_a) @ (z_lin + ad_aff * dzl_a)
         mu_aff = max(gap_aff, 0.0) / degree
@@ -308,11 +313,9 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
         v_lin = (sigma * mu - u * z_lin - du_a * dzl_a) / z_lin
 
         dx, du, dy, dz_psd, dz_lin = directions(v_psd, v_lin)
-        ddx, ddz = nt_frame(dx, dz_psd)
-        alpha_p = min(1.0, _STEP_FRACTION * min(_max_step_psd(d_spec, ddx),
-                                                _max_step_pos(u, du)))
-        alpha_d = min(1.0, _STEP_FRACTION * min(_max_step_psd(d_spec, ddz),
-                                                _max_step_pos(z_lin, dz_lin)))
+        step_x, step_z = _max_step_psd(d_spec, np.stack(nt_frame(dx, dz_psd)))
+        alpha_p = min(1.0, _STEP_FRACTION * min(step_x, _max_step_pos(u, du)))
+        alpha_d = min(1.0, _STEP_FRACTION * min(step_z, _max_step_pos(z_lin, dz_lin)))
         if alpha_p < _MIN_STEP and alpha_d < _MIN_STEP:
             stall += 1
             if stall >= 2:

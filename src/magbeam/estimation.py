@@ -9,8 +9,8 @@ receiver-current matrix (perfect feedback) or by a least-squares fit that
 stays real-valued by construction (noisy feedback).
 
 The Monte-Carlo runs keyed chunks of 8192 trials on real arrays, trial axis
-last, while one background thread draws the next chunk's noise: a 1e5-trial
-LS row takes about 0.18 s and a 4e5-trial pairwise row 0.36 s (2-vCPU Xeon).
+last, while two worker threads draw and stage the next chunks: a 1e5-trial
+LS row takes about 0.13 s and a 4e5-trial pairwise row 0.21 s (2-vCPU Xeon).
 """
 
 import csv
@@ -196,13 +196,14 @@ def estimate_perfect(record: TrainingRecord) -> EstimationResult:
                             normalized_mse=_normalized_mse(record.scenario, m_hat))
 
 
-def _ls_normal_equations(g, z_t):
+def _ls_normal_equations(g, z_t, out=None):
     """Real LS normal equations ``M Re(Z Z^H) = Re(G Z^H)`` of a batch of c feedbacks.
 
-    ``z_t`` is (Re, Im) of Z, (2, c, Q, T); returns [Gram; rhs], (Q + N, Q, c).
+    ``z_t`` is (Re, Im) of Z, (2, c, Q, T); returns [Gram; rhs], (Q + N, Q, c),
+    written into ``out`` when given.
     """
     q = z_t.shape[2]
-    aug = np.empty((q + g.shape[0], q, z_t.shape[1]))
+    aug = np.empty((q + g.shape[0], q, z_t.shape[1])) if out is None else out
     for i in range(q):
         aug[q:, i] = g.real @ z_t[0, :, i].T + g.imag @ z_t[1, :, i].T
         for j in range(i + 1):
@@ -286,11 +287,18 @@ def _pairwise_estimates(scenario, i_tx, v, noisy):
     """Pairwise estimates (N, Q, c) from noisy RX currents as (Re, Im), (2, N, Q, c).
 
     ``Re(a / (j w i)) = Im(a conj(i)) / (w |i|^2)``; ``a = r_n i_tx - v`` is real.
+    Computed in place: the estimates overwrite ``noisy[0]``.
     """
     a = (scenario.tx_resistance[:, None] * i_tx - v)[..., None]
+    n0, n1 = noisy
+    num = np.multiply(-a, n1)
+    np.square(noisy, out=noisy)
+    n0 += n1
+    n0 *= scenario.omega
     with np.errstate(divide="ignore", invalid="ignore"):
-        m_hat = -a * noisy[1] / (scenario.omega * (noisy[0] ** 2 + noisy[1] ** 2))
-    return np.where(np.isfinite(m_hat), m_hat, 0.0)
+        m_hat = np.divide(num, n0, out=n0)
+    m_hat[~np.isfinite(m_hat)] = 0.0
+    return m_hat
 
 
 def estimate_pairwise_benchmark(scenario: Scenario, snr_db: float, seed: int = 0,
@@ -320,8 +328,12 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
 
     Each chunk of ``_CHUNK`` trials draws from its own stream keyed by (seed,
     SNR index, chunk index), so results are reproducible and do not depend
-    on the order in which chunks are processed.  A ``perfect`` row, and any
-    row at an infinite SNR, is one noiseless estimate (``trials`` 1).
+    on the order in which chunks are processed.  Two worker threads each
+    draw a chunk and stage the estimator's input in the buffers of the
+    chunk's parity; once the calling thread has finished a chunk, its
+    buffers pass to the chunk two ahead, which may open the next SNR row.
+    A ``perfect`` row, and any row at an infinite SNR, is one noiseless
+    estimate (``trials`` 1).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -335,54 +347,59 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
             for snr_db in snr_db_list]
     from concurrent.futures import ThreadPoolExecutor  # here: `import magbeam` skips its 7 ms
     ls = estimator == "ls"
+    v = protocol.active_voltage
     shape = (scenario.n_rx, protocol.n_slots) if ls else m.shape
+    staged_shape = (scenario.n_rx + scenario.n_tx, scenario.n_rx) if ls else (2,) + m.shape
     counts = [min(_CHUNK, trials - start) for start in range(0, trials, _CHUNK)]
-    buffers = [np.empty(2 * counts[0] * math.prod(shape)) for _ in range(2)]
+    # allocated on this thread: a worker's freed arrays would stay in its own malloc arena
+    buffers = [[np.empty(counts[0] * math.prod(s)) for s in ((2,) + shape, staged_shape)]
+               for _ in range(2)]
+    setups = []   # per SNR: its value, noise scale, clean (Re, Im), G (LS) or i_tx (pairwise)
+    for snr_db in snr_db_list:
+        if ls:
+            record = simulate_training(scenario, protocol, snr_db)
+            estimate_ls(record)   # EstimationError on a rank-deficient Gram
+            sigma2, clean, known = record.sigma2, record.z[None], record.g
+        else:
+            known, i_rx, sigma2 = _pairwise_setup(scenario, snr_db, v)
+            clean = i_rx[..., None]
+        setups.append((float(snr_db), math.sqrt(sigma2 / 2.0),
+                       np.stack([clean.real, clean.imag]), known))
 
-    def draw(snr_idx, k):   # on the helper thread, into chunk k's buffer
-        out = buffers[k % 2][:2 * counts[k] * math.prod(shape)].reshape((2, counts[k]) + shape)
-        return np.random.default_rng([int(seed), snr_idx, k]).standard_normal(out=out)
+    def stage(j, i, k, count):   # on a worker: chunk k of SNR i into the buffers of parity j % 2
+        _, s, clean, known = setups[i]
+        noise, out = buffers[j % 2]
+        noise = noise[:2 * count * math.prod(shape)].reshape((2, count) + shape)
+        out = out[:count * math.prod(staged_shape)].reshape(staged_shape + (count,))
+        np.random.default_rng([int(seed), i, k]).standard_normal(out=noise)
+        noisy = noise if ls else out   # LS in place: its Gram einsums put the trial axis last
+        np.multiply(noise if ls else noise.transpose(0, 2, 3, 1), s, out=noisy)
+        noisy += clean
+        return _ls_normal_equations(known, noisy, out=out) if ls else noisy
 
+    # an infinite SNR is one trial with zero noise: the noiseless estimate
+    jobs = [(i, k, count) for i, (_, s, _, _) in enumerate(setups)
+            for k, count in enumerate(counts if s > 0.0 else [1])]
     rows = []
-    with ThreadPoolExecutor(1) as pool:
-        for snr_idx, snr_db in enumerate(snr_db_list):
-            if ls:
-                record = simulate_training(scenario, protocol, snr_db)
-                estimate_ls(record)   # EstimationError on a rank-deficient Gram
-                sigma2, clean = record.sigma2, record.z[None]
-            else:
-                i_tx, i_rx, sigma2 = _pairwise_setup(scenario, snr_db, protocol.active_voltage)
-                clean = i_rx[..., None]
-            clean = np.stack([clean.real, clean.imag])
-
-            def squared_errors(noisy):
-                m_hat = (_ls_estimates(_ls_normal_equations(record.g, noisy)) if ls else
-                         _pairwise_estimates(scenario, i_tx, protocol.active_voltage, noisy))
-                m_hat -= m[..., None]
-                return np.einsum("nqc,nqc->c", m_hat, m_hat)
-
-            if sigma2 == 0.0:   # an infinite SNR: every trial is this noiseless one
-                mse = squared_errors(clean)
-            else:
-                s = math.sqrt(sigma2 / 2.0)
-                mse = np.empty(trials)   # squared errors until normalized
-                pending = pool.submit(draw, snr_idx, 0)
-                for k, count in enumerate(counts):
-                    noise = pending.result()
-                    if k + 1 < len(counts):
-                        pending = pool.submit(draw, snr_idx, k + 1)
-                    if ls:   # in place; the Gram einsums put the trial axis last
-                        noisy = np.multiply(noise, s, out=noise)
-                    else:    # a trial-last copy
-                        noisy = np.multiply(noise.transpose(0, 2, 3, 1), s,
-                                            out=np.empty((2,) + shape + (count,)))
-                    noisy += clean
-                    mse[k * _CHUNK:k * _CHUNK + count] = squared_errors(noisy)
-            mse /= float(np.sum(m ** 2))
-            n = mse.size
-            rows.append(MseRow(float(snr_db), float(mse.mean()),
-                               float(mse.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-                               n, estimator, protocol.n_slots if ls else m.size))
+    with ThreadPoolExecutor(2) as pool:
+        pending = [pool.submit(stage, j, *job) for j, job in enumerate(jobs[:2])]
+        for j, (i, k, count) in enumerate(jobs):
+            snr_db, s, _, known = setups[i]
+            staged = pending.pop(0).result()
+            m_hat = _ls_estimates(staged) if ls else \
+                _pairwise_estimates(scenario, known, v, staged)
+            m_hat -= m[..., None]
+            if k == 0:
+                mse = np.empty(trials if s > 0.0 else 1)   # squared errors until normalized
+            mse[k * _CHUNK:k * _CHUNK + count] = np.einsum("nqc,nqc->c", m_hat, m_hat)
+            if j + 2 < len(jobs):   # both buffers of this parity are free only now
+                pending.append(pool.submit(stage, j + 2, *jobs[j + 2]))
+            if k * _CHUNK + count == mse.size:
+                mse /= float(np.sum(m ** 2))
+                n = mse.size
+                rows.append(MseRow(snr_db, float(mse.mean()),
+                                   float(mse.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+                                   n, estimator, protocol.n_slots if ls else m.size))
     return rows
 
 

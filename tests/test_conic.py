@@ -234,6 +234,27 @@ class TestStepLength:
         assert unbounded >= 20
 
 
+class TestBatchedStep:
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_stack_matches_per_matrix(self, complex_data):
+        # one batched eigvalsh gives each matrix's step bit for bit; the
+        # PSD directions in the stack are unbounded
+        rng = np.random.default_rng(15)
+        for n in (1, 2, 5, 8):
+            h = rng.standard_normal((2, 3, n, n))
+            if complex_data:
+                h = h + 1j * rng.standard_normal((2, 3, n, n))
+            h[0, 0] = h[0, 0] @ h[0, 0].conj().T
+            d = rng.uniform(0.1, 3.0, n)
+            steps = _max_step_psd(d, h)
+            expected = [[_max_step_psd(d, m) for m in row] for row in h]
+            assert steps.shape == (2, 3)
+            assert np.array_equal(steps, expected)
+            assert steps[0, 0] == math.inf
+        assert np.array_equal(_max_step_psd(np.zeros(0), np.zeros((2, 0, 0))),
+                              [math.inf, math.inf])
+
+
 class TestOrthantVariables:
     """SDPs joined by nonnegative scalar variables (one kernel call)."""
 

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import random_scenario
+from magbeam import estimation
 from magbeam.circuit import Scenario
 from magbeam.errors import EstimationError
 from magbeam.estimation import (_CHUNK, BLOCK_SINGLE_TX, DRIVEN_ZERO,
@@ -253,7 +256,7 @@ class TestSameDraws:
         return np.real((scenario.tx_resistance[:, None] * i_tx - v)
                        / (1j * scenario.omega * noisy))
 
-    def _reference_mse(self, scenario, estimator, protocol, snr_db, trials, seed):
+    def _reference_mse(self, scenario, estimator, protocol, snr_db, trials, seed, snr_idx=0):
         m = scenario.mutual_tx_rx
         v = protocol.active_voltage
         if estimator == "ls":
@@ -263,7 +266,7 @@ class TestSameDraws:
             i_tx, clean, sigma2 = self._pairwise(scenario, v, snr_db)
         sq_errors = []
         for chunk_idx, start in enumerate(range(0, trials, _CHUNK)):
-            rng = np.random.default_rng([seed, 0, chunk_idx])
+            rng = np.random.default_rng([seed, snr_idx, chunk_idx])
             count = min(_CHUNK, trials - start)
             noisy = clean + self._complex_noise(rng, (count,) + clean.shape, sigma2)
             if estimator == "ls":
@@ -288,6 +291,22 @@ class TestSameDraws:
         assert row.mse == pytest.approx(mse, rel=1e-12)
         assert row.stderr == pytest.approx(stderr, rel=1e-12)
 
+    @pytest.mark.parametrize("estimator", ["ls", "pairwise"])
+    @pytest.mark.parametrize("trials", [100, 2 * _CHUNK, 2 * _CHUNK + 17],
+                             ids=["one_chunk", "two_chunks", "three_chunks"])
+    def test_pipeline_matches_complex_reference(self, tabletop, estimator, trials):
+        # three chunks a row use both buffer parities and stage the second
+        # row's first chunk, keyed by SNR index 1, before the first row ends
+        proto = TrainingProtocol(n_slots=10, seed=3)
+        snrs = [25.0, 35.0]
+        rows = monte_carlo_mse(tabletop, estimator, proto, snrs, trials=trials, seed=3)
+        for snr_idx, (row, snr_db) in enumerate(zip(rows, snrs)):
+            mse, stderr = self._reference_mse(tabletop, estimator, proto, snr_db, trials,
+                                              3, snr_idx)
+            assert (row.snr_db, row.trials) == (snr_db, trials)
+            assert row.mse == pytest.approx(mse, rel=1e-12)
+            assert row.stderr == pytest.approx(stderr, rel=1e-12)
+
     def test_training_feedback_bit_identical(self, tabletop):
         record = simulate_training(tabletop, TrainingProtocol(n_slots=10, seed=4), 20.0)
         rng = np.random.default_rng([4, 0x7632])
@@ -301,3 +320,70 @@ class TestSameDraws:
         expect = self._pairwise_m_hat(tabletop, i_tx, 0.75, noisy)
         m_hat = estimate_pairwise_benchmark(tabletop, 20.0, seed=5).m_hat
         np.testing.assert_allclose(m_hat, expect, rtol=1e-12, atol=0.0)
+
+
+class TestPipelineThreads:
+    """The Monte-Carlo's two noise-drawing workers: failures and thread count."""
+
+    proto = TrainingProtocol(n_slots=10, seed=3)
+
+    def _spy(self, monkeypatch, fail_on=None):
+        # wraps the LS solve run on the calling thread once per chunk; the
+        # single-trial solve of estimate_ls is not a chunk
+        original = estimation._ls_estimates
+        threads = []
+
+        def spy(aug):
+            if aug.shape[-1] > 1:
+                threads.append(threading.active_count())
+                if len(threads) == fail_on:
+                    raise RuntimeError("chunk failed")
+            return original(aug)
+
+        monkeypatch.setattr(estimation, "_ls_estimates", spy)
+        return threads
+
+    def test_error_propagates_and_workers_exit(self, tabletop, monkeypatch):
+        before = threading.active_count()
+        self._spy(monkeypatch, fail_on=2)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            monte_carlo_mse(tabletop, "ls", self.proto, [25.0], trials=4 * _CHUNK, seed=3)
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        row = monte_carlo_mse(tabletop, "ls", self.proto, [25.0], trials=_CHUNK + 17,
+                              seed=3)[0]
+        mse, _ = TestSameDraws()._reference_mse(tabletop, "ls", self.proto, 25.0,
+                                                _CHUNK + 17, 3)
+        assert row.mse == pytest.approx(mse, rel=1e-12)
+
+    def test_at_most_two_worker_threads(self, tabletop, monkeypatch):
+        before = threading.active_count()
+        threads = self._spy(monkeypatch)
+        monte_carlo_mse(tabletop, "ls", self.proto, [25.0, 35.0], trials=3 * _CHUNK, seed=3)
+        assert len(threads) == 6
+        assert max(threads) <= before + 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("estimator", ["ls", "pairwise"])
+    def test_concurrent_calls_under_fast_switching(self, tabletop, estimator):
+        # three calls at once run six workers on their own buffers; a chunk
+        # staged into a buffer still in use would change the rows
+        args = (tabletop, estimator, self.proto, [25.0, 35.0])
+        expect = monte_carlo_mse(*args, trials=2 * _CHUNK + 17, seed=3)
+        results = [None] * 3
+
+        def run(idx):
+            results[idx] = monte_carlo_mse(*args, trials=2 * _CHUNK + 17, seed=3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(idx,)) for idx in range(3)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [expect] * 3
