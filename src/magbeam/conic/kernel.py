@@ -9,18 +9,25 @@ Solves the standard-form problem
 
 with an infeasible start, Nesterov-Todd scaling of the PSD block and a
 Mehrotra predictor-corrector step, as in SDPT3 (Toh, Todd & Tutuncu 1999).
-Everything is dense.  Per iteration: the NT scaling (two Choleskys and an
-SVD give r with r^-1 X r^-H = r^H Z r = diag(d), W = r r^H); the Schur
-complement as a batched matmul W A_i W and one real GEMM of the (k, n^2)
-data against it; one Cholesky of it, shared by predictor and corrector;
-step lengths from lambda_min of the primal and dual directions in the NT
-frame, one batched eigvalsh per step.
+Everything is dense.  Per iteration: the NT scaling (one batched Cholesky of
+X and Z and an SVD give r with r^-1 X r^-H = r^H Z r = diag(d), W = r r^H);
+the Schur complement as a batched matmul W A_i W and one real GEMM of the
+(k, n^2) data against it; a Cholesky of it as the positive-definiteness test,
+then one LU solve of it per direction; step lengths from lambda_min of both
+directions in the NT frame, one batched eigvalsh per step.  The factor's
+explicit inverse, applied twice, would be cheaper but rounds worse late in a
+solve: with it 6 of the 11 P0 maximizations that solve on the bench's
+16-charger tables ended numerical_failure.  At small n an iteration costs its
+~100 NumPy calls, not arithmetic.  The earlier kernel solved with the factor
+by two general LU solves and symmetrized every direction and step matrix; at
+n = 5 (two-user region sweep: 13 rows, 14 orthant columns) it took 463 us
+per iteration, this one 353 us (medians of 30 in-process alternations).
 ``beamforming.solve_p0_sdr`` with peaks, 4 receivers and N chargers
 (k = 2N + 5 rows), one OpenBLAS thread on a 2-vCPU Xeon VM, in ms:
 
     N                     5    10    20     30    64
-    single-loop Schur    53    95  1408  12202     -
-    GEMM Schur           42    27    44    231  2751  (49/28/28/39/55 iterations)
+    earlier kernel     19.0  15.7  31.9    130  1599
+    this kernel        13.9  11.9  25.9    123  1535  (49/28/28/39/55 iterations)
 
 At N = 30 forming the Schur complement is a third of the solve; with the
 constraints' rank-one factors it would cost O(k n^2 + k^2 n), not O(k^2 n^2).
@@ -29,6 +36,7 @@ The dual is  max b.y  s.t.  sum_i y_i A_i + Z = C (Z PSD),
 a_lin^T y + z = c (z >= 0).  X is real or complex as its data are.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,13 +90,14 @@ def _flat(m):
 def _max_step_psd(d, ds):
     """Largest alpha with diag(d) + alpha*ds PSD (d > 0: an NT-frame iterate).
 
-    ``ds`` is one matrix or a stack (..., n, n) sharing one batched eigvalsh;
-    returns a float, or an array over the stack.
+    ``ds`` is one Hermitian matrix or a stack (..., n, n) of them sharing one
+    batched eigvalsh, which reads only their lower triangles; returns a
+    float, or an array over the stack.
     """
     step = np.full(ds.shape[:-2], np.inf)
     if d.size:
         s = 1.0 / np.sqrt(d)
-        lam = np.linalg.eigvalsh(_sym(ds * np.outer(s, s)))[..., 0]
+        lam = np.linalg.eigvalsh(ds * (s[:, None] * s))[..., 0]
         np.divide(-1.0, lam, out=step, where=~(lam >= -1e-14))
     return step if step.ndim else float(step)
 
@@ -111,8 +120,7 @@ def _nt_scaling(x, z):
     Returns (r, r_inv, d) with r^{-1} x r^{-H} = r^H z r = diag(d) and the
     scaling matrix w = r r^H satisfying w z w = x.
     """
-    lx = np.linalg.cholesky(x)
-    lz = np.linalg.cholesky(z)
+    lx, lz = np.linalg.cholesky(np.array((x, z)))
     uu, ss, vvh = np.linalg.svd(lz.conj().T @ lx)
     sqrt_s = np.sqrt(ss)
     r = lx @ (vvh.conj().T / sqrt_s)
@@ -121,16 +129,24 @@ def _nt_scaling(x, z):
 
 
 def _factor_normal(m):
-    """Solver for the (nominally SPD) normal matrix: one factor, escalating jitter."""
-    n = m.shape[0]
-    base = np.max(np.abs(np.diag(m))) if n else 1.0
+    """Solver for the (nominally SPD) normal matrix, with escalating jitter.
+
+    A Cholesky only tests m + jitter*I; each right-hand side is one LU solve.
+    """
     jitter = 0.0
     for _ in range(6):
+        shifted = m + jitter * np.eye(len(m)) if jitter else m
         try:
-            ell = np.linalg.cholesky(m + jitter * np.eye(n))
-            return lambda rhs: np.linalg.solve(ell.T, np.linalg.solve(ell, rhs))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            jitter = max(base * 1e-14, jitter * 100.0) if jitter else base * 1e-14
+            jitter = jitter * 100.0 if jitter else np.max(np.abs(np.diag(m))) * 1e-14
+            continue
+        if jitter:
+            import logging
+            logging.getLogger("magbeam.conic").debug("normal matrix needs jitter %.1e", jitter)
+        return lambda rhs: np.linalg.solve(shifted, rhs)
+    import logging
+    logging.getLogger("magbeam.conic").debug("normal matrix not factored: least squares")
     return lambda rhs: np.linalg.lstsq(m, rhs, rcond=None)[0]
 
 
@@ -175,13 +191,10 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
     degree = weight * n + p
 
     def inner(m1, m2):
-        return weight * np.sum(m1.conj() * m2).real if n else 0.0
+        return weight * np.vdot(m1, m2).real
 
-    def norm_psd2(m):
-        return weight * np.linalg.norm(m) ** 2
-
-    norm_b = 1.0 + np.linalg.norm(b)
-    norm_c = 1.0 + np.sqrt(norm_psd2(c_psd) + np.linalg.norm(c_lin) ** 2)
+    norm_b = 1.0 + math.sqrt(b @ b)
+    norm_c = 1.0 + math.sqrt(inner(c_psd, c_psd) + c_lin @ c_lin)
 
     rho_p = max(1.0, float(np.max(np.abs(b))))
     rho_d = max(1.0, float(np.max(np.abs(c_psd), initial=0.0)),
@@ -196,17 +209,27 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
                 or (dtype is float and np.iscomplexobj(start[0])):
             raise ValueError("start iterate does not match the problem")
         x, u, _, z_psd, z_lin = start
-        x, z_psd = (_interior(np.asarray(m, dtype=dtype)) for m in (x, z_psd))
+        x, z_psd = (_interior(_sym(np.asarray(m, dtype=dtype))) for m in (x, z_psd))
         u, z_lin = (_interior(np.asarray(m, dtype=float)) for m in (u, z_lin))
     y = np.zeros(k)
 
-    # an empty orthant block (p = 0) contributes exact zeros below; an empty
-    # PSD block (n = 0, an LP) skips the PSD work
+    # an empty block (p = 0, or n = 0 for an LP) contributes exact zeros
     def a_op(xm, uv):
-        return a_lin @ uv + (weight * (a_flat @ _flat(xm)) if n else 0.0)
+        return a_lin @ uv + weight * (a_flat @ _flat(xm))
 
     def at_op(yv):
         return (yv @ a_flat).view(dtype).reshape(n, n), a_lin.T @ yv
+
+    def residuals(x, u, y, z_psd, z_lin):
+        # residuals, objectives, relative gap and scaled infeasibilities
+        r_p = b - a_op(x, u)
+        aty_psd, aty_lin = at_op(y)
+        r_d_psd, r_d_lin = c_psd - aty_psd - z_psd, c_lin - aty_lin - z_lin
+        pobj, dobj = inner(c_psd, x) + c_lin @ u, b @ y
+        return (r_p, r_d_psd, r_d_lin, pobj, dobj,
+                float(abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))),
+                math.sqrt(r_p @ r_p) / norm_b,
+                math.sqrt(inner(r_d_psd, r_d_psd) + r_d_lin @ r_d_lin) / norm_c)
 
     import logging  # here: `import magbeam` skips its 5 ms
     log = logging.getLogger("magbeam.conic")
@@ -216,17 +239,9 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
-        r_p = b - a_op(x, u)
-        aty_psd, aty_lin = at_op(y)
-        r_d_psd = c_psd - aty_psd - z_psd
-        r_d_lin = c_lin - aty_lin - z_lin
-
+        r_p, r_d_psd, r_d_lin, pobj, dobj, rel_gap, p_inf, d_inf = \
+            residuals(x, u, y, z_psd, z_lin)
         mu = (inner(x, z_psd) + u @ z_lin) / degree
-        pobj = inner(c_psd, x) + c_lin @ u
-        dobj = b @ y
-        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        p_inf = np.linalg.norm(r_p) / norm_b
-        d_inf = np.sqrt(norm_psd2(r_d_psd) + np.linalg.norm(r_d_lin) ** 2) / norm_c
         if debug:
             log.debug("iter %3d  pobj % .9e  dobj % .9e  pinf %.2e  dinf %.2e  mu %.2e",
                       it, pobj, dobj, p_inf, d_inf, mu)
@@ -237,9 +252,8 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
 
         # Farkas certificate of primal infeasibility: find y with b.y > 0 and
         # -A^*(y) in the dual cone.
-        bty = dobj
-        if bty > feas_tol:
-            s_cand, v_cand = at_op(y / bty)
+        if dobj > feas_tol:
+            s_cand, v_cand = at_op(y / dobj)
             viol = 0.0
             ref = 1.0
             if n:
@@ -254,80 +268,71 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
                 break
 
         # improving-ray certificate of unboundedness
-        ray_scale = weight * np.trace(x).real + np.sum(u)
+        ray_scale = weight * x.trace().real + u.sum()
         if ray_scale > 0 and pobj / ray_scale < -max(1e-6, 100 * feas_tol) and \
-                np.linalg.norm(a_op(x, u)) / ray_scale <= feas_tol:
+                np.linalg.norm(b - r_p) / ray_scale <= feas_tol:
             status = UNBOUNDED
             break
 
-        # NT scalings
-        if n:
-            try:
-                r_mat, r_inv, d_spec = _nt_scaling(x, z_psd)
-            except np.linalg.LinAlgError:
-                status = NUMERICAL_FAILURE
-                break
-            w_mat = r_mat @ r_mat.conj().T
-            wrw = w_mat @ r_d_psd @ w_mat
-            gram = weight * (a_flat @ _flat(w_mat @ a_psd @ w_mat).T)
-        else:
-            r_mat = r_inv = w_mat = wrw = np.zeros((0, 0))
-            d_spec = np.zeros(0)
-            gram = np.zeros((k, k))
+        # NT scaling; ``frame`` maps a stack (dx, dz) into the frame where x
+        # and z_psd are both diag(d_spec)
+        try:
+            r_mat, r_inv, d_spec = _nt_scaling(x, z_psd) if n else (x, x, np.zeros(0))
+        except np.linalg.LinAlgError:
+            break
+        r_h = r_mat.conj().T
+        frame = np.array((r_inv, r_h))
+        frame_h = frame.conj().swapaxes(-1, -2)
+        w_mat = r_mat @ r_h
+        wrw = w_mat @ r_d_psd @ w_mat
+        gram = weight * (a_flat @ _flat(w_mat @ a_psd @ w_mat).T)
         d_lin = u / z_lin
         solve_normal = _factor_normal(gram + (a_lin * d_lin) @ a_lin.T)
 
         def directions(v_psd, v_lin):
-            rhs = r_p - (weight * (a_flat @ _flat(v_psd - wrw)) if n else 0.0)
+            rhs = r_p - weight * (a_flat @ _flat(v_psd - wrw))
             dy = solve_normal(rhs - a_lin @ (v_lin - d_lin * r_d_lin))
             dz_psd_, dz_lin_ = at_op(dy)
-            dz_psd_ = _sym(r_d_psd - dz_psd_) if n else dz_psd_
+            # Hermitian up to rounding: both terms are; z_psd's update symmetrizes
+            dz_psd_ = r_d_psd - dz_psd_
             dz_lin_ = r_d_lin - dz_lin_
-            dx_ = _sym(v_psd - w_mat @ dz_psd_ @ w_mat) if n else v_psd
-            return dx_, v_lin - d_lin * dz_lin_, dy, dz_psd_, dz_lin_
-
-        def nt_frame(dx_, dz_):
-            # PSD directions where x and z_psd are both diag(d_spec)
-            if not n:
-                return dx_, dz_
-            return r_inv @ dx_ @ r_inv.conj().T, r_mat.conj().T @ dz_ @ r_mat
+            dx_ = _sym(v_psd - w_mat @ dz_psd_ @ w_mat)
+            return np.array((dx_, dz_psd_)), v_lin - d_lin * dz_lin_, dy, dz_lin_
 
         # predictor (affine scaling) direction
-        dx_a, du_a, dy_a, dzp_a, dzl_a = directions(-x, -u)
-        ddx, ddz = nt_frame(dx_a, dzp_a)
-        step_x, step_z = _max_step_psd(d_spec, np.stack((ddx, ddz)))
+        dxz_a, du_a, _, dzl_a = directions(-x, -u)
+        ddxz = frame @ dxz_a @ frame_h
+        step_x, step_z = _max_step_psd(d_spec, ddxz)
         ap_aff = min(1.0, min(step_x, _max_step_pos(u, du_a)))
         ad_aff = min(1.0, min(step_z, _max_step_pos(z_lin, dzl_a)))
-        gap_aff = inner(x + ap_aff * dx_a, z_psd + ad_aff * dzp_a) \
+        gap_aff = inner(x + ap_aff * dxz_a[0], z_psd + ad_aff * dxz_a[1]) \
             + (u + ap_aff * du_a) @ (z_lin + ad_aff * dzl_a)
         mu_aff = max(gap_aff, 0.0) / degree
         sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
 
-        # corrector with Mehrotra second-order term, in the scaled space
-        v_psd = ddx                     # the empty block of an LP
-        if n:
-            target = -_sym(ddx @ ddz)
-            target[np.diag_indices(n)] += sigma * mu - d_spec ** 2
-            t_mat = 2.0 * target / (d_spec[:, None] + d_spec[None, :])
-            v_psd = r_mat @ _sym(t_mat) @ r_mat.conj().T
+        # corrector with Mehrotra second-order term, in the scaled space (t_mat
+        # is exactly Hermitian)
+        target = -_sym(ddxz[0] @ ddxz[1])
+        target.flat[::n + 1] += sigma * mu - d_spec ** 2
+        t_mat = 2.0 * target / (d_spec[:, None] + d_spec[None, :])
         v_lin = (sigma * mu - u * z_lin - du_a * dzl_a) / z_lin
 
-        dx, du, dy, dz_psd, dz_lin = directions(v_psd, v_lin)
-        step_x, step_z = _max_step_psd(d_spec, np.stack(nt_frame(dx, dz_psd)))
+        dxz, du, dy, dz_lin = directions(r_mat @ t_mat @ r_h, v_lin)
+        step_x, step_z = _max_step_psd(d_spec, frame @ dxz @ frame_h)
         alpha_p = min(1.0, _STEP_FRACTION * min(step_x, _max_step_pos(u, du)))
         alpha_d = min(1.0, _STEP_FRACTION * min(step_z, _max_step_pos(z_lin, dz_lin)))
         if alpha_p < _MIN_STEP and alpha_d < _MIN_STEP:
             stall += 1
             if stall >= 2:
-                status = NUMERICAL_FAILURE
                 break
         else:
             stall = 0
 
-        x = _sym(x + alpha_p * dx) if n else x
+        # exactly Hermitian without _sym: so are x's start and every dx
+        x = x + alpha_p * dxz[0]
         u = u + alpha_p * du
         y = y + alpha_d * dy
-        z_psd = _sym(z_psd + alpha_d * dz_psd) if n else z_psd
+        z_psd = _sym(z_psd + alpha_d * dxz[1])
         z_lin = z_lin + alpha_d * dz_lin
 
     if status == NUMERICAL_FAILURE and best_cert <= 1e-5:
@@ -335,16 +340,7 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
         # ray was found along the way
         status = INFEASIBLE
 
-    r_p = b - a_op(x, u)
-    aty_psd, aty_lin = at_op(y)
-    pobj = inner(c_psd, x) + c_lin @ u
-    dobj = b @ y
-    return KernelResult(
-        status=status, x=x, u=u, y=y, z_psd=z_psd, z_lin=z_lin,
-        rel_gap=float(abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))),
-        primal_infeas=float(np.linalg.norm(r_p) / norm_b),
-        dual_infeas=float(np.sqrt(
-            norm_psd2(c_psd - aty_psd - z_psd)
-            + np.linalg.norm(c_lin - aty_lin - z_lin) ** 2) / norm_c),
-        iterations=it,
-    )
+    *_, rel_gap, p_inf, d_inf = residuals(x, u, y, z_psd, z_lin)
+    return KernelResult(status=status, x=x, u=u, y=y, z_psd=z_psd, z_lin=z_lin,
+                        rel_gap=rel_gap, primal_infeas=p_inf, dual_infeas=d_inf,
+                        iterations=it)

@@ -7,6 +7,13 @@ from magbeam.circuit import Scenario, build_impedance
 from magbeam.scenario import table_scenario
 
 
+def pytest_configure(config):
+    # a cast that drops an imaginary part fails the test; the warning lives in
+    # numpy.exceptions from NumPy 1.25 and in numpy itself before
+    module = "numpy.exceptions" if hasattr(np, "exceptions") else "numpy"
+    config.addinivalue_line("filterwarnings", f"error::{module}.ComplexWarning")
+
+
 @pytest.fixture(scope="session")
 def tabletop():
     return table_scenario()

@@ -8,7 +8,7 @@ import pytest
 from magbeam.conic import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, SdpProblem,
                            Tolerances, kernel, numerical_rank, psd_eigendecomposition,
                            solve_sdp)
-from magbeam.conic.kernel import _max_step_pos, _max_step_psd, _nt_scaling
+from magbeam.conic.kernel import _factor_normal, _max_step_pos, _max_step_psd, _nt_scaling
 
 W_TABLE = 42.6e6
 R_RX = 10.5367
@@ -253,6 +253,40 @@ class TestBatchedStep:
             assert steps[0, 0] == math.inf
         assert np.array_equal(_max_step_psd(np.zeros(0), np.zeros((2, 0, 0))),
                               [math.inf, math.inf])
+
+
+class TestFactorNormal:
+    """The normal matrix's solver: a Cholesky test, jitter, then least squares."""
+
+    @staticmethod
+    def _solve(m, rhs, caplog):
+        with caplog.at_level(logging.DEBUG, logger="magbeam.conic"):
+            sol = _factor_normal(m)(rhs)
+        return sol, [r.getMessage() for r in caplog.records]
+
+    def test_spd_matches_solve(self, caplog):
+        rng = np.random.default_rng(16)
+        g = rng.standard_normal((13, 13))
+        m = g @ g.T + np.eye(13)
+        rhs = rng.standard_normal(13)
+        sol, lines = self._solve(m, rhs, caplog)
+        np.testing.assert_allclose(sol, np.linalg.solve(m, rhs), rtol=1e-12, atol=0)
+        assert lines == []
+
+    def test_singular_psd_takes_jitter(self, caplog):
+        # ones(3, 3) has a zero pivot; 1e-14 of its diagonal makes it PD
+        m = np.ones((3, 3))
+        sol, lines = self._solve(m, m @ [1.0, 2.0, 3.0], caplog)
+        np.testing.assert_allclose(sol, 2.0, rtol=1e-12)
+        assert lines == ["normal matrix needs jitter 1.0e-14"]
+
+    def test_indefinite_falls_back_to_lstsq(self, caplog):
+        # no jitter up to 1e-6 of the diagonal makes it PD
+        m = np.diag([1.0, -1.0, 2.0])
+        rhs = np.array([1.0, 2.0, 3.0])
+        sol, lines = self._solve(m, rhs, caplog)
+        np.testing.assert_array_equal(sol, np.linalg.lstsq(m, rhs, rcond=None)[0])
+        assert lines == ["normal matrix not factored: least squares"]
 
 
 class TestOrthantVariables:

@@ -107,29 +107,29 @@ class TestWarmStartedSweep:
     """A sweep chains its relaxations; each point must keep its cold answer."""
 
     @staticmethod
-    def _kernel_iterations(monkeypatch):
-        counts = []
+    def _kernel_results(monkeypatch):
+        results = []
         solve = kernel.solve_mixed_cone
 
         def spy(*args, **kwargs):
             res = solve(*args, **kwargs)
-            counts.append(res.iterations)
+            results.append(res)
             return res
 
         monkeypatch.setattr(kernel, "solve_mixed_cone", spy)
-        return counts
+        return results
 
     @pytest.mark.parametrize("use_peaks", [True, False], ids=["peaks", "no_peaks"])
     def test_grid_matches_cold_points(self, tabletop_two_user, use_peaks, monkeypatch):
         sc = tabletop_two_user
         options = SolveOptions(use_peak_constraints=use_peaks)
-        counts = self._kernel_iterations(monkeypatch)
+        results = self._kernel_results(monkeypatch)
         sweep = sweep_region(sc, grid_size=40, options=options)
-        warm_kernel = sum(counts)
-        counts.clear()
+        warm_kernel = sum(r.iterations for r in results)
+        results.clear()
         model = build_impedance(sc)
         cold = [solve_p0(sc, p.alpha, options, model) for p in sweep.points]
-        cold_kernel = sum(counts)
+        cold_kernel = sum(r.iterations for r in results)
         # alpha_1 = 0.55, 0.575 and 0.6 round with peaks (rank-penalty floors)
         floors = {22: 73.94, 23: 73.41, 24: 72.83} if use_peaks else {}
         for k, (point, (cold_p, cold_sol)) in enumerate(zip(sweep.points, cold)):
@@ -144,6 +144,16 @@ class TestWarmStartedSweep:
         # 463 against 925 iterations with peaks, 278 against 517 without
         assert warm_relax <= cold_relax * 2 / 3
         assert warm_kernel < cold_kernel
+
+    def test_peak_sweep_iteration_budget(self, tabletop_two_user, monkeypatch):
+        # a cheaper kernel iteration must not cost iterations: 41 relaxations
+        # plus six re-solves and one LP at each of the three fallback points,
+        # 678 iterations when this was written
+        results = self._kernel_results(monkeypatch)
+        sweep_region(tabletop_two_user, grid_size=40)
+        assert len(results) == 62
+        assert all(r.status == kernel.OPTIMAL for r in results)
+        assert sum(r.iterations for r in results) <= 690
 
 
 class TestBaselinePoint:
