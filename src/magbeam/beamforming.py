@@ -52,14 +52,14 @@ _RANK_PENALTY_WEIGHTS = (3e-2, 3e-2, 3e-2, 3e-1, 3e-1, 3e-1)
 
 @dataclass(frozen=True)
 class PowerProfile:
-    """Nonnegative per-RX share of the delivered sum power, summing to one."""
+    """Finite nonnegative per-RX share of the delivered sum power, summing to one."""
 
     alpha: np.ndarray
 
     def __post_init__(self):
         a = np.atleast_1d(np.array(self.alpha, dtype=float))
-        if a.ndim != 1 or np.min(a, initial=0.0) < 0.0:
-            raise ValueError("profile entries must be nonnegative")
+        if a.ndim != 1 or not np.all(np.isfinite(a)) or np.min(a, initial=0.0) < 0.0:
+            raise ValueError("profile entries must be finite and nonnegative")
         if abs(a.sum() - 1.0) > 1e-12:
             raise ValueError("profile entries must sum to 1")
         a.setflags(write=False)
@@ -155,10 +155,8 @@ def _check_profile(scenario, profile):
             f"profile has {profile.alpha.size} entries for Q={scenario.n_rx}")
 
 
-def _uncoupled_demand(scenario, model, profile, target_power):
+def _uncoupled_demand(model, profile):
     """True if some RX with a positive share has no coupling to any TX."""
-    if target_power <= 0:
-        return False
     norms = np.linalg.norm(model.m_vectors, axis=1)
     return bool(np.any((profile.alpha > 0) & (norms == 0.0)))
 
@@ -180,13 +178,9 @@ def solve_p2_closed_form_single_rx(scenario, target_power, model=None):
     direction = direction / np.linalg.norm(direction)
     if target_power <= 0.0:
         return zero_solution(scenario, model, method=METHOD_CLOSED_FORM)
-    unit = Excitation(direction.astype(complex))
-    unit_power = delivered_powers(scenario, model, unit)[0]
-    beta = math.sqrt(target_power / unit_power)
-    sol = make_solution(scenario, model,
-                        [(Excitation(beta * direction.astype(complex)), 1.0)],
-                        METHOD_CLOSED_FORM)
-    return sol
+    unit = make_solution(scenario, model, [(Excitation(direction), 1.0)],
+                         METHOD_CLOSED_FORM)
+    return _rescaled(scenario, model, unit, target_power / unit.achieved_sum_power)
 
 
 def _peak_rows(scenario, model):
@@ -496,12 +490,15 @@ def _roundings(options, time_sharing, randomization):
     return candidates
 
 
-def _slot_peaks_ok(scenario, model, solution, tol=_SLACK_TOL):
-    for exc, _ in solution.slots:
-        rep = constraint_slacks(scenario, model, exc)
-        if min(np.min(rep.voltage_slack), np.min(rep.current_slack)) < -tol:
-            return False
-    return True
+def _within_limits(scenario, model, solution, use_peaks):
+    """True if the schedule keeps the total power cap on average and, with
+    peaks, every peak limit in every slot, each within ``_SLACK_TOL``."""
+    if scenario.total_power_cap - solution.tx_power < -_SLACK_TOL:
+        return False
+    reports = (constraint_slacks(scenario, model, exc) for exc, _ in solution.slots)
+    return not use_peaks or all(
+        min(np.min(r.voltage_slack), np.min(r.current_slack)) >= -_SLACK_TOL
+        for r in reports)
 
 
 def _delivers_target(solution, profile, target_power, rel_tol=_DELIVERY_REL_TOL):
@@ -516,13 +513,14 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
     An exact realization of the relaxed solution (there always is one
     without peak limits) is scaled down to the delivery floors.  Otherwise
     the rescaled time-sharing LP and Gaussian randomization run, and the
-    feasible one with lower TX power is returned.
+    one with lower TX power that meets the floors is taken.  A schedule
+    over the total power cap (or a peak limit) raises ``InfeasibleError``.
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
     if target_power <= 0.0:
         return zero_solution(scenario, model)
-    if _uncoupled_demand(scenario, model, profile, target_power):
+    if _uncoupled_demand(model, profile):
         raise InfeasibleError("positive share assigned to an uncoupled receiver")
 
     use_peaks = options.use_peak_constraints
@@ -542,18 +540,18 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
         exact = _at_floors(scenario, model, exact,
                            delivery_rhs(scenario, profile, target_power), use_peaks)
     if exact is not None:
-        return exact
-    candidates = _roundings(
-        options,
-        lambda: solve_p1_ts_lp(conic.x, scenario, profile, target_power, model),
-        lambda: randomization_extract(conic.x, scenario, profile, target_power,
-                                      model, options.randomization_draws,
-                                      options.seed))
-    candidates = [c for c in candidates
-                  if _slot_peaks_ok(scenario, model, c)
-                  and _delivers_target(c, profile, target_power)]
+        candidates = [exact]
+    else:
+        candidates = [c for c in _roundings(
+            options,
+            lambda: solve_p1_ts_lp(conic.x, scenario, profile, target_power, model),
+            lambda: randomization_extract(conic.x, scenario, profile, target_power,
+                                          model, options.randomization_draws,
+                                          options.seed))
+            if _delivers_target(c, profile, target_power)]
+    candidates = [c for c in candidates if _within_limits(scenario, model, c, use_peaks)]
     if not candidates:
-        raise InfeasibleError("no rounding scheme produced a feasible schedule")
+        raise InfeasibleError("no schedule meets the delivery shares within the limits")
     return min(candidates, key=lambda c: c.tx_power)
 
 
@@ -695,7 +693,7 @@ def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None)
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
-    if _uncoupled_demand(scenario, model, profile, 1.0):
+    if _uncoupled_demand(model, profile):
         return 0.0, zero_solution(scenario, model)
 
     use_peaks = options.use_peak_constraints
@@ -734,31 +732,17 @@ def benchmark_uncoordinated(scenario, target_power=None, max_feasible=False,
     if (target_power is None) == (not max_feasible):
         raise ValueError("specify exactly one of target_power or max_feasible")
     model = _model_for(scenario, model)
-    ones = Excitation(np.ones(scenario.n_tx, dtype=complex))
-    unit_delivered = delivered_powers(scenario, model, ones)
-    unit_tx = tx_total_power(model, ones)
-    unit_volt = np.abs(model.b_columns.conj() @ ones.currents)
-
+    ones = make_solution(scenario, model, [(Excitation(np.ones(scenario.n_tx)), 1.0)],
+                         METHOD_BENCHMARK)
     if max_feasible:
-        beta = math.sqrt(scenario.total_power_cap / unit_tx)
-        if use_peak_constraints:
-            with np.errstate(divide="ignore"):
-                beta_v = np.min(np.where(unit_volt > 0,
-                                         scenario.peak_voltage / unit_volt, np.inf))
-            beta = min(beta, float(beta_v), float(np.min(scenario.peak_current)))
-    else:
-        total_unit = float(unit_delivered.sum())
-        if target_power > 0 and total_unit == 0.0:
-            raise InfeasibleError("identical currents do not reach any receiver")
-        beta = math.sqrt(target_power / total_unit) if target_power > 0 else 0.0
-        rep_exc = Excitation(beta * ones.currents)
-        rep = constraint_slacks(scenario, model, rep_exc)
-        cap_ok = rep.total_power_slack >= -_SLACK_TOL
-        peaks_ok = (not use_peak_constraints) or rep.feasible(_SLACK_TOL)
-        if not (cap_ok and peaks_ok):
-            raise InfeasibleError("target power unreachable with identical currents")
-    exc = Excitation(beta * ones.currents)
-    return make_solution(scenario, model, [(exc, 1.0)], METHOD_BENCHMARK)
+        return _at_limits(scenario, model, ones, use_peak_constraints)
+    if target_power > 0 and ones.achieved_sum_power == 0.0:
+        raise InfeasibleError("identical currents do not reach any receiver")
+    gain2 = target_power / ones.achieved_sum_power if target_power > 0 else 0.0
+    sol = _rescaled(scenario, model, ones, gain2)
+    if not _within_limits(scenario, model, sol, use_peak_constraints):
+        raise InfeasibleError("target power unreachable with identical currents")
+    return sol
 
 
 def profile_capped_power(solution, profile):

@@ -58,15 +58,26 @@ def _parse_alpha(text):
         raise UsageError(str(exc)) from exc
 
 
+def _finite_float(text):
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_snr_list(text):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        out.append(math.inf if tok.lower() in ("inf", "infinity") else float(tok))
+    try:
+        out = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise UsageError(f"cannot parse SNR list {text!r}") from exc
     if not out:
         raise UsageError("empty SNR list")
+    if any(math.isnan(snr) for snr in out):
+        raise UsageError(f"SNR list {text!r} has a NaN entry")
     return out
 
 
@@ -286,7 +297,7 @@ def build_parser():
     pb = sub.add_parser("beamform", help="optimize TX currents for a scenario")
     pb.add_argument("scenario", help="scenario JSON file")
     pb.add_argument("--alpha", help="comma-separated power-profile shares")
-    pb.add_argument("--target-power", type=float, default=None,
+    pb.add_argument("--target-power", type=_finite_float, default=None,
                     help="delivered sum power to hit (W)")
     pb.add_argument("--maximize", action="store_true",
                     help="maximize the delivered sum power instead")
@@ -329,7 +340,7 @@ def build_parser():
     pe.add_argument("--mode", default="block", choices=["block", "random"])
     pe.add_argument("--inactive-tx", default="open", choices=["open", "driven"],
                     help="idle-TX model in block mode")
-    pe.add_argument("--voltage", type=float, default=0.75,
+    pe.add_argument("--voltage", type=_finite_float, default=0.75,
                     help="active-TX training voltage (V)")
     pe.add_argument("--out", default=None, help="output CSV path")
     pe.add_argument("--no-manifest", action="store_true", help=argparse.SUPPRESS)

@@ -339,10 +339,13 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
         raise ValueError("trials must be >= 1")
     if estimator not in ("ls", "perfect", "pairwise"):
         raise ValueError(f"unknown estimator {estimator!r}")
+    snr_db_list = [float(snr_db) for snr_db in snr_db_list]
+    if any(math.isnan(snr_db) for snr_db in snr_db_list):
+        raise ValueError("SNR values must not be NaN")
     m = scenario.mutual_tx_rx
     if estimator == "perfect":
         proto = TrainingProtocol(mode=RANDOM_VOLTAGE, n_slots=scenario.n_rx, seed=protocol.seed)
-        return [MseRow(float(snr_db), estimate_perfect(simulate_training(
+        return [MseRow(snr_db, estimate_perfect(simulate_training(
             scenario, proto, snr_db)).normalized_mse, 0.0, 1, estimator, proto.n_slots)
             for snr_db in snr_db_list]
     from concurrent.futures import ThreadPoolExecutor  # here: `import magbeam` skips its 7 ms
@@ -363,7 +366,7 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
         else:
             known, i_rx, sigma2 = _pairwise_setup(scenario, snr_db, v)
             clean = i_rx[..., None]
-        setups.append((float(snr_db), math.sqrt(sigma2 / 2.0),
+        setups.append((snr_db, math.sqrt(sigma2 / 2.0),
                        np.stack([clean.real, clean.imag]), known))
 
     def stage(j, i, k, count):   # on a worker: chunk k of SNR i into the buffers of parity j % 2

@@ -2,12 +2,15 @@
 
 Scenario files are JSON with explicit unit annotations; inductances may be
 given in henries or microhenries and are converted to SI at parse time.
-Missing peak limits default to 50*sqrt(2) V and 5*sqrt(2) A per TX.
+Missing peak limits default to 50*sqrt(2) V and 5*sqrt(2) A per TX.  The
+bundled tabletop dataset lives only in ``data/table2.json``; its one- and
+two-receiver variants are subsets of it.
 """
 
 import hashlib
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -133,63 +136,19 @@ def select_receivers(scenario: Scenario, indices) -> Scenario:
     idx = list(indices)
     if any(not 0 <= i < scenario.n_rx for i in idx):
         raise ScenarioError(f"receiver indices out of range: {idx}", field="indices")
-    return Scenario(
-        n_tx=scenario.n_tx, n_rx=len(idx), omega=scenario.omega,
-        tx_resistance=scenario.tx_resistance,
-        rx_parasitic=scenario.rx_parasitic[idx],
-        rx_load=scenario.rx_load[idx],
-        mutual_tx_rx=scenario.mutual_tx_rx[:, idx],
-        mutual_tx_tx=scenario.mutual_tx_tx,
-        total_power_cap=scenario.total_power_cap,
-        peak_voltage=scenario.peak_voltage,
-        peak_current=scenario.peak_current,
-        load_accounting=scenario.load_accounting,
-        metadata=dict(scenario.metadata),
-    )
-
-
-# --- bundled five-TX / four-RX tabletop dataset ---------------------------
-
-_TABLE_TX_TX_UH = [
-    [0.0, 2.2970, 0.8074, 2.2970, 6.5741],
-    [2.2970, 0.0, 2.2970, 0.8074, 6.5741],
-    [0.8074, 2.2970, 0.0, 2.2970, 6.5741],
-    [2.2970, 0.8074, 2.2970, 0.0, 6.5741],
-    [6.5741, 6.5741, 6.5741, 6.5741, 0.0],
-]
-
-_TABLE_TX_RX_UH = [
-    [0.9468, 0.04747, 0.02789, 0.03874],
-    [0.01733, 0.5642, 0.05711, 0.01733],
-    [0.007872, 0.01945, 0.09880, 0.03874],
-    [0.02817, 0.01116, 0.03825, 0.2458],
-    [0.07472, 0.1526, 1.3266, 0.5256],
-]
+    return replace(scenario, n_rx=len(idx), rx_parasitic=scenario.rx_parasitic[idx],
+                   rx_load=scenario.rx_load[idx], mutual_tx_rx=scenario.mutual_tx_rx[:, idx],
+                   metadata=dict(scenario.metadata))
 
 
 def table_scenario(rx_indices=None) -> Scenario:
-    """The bundled tabletop deployment: 5 TX coils, up to 4 RX coils.
+    """The bundled tabletop deployment (``data/table2.json``): 5 TX, up to 4 RX.
 
     ``rx_indices`` restricts to a subset of receivers (e.g. ``[1]`` for the
     single-RX study, ``[0, 1]`` for the two-user power region).
     """
-    full = Scenario(
-        n_tx=5, n_rx=4, omega=42.6e6,
-        tx_resistance=np.full(5, 13.44),
-        rx_parasitic=np.full(4, 0.5367),
-        rx_load=np.full(4, 10.0),
-        mutual_tx_rx=np.asarray(_TABLE_TX_RX_UH) * 1e-6,
-        mutual_tx_tx=np.asarray(_TABLE_TX_TX_UH) * 1e-6,
-        total_power_cap=100.0,
-        peak_voltage=np.full(5, DEFAULT_PEAK_VOLTAGE),
-        peak_current=np.full(5, DEFAULT_PEAK_CURRENT),
-        load_accounting=LOAD_ONLY,
-        metadata={"self_inductance_uH": {"tx": 47700.0, "rx": 280.32},
-                  "description": "five built-in chargers under a 1.6 m table"},
-    )
-    if rx_indices is None:
-        return full
-    return select_receivers(full, rx_indices)
+    full = load_scenario(bundled_scenario_path("table2"))
+    return full if rx_indices is None else select_receivers(full, rx_indices)
 
 
 def bundled_scenario_path(name: str):

@@ -22,7 +22,7 @@ from magbeam.conic import (GE, kernel, numerical_rank, psd_eigendecomposition,
                            solve_sdp)
 from magbeam.errors import InfeasibleError, SolverError
 from magbeam.region import two_user_profiles
-from magbeam.scenario import table_scenario
+from magbeam.scenario import bundled_scenario_path, load_scenario, table_scenario
 
 NO_PEAKS = SolveOptions(use_peak_constraints=False)
 
@@ -48,6 +48,12 @@ def align_phase(values, reference):
     k = int(np.argmax(np.abs(reference)))
     rot = (reference[k] / abs(reference[k])) * (abs(values[k]) / values[k])
     return values * rot
+
+
+@pytest.mark.parametrize("alpha", [[math.nan, 1.0], [math.inf, 0.0], [0.5, 0.5, math.nan]])
+def test_profile_rejects_non_finite_entries(alpha):
+    with pytest.raises(ValueError, match="finite"):
+        PowerProfile(alpha)
 
 
 class TestClosedFormSingleRx:
@@ -391,6 +397,15 @@ class TestSolveP1Dispatch:
         with pytest.raises(InfeasibleError):
             solve_p1(tabletop_miso, PowerProfile([1.0]), 70.0, model=miso_model)
 
+    def test_target_over_the_cap_raises(self, tabletop_two_user):
+        # without peaks, 200 W at equal shares needs about 240 W from the
+        # 100 W cap; 80 W needs about 96 W and stays within it
+        profile = PowerProfile([0.5, 0.5])
+        with pytest.raises(InfeasibleError):
+            solve_p1(tabletop_two_user, profile, 200.0, NO_PEAKS)
+        sol = solve_p1(tabletop_two_user, profile, 80.0, NO_PEAKS)
+        assert 90.0 < sol.tx_power <= tabletop_two_user.total_power_cap
+
 
 class TestBisection:
     def test_two_user_unconstrained_corner(self, tabletop_two_user):
@@ -643,6 +658,20 @@ class TestBenchmark:
         with pytest.raises(InfeasibleError):
             benchmark_uncoordinated(tabletop_miso, target_power=1.0,
                                     model=miso_model)
+
+    @pytest.mark.parametrize("name", ["table2", "table2_miso", "table2_two_user"])
+    @pytest.mark.parametrize("use_peaks", [True, False])
+    def test_max_feasible_ends_on_a_limit(self, name, use_peaks):
+        sc = load_scenario(bundled_scenario_path(name))
+        model = build_impedance(sc)
+        sol = benchmark_uncoordinated(sc, max_feasible=True,
+                                      use_peak_constraints=use_peaks, model=model)
+        rep = constraint_slacks(sc, model, sol.excitation)
+        relative = [np.array([rep.total_power_slack / sc.total_power_cap])]
+        if use_peaks:
+            relative += [rep.voltage_slack / sc.peak_voltage,
+                         rep.current_slack / sc.peak_current]
+        assert abs(float(np.min(np.concatenate(relative)))) <= 1e-12
 
     def test_profile_capped_power(self, tabletop):
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])

@@ -39,6 +39,15 @@ class TestBeamform:
     def test_infeasible_target(self, capsys):
         assert main(["beamform", MISO, "--target-power", "70"]) == 2
 
+    def test_target_over_the_cap_is_infeasible(self, capsys):
+        # no peak limit binds, but the schedule would draw about 240 W from
+        # the 100 W cap; the identical-current baseline is refused alike
+        args = ["beamform", TWO_USER, "--alpha", "0.5,0.5", "--target-power", "200",
+                "--no-peaks"]
+        assert main(args) == 2
+        assert main(args + ["--method", "benchmark"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_randomization_deterministic(self, tmp_path):
         args = ["beamform", TABLE, "--alpha", "0.25,0.25,0.25,0.25",
                 "--target-power", "2", "--method", "randomization", "--seed", "7"]
@@ -66,6 +75,35 @@ class TestBeamform:
                      "--target-power", "2"])
         assert code == 70
         assert "provable bound" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """``main``'s return code, or the code of the exit argparse makes."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["beamform", TWO_USER, "--alpha", "nan,1", "--maximize"],
+    ["beamform", TWO_USER, "--alpha", "inf,1", "--maximize"],
+    ["beamform", MISO, "--target-power", "nan"],
+    ["beamform", MISO, "--target-power", "inf"],
+    ["region", TWO_USER, "--alpha", "nan,1", "--out", "unused.csv"],
+    ["estimate", TABLE, "--snr-list", "nan", "--out", "unused.csv"],
+    ["estimate", TABLE, "--snr-list", "30,nan", "--estimator", "pairwise",
+     "--out", "unused.csv"],
+    ["estimate", TABLE, "--snr-list", "30,x", "--out", "unused.csv"],
+    ["estimate", TABLE, "--voltage", "nan", "--out", "unused.csv"],
+    ["estimate", TABLE, "--voltage", "inf", "--out", "unused.csv"],
+], ids=["alpha-nan", "alpha-inf", "target-nan", "target-inf", "region-alpha-nan",
+        "snr-nan-ls", "snr-nan-pairwise", "snr-unparsable", "voltage-nan",
+        "voltage-inf"])
+def test_bad_number_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == 64
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestRegion:

@@ -168,6 +168,12 @@ class TestMonteCarlo:
                               [25.0], trials=20_000, seed=4)[0]
         assert r20.mse < r10.mse
 
+    @pytest.mark.parametrize("estimator", ["ls", "perfect", "pairwise"])
+    def test_nan_snr_rejected(self, tabletop, estimator):
+        with pytest.raises(ValueError, match="NaN"):
+            monte_carlo_mse(tabletop, estimator, TrainingProtocol(n_slots=10),
+                            [30.0, math.nan], trials=10, seed=0)
+
     def test_perfect_estimator_zero_mse(self, tabletop):
         rows = monte_carlo_mse(tabletop, "perfect", TrainingProtocol(n_slots=10),
                                [float("inf")], trials=10, seed=0)
