@@ -525,9 +525,10 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
 
     use_peaks = options.use_peak_constraints
     if options.method == METHOD_CLOSED_FORM:
-        if use_peaks:
-            raise ValueError("closed form ignores peak limits; use --no-peaks")
-        return solve_p2_closed_form_single_rx(scenario, target_power, model)
+        closed = _closed_form(scenario, target_power, model, use_peaks)
+        if not _within_limits(scenario, model, closed, use_peaks):
+            raise InfeasibleError("the closed form exceeds the total power cap")
+        return closed
 
     conic, _ = solve_p1_sdr(scenario, profile, target_power, model, use_peaks)
     if conic.status == INFEASIBLE:
@@ -553,6 +554,13 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
     if not candidates:
         raise InfeasibleError("no schedule meets the delivery shares within the limits")
     return min(candidates, key=lambda c: c.tx_power)
+
+
+def _closed_form(scenario, target_power, model, use_peaks):
+    """The single-RX closed form, which has no peak limits to keep."""
+    if use_peaks:
+        raise ValueError("closed form ignores peak limits; use --no-peaks")
+    return solve_p2_closed_form_single_rx(scenario, target_power, model)
 
 
 def _p0_problem(scenario, profile, model, use_peaks, objective):
@@ -699,9 +707,9 @@ def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None)
     use_peaks = options.use_peak_constraints
     conic = None
     if options.method == METHOD_CLOSED_FORM:
-        # exact without peaks (and rejected with them) by solve_p1
-        candidates = [_at_limits(scenario, model, solve_p1(scenario, profile, 1.0,
-                                                           options, model), False)]
+        # a direction at 1 W, scaled to the cap
+        candidates = [_at_limits(scenario, model,
+                                 _closed_form(scenario, 1.0, model, use_peaks), False)]
     else:
         conic = solve_p0_sdr(scenario, profile, model, use_peaks, start)
         if not conic.is_optimal:

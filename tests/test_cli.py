@@ -48,6 +48,25 @@ class TestBeamform:
         assert main(args + ["--method", "benchmark"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_closed_form_over_the_cap_is_infeasible(self, capsys):
+        # 200 W through the closed-form direction would draw 258.5 W of 100 W
+        args = ["beamform", MISO, "--no-peaks", "--method", "closed_form",
+                "--target-power", "200"]
+        assert main(args) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_closed_form_within_the_cap(self, capsys):
+        code = main(["beamform", MISO, "--no-peaks", "--method", "closed_form",
+                     "--target-power", "50", "--no-manifest"])
+        assert code == 0
+        sol = json.loads(capsys.readouterr().out)["solution"]
+        assert sol["method"] == "closed_form"
+        assert sol["achieved_sum_power_w"] == pytest.approx(50.0, rel=1e-12)
+        assert sol["tx_power_w"] == pytest.approx(64.62175201777313, rel=1e-12)
+        assert sol["slots"][0]["currents_re"] == pytest.approx(
+            [0.10781909579816687, 1.281473222020766, 0.04417698363754678,
+             0.025347821974037125, 0.3466019384621922], rel=1e-12)
+
     def test_randomization_deterministic(self, tmp_path):
         args = ["beamform", TABLE, "--alpha", "0.25,0.25,0.25,0.25",
                 "--target-power", "2", "--method", "randomization", "--seed", "7"]

@@ -213,12 +213,65 @@ class TestMonteCarlo:
         oracle = ls_first_order_nmse(tabletop, proto, snr_db)
         assert abs(row.mse - oracle) <= 3.0 * row.stderr
 
+    @pytest.mark.parametrize("estimator", ["ls", "pairwise"])
+    def test_infinite_snr_is_one_noiseless_trial(self, tabletop, estimator):
+        row = monte_carlo_mse(tabletop, estimator, TrainingProtocol(n_slots=10),
+                              [math.inf], trials=1000, seed=0)[0]
+        assert (row.trials, row.stderr) == (1, 0.0)
+        if estimator == "ls":
+            assert row.mse <= 1e-20
+        else:
+            assert row.mse == estimate_pairwise_benchmark(tabletop, math.inf).normalized_mse
+
     def test_row_metadata(self, tabletop):
         rows = monte_carlo_mse(tabletop, "pairwise", TrainingProtocol(n_slots=10),
                                [30.0], trials=100, seed=0)
         assert rows[0].estimator == "pairwise"
         assert rows[0].n_slots == tabletop.n_tx * tabletop.n_rx
         assert rows[0].trials == 100
+
+
+class TestLsSampler:
+    """The LS Monte-Carlo's sufficient statistics in distribution, whatever the stream."""
+
+    def test_staged_normal_equations_have_analytic_means(self, tabletop, monkeypatch):
+        # E[Gram] = Re(Z Z^H) + T sigma^2 I and E[rhs] = Re(G Z^H), entry by entry
+        proto = TrainingProtocol(n_slots=10)
+        trials, sums = 200_000, []
+        original = estimation._ls_estimates
+
+        def spy(aug):   # the staged chunk, before the solve overwrites it
+            if aug.shape[-1] > 1:
+                sums.append((aug.sum(axis=-1), np.square(aug).sum(axis=-1)))
+            return original(aug)
+
+        monkeypatch.setattr(estimation, "_ls_estimates", spy)
+        monte_carlo_mse(tabletop, "ls", proto, [20.0], trials=trials, seed=11)
+        total, total_sq = (np.sum(x, axis=0) for x in zip(*sums))
+        mean = total / trials
+        stderr = np.sqrt((total_sq / trials - mean ** 2) / (trials - 1))
+        record = simulate_training(tabletop, proto, 20.0)
+        z, g = record.z, record.g
+        expect = np.concatenate([
+            np.real(z @ z.conj().T) + proto.n_slots * record.sigma2 * np.eye(tabletop.n_rx),
+            np.real(g @ z.conj().T)])
+        assert np.all(np.abs(mean - expect) <= 4.0 * stderr)
+
+    def test_smallest_bartlett_degree_matches_brute_force(self, tabletop):
+        # T = Q leaves L's last diagonal entry 2T - 2Q + 1 = 1 degree of freedom;
+        # the reference draws the full Q x T feedback noise of every trial
+        proto = TrainingProtocol(mode=RANDOM_VOLTAGE, n_slots=tabletop.n_rx, seed=2)
+        trials, snr_db = 50_000, 30.0
+        row = monte_carlo_mse(tabletop, "ls", proto, [snr_db], trials=trials, seed=12)[0]
+        record = simulate_training(tabletop, proto, snr_db)
+        noisy = record.z + TestSameDraws._complex_noise(
+            np.random.default_rng(13), (trials,) + record.z.shape, record.sigma2)
+        m = tabletop.mutual_tx_rx
+        mse = np.sum((TestSameDraws._complex_ls(record.g, noisy) - m) ** 2,
+                     axis=(1, 2)) / np.sum(m ** 2)
+        assert math.isfinite(row.mse) and math.isfinite(row.stderr)
+        assert abs(row.mse - mse.mean()) <= 3.0 * math.hypot(
+            row.stderr, mse.std(ddof=1) / math.sqrt(trials))
 
 
 class TestNoiselessIdentifiability:
@@ -243,12 +296,35 @@ class TestNoiselessIdentifiability:
 
 
 class TestSameDraws:
-    """The Monte-Carlo against the complex formulas it replaced, draw for draw."""
+    """The Monte-Carlo against the complex formulas it replaced, draw for draw.
+
+    Pairwise rows draw the feedback noise itself.  LS rows draw A (Q x Q) and
+    the Bartlett factor L of the sufficient statistics; the complex feedback
+    ``Z_r = (C + sA) V^T + s L U^T`` rebuilt from them (Z_r = C V^T, U the
+    next Q columns of the complete QR basis) has the same normal equations.
+    """
 
     @staticmethod
     def _complex_noise(rng, shape, sigma2):
         s = math.sqrt(sigma2 / 2.0)
         return s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    @staticmethod
+    def _ls_draws(rng, q, dof, count):
+        # row by row: A's row and L's entries below the diagonal in one draw,
+        # then L's diagonal entry, the root of a chi-square with dof - i degrees
+        a, lower = np.zeros((2, count, q, q))
+        for i in range(q):
+            row = rng.standard_normal((q + i, count))
+            a[:, i], lower[:, i, :i] = row[:q].T, row[q:].T
+            lower[:, i, i] = np.sqrt(2.0 * rng.standard_gamma((dof - i) / 2.0, count))
+        return a, lower
+
+    @staticmethod
+    def _complex_ls(g, noisy):
+        num = 2.0 * np.real(np.einsum("nt,cqt->cnq", g, noisy.conj()))
+        den = 2.0 * np.real(np.einsum("cqt,cpt->cqp", noisy, noisy.conj()))
+        return np.linalg.solve(den, num.transpose(0, 2, 1)).transpose(0, 2, 1)
 
     @staticmethod
     def _pairwise(scenario, v, snr_db):
@@ -268,18 +344,24 @@ class TestSameDraws:
         if estimator == "ls":
             record = simulate_training(scenario, protocol, snr_db)
             clean, sigma2 = record.z, record.sigma2
+            q, t = clean.shape
+            z_r = np.concatenate([clean.real, clean.imag], axis=1)
+            basis = np.linalg.qr(z_r.T, mode="complete")[0]
+            v_cols, u_cols = basis[:, :q], basis[:, q:2 * q]
+            c_mat = z_r @ v_cols
         else:
             i_tx, clean, sigma2 = self._pairwise(scenario, v, snr_db)
         sq_errors = []
         for chunk_idx, start in enumerate(range(0, trials, _CHUNK)):
             rng = np.random.default_rng([seed, snr_idx, chunk_idx])
             count = min(_CHUNK, trials - start)
-            noisy = clean + self._complex_noise(rng, (count,) + clean.shape, sigma2)
             if estimator == "ls":
-                num = 2.0 * np.real(np.einsum("nt,cqt->cnq", record.g, noisy.conj()))
-                den = 2.0 * np.real(np.einsum("cqt,cpt->cqp", noisy, noisy.conj()))
-                m_hat = np.linalg.solve(den, num.transpose(0, 2, 1)).transpose(0, 2, 1)
+                s = math.sqrt(sigma2 / 2.0)
+                a, lower = self._ls_draws(rng, q, 2 * t - q, count)
+                real = (c_mat + s * a) @ v_cols.T + s * lower @ u_cols.T
+                m_hat = self._complex_ls(record.g, real[..., :t] + 1j * real[..., t:])
             else:
+                noisy = clean + self._complex_noise(rng, (count,) + clean.shape, sigma2)
                 m_hat = self._pairwise_m_hat(scenario, i_tx, v, noisy)
             sq_errors.append(np.sum((m_hat - m) ** 2, axis=(1, 2)))
         mse = np.concatenate(sq_errors) / np.sum(m ** 2)
