@@ -7,6 +7,7 @@ tool version so results can be reproduced bit-for-bit.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -148,6 +149,11 @@ def cmd_beamform(args):
                          f"Q={scenario.n_rx} receivers")
     if (args.target_power is None) == (not args.maximize):
         raise UsageError("specify exactly one of --target-power or --maximize")
+    if args.method == "closed_form" and not args.no_peaks:
+        raise UsageError("--method closed_form ignores peak limits; add --no-peaks")
+    if args.method == "closed_form" and scenario.n_rx != 1:
+        raise UsageError(f"--method closed_form needs Q=1 receiver, "
+                         f"not Q={scenario.n_rx}")
 
     started = _utc_now()
     options = SolveOptions(use_peak_constraints=not args.no_peaks,
@@ -287,6 +293,7 @@ def _option_dict(args):
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser():
     parser = _Parser(prog="magbeam",
                      description="Magnetic beamforming toolkit for multi-coil "

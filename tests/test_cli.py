@@ -67,6 +67,20 @@ class TestBeamform:
             [0.10781909579816687, 1.281473222020766, 0.04417698363754678,
              0.025347821974037125, 0.3466019384621922], rel=1e-12)
 
+    @pytest.mark.parametrize("goal", [["--maximize"], ["--target-power", "1"]],
+                             ids=["maximize", "target"])
+    @pytest.mark.parametrize("scenario", [
+        [MISO],
+        [TWO_USER, "--alpha", "0.5,0.5", "--no-peaks"],
+    ], ids=["peaks-on", "two-rx"])
+    def test_closed_form_outside_its_case_is_usage_error(self, scenario, goal, capsys):
+        # the closed form is the single-RX optimum without peak limits
+        argv = ["beamform", *scenario, "--method", "closed_form", *goal]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "closed_form" in captured.err
+
     def test_randomization_deterministic(self, tmp_path):
         args = ["beamform", TABLE, "--alpha", "0.25,0.25,0.25,0.25",
                 "--target-power", "2", "--method", "randomization", "--seed", "7"]
@@ -123,6 +137,24 @@ def test_bad_number_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert _exit_code(argv) == 64
     assert list(tmp_path.iterdir()) == []
+
+
+def test_back_to_back_calls_parse_independently(tmp_path, capsys):
+    # ``region --alpha`` appends; no call may see an earlier call's list
+    def region_rows(*extra):
+        out = tmp_path / "region.csv"
+        assert main(["region", TWO_USER, "--no-peaks", "--grid", "2", *extra,
+                     "--out", str(out), "--no-manifest"]) == 0
+        with open(out, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    first = region_rows("--alpha", "0.25,0.75")
+    assert main(["validate", TWO_USER]) == 0
+    second = region_rows("--alpha", "0.5,0.5")
+    grid = region_rows()
+    assert len(first) == len(second) == 1
+    assert float(first[0]["alpha_1"]) == 0.25 and float(second[0]["alpha_1"]) == 0.5
+    assert len(grid) == 3
 
 
 class TestRegion:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from magbeam.geometry import (CoilGeometry, layout_mutual_matrix,
+from magbeam.geometry import (MU_0, CoilGeometry, _frame, layout_mutual_matrix,
                               loop_samples, mutual_inductance, tabletop_layout)
 from magbeam.scenario import table_scenario
 
@@ -29,6 +29,28 @@ def coaxial_mutual(r_a, r_b, sep, turns):
     kk, ee = _agm_elliptic(m)
     mu0 = 4e-7 * math.pi
     return turns * mu0 * math.sqrt(r_a * r_b) * ((2.0 / k - k) * kk - (2.0 / k) * ee)
+
+
+def pairwise_mutual_matrix(tx_coils, rx_coils, quadrature_points):
+    """The integral pair by pair, as a plain double loop: the reference."""
+    out = np.empty((len(tx_coils), len(rx_coils)))
+    for i, a in enumerate(tx_coils):
+        for j, b in enumerate(rx_coils):
+            pa, dla = loop_samples(a, quadrature_points)
+            pb, dlb = loop_samples(b, quadrature_points)
+            dist = np.sqrt(np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2))
+            integral = float(np.sum((dla @ dlb.T) / dist))
+            out[i, j] = MU_0 / (4.0 * math.pi) * a.turns * b.turns * integral
+    return out
+
+
+def inclined_coils(rng, count, z):
+    """Coils of mixed radius and turns about random axes near height z."""
+    return [CoilGeometry(center=(*rng.uniform(-0.8, 0.8, 2), z + rng.uniform(-0.05, 0.05)),
+                         radius=float(rng.uniform(0.01, 0.15)),
+                         turns=int(rng.integers(1, 300)),
+                         axis=tuple(rng.standard_normal(3)))
+            for _ in range(count)]
 
 
 class TestMutualInductance:
@@ -86,3 +108,51 @@ class TestTabletopLayout:
         computed = np.abs(layout_mutual_matrix(txs, rxs, 128))
         reference = table_scenario().mutual_tx_rx
         assert np.all(np.abs(computed - reference) <= 0.25 * reference)
+
+
+class TestLayoutMatrix:
+    @pytest.mark.parametrize("q", [16, 64, 128])
+    def test_bit_identical_to_pairwise_loop(self, q):
+        rng = np.random.default_rng([q, 3])
+        txs = inclined_coils(rng, 5, 0.0)
+        rxs = inclined_coils(rng, 4, 0.4)
+        got = layout_mutual_matrix(txs, rxs, q)
+        assert np.array_equal(got, pairwise_mutual_matrix(txs, rxs, q))
+        assert np.array_equal(layout_mutual_matrix(rxs, txs, q),
+                              pairwise_mutual_matrix(rxs, txs, q))
+
+    def test_pair_is_the_one_by_one_case(self):
+        rng = np.random.default_rng(5)
+        a, = inclined_coils(rng, 1, 0.0)
+        b, = inclined_coils(rng, 1, 0.4)
+        assert mutual_inductance(a, b, 64) == layout_mutual_matrix([a], [b], 64)[0, 0]
+
+    def test_frame_is_np_cross(self):
+        for axis in [(0, 0, 1), (1, 0, 0), (0.95, 0.1, -0.2), (-0.3, 2.0, 0.7)]:
+            n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+            ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
+            e1 = np.cross(n, ref)
+            e1 /= np.linalg.norm(e1)
+            got = _frame(axis)
+            assert np.array_equal(got[0], e1) and np.array_equal(got[1], np.cross(n, e1))
+
+    def test_coincident_pair_inside_a_batch_rejected(self):
+        rng = np.random.default_rng(9)
+        txs = inclined_coils(rng, 3, 0.0)
+        rxs = inclined_coils(rng, 2, 0.4)
+        with pytest.raises(ValueError, match="singular"):
+            layout_mutual_matrix(txs, [rxs[0], txs[1], rxs[1]], 32)
+
+    def test_empty_layouts_keep_their_shape(self):
+        txs, rxs = tabletop_layout()
+        assert layout_mutual_matrix([], rxs, 16).shape == (0, 4)
+        assert layout_mutual_matrix(txs, [], 16).shape == (5, 0)
+
+    @pytest.mark.parametrize("q", [0, -3, 2.0, 64.5, None])
+    def test_quadrature_points_must_be_a_positive_integer(self, q):
+        a = CoilGeometry(center=(0, 0, 0), radius=0.10, turns=250)
+        b = CoilGeometry(center=(0, 0, 0.10), radius=0.02, turns=50)
+        with pytest.raises(ValueError, match="quadrature_points"):
+            mutual_inductance(a, b, q)
+        with pytest.raises(ValueError, match="quadrature_points"):
+            layout_mutual_matrix([], [b], q)
