@@ -184,10 +184,12 @@ def solve_p2_closed_form_single_rx(scenario, target_power, model=None):
 
 
 def _peak_rows(scenario, model):
-    """The peak limits as ``<=`` rows ``(matrices, rhs)``, voltages then currents."""
-    eye = np.eye(scenario.n_tx)
-    matrices = np.concatenate([model.rank_one_tx, eye[:, :, None] * eye[:, None, :]])
-    return matrices, np.concatenate([scenario.peak_voltage, scenario.peak_current]) ** 2
+    """The peak limits as ``<=`` rows ``(vectors, rhs)``, voltages then currents.
+
+    Row n's matrix is b_n b_n^H for a voltage and e_n e_n^T for a current.
+    """
+    vectors = np.concatenate([model.b_columns, np.eye(scenario.n_tx)])
+    return vectors, np.concatenate([scenario.peak_voltage, scenario.peak_current]) ** 2
 
 
 def _spectrum(x_star):
@@ -236,13 +238,13 @@ def solve_p1_sdr(scenario, profile, target_power, model=None,
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
     rhs = delivery_rhs(scenario, profile, target_power)
-    matrices, bounds = model.rank_one_rx, rhs
+    vectors, bounds = model.m_vectors, rhs
     if use_peak_constraints:
-        peak_matrices, peak_rhs = _peak_rows(scenario, model)
-        matrices = np.concatenate([matrices, peak_matrices])
+        peak_vectors, peak_rhs = _peak_rows(scenario, model)
+        vectors = np.concatenate([vectors, peak_vectors])
         bounds = np.concatenate([rhs, peak_rhs])
     sense = (GE,) * rhs.size + (LE,) * (len(bounds) - rhs.size)
-    conic = solve_sdp(SdpProblem(model.b_bar, matrices, sense, bounds))
+    conic = solve_sdp(SdpProblem(model.b_bar, vectors, sense, bounds))
     rank = 0
     if conic.is_optimal and np.max(rhs, initial=0.0) > 0.0:
         rank = _spectrum(conic.x)[2]
@@ -570,16 +572,15 @@ def _p0_problem(scenario, profile, model, use_peaks, objective):
     redundant; so every profile of a scenario gives the same rows.
     """
     n_rx = scenario.n_rx
-    matrices = [model.rank_one_rx, model.b_bar[None] / 2.0]
+    rows = [*model.m_vectors, model.b_bar / 2.0]
     rhs = [np.zeros(n_rx), [scenario.total_power_cap]]
     if use_peaks:
-        peak_matrices, peak_rhs = _peak_rows(scenario, model)
-        matrices.append(peak_matrices)
+        peak_vectors, peak_rhs = _peak_rows(scenario, model)
+        rows += list(peak_vectors)
         rhs.append(peak_rhs)
-    matrices = np.concatenate(matrices)
-    linear = np.zeros((len(matrices), 1))
+    linear = np.zeros((len(rows), 1))
     linear[:n_rx, 0] = -delivery_rhs(scenario, profile, 1.0)
-    return SdpProblem(objective, matrices, (GE,) * n_rx + (LE,) * (len(matrices) - n_rx),
+    return SdpProblem(objective, rows, (GE,) * n_rx + (LE,) * (len(rows) - n_rx),
                       np.concatenate(rhs), linear_objective=(-1.0,), linear=linear)
 
 

@@ -9,28 +9,38 @@ Solves the standard-form problem
 
 with an infeasible start, Nesterov-Todd scaling of the PSD block and a
 Mehrotra predictor-corrector step, as in SDPT3 (Toh, Todd & Tutuncu 1999).
-Everything is dense.  Per iteration: the NT scaling (one batched Cholesky of
-X and Z and an SVD give r with r^-1 X r^-H = r^H Z r = diag(d), W = r r^H);
-the Schur complement as a batched matmul W A_i W and one real GEMM of the
-(k, n^2) data against it; a Cholesky of it as the positive-definiteness test,
-then one LU solve of it per direction; step lengths from lambda_min of both
-directions in the NT frame, one batched eigvalsh per step.  The factor's
-explicit inverse, applied twice, would be cheaper but rounds worse late in a
-solve: with it 6 of the 11 P0 maximizations that solve on the bench's
-16-charger tables ended numerical_failure.  At small n an iteration costs its
-~100 NumPy calls, not arithmetic.  The earlier kernel solved with the factor
-by two general LU solves and symmetrized every direction and step matrix; at
-n = 5 (two-user region sweep: 13 rows, 14 orthant columns) it took 463 us
-per iteration, this one 353 us (medians of 30 in-process alternations).
-``beamforming.solve_p0_sdr`` with peaks, 4 receivers and N chargers
-(k = 2N + 5 rows), one OpenBLAS thread on a 2-vCPU Xeon VM, in ms:
+Per iteration: the NT scaling (one batched Cholesky of X and Z and an SVD
+give r with r^-1 X r^-H = r^H Z r = diag(d), W = r r^H); the Schur
+complement; a Cholesky of it as the positive-definiteness test, then one LU
+solve of it per direction; step lengths from lambda_min of both directions
+in the NT frame, one batched eigvalsh per step.  The factor's explicit
+inverse, applied twice, would be cheaper but rounds worse late in a solve:
+with it 6 of the 11 P0 maximizations that solve on the bench's 16-charger
+tables ended numerical_failure.
+
+The Schur complement's PSD part, weight * Re tr(A_i W A_j W), is built from
+rank-one terms, as in DSDP (Benson, Ye & Zhang 2000) and SDPT3's low-rank
+path.  Once per solve every row is written as A_i = sum_j s_j v_j v_j^H: a
+row given with its vector a_i (A_i = a_i a_i^H: a delivery, peak-voltage or
+peak-current row) is that one column, any other row (P0's power cap) its
+signed eigen-factors.  With V the n x r matrix of all columns, each
+iteration forms V^H W V (O(r n^2 + r^2 n)), squares its entries and sums
+each row's columns: weight * E^T |V^H W V|^2 E.  The dense data stays for
+the residuals and right-hand sides, which are mat-vecs over its (k, n^2)
+view.  The batched W A_i W and the (k, n^2) GEMM it replaced cost
+O(k n^3 + k^2 n^2).  ``beamforming.solve_p0_sdr`` with peaks, 4 receivers
+and N chargers (k = 2N + 5 rows, r = 3N + 4 columns), ``random_scenario``
+of the tests seeded with N, one OpenBLAS thread on a 2-vCPU Xeon VM, best
+of three alternating runs of three solves each (two at N = 64), in ms:
 
     N                     5    10    20     30    64
-    earlier kernel     19.0  15.7  31.9    130  1599
-    this kernel        13.9  11.9  25.9    123  1535  (49/28/28/39/55 iterations)
+    batched W A_i W    13.9  11.5  27.4    115  1329
+    rank-one terms     13.4  10.8  20.1   54.0   418  (49/28/28/39/55 iterations)
 
-At N = 30 forming the Schur complement is a third of the solve; with the
-constraints' rank-one factors it would cost O(k n^2 + k^2 n), not O(k^2 n^2).
+Iteration counts are the same and t agrees to 1e-9 relative.  At n = 5 an
+iteration costs its ~100 NumPy calls, not arithmetic: the Schur step takes
+9 us against 15 us, but factoring the rows costs about 60 us a solve, so a
+warm-started 9-iteration P0 solve of the two-user sweep is about 4% slower.
 
 The dual is  max b.y  s.t.  sum_i y_i A_i + Z = C (Z PSD),
 a_lin^T y + z = c (z >= 0).  X is real or complex as its data are.
@@ -150,6 +160,48 @@ def _factor_normal(m):
     return lambda rhs: np.linalg.lstsq(m, rhs, rcond=None)[0]
 
 
+def _schur_complement(a_psd, a_vectors, weight):
+    """The normal matrix's PSD part, weight * Re tr(A_i W A_j W), as a function of W.
+
+    Once per solve each row is written as signed rank-one terms,
+    A_i = sum_j s_j v_j v_j^H over its columns j.  A row with a nonzero
+    vector ``a_vectors[i]`` (its matrix is a_i a_i^H) is that one column,
+    sign 1.  Any other row (its ``a_vectors`` row zero) is its
+    eigenvectors scaled by sqrt|lambda| and signed as lambda, leaving out
+    |lambda| below n*eps of the row's largest.  With V the n x r matrix of
+    columns and E the r x k map with E[j, i] = s_j for each column j of row
+    i (``e`` holds E^T), entry (i, j) of the block sums
+    weight * s_a s_b |a^H W b|^2 over row i's columns a and row j's b:
+    weight * E^T |V^H W V|^2 E, where the Hermitian g = V^H W V has
+    g_ab g_ba = |g_ab|^2.  The returned function costs
+    O(r n^2 + r^2 n + k r^2) a call.
+    """
+    k, n = a_psd.shape[:2]
+    a_vectors = np.asarray(a_vectors)
+    if a_vectors.shape != (k, n):
+        raise ValueError("constraint vectors do not match the rows")
+    has_vec = a_vectors.any(axis=1)
+    dense = np.flatnonzero(~has_vec)
+    lam, u = np.linalg.eigh(a_psd[dense])
+    size = np.abs(lam)
+    keep = size >= n * np.finfo(float).eps * size.max(axis=1, initial=0.0)[:, None]
+    # each column's row; the stable sort groups them by row, in row order
+    owner = np.concatenate([np.flatnonzero(has_vec), np.repeat(dense, keep.sum(axis=1))])
+    order = np.argsort(owner, kind="stable")
+    cols = np.concatenate([a_vectors[has_vec],
+                           u.swapaxes(1, 2)[keep] * np.sqrt(size[keep])[:, None]])[order]
+    e = np.zeros((k, len(cols)))
+    e[owner[order], np.arange(len(cols))] = \
+        np.concatenate([np.ones(has_vec.sum()), np.sign(lam[keep])])[order]
+    v_h, v, we = cols.conj(), np.ascontiguousarray(cols.T), weight * e
+
+    def schur(w_mat):
+        g = v_h @ w_mat @ v
+        return we @ (g * g.T).real @ e.T
+
+    return schur
+
+
 def _interior(m):
     """``m`` plus ``_WARM_START_SHIFT`` times its mean eigenvalue (times I for a matrix)."""
     if m.ndim == 1:
@@ -157,12 +209,16 @@ def _interior(m):
     return m + _WARM_START_SHIFT * np.trace(m).real / max(len(m), 1) * np.eye(len(m))
 
 
-def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
+def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b, a_vectors,
                      gap_tol=1e-8, feas_tol=1e-8, max_iter=100, start=None):
     """Run the interior-point iteration; see module docstring for the form.
 
     An LP has ``c_psd`` 0 x 0 and ``a_psd`` k x 0 x 0.  Each iteration logs
     one line at DEBUG on ``magbeam.conic``, a child of the ``magbeam`` logger.
+
+    ``a_vectors`` (k x n) holds, for each row, the vector a_i with
+    ``a_psd[i] == a_i a_i^H``, or zeros; it is trusted, not checked against
+    ``a_psd``.  Rows without a vector are eigen-factored once per solve.
 
     ``start`` is an optional iterate ``(x, u, y, z_psd, z_lin)`` to start
     from instead of the scaled identity, typically the final iterate of a
@@ -188,6 +244,7 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
         raise ValueError("empty problem")
 
     a_flat = _flat(a_psd)
+    schur = _schur_complement(a_psd, a_vectors, weight)
     degree = weight * n + p
 
     def inner(m1, m2):
@@ -285,9 +342,9 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b,
         frame_h = frame.conj().swapaxes(-1, -2)
         w_mat = r_mat @ r_h
         wrw = w_mat @ r_d_psd @ w_mat
-        gram = weight * (a_flat @ _flat(w_mat @ a_psd @ w_mat).T)
         d_lin = u / z_lin
-        solve_normal = _factor_normal(gram + (a_lin * d_lin) @ a_lin.T)
+        solve_normal = _factor_normal(schur(w_mat)
+                                      + (a_lin * d_lin) @ a_lin.T)
 
         def directions(v_psd, v_lin):
             rhs = r_p - weight * (a_flat @ _flat(v_psd - wrw))

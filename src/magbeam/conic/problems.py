@@ -39,8 +39,17 @@ class SdpProblem:
     Tr(matrices[i] @ X) + linear[i] . u  (sense[i])  rhs[i]  for each row i,
     X PSD and u >= 0.
 
-    ``objective`` is n x n and ``matrices`` k x n x n, all symmetric (real)
-    or Hermitian (complex); mixing is allowed and makes X complex Hermitian.
+    ``objective`` is n x n, symmetric (real) or Hermitian (complex).
+    ``matrices`` has one entry per row: the row's n x n symmetric or
+    Hermitian matrix, or a length-n vector a standing for the rank-one
+    matrix a a^H (the delivery, peak-voltage and peak-current rows of the
+    beamforming problems are given so).  A k x n x n array is k matrices, a
+    k x n array k vectors, and a list may mix both.  After construction
+    ``matrices`` is the k x n x n stack, each vector row's matrix formed
+    from its vector, and ``vectors`` the k x n array of the rows' vectors,
+    zeros for a row given as a matrix; the solver builds a vector row's part
+    of the normal matrix from its vector.
+    Real and complex data may mix, which makes X complex Hermitian.
     Dimension n = 0 is an LP in u.  ``sense`` holds k entries of ``GE``,
     ``LE`` or ``EQ``.  ``linear_objective`` sets the number p of scalar
     variables ``u`` (none by default), and ``linear`` (k x p) their row
@@ -53,16 +62,26 @@ class SdpProblem:
     rhs: np.ndarray
     linear_objective: np.ndarray = ()
     linear: np.ndarray = None
+    vectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         objective = np.asarray(self.objective)
-        matrices = np.asarray(self.matrices)
-        k = len(matrices)
+        rows = [np.asarray(m) for m in self.matrices]
+        k = len(rows)
         if k == 0:
             raise ValueError("at least one constraint is required")
         n = objective.shape[0] if objective.ndim == 2 else -1
-        if objective.shape != (n, n) or matrices.shape != (k, n, n):
+        if objective.shape != (n, n) or \
+                any(m.shape != ((n,) if m.ndim == 1 else (n, n)) for m in rows):
             raise ValueError("matrix dimensions do not match the problem")
+        is_vec = np.array([m.ndim == 1 for m in rows], dtype=bool)
+        vecs = np.reshape([m for m in rows if m.ndim == 1], (is_vec.sum(), n))
+        dense = np.reshape([m for m in rows if m.ndim == 2], (k - is_vec.sum(), n, n))
+        matrices = np.empty((k, n, n), np.result_type(vecs, dense))
+        matrices[is_vec] = vecs[:, :, None] @ vecs.conj()[:, None, :]
+        matrices[~is_vec] = dense
+        vectors = np.zeros((k, n), vecs.dtype)
+        vectors[is_vec] = vecs
         sense = tuple(self.sense)
         if any(s not in _SLACK_SIGN for s in sense):
             raise ValueError(f"each sense must be '>=', '<=' or '==', got {sense!r}")
@@ -75,12 +94,13 @@ class SdpProblem:
         if c_u.ndim != 1 or linear.shape != (k, c_u.size):
             raise ValueError("linear coefficients do not match linear_objective")
         for name, value in (("objective", objective), ("matrices", matrices),
-                            ("sense", sense), ("rhs", rhs),
+                            ("vectors", vectors), ("sense", sense), ("rhs", rhs),
                             ("linear_objective", c_u), ("linear", linear)):
             object.__setattr__(self, name, value)
         if not all(np.all(np.isfinite(a)) for a in (objective, matrices, rhs, c_u, linear)):
             raise ValueError("problem data must be finite")
-        mats = np.concatenate([objective[None], matrices])
+        # a vector row's a a^H is Hermitian by construction
+        mats = np.concatenate([objective[None], dense])
         skew = np.linalg.norm(mats - mats.conj().transpose(0, 2, 1), axis=(1, 2))
         if np.any(skew > 1e-9 * np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))):
             raise ValueError("matrices must be symmetric/Hermitian")
@@ -91,7 +111,8 @@ class ConicSolution:
     """Solver outcome: the primal matrix ``x`` (0 x 0 for an LP) and scalars ``u``.
 
     ``iterate`` is the kernel's final ``(x, u, y, z_psd, z_lin)`` in its own
-    scaled form, the ``start`` of a later solve with the same rows.
+    scaled form, without the rows that constrain nothing, the ``start`` of
+    a later solve with the same rows.
     """
 
     status: str
@@ -120,6 +141,11 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     whose dimension, row count or number of scalar variables differs
     raises ``ValueError``.  The kernel logs each iteration at DEBUG on
     the ``magbeam.conic`` logger.
+
+    A row whose matrix, ``linear`` row and rhs are all zero constrains
+    nothing; it does not reach the kernel and its dual reads 0 (a problem
+    of such rows only raises ``ValueError``).  Vector rows reach the kernel
+    with their vectors.
     """
     dtype = complex if np.any(problem.objective.imag) or np.any(problem.matrices.imag) else float
     # the kernel weighs a Hermitian block's trace products by this factor,
@@ -137,24 +163,29 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
                                    np.linalg.norm(c_u))), 1e-300)
     # each row's own data norm in the kernel's geometry, taken before its
     # unit slack is appended
-    scales = np.hypot(np.linalg.norm(mats, axis=(1, 2)) / root_weight,
-                      np.linalg.norm(linear, axis=1))
-    scales = np.maximum(np.maximum(scales, np.abs(rhs)), 1e-300)
+    scales = np.maximum(np.hypot(np.linalg.norm(mats, axis=(1, 2)) / root_weight,
+                                 np.linalg.norm(linear, axis=1)), np.abs(rhs))
+    # rows that constrain nothing stay out of the kernel
+    live = scales > 0.0
+    mats, linear, rhs, signs, scales = (a[live] for a in (mats, linear, rhs, signs, scales))
+    scales = np.maximum(scales, 1e-300)
     a_psd = (mats + mats.conj().transpose(0, 2, 1)) / (2.0 * weight * scales[:, None, None])
+    a_vectors = problem.vectors[live] / np.sqrt(weight * scales)[:, None]
     # np.compress, unlike a boolean index, keeps the slack columns C-ordered;
     # the kernel's BLAS products round differently on another layout
     a_lin = np.hstack([linear / scales[:, None], np.compress(signs, np.diag(signs), axis=1)])
     res = kernel.solve_mixed_cone(
         c_psd=objective / (2.0 * weight * obj_scale),
         c_lin=np.concatenate([c_u, np.zeros(a_lin.shape[1] - c_u.size)]) / obj_scale,
-        a_psd=a_psd, a_lin=a_lin, b=rhs / scales,
+        a_psd=a_psd, a_lin=a_lin, b=rhs / scales, a_vectors=a_vectors,
         gap_tol=tolerances.rel_gap, feas_tol=tolerances.feasibility,
         max_iter=tolerances.max_iterations,
         start=None if start is None else start.iterate)
 
     u = res.u[:c_u.size]
     value = 0.5 * float(np.sum(objective.conj() * res.x).real) + float(c_u @ u)
-    duals = res.y * obj_scale / scales
+    duals = np.zeros(live.size)
+    duals[live] = res.y * obj_scale / scales
     return ConicSolution(status=res.status, value=value, x=res.x, duals=duals,
                          rel_gap=res.rel_gap, iterations=res.iterations,
                          primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas,

@@ -67,8 +67,12 @@ def loop_samples(coil: CoilGeometry, n_points: int):
     """Midpoint samples of the loop and the tangent increments dl.
 
     The angular rule is the periodic trapezoid (= midpoint) rule, which
-    converges spectrally for smooth non-singular integrands.
+    converges spectrally for smooth non-singular integrands.  ``n_points``,
+    the layout's ``quadrature_points``, must be an integer >= 1, or
+    ``ValueError`` is raised.
     """
+    if not isinstance(n_points, (int, np.integer)) or n_points < 1:
+        raise ValueError(f"quadrature_points must be an integer >= 1, got {n_points!r}")
     e1, e2 = _frame(coil.axis)
     theta = (np.arange(n_points) + 0.5) * (2.0 * math.pi / n_points)
     c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
@@ -113,22 +117,20 @@ def layout_mutual_matrix(tx_coils, rx_coils, quadrature_points: int = 256) -> np
     ``ValueError`` before anything is divided.
     """
     q = quadrature_points
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise ValueError(f"quadrature_points must be an integer >= 1, got {q!r}")
     tx_coils, rx_coils = list(tx_coils), list(rx_coils)
+    tx = [loop_samples(coil, q) for coil in tx_coils]
+    rx = [loop_samples(coil, q) for coil in rx_coils]
     n_rx = len(rx_coils)
     out = np.empty((len(tx_coils), n_rx))
     if out.size == 0:
         return out
-    rx = [loop_samples(coil, q) for coil in rx_coils]
     pb = np.stack([points for points, _ in rx])[:, None]          # (Q, 1, q, 3)
     dlb_t = np.stack([dl for _, dl in rx]).transpose(0, 2, 1)     # (Q, 3, q)
     rx_radius = np.array([coil.radius for coil in rx_coils])
     rx_turns = np.array([coil.turns for coil in rx_coils], dtype=float)
     dist = np.empty((n_rx, q, q))
     work = np.empty_like(dist)
-    for i, coil in enumerate(tx_coils):
-        pa, dla = loop_samples(coil, q)
+    for i, (coil, (pa, dla)) in enumerate(zip(tx_coils, tx)):
         for k in range(3):
             np.subtract(pa[:, None, k], pb[..., k], out=work)
             if k == 0:

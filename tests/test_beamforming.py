@@ -22,7 +22,8 @@ from magbeam.conic import (GE, kernel, numerical_rank, psd_eigendecomposition,
                            solve_sdp)
 from magbeam.errors import InfeasibleError, SolverError
 from magbeam.region import two_user_profiles
-from magbeam.scenario import bundled_scenario_path, load_scenario, table_scenario
+from magbeam.scenario import (bundled_scenario_path, load_scenario, select_receivers,
+                              table_scenario)
 
 NO_PEAKS = SolveOptions(use_peak_constraints=False)
 
@@ -626,6 +627,20 @@ class TestWarmStartedRelaxation:
         assert [r.getMessage() for r in caplog.records if r.name == "magbeam"] == [
             f"warm-started relaxation ended numerical_failure after "
             f"{warm_iterations[0]} iterations; solving it from the cold start"]
+
+    def test_uncoupled_zero_share_row_costs_nothing(self, tabletop_two_user):
+        # RX1 without coupling at a zero share has an all-zero delivery row;
+        # it is left out of the kernel, so the relaxation is the one RX2
+        # has alone (31 iterations when the row reached the kernel)
+        sc = tabletop_two_user
+        mutual = sc.mutual_tx_rx.copy()
+        mutual[:, 0] = 0.0
+        zeroed = solve_p0_sdr(replace(sc, mutual_tx_rx=mutual), PowerProfile([0.0, 1.0]))
+        alone = solve_p0_sdr(select_receivers(sc, [1]), PowerProfile([1.0]))
+        assert zeroed.is_optimal and alone.is_optimal
+        assert zeroed.iterations <= alone.iterations
+        assert zeroed.u[0] == pytest.approx(alone.u[0], rel=1e-8)
+        assert zeroed.duals[0] == 0.0
 
     def test_closed_form_has_no_relaxation(self, tabletop_miso, miso_model):
         options = SolveOptions(use_peak_constraints=False, method="closed_form")

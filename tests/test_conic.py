@@ -8,7 +8,8 @@ import pytest
 from magbeam.conic import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, SdpProblem,
                            Tolerances, kernel, numerical_rank, psd_eigendecomposition,
                            solve_sdp)
-from magbeam.conic.kernel import _factor_normal, _max_step_pos, _max_step_psd, _nt_scaling
+from magbeam.conic.kernel import (_factor_normal, _max_step_pos, _max_step_psd, _nt_scaling,
+                                  _schur_complement)
 
 W_TABLE = 42.6e6
 R_RX = 10.5367
@@ -287,6 +288,100 @@ class TestFactorNormal:
         sol, lines = self._solve(m, rhs, caplog)
         np.testing.assert_array_equal(sol, np.linalg.lstsq(m, rhs, rcond=None)[0])
         assert lines == ["normal matrix not factored: least squares"]
+
+
+class TestFactoredSchur:
+    """The normal matrix's PSD block from the rows' vectors and eigen-factors."""
+
+    @staticmethod
+    def _rand(rng, shape, complex_data):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if complex_data else a
+
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("rows", ["rank_one", "mixed"])
+    def test_matches_dense_formula(self, complex_data, rows):
+        # weight * Re tr(A_i W A_j W), formed from the full matrices
+        rng = np.random.default_rng(19)
+        weight = kernel.HERMITIAN_WEIGHT if complex_data else 1.0
+        for n in (1, 2, 5, 9):
+            k = int(rng.integers(1, 12))
+            vecs = self._rand(rng, (k, n), complex_data)
+            a_psd = vecs[:, :, None] * vecs.conj()[:, None, :]
+            given = vecs.copy()
+            if rows == "mixed":
+                # every third row dense (no vector) and indefinite, the
+                # first of rank two
+                for i in range(0, k, 3):
+                    h = self._rand(rng, (n, n), complex_data)
+                    a_psd[i] = h + h.conj().T
+                    given[i] = 0.0
+                a_psd[0] = np.outer(vecs[0], vecs[0].conj()) - np.outer(vecs[-1], vecs[-1].conj())
+            g = self._rand(rng, (n, n), complex_data)
+            w = g @ g.conj().T + 0.1 * np.eye(n)
+            dense = weight * np.einsum("iab,bc,jcd,da->ij", a_psd, w, a_psd, w).real
+            schur = _schur_complement(a_psd, given, weight)(w)
+            assert schur.shape == (k, k)
+            assert np.max(np.abs(schur - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_lp_block_is_zero(self):
+        schur = _schur_complement(np.zeros((4, 0, 0)), np.zeros((4, 0)), 1.0)(np.zeros((0, 0)))
+        assert np.array_equal(schur, np.zeros((4, 4)))
+
+    def test_vector_count_must_match_rows(self):
+        for vectors in (np.ones((1, 3)), np.ones((2, 2))):
+            with pytest.raises(ValueError, match="vectors"):
+                _schur_complement(np.zeros((2, 3, 3)), vectors, 1.0)
+
+
+class TestVectorRows:
+    """Rows given by a vector a stand for the rank-one matrix a a^H."""
+
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_same_problem_as_its_matrices(self, complex_data):
+        rng = np.random.default_rng(20)
+        n = 4
+        vecs = rng.standard_normal((3, n))
+        if complex_data:
+            vecs = vecs + 1j * rng.standard_normal((3, n))
+        outer = vecs[:, :, None] * vecs.conj()[:, None, :]
+        sense, rhs = (GE, GE, LE), [1.0, 0.5, 40.0]
+        given = SdpProblem(np.eye(n), [vecs[0], np.eye(n), vecs[1], vecs[2]],
+                           (LE,) + sense, [50.0] + rhs)
+        np.testing.assert_array_equal(given.vectors, [vecs[0], np.zeros(n), vecs[1], vecs[2]])
+        np.testing.assert_allclose(given.matrices[[0, 2, 3]], outer, rtol=0, atol=1e-15)
+        formed = SdpProblem(np.eye(n), np.concatenate([outer[:1], np.eye(n)[None], outer[1:]]),
+                            (LE,) + sense, [50.0] + rhs)
+        assert not formed.vectors.any()
+        a, b = solve_sdp(given), solve_sdp(formed)
+        assert a.is_optimal and b.is_optimal
+        assert a.value == pytest.approx(b.value, rel=1e-9)
+        np.testing.assert_allclose(a.duals, b.duals, rtol=1e-6, atol=1e-9)
+
+    def test_vector_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            SdpProblem(np.eye(3), [np.ones(2)], (GE,), [1.0])
+
+    def test_zero_row_stays_out_of_the_kernel(self, monkeypatch):
+        # a row with zero matrix, linear part and rhs constrains nothing
+        seen = []
+        solve = kernel.solve_mixed_cone
+
+        def spy(**kwargs):
+            seen.append(kwargs["b"].size)
+            return solve(**kwargs)
+
+        monkeypatch.setattr(kernel, "solve_mixed_cone", spy)
+        a = np.array([1.0, 2.0])
+        zero = SdpProblem(np.eye(2), [a, np.zeros(2)], (GE, GE), [1.0, 0.0],
+                          linear_objective=(1.0,), linear=[[0.0], [0.0]])
+        alone = SdpProblem(np.eye(2), [a], (GE,), [1.0], linear_objective=(1.0,))
+        with_zero, without = solve_sdp(zero), solve_sdp(alone)
+        assert seen == [1, 1]
+        assert with_zero.duals[1] == 0.0
+        assert with_zero.iterations == without.iterations
+        assert with_zero.value == pytest.approx(without.value, rel=1e-12)
+        assert with_zero.duals[0] == pytest.approx(without.duals[0], rel=1e-12)
 
 
 class TestOrthantVariables:

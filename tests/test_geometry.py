@@ -156,3 +156,10 @@ class TestLayoutMatrix:
             mutual_inductance(a, b, q)
         with pytest.raises(ValueError, match="quadrature_points"):
             layout_mutual_matrix([], [b], q)
+
+    @pytest.mark.parametrize("n_points", [0, -1, 2.5])
+    def test_loop_samples_count_must_be_a_positive_integer(self, n_points):
+        # 0 divided by zero, -1 gave empty arrays and 2.5 three points
+        coil = CoilGeometry(center=(0, 0, 0), radius=0.10, turns=250)
+        with pytest.raises(ValueError, match="quadrature_points"):
+            loop_samples(coil, n_points)

@@ -156,6 +156,18 @@ class TestWarmStartedSweep:
         assert sum(r.iterations for r in results) <= 690
 
 
+    def test_peak_sweep_relaxation_iterations(self, tabletop_two_user):
+        # each point's warm relaxation, as counted when the normal matrix
+        # was first formed from the rows' vectors (463 in all): an edit that
+        # changes the iterates beyond rounding shows here
+        expected = [18, 7, 7, 7, 8, 10, 9, 10, 29, 33, 7, 8, 8, 8, 8, 7, 7, 7, 7, 8, 9,
+                    10, 30, 35, 24, 19, 10, 8, 8, 7, 8, 8, 8, 8, 8, 8, 8, 9, 8, 8, 9]
+        sweep = sweep_region(tabletop_two_user, grid_size=40)
+        counts = [p.relaxation.iterations for p in sweep.points]
+        assert abs(sum(counts) - sum(expected)) <= 5
+        assert all(abs(c - e) <= 2 for c, e in zip(counts, expected, strict=True))
+
+
 class TestBaselinePoint:
     def test_profile_capped_value(self, tabletop_two_user):
         point = benchmark_point(tabletop_two_user, [1.0, 0.0], constrained=False)
