@@ -359,7 +359,7 @@ def _slot_lp_rows(scenario, model, vecs):
     each slot (``<= 0``).
     """
     c0 = np.real(np.einsum("il,ij,jl->l", vecs.conj(), model.b_bar, vecs))
-    c1 = np.real(np.einsum("il,qij,jl->lq", vecs.conj(), model.rank_one_rx, vecs))
+    c1 = (np.abs(model.m_vectors @ vecs) ** 2).T
     gains = np.stack([np.abs(model.b_columns.conj() @ vecs) ** 2,
                       np.abs(vecs) ** 2], axis=2)                  # (N, L, 2)
     limits = np.stack([scenario.peak_voltage ** 2,
@@ -381,7 +381,7 @@ def _slot_lp_schedule(scenario, model, vecs, objective, a_le, b_le):
     tau_row[n_slots:2 * n_slots] = 1.0
     k = len(b_le) + 1
     lp_sol = solve_sdp(SdpProblem(
-        np.zeros((0, 0)), np.zeros((k, 0, 0)), (LE,) * (k - 1) + (EQ,),
+        np.zeros((0, 0)), np.zeros((k, 0)), (LE,) * (k - 1) + (EQ,),
         np.append(b_le, 1.0), linear_objective=objective,
         linear=np.vstack([a_le, tau_row])))
     if lp_sol.status == INFEASIBLE:
@@ -572,7 +572,7 @@ def _p0_problem(scenario, profile, model, use_peaks, objective):
     redundant; so every profile of a scenario gives the same rows.
     """
     n_rx = scenario.n_rx
-    rows = [*model.m_vectors, model.b_bar / 2.0]
+    rows = [*model.m_vectors, model.b_bar_factor / math.sqrt(2.0)]
     rhs = [np.zeros(n_rx), [scenario.total_power_cap]]
     if use_peaks:
         peak_vectors, peak_rhs = _peak_rows(scenario, model)

@@ -105,7 +105,7 @@ class Scenario:
         if not (np.isfinite(self.total_power_cap) and self.total_power_cap > 0):
             raise ScenarioError("must be positive", field="total_power_cap")
         mt = self.mutual_tx_tx
-        scale = max(1.0, float(np.max(np.abs(mt))) if mt.size else 1.0)
+        scale = float(np.max(np.abs(mt)))
         if np.max(np.abs(mt - mt.T)) > _SYM_TOL * scale:
             raise ScenarioError("must be symmetric (coil reciprocity)", field="mutual_tx_tx")
         if np.max(np.abs(np.diag(mt))) > _SYM_TOL * scale:
@@ -137,16 +137,16 @@ class ImpedanceModel:
     """Matrices derived from a scenario, shared by every optimization.
 
     ``b_bar``/``b_hat`` are the real/imaginary parts of the impedance matrix,
-    ``b_columns[n]`` its n-th column, ``rank_one_tx[n] = b_n b_n^H`` and
-    ``rank_one_rx[q] = m_q m_q^T`` the rank-one forms entering the voltage
-    and delivered-power quadratics.
+    ``b_columns[n]`` its n-th column b_n and ``m_vectors[q]`` receiver q's
+    coupling vector m_q.  ``b_bar_factor`` is the (N + Q) x N factor of
+    ``b_bar``, rows sqrt(r_n) e_n then (w / sqrt(r_q)) m_q, whose outer
+    products sum to ``b_bar`` up to rounding.
     """
 
     b_bar: np.ndarray
     b_hat: np.ndarray
     b_columns: np.ndarray
-    rank_one_tx: np.ndarray
-    rank_one_rx: np.ndarray
+    b_bar_factor: np.ndarray
     m_vectors: np.ndarray
 
     @property
@@ -182,24 +182,21 @@ class Excitation:
 
 def build_impedance(scenario: Scenario) -> ImpedanceModel:
     """Assemble the impedance matrices for a scenario (validated on construction)."""
-    w = scenario.omega
-    n, q = scenario.n_tx, scenario.n_rx
+    w, r_rx = scenario.omega, scenario.rx_resistance
     m_vectors = scenario.mutual_tx_rx.T.copy()              # (Q, N)
-    rank_one_rx = np.einsum("qi,qj->qij", m_vectors, m_vectors)
     b_bar = np.diag(scenario.tx_resistance).astype(float)
-    for k in range(q):
-        b_bar += (w ** 2 / scenario.rx_resistance[k]) * rank_one_rx[k]
+    for m, r in zip(m_vectors, r_rx):
+        b_bar += (w ** 2 / r) * np.outer(m, m)
+    b_bar_factor = np.vstack([np.diag(np.sqrt(scenario.tx_resistance)),
+                              (w / np.sqrt(r_rx))[:, None] * m_vectors])
     b_hat = -w * scenario.mutual_tx_tx
     np.fill_diagonal(b_hat, 0.0)
 
-    b = b_bar + 1j * b_hat
-    b_columns = b.T.copy()                                  # row n = column b_n
-    rank_one_tx = np.einsum("ni,nj->nij", b_columns, b_columns.conj())
-    for arr in (b_bar, b_hat, b_columns, rank_one_tx, rank_one_rx, m_vectors):
+    b_columns = (b_bar + 1j * b_hat).T.copy()               # row n = column b_n
+    for arr in (b_bar, b_hat, b_columns, b_bar_factor, m_vectors):
         arr.setflags(write=False)
     return ImpedanceModel(b_bar=b_bar, b_hat=b_hat, b_columns=b_columns,
-                          rank_one_tx=rank_one_tx, rank_one_rx=rank_one_rx,
-                          m_vectors=m_vectors)
+                          b_bar_factor=b_bar_factor, m_vectors=m_vectors)
 
 
 def _check_dims(model: ImpedanceModel, exc: Excitation):

@@ -18,29 +18,17 @@ inverse, applied twice, would be cheaper but rounds worse late in a solve:
 with it 6 of the 11 P0 maximizations that solve on the bench's 16-charger
 tables ended numerical_failure.
 
-The Schur complement's PSD part, weight * Re tr(A_i W A_j W), is built from
-rank-one terms, as in DSDP (Benson, Ye & Zhang 2000) and SDPT3's low-rank
-path.  Once per solve every row is written as A_i = sum_j s_j v_j v_j^H: a
-row given with its vector a_i (A_i = a_i a_i^H: a delivery, peak-voltage or
-peak-current row) is that one column, any other row (P0's power cap) its
-signed eigen-factors.  With V the n x r matrix of all columns, each
-iteration forms V^H W V (O(r n^2 + r^2 n)), squares its entries and sums
-each row's columns: weight * E^T |V^H W V|^2 E.  The dense data stays for
-the residuals and right-hand sides, which are mat-vecs over its (k, n^2)
-view.  The batched W A_i W and the (k, n^2) GEMM it replaced cost
-O(k n^3 + k^2 n^2).  ``beamforming.solve_p0_sdr`` with peaks, 4 receivers
-and N chargers (k = 2N + 5 rows, r = 3N + 4 columns), ``random_scenario``
-of the tests seeded with N, one OpenBLAS thread on a 2-vCPU Xeon VM, best
-of three alternating runs of three solves each (two at N = 64), in ms:
-
-    N                     5    10    20     30    64
-    batched W A_i W    13.9  11.5  27.4    115  1329
-    rank-one terms     13.4  10.8  20.1   54.0   418  (49/28/28/39/55 iterations)
-
-Iteration counts are the same and t agrees to 1e-9 relative.  At n = 5 an
-iteration costs its ~100 NumPy calls, not arithmetic: the Schur step takes
-9 us against 15 us, but factoring the rows costs about 60 us a solve, so a
-warm-started 9-iteration P0 solve of the two-user sweep is about 4% slower.
+Every row's matrix comes as its PSD factor columns, A_i = sum_j f_j f_j^H:
+a delivery, peak-voltage or peak-current row is one column, P0's power cap
+the N + Q rows of B-bar's factor.  The Schur complement's PSD part,
+weight * Re tr(A_i W A_j W), is built from them, as in DSDP (Benson, Ye &
+Zhang 2000) and SDPT3's low-rank path: with V the n x r matrix of all
+columns, each iteration forms V^H W V (O(r n^2 + r^2 n)), squares its
+entries and sums each row's columns, weight * E |V^H W V|^2 E^T.  The
+batched W A_i W it replaced cost O(k n^3 + k^2 n^2); README ("Library
+sketch") has the timings.  The rows' (k, n^2) view, formed once per solve from the
+columns, serves the residuals and right-hand sides as mat-vecs.  At n = 5
+an iteration costs its ~100 NumPy calls, not arithmetic.
 
 The dual is  max b.y  s.t.  sum_i y_i A_i + Z = C (Z PSD),
 a_lin^T y + z = c (z >= 0).  X is real or complex as its data are.
@@ -94,7 +82,7 @@ def _sym(m):
 def _flat(m):
     """Trailing n x n matrices as rows of reals, so Re tr(A^H B) is a dot."""
     m = np.ascontiguousarray(m)
-    return m.reshape(m.shape[:-2] + (-1,)).view(float)
+    return m.reshape(m.shape[:-2] + (math.prod(m.shape[-2:]),)).view(float)
 
 
 def _max_step_psd(d, ds):
@@ -160,40 +148,16 @@ def _factor_normal(m):
     return lambda rhs: np.linalg.lstsq(m, rhs, rcond=None)[0]
 
 
-def _schur_complement(a_psd, a_vectors, weight):
-    """The normal matrix's PSD part, weight * Re tr(A_i W A_j W), as a function of W.
+def _schur_complement(v_rows, e, weight):
+    """The normal matrix's PSD part, weight * E |V^H W V|^2 E^T, as a function of W.
 
-    Once per solve each row is written as signed rank-one terms,
-    A_i = sum_j s_j v_j v_j^H over its columns j.  A row with a nonzero
-    vector ``a_vectors[i]`` (its matrix is a_i a_i^H) is that one column,
-    sign 1.  Any other row (its ``a_vectors`` row zero) is its
-    eigenvectors scaled by sqrt|lambda| and signed as lambda, leaving out
-    |lambda| below n*eps of the row's largest.  With V the n x r matrix of
-    columns and E the r x k map with E[j, i] = s_j for each column j of row
-    i (``e`` holds E^T), entry (i, j) of the block sums
-    weight * s_a s_b |a^H W b|^2 over row i's columns a and row j's b:
-    weight * E^T |V^H W V|^2 E, where the Hermitian g = V^H W V has
-    g_ab g_ba = |g_ab|^2.  The returned function costs
-    O(r n^2 + r^2 n + k r^2) a call.
+    ``v_rows`` holds the columns of V one per array row, and the k x r map
+    ``e`` has e[i, j] = 1 where column j is row i's; entry (i, j) sums
+    weight * |a^H W b|^2 over row i's columns a and row j's b, since the
+    Hermitian g = V^H W V has g_ab g_ba = |g_ab|^2.  A call costs
+    O(r n^2 + r^2 n + k r^2).
     """
-    k, n = a_psd.shape[:2]
-    a_vectors = np.asarray(a_vectors)
-    if a_vectors.shape != (k, n):
-        raise ValueError("constraint vectors do not match the rows")
-    has_vec = a_vectors.any(axis=1)
-    dense = np.flatnonzero(~has_vec)
-    lam, u = np.linalg.eigh(a_psd[dense])
-    size = np.abs(lam)
-    keep = size >= n * np.finfo(float).eps * size.max(axis=1, initial=0.0)[:, None]
-    # each column's row; the stable sort groups them by row, in row order
-    owner = np.concatenate([np.flatnonzero(has_vec), np.repeat(dense, keep.sum(axis=1))])
-    order = np.argsort(owner, kind="stable")
-    cols = np.concatenate([a_vectors[has_vec],
-                           u.swapaxes(1, 2)[keep] * np.sqrt(size[keep])[:, None]])[order]
-    e = np.zeros((k, len(cols)))
-    e[owner[order], np.arange(len(cols))] = \
-        np.concatenate([np.ones(has_vec.sum()), np.sign(lam[keep])])[order]
-    v_h, v, we = cols.conj(), np.ascontiguousarray(cols.T), weight * e
+    v_h, v, we = v_rows.conj(), np.ascontiguousarray(v_rows.T), weight * e
 
     def schur(w_mat):
         g = v_h @ w_mat @ v
@@ -209,16 +173,15 @@ def _interior(m):
     return m + _WARM_START_SHIFT * np.trace(m).real / max(len(m), 1) * np.eye(len(m))
 
 
-def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b, a_vectors,
+def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
                      gap_tol=1e-8, feas_tol=1e-8, max_iter=100, start=None):
     """Run the interior-point iteration; see module docstring for the form.
 
-    An LP has ``c_psd`` 0 x 0 and ``a_psd`` k x 0 x 0.  Each iteration logs
-    one line at DEBUG on ``magbeam.conic``, a child of the ``magbeam`` logger.
-
-    ``a_vectors`` (k x n) holds, for each row, the vector a_i with
-    ``a_psd[i] == a_i a_i^H``, or zeros; it is trusted, not checked against
-    ``a_psd``.  Rows without a vector are eigen-factored once per solve.
+    Row i's matrix is A_i = sum_j f_j f_j^H over the columns f_j of
+    ``a_factors`` (r x n, one column per array row) whose ``factor_rows``
+    entry is i.  An LP has ``c_psd`` 0 x 0 and ``a_factors`` r x 0.  Each
+    iteration logs one line at DEBUG on ``magbeam.conic``, a child of the
+    ``magbeam`` logger.
 
     ``start`` is an optional iterate ``(x, u, y, z_psd, z_lin)`` to start
     from instead of the scaled identity, typically the final iterate of a
@@ -231,20 +194,25 @@ def solve_mixed_cone(c_psd, c_lin, a_psd, a_lin, b, a_vectors,
     b = np.asarray(b, dtype=float)
     k = b.size
     n = c_psd.shape[0]
-    dtype = complex if np.iscomplexobj(c_psd) or np.iscomplexobj(a_psd) else float
+    dtype = complex if np.iscomplexobj(c_psd) or np.iscomplexobj(a_factors) else float
     weight = HERMITIAN_WEIGHT if dtype is complex else 1.0
     c_psd = _sym(np.asarray(c_psd, dtype=dtype))
     c_lin = np.asarray(c_lin, dtype=float)
     p = c_lin.size
-    a_psd = np.asarray(a_psd, dtype=dtype)
+    a_factors = np.asarray(a_factors, dtype=dtype)
+    factor_rows = np.asarray(factor_rows)
     a_lin = np.asarray(a_lin, dtype=float)
-    if a_psd.shape != (k, n, n) or a_lin.shape != (k, p):
+    if a_lin.shape != (k, p):
         raise ValueError("constraint data dimensions are inconsistent")
+    if a_factors.shape != (factor_rows.size, n) or np.any((factor_rows < 0) | (factor_rows >= k)):
+        raise ValueError("factor vectors do not match the rows")
     if n + p == 0 or k == 0:
         raise ValueError("empty problem")
 
-    a_flat = _flat(a_psd)
-    schur = _schur_complement(a_psd, a_vectors, weight)
+    e = (factor_rows == np.arange(k)[:, None]).astype(float)
+    # the rows' matrices as one (k, n^2) view, for the residuals and rhs
+    a_flat = e @ _flat(a_factors[:, :, None] * a_factors.conj()[:, None, :])
+    schur = _schur_complement(a_factors, e, weight)
     degree = weight * n + p
 
     def inner(m1, m2):

@@ -14,8 +14,7 @@ def psd_eigendecomposition(x, herm_tol=1e-8):
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.linalg.norm(x)))
-    if np.linalg.norm(x - x.conj().T) > herm_tol * scale:
+    if np.linalg.norm(x - x.conj().T) > herm_tol * np.linalg.norm(x):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((x + x.conj().T) / 2.0)
     return w[::-1].copy(), v[:, ::-1].copy()

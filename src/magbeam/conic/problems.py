@@ -36,52 +36,43 @@ DEFAULT_TOLERANCES = Tolerances()
 @dataclass(frozen=True)
 class SdpProblem:
     """minimize 0.5*Tr(objective @ X) + linear_objective . u  subject to
-    Tr(matrices[i] @ X) + linear[i] . u  (sense[i])  rhs[i]  for each row i,
+    Tr(A_i @ X) + linear[i] . u  (sense[i])  rhs[i]  for each row i,
     X PSD and u >= 0.
 
-    ``objective`` is n x n, symmetric (real) or Hermitian (complex).
-    ``matrices`` has one entry per row: the row's n x n symmetric or
-    Hermitian matrix, or a length-n vector a standing for the rank-one
-    matrix a a^H (the delivery, peak-voltage and peak-current rows of the
-    beamforming problems are given so).  A k x n x n array is k matrices, a
-    k x n array k vectors, and a list may mix both.  After construction
-    ``matrices`` is the k x n x n stack, each vector row's matrix formed
-    from its vector, and ``vectors`` the k x n array of the rows' vectors,
-    zeros for a row given as a matrix; the solver builds a vector row's part
-    of the normal matrix from its vector.
-    Real and complex data may mix, which makes X complex Hermitian.
-    Dimension n = 0 is an LP in u.  ``sense`` holds k entries of ``GE``,
-    ``LE`` or ``EQ``.  ``linear_objective`` sets the number p of scalar
-    variables ``u`` (none by default), and ``linear`` (k x p) their row
-    coefficients, zeros by default.
+    ``objective`` is n x n, symmetric (real) or Hermitian (complex).  Each
+    row's matrix A_i is given by its PSD factor: ``factors`` has one entry
+    per row, a length-n vector a standing for a a^H (the delivery,
+    peak-voltage and peak-current rows of the beamforming problems) or an
+    r x n block F standing for sum_j f_j f_j^H over its rows f_j (P0's power
+    cap).  A k x n array is k vectors, a k x r x n array k blocks, and a
+    list may mix both.  After construction ``factors`` is the array of all
+    rows' columns f_j, one per array row in row order, and ``factor_rows``
+    the row each belongs to.  Real and complex data may mix, which makes X
+    complex Hermitian.  Dimension n = 0 is an LP in u.  ``sense`` holds k
+    entries of ``GE``, ``LE`` or ``EQ``.  ``linear_objective`` sets the
+    number p of scalar variables ``u`` (none by default), and ``linear``
+    (k x p) their row coefficients, zeros by default.
     """
 
     objective: np.ndarray
-    matrices: np.ndarray
+    factors: np.ndarray
     sense: tuple
     rhs: np.ndarray
     linear_objective: np.ndarray = ()
     linear: np.ndarray = None
-    vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    factor_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         objective = np.asarray(self.objective)
-        rows = [np.asarray(m) for m in self.matrices]
+        rows = [np.atleast_2d(f) for f in self.factors]
         k = len(rows)
         if k == 0:
             raise ValueError("at least one constraint is required")
         n = objective.shape[0] if objective.ndim == 2 else -1
-        if objective.shape != (n, n) or \
-                any(m.shape != ((n,) if m.ndim == 1 else (n, n)) for m in rows):
+        if objective.shape != (n, n) or any(f.ndim != 2 or f.shape[1] != n for f in rows):
             raise ValueError("matrix dimensions do not match the problem")
-        is_vec = np.array([m.ndim == 1 for m in rows], dtype=bool)
-        vecs = np.reshape([m for m in rows if m.ndim == 1], (is_vec.sum(), n))
-        dense = np.reshape([m for m in rows if m.ndim == 2], (k - is_vec.sum(), n, n))
-        matrices = np.empty((k, n, n), np.result_type(vecs, dense))
-        matrices[is_vec] = vecs[:, :, None] @ vecs.conj()[:, None, :]
-        matrices[~is_vec] = dense
-        vectors = np.zeros((k, n), vecs.dtype)
-        vectors[is_vec] = vecs
+        factors = np.concatenate(rows)
+        factor_rows = np.repeat(np.arange(k), [len(f) for f in rows])
         sense = tuple(self.sense)
         if any(s not in _SLACK_SIGN for s in sense):
             raise ValueError(f"each sense must be '>=', '<=' or '==', got {sense!r}")
@@ -93,17 +84,15 @@ class SdpProblem:
             raise ValueError("sense and rhs must have one entry per constraint")
         if c_u.ndim != 1 or linear.shape != (k, c_u.size):
             raise ValueError("linear coefficients do not match linear_objective")
-        for name, value in (("objective", objective), ("matrices", matrices),
-                            ("vectors", vectors), ("sense", sense), ("rhs", rhs),
+        for name, value in (("objective", objective), ("factors", factors),
+                            ("factor_rows", factor_rows), ("sense", sense), ("rhs", rhs),
                             ("linear_objective", c_u), ("linear", linear)):
             object.__setattr__(self, name, value)
-        if not all(np.all(np.isfinite(a)) for a in (objective, matrices, rhs, c_u, linear)):
+        if not all(np.all(np.isfinite(a)) for a in (objective, factors, rhs, c_u, linear)):
             raise ValueError("problem data must be finite")
-        # a vector row's a a^H is Hermitian by construction
-        mats = np.concatenate([objective[None], dense])
-        skew = np.linalg.norm(mats - mats.conj().transpose(0, 2, 1), axis=(1, 2))
-        if np.any(skew > 1e-9 * np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))):
-            raise ValueError("matrices must be symmetric/Hermitian")
+        # every row's sum of f f^H is Hermitian by construction
+        if np.linalg.norm(objective - objective.conj().T) > 1e-9 * np.linalg.norm(objective):
+            raise ValueError("the objective must be symmetric/Hermitian")
 
 
 @dataclass
@@ -144,17 +133,19 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
 
     A row whose matrix, ``linear`` row and rhs are all zero constrains
     nothing; it does not reach the kernel and its dual reads 0 (a problem
-    of such rows only raises ``ValueError``).  Vector rows reach the kernel
-    with their vectors.
+    of such rows only raises ``ValueError``).  The kernel gets the other
+    rows as their factor columns, each scaled by the root of its row's
+    scale.
     """
-    dtype = complex if np.any(problem.objective.imag) or np.any(problem.matrices.imag) else float
+    dtype = complex if np.any(problem.objective.imag) or np.any(problem.factors.imag) else float
     # the kernel weighs a Hermitian block's trace products by this factor,
     # so its data goes in divided by it and its norms grow by the root
     weight = kernel.HERMITIAN_WEIGHT if dtype is complex else 1.0
     root_weight = np.sqrt(weight)
-    objective, mats = (np.asarray(m if dtype is complex else m.real, dtype=dtype)
-                       for m in (problem.objective, problem.matrices))
-    c_u, linear, rhs = problem.linear_objective, problem.linear, problem.rhs
+    objective, factors = (np.asarray(m if dtype is complex else m.real, dtype=dtype)
+                          for m in (problem.objective, problem.factors))
+    rows, rhs = problem.factor_rows, problem.rhs
+    c_u, linear = problem.linear_objective, problem.linear
     signs = np.array([_SLACK_SIGN[s] for s in problem.sense])
 
     # orthant block: the problem's own scalar variables, then one unit
@@ -162,22 +153,26 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     obj_scale = max(float(np.hypot(np.linalg.norm(objective) / root_weight,
                                    np.linalg.norm(c_u))), 1e-300)
     # each row's own data norm in the kernel's geometry, taken before its
-    # unit slack is appended
-    scales = np.maximum(np.hypot(np.linalg.norm(mats, axis=(1, 2)) / root_weight,
-                                 np.linalg.norm(linear, axis=1)), np.abs(rhs))
+    # unit slack is appended; |A_i|_F is that of its columns' Gram matrix
+    same_row = rows[:, None] == rows[None, :]
+    gram2 = np.abs(factors.conj() @ factors.T) ** 2
+    psd_norms = np.sqrt(np.bincount(rows, (gram2 * same_row).sum(axis=1), len(rhs)))
+    scales = np.maximum(np.hypot(psd_norms / root_weight, np.linalg.norm(linear, axis=1)),
+                        np.abs(rhs))
     # rows that constrain nothing stay out of the kernel
     live = scales > 0.0
-    mats, linear, rhs, signs, scales = (a[live] for a in (mats, linear, rhs, signs, scales))
+    live_cols = live[rows]
+    linear, rhs, signs, scales = (a[live] for a in (linear, rhs, signs, scales))
     scales = np.maximum(scales, 1e-300)
-    a_psd = (mats + mats.conj().transpose(0, 2, 1)) / (2.0 * weight * scales[:, None, None])
-    a_vectors = problem.vectors[live] / np.sqrt(weight * scales)[:, None]
+    rows = (np.cumsum(live) - 1)[rows[live_cols]]
+    a_factors = factors[live_cols] / np.sqrt(weight * scales)[rows, None]
     # np.compress, unlike a boolean index, keeps the slack columns C-ordered;
     # the kernel's BLAS products round differently on another layout
     a_lin = np.hstack([linear / scales[:, None], np.compress(signs, np.diag(signs), axis=1)])
     res = kernel.solve_mixed_cone(
         c_psd=objective / (2.0 * weight * obj_scale),
         c_lin=np.concatenate([c_u, np.zeros(a_lin.shape[1] - c_u.size)]) / obj_scale,
-        a_psd=a_psd, a_lin=a_lin, b=rhs / scales, a_vectors=a_vectors,
+        a_factors=a_factors, a_lin=a_lin, b=rhs / scales, factor_rows=rows,
         gap_tol=tolerances.rel_gap, feas_tol=tolerances.feasibility,
         max_iter=tolerances.max_iterations,
         start=None if start is None else start.iterate)

@@ -98,13 +98,18 @@ def coupling_feedthrough_matrix(scenario: Scenario) -> np.ndarray:
     return f
 
 
+def check_slots(scenario: Scenario, protocol: TrainingProtocol):
+    """Raise ``ValueError`` unless block training has a multiple of N slots."""
+    if protocol.mode == BLOCK_SINGLE_TX and protocol.n_slots % scenario.n_tx != 0:
+        raise ValueError(f"block training needs a multiple of {scenario.n_tx} "
+                         f"slots, got {protocol.n_slots}")
+
+
 def training_voltages(scenario: Scenario, protocol: TrainingProtocol) -> np.ndarray:
     """The N x T matrix of applied source voltages."""
+    check_slots(scenario, protocol)
     n, t = scenario.n_tx, protocol.n_slots
     if protocol.mode == BLOCK_SINGLE_TX:
-        if t % n != 0:
-            raise ValueError(
-                f"block training needs a multiple of {n} slots, got {t}")
         h = np.zeros((n, t), dtype=complex)
         h[np.arange(t) % n, np.arange(t)] = protocol.active_voltage
         return h
@@ -146,9 +151,7 @@ def simulate_training(scenario: Scenario, protocol: TrainingProtocol,
         raise ScenarioError("impedance matrix is not finite", field="scenario")
     f = coupling_feedthrough_matrix(scenario)
     if protocol.mode == BLOCK_SINGLE_TX and protocol.inactive_tx == OPEN_CIRCUIT:
-        if protocol.n_slots % scenario.n_tx != 0:
-            raise ValueError(f"block training needs a multiple of {scenario.n_tx} "
-                             f"slots, got {protocol.n_slots}")
+        check_slots(scenario, protocol)
         y = _single_tx_currents(scenario, protocol)
         z = (1j * scenario.omega / scenario.rx_resistance)[:, None] * (model.m_vectors @ y)
         # port voltages consistent with the open loops: active ports read the

@@ -65,3 +65,11 @@ def random_scenario(rng, n_tx=None, n_rx=None, load_accounting="load_only"):
 
 def random_excitation(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def row_matrices(problem):
+    """Each row's matrix of an ``SdpProblem``: sum_j f_j f_j^H over its factor columns."""
+    f, n = problem.factors, problem.objective.shape[0]
+    mats = np.zeros((len(problem.rhs), n, n), f.dtype)
+    np.add.at(mats, problem.factor_rows, f[:, :, None] * f.conj()[:, None, :])
+    return mats

@@ -297,7 +297,7 @@ def test_criterion_6_time_sharing_identities():
         w2 = sc.omega ** 2
         for q in range(sc.n_rx):
             want = (w2 / (2 * sc.rx_resistance[q])
-                    * float(np.sum(model.rank_one_rx[q] * x_star))
+                    * float(model.m_vectors[q] @ x_star @ model.m_vectors[q])
                     * sc.rx_power_factor[q])
             crit.check(f"trial {trial} delivered RX{q + 1}",
                        abs(sol.per_rx_power[q] - want) <= 1e-8 * abs(want),
@@ -510,16 +510,17 @@ def test_criterion_10_property_suites():
         c = a @ a.T + n * np.eye(n)
         x0_m = rng.standard_normal((n, n))
         x0 = x0_m @ x0_m.T + 0.5 * np.eye(n)
-        mats, sense, rhs = [], [], []
+        factors, mats, sense, rhs = [], [], [], []
         for _ in range(int(rng.integers(2, 6))):
             g_m = rng.standard_normal((n, n))
             g = g_m @ g_m.T
             v = float(np.sum(g * x0))
             ge = rng.random() < 0.5
+            factors.append(g_m.T)
             mats.append(g)
             sense.append(GE if ge else LE)
             rhs.append(0.7 * v if ge else 1.3 * v)
-        sol = solve_sdp(SdpProblem(c, np.stack(mats), sense, rhs))
+        sol = solve_sdp(SdpProblem(c, np.stack(factors), sense, rhs))
         if not sol.is_optimal:
             continue
         s = c / 2.0 - sum(y * g for y, g in zip(sol.duals, mats))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_scenario
+from conftest import random_scenario, row_matrices
 from magbeam import beamforming
 from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits,
                                  _rank_penalized, _roundings,
@@ -173,8 +173,9 @@ class TestRelaxationWithoutPeaks:
                                  model, use_peak_constraints=False)
         rhs1 = delivery_rhs(tabletop_two_user, PowerProfile([1.0, 0.0]), 2.0)[0]
         ell = np.linalg.inv(np.linalg.cholesky(model.b_bar))
+        m_vec = model.m_vectors[0]
         lmax = float(np.linalg.eigvalsh(
-            ell @ model.rank_one_rx[0] @ ell.T)[-1])
+            ell @ np.outer(m_vec, m_vec) @ ell.T)[-1])
         assert conic2.value == pytest.approx(0.5 * rhs1 / lmax, rel=1e-6)
 
 
@@ -204,7 +205,7 @@ class TestTimeSharing:
             w2 = sc.omega ** 2
             for q in range(sc.n_rx):
                 trace_val = (w2 / (2 * sc.rx_resistance[q])
-                             * float(np.sum(model.rank_one_rx[q] * x))
+                             * float(model.m_vectors[q] @ x @ model.m_vectors[q])
                              * sc.rx_power_factor[q])
                 assert sol.per_rx_power[q] == pytest.approx(trace_val, rel=1e-8)
             assert sol.tx_power == pytest.approx(
@@ -265,11 +266,12 @@ class TestRelaxationWithPeaks:
         sol = solve_p0_sdr(sc, PowerProfile.uniform(4))
         prob, = seen
         assert sol.is_optimal and np.iscomplexobj(sol.x)
-        assert len(prob.matrices) == 4 + 1 + 2 * 30
+        mats = row_matrices(prob)
+        assert len(mats) == 4 + 1 + 2 * 30
         # the objective has no PSD part, so the dual slack is -sum_i y_i A_i
-        s = -sum(y * a for y, a in zip(sol.duals, prob.matrices))
+        s = -sum(y * a for y, a in zip(sol.duals, mats))
         scale = 1.0 + abs(sol.value)
-        for y, a, sense, rhs, lin in zip(sol.duals, prob.matrices, prob.sense,
+        for y, a, sense, rhs, lin in zip(sol.duals, mats, prob.sense,
                                          prob.rhs, prob.linear):
             trace = float(np.sum(np.conj(a) * sol.x).real)
             lhs = trace + float(np.dot(lin, sol.u))

@@ -64,6 +64,19 @@ class TestBuildImpedance:
         with pytest.raises(ScenarioError):
             _mk(2, 1, np.array([[np.nan], [1e-7]]), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("cross", [
+        [[0.0, 1e-6], [1.0009e-6, 0.0]],        # a 0.09% asymmetric pair
+        [[0.9e-9, 1e-9], [1e-9, 0.0]],          # a self term at 90% of an nH coupling
+    ], ids=["asymmetric", "diagonal"])
+    def test_cross_coupling_checks_scale_with_the_matrix(self, cross):
+        # couplings of a few nH or uH are judged against their own size, as
+        # the same matrix scaled up by 1e6 is
+        for scale in (1.0, 1e6):
+            with pytest.raises(ScenarioError, match="symmetric|diagonal"):
+                _mk(2, 1, np.full((2, 1), 1e-7), scale * np.array(cross))
+        sc = _mk(2, 1, np.full((2, 1), 1e-7), [[1e-24, 1e-6], [1e-6 + 1e-16, 0.0]])
+        assert sc.mutual_tx_tx[1, 0] == 1e-6 + 1e-16
+
 
 class TestRxCurrents:
     def test_zero_current(self, tabletop_miso, miso_model):
@@ -278,13 +291,17 @@ class TestProperties:
             assert w_min >= -1e-9 * np.linalg.norm(model.b_bar)
 
     def test_rank_one_factors(self, tabletop):
+        # b_bar is the sum of f f^T over its factor's rows: sqrt(r_n) e_n
+        # for each TX, then (w / sqrt(r_q)) m_q for each receiver
         model = build_impedance(tabletop)
-        for q in range(tabletop.n_rx):
-            vals = np.linalg.eigvalsh(model.rank_one_rx[q])
-            assert np.sum(np.abs(vals) > 1e-9 * np.abs(vals).max()) == 1
-        for n in range(tabletop.n_tx):
-            vals = np.linalg.eigvalsh(model.rank_one_tx[n])
-            assert np.sum(np.abs(vals) > 1e-9 * np.abs(vals).max()) == 1
+        f = model.b_bar_factor
+        n = tabletop.n_tx
+        assert f.shape == (n + tabletop.n_rx, n)
+        np.testing.assert_array_equal(f[:n], np.diag(np.sqrt(tabletop.tx_resistance)))
+        np.testing.assert_allclose(
+            f[n:], (tabletop.omega / np.sqrt(tabletop.rx_resistance))[:, None]
+            * tabletop.mutual_tx_rx.T, rtol=1e-15)
+        assert np.linalg.norm(f.T @ f - model.b_bar) <= 1e-14 * np.linalg.norm(model.b_bar)
 
 
 class TestScenarioValidation:

@@ -6,7 +6,7 @@ import pytest
 
 from magbeam import beamforming, region
 from magbeam.cli import main
-from magbeam.conic import ConicSolution
+from magbeam.conic import ConicSolution, kernel
 from magbeam.scenario import bundled_scenario_path, save_scenario, table_scenario
 
 MISO = str(bundled_scenario_path("table2_miso"))
@@ -130,9 +130,17 @@ def _exit_code(argv):
     ["estimate", TABLE, "--snr-list", "30,x", "--out", "unused.csv"],
     ["estimate", TABLE, "--voltage", "nan", "--out", "unused.csv"],
     ["estimate", TABLE, "--voltage", "inf", "--out", "unused.csv"],
+    ["estimate", TABLE, "--trials", "0", "--out", "unused.csv"],
+    ["region", TWO_USER, "--grid", "0", "--out", "unused.csv"],
+    ["region", TWO_USER, "--grid", "40", "--draws", "0", "--out", "unused.csv"],
+    ["beamform", TABLE, "--alpha", "0.25,0.25,0.25,0.25", "--target-power", "2",
+     "--method", "randomization", "--draws", "0"],
+    # block training at T = 7 is not a multiple of N = 5
+    ["estimate", TABLE, "--slots", "7", "--out", "unused.csv"],
 ], ids=["alpha-nan", "alpha-inf", "target-nan", "target-inf", "region-alpha-nan",
         "snr-nan-ls", "snr-nan-pairwise", "snr-unparsable", "voltage-nan",
-        "voltage-inf"])
+        "voltage-inf", "trials-zero", "grid-zero", "region-draws-zero",
+        "beamform-draws-zero", "slots-not-multiple-of-n"])
 def test_bad_number_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert _exit_code(argv) == 64
@@ -328,3 +336,26 @@ class TestHookPoints:
         (conic, rank), = results
         assert isinstance(conic, ConicSolution) and conic.is_optimal
         assert isinstance(rank, int) and rank >= 1
+
+    def test_region_calls_kernel_with_c_psd_and_b(self, tmp_path, monkeypatch):
+        # a kernel span reads the PSD block from the keyword ``c_psd`` (n x n)
+        # and the row count from the keyword ``b``; at each point of the
+        # two-user sweep the relaxation has 2 delivery rows, the cap and 10
+        # peak rows on a 5 x 5 block
+        calls = []
+        solve = kernel.solve_mixed_cone
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "solve_mixed_cone", spy)
+        assert main(["region", TWO_USER, "--grid", "2",
+                     "--out", str(tmp_path / "region.csv")]) == 0
+        assert calls and all(args == () for args, _ in calls)
+        for _, kwargs in calls:
+            n = kwargs["c_psd"].shape[0]
+            assert kwargs["c_psd"].shape == (n, n) and kwargs["b"].ndim == 1
+        relaxations = [kw for _, kw in calls if kw["c_psd"].shape == (5, 5)]
+        assert len(relaxations) >= 3
+        assert all(kw["b"].shape == (13,) for kw in relaxations)

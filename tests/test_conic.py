@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import row_matrices
 from magbeam.conic import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, SdpProblem,
                            Tolerances, kernel, numerical_rank, psd_eigendecomposition,
                            solve_sdp)
@@ -27,7 +28,7 @@ def _single_constraint_optimum(b_bar, m_vec, rhs):
 def _single_rx_problem():
     b_bar = 13.44 * np.eye(5) + W_TABLE ** 2 * np.outer(M_RX2, M_RX2) / R_RX
     rhs = 2.0 * R_RX ** 2 * 1.0 / (W_TABLE ** 2 * 10.0)
-    problem = SdpProblem(b_bar, np.outer(M_RX2, M_RX2)[None], (GE,), [rhs])
+    problem = SdpProblem(b_bar, M_RX2[None], (GE,), [rhs])
     return problem, b_bar, rhs
 
 
@@ -43,7 +44,7 @@ class TestSolveSdp:
         m = np.array([0.8, 0.35])
         b_bar = np.diag([2.0, 5.0]) + 3.0 * np.outer(m, m)
         rhs = 0.7
-        prob = SdpProblem(b_bar, np.outer(m, m)[None], (GE,), [rhs])
+        prob = SdpProblem(b_bar, m[None], (GE,), [rhs])
         sol = solve_sdp(prob)
         best = np.inf
         for theta in np.linspace(0.0, math.pi, 200_001):
@@ -78,33 +79,46 @@ class TestSolveSdp:
         with pytest.raises(ValueError):
             SdpProblem(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2)[None], (GE,), [1.0])
 
+    def test_objective_symmetry_is_relative(self):
+        # an asymmetric objective is refused at any scale, not solved as
+        # "unbounded" once it is small
+        for scale in (1.0, 1e-12, 1e12):
+            with pytest.raises(ValueError, match="symmetric"):
+                SdpProblem(scale * np.array([[1.0, 5.0], [0.0, 1.0]]), np.eye(2)[None],
+                           (GE,), [1.0])
+            sol = solve_sdp(SdpProblem(scale * np.array([[1.0, 1e-10], [0.0, 1.0]]),
+                                       np.eye(2)[None], (GE,), [1.0]))
+            assert sol.is_optimal
+
 
 class TestKktCertificates:
     def _random_problem(self, rng, complex_data=False):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(2, 6))
 
-        def rand_psd():
-            if complex_data:
-                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                return a @ a.conj().T
+        def rand_factor():
+            # F = a^T, standing for F^T conj(F) = a a^H
             a = rng.standard_normal((n, n))
-            return a @ a.T
+            return (a + 1j * rng.standard_normal((n, n)) if complex_data else a).T
 
-        c = rand_psd() + n * np.eye(n)
-        x0 = rand_psd() + 0.5 * np.eye(n)
-        mats, sense, rhs = [], [], []
+        def gram(f):
+            return f.T @ f.conj()
+
+        c = gram(rand_factor()) + n * np.eye(n)
+        x0 = gram(rand_factor()) + 0.5 * np.eye(n)
+        factors, sense, rhs = [], [], []
         for _ in range(k):
-            a = rand_psd()
+            f = rand_factor()
+            a = gram(f)
             v = float(np.real(np.sum(a.conj() * x0)))
-            mats.append(a)
+            factors.append(f)
             if rng.random() < 0.5:
                 sense.append(GE)
                 rhs.append(0.7 * v)
             else:
                 sense.append(LE)
                 rhs.append(1.3 * v)
-        return SdpProblem(c, np.stack(mats), sense, rhs)
+        return SdpProblem(c, np.stack(factors), sense, rhs)
 
     def test_kkt_on_random_instances(self):
         rng = np.random.default_rng(10)
@@ -113,7 +127,7 @@ class TestKktCertificates:
             sol = solve_sdp(prob)
             assert sol.is_optimal, f"trial {trial}: {sol.status}"
             c_half = np.asarray(prob.objective) / 2.0
-            s = c_half - sum(y * a for y, a in zip(sol.duals, prob.matrices))
+            s = c_half - sum(y * a for y, a in zip(sol.duals, row_matrices(prob)))
             scale = 1.0 + abs(sol.value)
             # complementary slackness
             assert abs(np.real(np.sum(s.conj() * sol.x))) <= 1e-6 * scale
@@ -134,7 +148,8 @@ class TestKktCertificates:
             base = solve_sdp(prob).value
             rhs = [b * (1.05 if sense == GE else 0.95)
                    for b, sense in zip(prob.rhs, prob.sense)]
-            harder = solve_sdp(SdpProblem(prob.objective, prob.matrices, prob.sense, rhs))
+            blocks = [prob.factors[prob.factor_rows == i] for i in range(len(rhs))]
+            harder = solve_sdp(SdpProblem(prob.objective, blocks, prob.sense, rhs))
             if harder.is_optimal:
                 assert harder.value >= base - 1e-7 * (1 + abs(base))
 
@@ -151,7 +166,7 @@ class TestComplexEmbedding:
             b_m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             g = b_m @ b_m.conj().T
             rhs = float(rng.uniform(0.5, 2.0))
-            sol = solve_sdp(SdpProblem(c, g[None], (GE,), [rhs]))
+            sol = solve_sdp(SdpProblem(c, b_m.T[None], (GE,), [rhs]))
             ell_inv = np.linalg.inv(np.linalg.cholesky(c))
             lmax = float(np.linalg.eigvalsh(ell_inv @ g @ ell_inv.conj().T)[-1].real)
             assert sol.is_optimal
@@ -165,16 +180,17 @@ class TestComplexEmbedding:
         solve = kernel.solve_mixed_cone
 
         def spy(**kwargs):
-            seen.append((kwargs["c_psd"], kwargs["a_psd"]))
+            seen.append((kwargs["c_psd"], kwargs["a_factors"]))
             return solve(**kwargs)
 
         monkeypatch.setattr(kernel, "solve_mixed_cone", spy)
         g = np.array([[2.0, 1j], [-1j, 1.0]])
-        sol = solve_sdp(SdpProblem(np.eye(2), g[None], (GE,), [1.0]))
+        # the row g as its factor F, g = F^T conj(F)
+        sol = solve_sdp(SdpProblem(np.eye(2), np.linalg.cholesky(g).T[None], (GE,), [1.0]))
         assert sol.is_optimal
-        (c_psd, a_psd), = seen
-        assert c_psd.shape == (2, 2) and a_psd.shape == (1, 2, 2)
-        assert np.iscomplexobj(c_psd) and np.iscomplexobj(a_psd)
+        (c_psd, a_factors), = seen
+        assert c_psd.shape == (2, 2) and a_factors.shape == (2, 2)
+        assert np.iscomplexobj(c_psd) and np.iscomplexobj(a_factors)
 
     def test_real_data_stays_on_real_path(self):
         prob, b_bar, rhs = _single_rx_problem()
@@ -291,7 +307,7 @@ class TestFactorNormal:
 
 
 class TestFactoredSchur:
-    """The normal matrix's PSD block from the rows' vectors and eigen-factors."""
+    """The normal matrix's PSD block from the rows' factor columns."""
 
     @staticmethod
     def _rand(rng, shape, complex_data):
@@ -306,53 +322,61 @@ class TestFactoredSchur:
         weight = kernel.HERMITIAN_WEIGHT if complex_data else 1.0
         for n in (1, 2, 5, 9):
             k = int(rng.integers(1, 12))
-            vecs = self._rand(rng, (k, n), complex_data)
-            a_psd = vecs[:, :, None] * vecs.conj()[:, None, :]
-            given = vecs.copy()
+            cols = self._rand(rng, (k, n), complex_data)
+            owner = np.arange(k)
             if rows == "mixed":
-                # every third row dense (no vector) and indefinite, the
-                # first of rank two
-                for i in range(0, k, 3):
-                    h = self._rand(rng, (n, n), complex_data)
-                    a_psd[i] = h + h.conj().T
-                    given[i] = 0.0
-                a_psd[0] = np.outer(vecs[0], vecs[0].conj()) - np.outer(vecs[-1], vecs[-1].conj())
+                # every third row a block: two more columns, after all the others
+                more = np.arange(0, k, 3).repeat(2)
+                cols = np.concatenate([cols, self._rand(rng, (more.size, n), complex_data)])
+                owner = np.concatenate([owner, more])
+            e = np.zeros((k, len(cols)))
+            e[owner, np.arange(len(cols))] = 1.0
+            a_psd = np.einsum("ij,ja,jb->iab", e, cols, cols.conj())
             g = self._rand(rng, (n, n), complex_data)
             w = g @ g.conj().T + 0.1 * np.eye(n)
             dense = weight * np.einsum("iab,bc,jcd,da->ij", a_psd, w, a_psd, w).real
-            schur = _schur_complement(a_psd, given, weight)(w)
+            schur = _schur_complement(cols, e, weight)(w)
             assert schur.shape == (k, k)
             assert np.max(np.abs(schur - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_lp_block_is_zero(self):
-        schur = _schur_complement(np.zeros((4, 0, 0)), np.zeros((4, 0)), 1.0)(np.zeros((0, 0)))
+        schur = _schur_complement(np.zeros((4, 0)), np.eye(4), 1.0)(np.zeros((0, 0)))
         assert np.array_equal(schur, np.zeros((4, 4)))
 
     def test_vector_count_must_match_rows(self):
-        for vectors in (np.ones((1, 3)), np.ones((2, 2))):
+        # two rows on a 3 x 3 block: each column has length 3 and a row
+        for factors, rows in ((np.ones((1, 3)), [0, 1]), (np.ones((2, 2)), [0, 1]),
+                              (np.ones((2, 3)), [0, 2])):
             with pytest.raises(ValueError, match="vectors"):
-                _schur_complement(np.zeros((2, 3, 3)), vectors, 1.0)
+                kernel.solve_mixed_cone(c_psd=np.eye(3), c_lin=np.zeros(0), a_factors=factors,
+                                        a_lin=np.zeros((2, 0)), b=np.ones(2),
+                                        factor_rows=np.array(rows))
 
 
 class TestVectorRows:
-    """Rows given by a vector a stand for the rank-one matrix a a^H."""
+    """Rows given by a vector a stand for a a^H, and by a block F for F^T conj(F)."""
 
     @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
     def test_same_problem_as_its_matrices(self, complex_data):
+        # the same row matrices through other factors: each vector as two
+        # columns a / sqrt(2), the identity as an orthogonal block
         rng = np.random.default_rng(20)
         n = 4
         vecs = rng.standard_normal((3, n))
         if complex_data:
             vecs = vecs + 1j * rng.standard_normal((3, n))
-        outer = vecs[:, :, None] * vecs.conj()[:, None, :]
+        rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
         sense, rhs = (GE, GE, LE), [1.0, 0.5, 40.0]
         given = SdpProblem(np.eye(n), [vecs[0], np.eye(n), vecs[1], vecs[2]],
                            (LE,) + sense, [50.0] + rhs)
-        np.testing.assert_array_equal(given.vectors, [vecs[0], np.zeros(n), vecs[1], vecs[2]])
-        np.testing.assert_allclose(given.matrices[[0, 2, 3]], outer, rtol=0, atol=1e-15)
-        formed = SdpProblem(np.eye(n), np.concatenate([outer[:1], np.eye(n)[None], outer[1:]]),
+        np.testing.assert_array_equal(given.factors,
+                                      np.concatenate([vecs[:1], np.eye(n), vecs[1:]]))
+        np.testing.assert_array_equal(given.factor_rows, [0, 1, 1, 1, 1, 2, 3])
+        halves = vecs[:, None, :].repeat(2, axis=1) / np.sqrt(2.0)
+        formed = SdpProblem(np.eye(n), [halves[0], rotation, halves[1], halves[2]],
                             (LE,) + sense, [50.0] + rhs)
-        assert not formed.vectors.any()
+        np.testing.assert_allclose(row_matrices(formed), row_matrices(given),
+                                   rtol=0, atol=1e-14)
         a, b = solve_sdp(given), solve_sdp(formed)
         assert a.is_optimal and b.is_optimal
         assert a.value == pytest.approx(b.value, rel=1e-9)
@@ -388,16 +412,17 @@ class TestOrthantVariables:
     """SDPs joined by nonnegative scalar variables (one kernel call)."""
 
     @staticmethod
-    def _max_t(a):
-        # maximize t s.t. Tr(A X) >= t, Tr(X) <= 1: t* = lambda_max(A)
-        n = a.shape[0]
-        return SdpProblem(np.zeros((n, n)), np.stack([a, np.eye(n)]), (GE, LE), [0.0, 1.0],
+    def _max_t(f):
+        # maximize t s.t. Tr(A X) >= t, Tr(X) <= 1 for A = F^T conj(F):
+        # t* = lambda_max(A)
+        n = f.shape[1]
+        return SdpProblem(np.zeros((n, n)), np.stack([f, np.eye(n)]), (GE, LE), [0.0, 1.0],
                           linear_objective=(-1.0,), linear=[[-1.0], [0.0]])
 
     def test_max_t_real(self):
         g = np.random.default_rng(5).standard_normal((4, 4))
         a = g @ g.T
-        sol = solve_sdp(self._max_t(a))
+        sol = solve_sdp(self._max_t(g.T))
         assert sol.status == OPTIMAL
         lmax = np.linalg.eigvalsh(a)[-1]
         assert sol.u[0] == pytest.approx(lmax, rel=1e-6)
@@ -407,7 +432,7 @@ class TestOrthantVariables:
         rng = np.random.default_rng(6)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         a = g @ g.conj().T
-        sol = solve_sdp(self._max_t(a))
+        sol = solve_sdp(self._max_t(g.T))
         assert sol.status == OPTIMAL
         assert sol.u[0] == pytest.approx(np.linalg.eigvalsh(a)[-1], rel=1e-6)
         assert np.iscomplexobj(sol.x)
@@ -432,12 +457,12 @@ class TestWarmStart:
         mats, linear = [], []
         for _ in range(n_rows):
             g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            mats.append(np.outer(g, g.conj()))
+            mats.append(g)
             linear.append([-float(rng.uniform(0.5, 2.0))])
         mats.append(np.eye(n))
-        mats += [np.diag(np.eye(n)[i]) for i in range(n)]
+        mats += list(np.eye(n))
         linear += [[0.0]] * (n + 1)
-        return SdpProblem(objective, np.stack(mats), (GE,) * n_rows + (LE,) * (n + 1),
+        return SdpProblem(objective, mats, (GE,) * n_rows + (LE,) * (n + 1),
                           [0.0] * n_rows + [1.0] + [0.25] * n,
                           linear_objective=(-1.0,), linear=linear)
 
@@ -448,7 +473,7 @@ class TestWarmStart:
         scale = 1.0 + abs(sol.value)
         s = np.asarray(prob.objective) / 2.0
         s_lin = np.array(prob.linear_objective, dtype=float)
-        for y, a, sense, rhs, lin in zip(sol.duals, prob.matrices, prob.sense,
+        for y, a, sense, rhs, lin in zip(sol.duals, row_matrices(prob), prob.sense,
                                          prob.rhs, prob.linear):
             trace = float(np.sum(np.conj(a) * sol.x).real)
             lhs = trace + float(np.dot(lin, sol.u))
@@ -557,14 +582,14 @@ class TestProblemForm:
             SdpProblem(np.eye(2), np.stack([np.eye(2), np.eye(2)]), rows["sense"],
                        rows["rhs"], linear_objective=(1.0,), linear=rows["linear"])
 
-    @pytest.mark.parametrize("field", ["objective", "matrices", "rhs",
+    @pytest.mark.parametrize("field", ["objective", "factors", "rhs",
                                        "linear_objective", "linear"])
     def test_rejects_non_finite_data(self, field):
-        data = {"objective": np.eye(2), "matrices": np.eye(2)[None], "rhs": [1.0],
+        data = {"objective": np.eye(2), "factors": np.eye(2)[None], "rhs": [1.0],
                 "linear_objective": [1.0], "linear": [[1.0]]}
         data[field] = np.full(np.shape(data[field]), np.nan)
         with pytest.raises(ValueError, match="finite"):
-            SdpProblem(data["objective"], data["matrices"], (GE,), data["rhs"],
+            SdpProblem(data["objective"], data["factors"], (GE,), data["rhs"],
                        linear_objective=data["linear_objective"], linear=data["linear"])
 
     @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
@@ -575,7 +600,7 @@ class TestProblemForm:
         if complex_data:
             g = g + 1j * rng.standard_normal((4, 4))
         a = g @ g.conj().T
-        sol = solve_sdp(SdpProblem(2.0 * np.eye(4), a[None], (EQ,), [3.0]))
+        sol = solve_sdp(SdpProblem(2.0 * np.eye(4), g.T[None], (EQ,), [3.0]))
         assert sol.is_optimal
         assert sol.value == pytest.approx(3.0 / np.linalg.eigvalsh(a)[-1], rel=1e-6)
         assert float(np.sum(a.conj() * sol.x).real) == pytest.approx(3.0, rel=1e-7)
@@ -623,6 +648,14 @@ class TestEigUtilities:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             psd_eigendecomposition(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_hermitian_test_is_relative(self):
+        # the asymmetry counts against the matrix's own norm, at any scale
+        for scale in (1.0, 1e-12, 1e12):
+            with pytest.raises(ValueError):
+                psd_eigendecomposition(scale * np.array([[1.0, 2.0], [0.0, 1.0]]))
+            w, _ = psd_eigendecomposition(scale * np.array([[2.0, 1e-10], [0.0, 1.0]]))
+            assert w == pytest.approx([2.0 * scale, scale], rel=1e-9)
 
     def test_numerical_rank_thresholds(self):
         assert numerical_rank([5.0, 1e-12], 1e-9) == 1
