@@ -38,6 +38,8 @@ METHOD_RANDOMIZATION = "randomization"
 METHOD_BENCHMARK = "benchmark"
 # principal eigenvector of a rank-penalized re-solve of the P0 relaxation
 METHOD_RANK_PENALTY = "rank_penalty"
+# ``SolveOptions.method``: every rounding, exact only, one rounding, closed form
+_METHODS = ("auto", "sdr", "ts", "randomization", METHOD_CLOSED_FORM)
 
 _SLACK_TOL = 1e-6
 # relative shortfall a delivered power may have against its floor
@@ -105,10 +107,18 @@ class BeamformingSolution:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """How P0 and P1 realize a relaxation; a bad method or draw count raises ValueError."""
+
     use_peak_constraints: bool = True
     method: str = "auto"
     seed: int = 0
     randomization_draws: int = 4000
+
+    def __post_init__(self):
+        if self.method not in _METHODS:
+            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.randomization_draws < 1:
+            raise ValueError(f"randomization_draws must be >= 1, got {self.randomization_draws}")
 
 
 DEFAULT_OPTIONS = SolveOptions()
@@ -503,10 +513,10 @@ def _within_limits(scenario, model, solution, use_peaks):
         for r in reports)
 
 
-def _delivers_target(solution, profile, target_power, rel_tol=_DELIVERY_REL_TOL):
+def _delivers_target(solution, profile, target_power):
     want = profile.alpha * target_power
     slack = solution.per_rx_power - want
-    return bool(np.all(slack >= -rel_tol * np.maximum(want, 1e-9)))
+    return bool(np.all(slack >= -_DELIVERY_REL_TOL * np.maximum(want, 1e-9)))
 
 
 def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=None):
@@ -565,8 +575,8 @@ def _closed_form(scenario, target_power, model, use_peaks):
     return solve_p2_closed_form_single_rx(scenario, target_power, model)
 
 
-def _p0_problem(scenario, profile, model, use_peaks, objective):
-    """The joint P0 relaxation with ``0.5 Tr(objective X) - t`` to minimize.
+def _p0_problem(scenario, profile, model, use_peaks):
+    """The joint P0 relaxation, minimizing -t.
 
     Every receiver has a delivery row, also at a zero share, where it is
     redundant; so every profile of a scenario gives the same rows.
@@ -580,8 +590,9 @@ def _p0_problem(scenario, profile, model, use_peaks, objective):
         rhs.append(peak_rhs)
     linear = np.zeros((len(rows), 1))
     linear[:n_rx, 0] = -delivery_rhs(scenario, profile, 1.0)
-    return SdpProblem(objective, rows, (GE,) * n_rx + (LE,) * (len(rows) - n_rx),
-                      np.concatenate(rhs), linear_objective=(-1.0,), linear=linear)
+    return SdpProblem(np.zeros((scenario.n_tx, scenario.n_tx)), rows,
+                      (GE,) * n_rx + (LE,) * (len(rows) - n_rx), np.concatenate(rhs),
+                      linear_objective=(-1.0,), linear=linear)
 
 
 def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True,
@@ -602,8 +613,7 @@ def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True,
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
-    problem = _p0_problem(scenario, profile, model, use_peak_constraints,
-                          np.zeros((scenario.n_tx, scenario.n_tx)))
+    problem = _p0_problem(scenario, profile, model, use_peak_constraints)
     if start is None:
         return solve_sdp(problem)
     conic = solve_sdp(problem, start=start)
@@ -664,14 +674,14 @@ def _rank_penalized(conic, scenario, profile, model, use_peaks):
     Each solution's principal eigenvector is scaled to its limits, up to
     the first solve that is not optimal.
     """
+    problem = _p0_problem(scenario, profile, model, use_peaks)
     scale = 2.0 * float(conic.u[0]) / float(np.trace(conic.x).real)
     v = psd_eigendecomposition(conic.x)[1][:, 0]
     schedules = []
     step = conic
     for lam in _RANK_PENALTY_WEIGHTS:
         penalty = lam * scale * (np.eye(scenario.n_tx) - np.outer(v, v.conj()))
-        step = solve_sdp(_p0_problem(scenario, profile, model, use_peaks, penalty),
-                         start=step)
+        step = solve_sdp(replace(problem, objective=penalty), start=step)
         if not step.is_optimal:
             _debug("rank penalty %g: %s after %d iterations", lam, step.status,
                    step.iterations)

@@ -3,18 +3,18 @@
 import numpy as np
 
 
-def psd_eigendecomposition(x, herm_tol=1e-8):
+def psd_eigendecomposition(x):
     """Eigendecomposition of a (near-)Hermitian PSD matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
     descending order and eigenvectors in matching columns, so that
     ``x ~= v @ diag(w) @ v.conj().T``.  Rejects inputs whose Hermitian
-    deviation exceeds ``herm_tol`` relative to the matrix norm.
+    deviation exceeds 1e-8 relative to the matrix norm.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.linalg.norm(x - x.conj().T) > herm_tol * np.linalg.norm(x):
+    if np.linalg.norm(x - x.conj().T) > 1e-8 * np.linalg.norm(x):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((x + x.conj().T) / 2.0)
     return w[::-1].copy(), v[:, ::-1].copy()

@@ -45,34 +45,32 @@ class SdpProblem:
     peak-voltage and peak-current rows of the beamforming problems) or an
     r x n block F standing for sum_j f_j f_j^H over its rows f_j (P0's power
     cap).  A k x n array is k vectors, a k x r x n array k blocks, and a
-    list may mix both.  After construction ``factors`` is the array of all
-    rows' columns f_j, one per array row in row order, and ``factor_rows``
-    the row each belongs to.  Real and complex data may mix, which makes X
-    complex Hermitian.  Dimension n = 0 is an LP in u.  ``sense`` holds k
-    entries of ``GE``, ``LE`` or ``EQ``.  ``linear_objective`` sets the
-    number p of scalar variables ``u`` (none by default), and ``linear``
-    (k x p) their row coefficients, zeros by default.
+    list may mix both.  After construction ``factors`` is a tuple of one
+    2-D block per row (a vector becomes a 1 x n block), so the fields build
+    the same problem again: ``dataclasses.replace(problem, rhs=...)`` or
+    ``objective=...`` keeps the rows.  Real and complex data may mix, which
+    makes X complex Hermitian.  Dimension n = 0 is an LP in u.  ``sense``
+    holds k entries of ``GE``, ``LE`` or ``EQ``.  ``linear_objective`` sets
+    the number p of scalar variables ``u`` (none by default), and
+    ``linear`` (k x p) their row coefficients, zeros by default.
     """
 
     objective: np.ndarray
-    factors: np.ndarray
+    factors: tuple
     sense: tuple
     rhs: np.ndarray
     linear_objective: np.ndarray = ()
     linear: np.ndarray = None
-    factor_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         objective = np.asarray(self.objective)
-        rows = [np.atleast_2d(f) for f in self.factors]
-        k = len(rows)
+        factors = tuple(np.atleast_2d(f) for f in self.factors)
+        k = len(factors)
         if k == 0:
             raise ValueError("at least one constraint is required")
         n = objective.shape[0] if objective.ndim == 2 else -1
-        if objective.shape != (n, n) or any(f.ndim != 2 or f.shape[1] != n for f in rows):
+        if objective.shape != (n, n) or any(f.ndim != 2 or f.shape[1] != n for f in factors):
             raise ValueError("matrix dimensions do not match the problem")
-        factors = np.concatenate(rows)
-        factor_rows = np.repeat(np.arange(k), [len(f) for f in rows])
         sense = tuple(self.sense)
         if any(s not in _SLACK_SIGN for s in sense):
             raise ValueError(f"each sense must be '>=', '<=' or '==', got {sense!r}")
@@ -84,11 +82,10 @@ class SdpProblem:
             raise ValueError("sense and rhs must have one entry per constraint")
         if c_u.ndim != 1 or linear.shape != (k, c_u.size):
             raise ValueError("linear coefficients do not match linear_objective")
-        for name, value in (("objective", objective), ("factors", factors),
-                            ("factor_rows", factor_rows), ("sense", sense), ("rhs", rhs),
-                            ("linear_objective", c_u), ("linear", linear)):
+        for name, value in (("objective", objective), ("factors", factors), ("sense", sense),
+                            ("rhs", rhs), ("linear_objective", c_u), ("linear", linear)):
             object.__setattr__(self, name, value)
-        if not all(np.all(np.isfinite(a)) for a in (objective, factors, rhs, c_u, linear)):
+        if not all(np.all(np.isfinite(a)) for a in (objective, *factors, rhs, c_u, linear)):
             raise ValueError("problem data must be finite")
         # every row's sum of f f^H is Hermitian by construction
         if np.linalg.norm(objective - objective.conj().T) > 1e-9 * np.linalg.norm(objective):
@@ -134,17 +131,18 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     A row whose matrix, ``linear`` row and rhs are all zero constrains
     nothing; it does not reach the kernel and its dual reads 0 (a problem
     of such rows only raises ``ValueError``).  The kernel gets the other
-    rows as their factor columns, each scaled by the root of its row's
-    scale.
+    rows as their factor columns stacked in row order, each scaled by the
+    root of its row's scale, and the row of each column.
     """
-    dtype = complex if np.any(problem.objective.imag) or np.any(problem.factors.imag) else float
+    factors, rhs = np.concatenate(problem.factors), problem.rhs
+    rows = np.repeat(np.arange(rhs.size), [len(f) for f in problem.factors])
+    dtype = complex if np.any(problem.objective.imag) or np.any(factors.imag) else float
     # the kernel weighs a Hermitian block's trace products by this factor,
     # so its data goes in divided by it and its norms grow by the root
     weight = kernel.HERMITIAN_WEIGHT if dtype is complex else 1.0
     root_weight = np.sqrt(weight)
     objective, factors = (np.asarray(m if dtype is complex else m.real, dtype=dtype)
-                          for m in (problem.objective, problem.factors))
-    rows, rhs = problem.factor_rows, problem.rhs
+                          for m in (problem.objective, factors))
     c_u, linear = problem.linear_objective, problem.linear
     signs = np.array([_SLACK_SIGN[s] for s in problem.sense])
 

@@ -68,8 +68,5 @@ def random_excitation(rng, n):
 
 
 def row_matrices(problem):
-    """Each row's matrix of an ``SdpProblem``: sum_j f_j f_j^H over its factor columns."""
-    f, n = problem.factors, problem.objective.shape[0]
-    mats = np.zeros((len(problem.rhs), n, n), f.dtype)
-    np.add.at(mats, problem.factor_rows, f[:, :, None] * f.conj()[:, None, :])
-    return mats
+    """Each row's matrix of an ``SdpProblem``: F^T conj(F) = sum_j f_j f_j^H over its block."""
+    return np.stack([f.T @ f.conj() for f in problem.factors])

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_scenario, row_matrices
 from magbeam import beamforming
 from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits,
-                                 _rank_penalized, _roundings,
+                                 _p0_problem, _peak_rows, _rank_penalized, _roundings,
                                  _slot_lp_rows, benchmark_uncoordinated,
                                  delivery_rhs, profile_capped_power,
                                  randomization_extract, rank_bound,
@@ -18,8 +18,8 @@ from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits,
 from magbeam.circuit import (Excitation, Scenario, build_impedance,
                              constraint_slacks, delivered_powers,
                              tx_total_power, tx_voltages)
-from magbeam.conic import (GE, kernel, numerical_rank, psd_eigendecomposition,
-                           solve_sdp)
+from magbeam.conic import (GE, SdpProblem, kernel, numerical_rank,
+                           psd_eigendecomposition, solve_sdp)
 from magbeam.errors import InfeasibleError, SolverError
 from magbeam.region import two_user_profiles
 from magbeam.scenario import (bundled_scenario_path, load_scenario, select_receivers,
@@ -648,6 +648,40 @@ class TestWarmStartedRelaxation:
         options = SolveOptions(use_peak_constraints=False, method="closed_form")
         _, sol = solve_p0(tabletop_miso, PowerProfile([1.0]), options, miso_model)
         assert sol.relaxation is None
+
+    def test_replaced_fields_solve_as_a_fresh_build(self, tabletop_two_user):
+        # P0 with peaks has a block row, the cap; the problem that ``replace``
+        # rebuilds from its own fields solves bit for bit as one built afresh
+        # from the impedance model with the new rhs or objective
+        sc = tabletop_two_user
+        model = build_impedance(sc)
+        profile = PowerProfile([0.55, 0.45])
+        problem = _p0_problem(sc, profile, model, use_peaks=True)
+        rows = [*model.m_vectors, model.b_bar_factor / math.sqrt(2.0),
+                *_peak_rows(sc, model)[0]]
+        linear = np.zeros((len(rows), 1))
+        linear[:sc.n_rx, 0] = -delivery_rhs(sc, profile, 1.0)
+        v = psd_eigendecomposition(solve_sdp(problem).x)[1][:, 0]
+        for changed in ({"rhs": 0.8 * problem.rhs},
+                        {"objective": 0.03 * (np.eye(sc.n_tx) - np.outer(v, v.conj()))}):
+            fresh = SdpProblem(**{"objective": np.zeros((sc.n_tx, sc.n_tx)), "factors": rows,
+                                  "sense": problem.sense, "rhs": problem.rhs,
+                                  "linear_objective": (-1.0,), "linear": linear, **changed})
+            replaced, built = solve_sdp(replace(problem, **changed)), solve_sdp(fresh)
+            assert replaced.is_optimal
+            assert (replaced.value, replaced.iterations) == (built.value, built.iterations)
+            np.testing.assert_array_equal(replaced.x, built.x)
+
+
+class TestSolveOptions:
+    @pytest.mark.parametrize("bad, message", [({"method": "bogus"}, "method"),
+                                              ({"randomization_draws": 0}, "draws")],
+                             ids=["unknown-method", "no-draws"])
+    def test_bad_option_rejected(self, bad, message):
+        # the CLI's choices never reach these; a library caller gets an error
+        # in place of an "auto" solve or an argmax over no draws
+        with pytest.raises(ValueError, match=message):
+            SolveOptions(**bad)
 
 
 class TestBenchmark:

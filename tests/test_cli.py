@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -300,6 +301,31 @@ class TestValidate:
         doc["mutual_tx_rx"]["values"][0][0] = float("nan")
         doc_path.write_text(json.dumps(doc))
         assert main(["validate", str(doc_path)]) == 1
+
+    @staticmethod
+    def _validate_with_column(tmp_path, capsys, rx, column):
+        # the table deployment with receiver ``rx``'s TX couplings set to ``column``
+        sc = table_scenario()
+        mutual = sc.mutual_tx_rx.copy()
+        mutual[:, rx] = column
+        save_scenario(replace(sc, mutual_tx_rx=mutual), tmp_path / "edited.json")
+        code = main(["validate", str(tmp_path / "edited.json")])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_uncoupled_receiver_fails(self, tmp_path, capsys):
+        code, lines = self._validate_with_column(tmp_path, capsys, 1, 0.0)
+        assert code == 1
+        assert "[FAIL] every receiver coupled to a TX (RX 2 is not)" in lines
+
+    def test_unidentifiable_coupling_fails(self, tmp_path, capsys):
+        # RX 3 couples to every TX as RX 1 does: loadable and coupled, but no
+        # training tells the two columns apart
+        code, lines = self._validate_with_column(tmp_path, capsys, 2,
+                                                 table_scenario().mutual_tx_rx[:, 0])
+        assert code == 1
+        assert "[PASS] every receiver coupled to a TX" in lines
+        assert ("[FAIL] LS training identifies the coupling matrix (block training, "
+                "5 noiseless slots: feedback Gram matrix is rank deficient)") in lines
 
 
 class TestHookPoints:
