@@ -8,13 +8,16 @@ above.  The fixed-target TX sum-power minimization (P1) has the same
 structure with the delivery floors fixed; its relaxation is one SDP with
 the peak rows optional, real exactly when its data is.
 
-Both problems realize a relaxed solution the same way.  It is used as is
-when it is exact: rank one (the principal eigenvector), a real rank-two X
-(the one complex current whose real outer product it is) or, without peak
-limits, any rank (time-sharing its scaled eigenvectors).  Otherwise it is
-rounded by a per-slot rescaled time-sharing LP or by Gaussian
-randomization, and P0 also re-solves its relaxation under a rank penalty.
-P1 scales the result down to its delivery floors, P0 up to its limits.
+Both problems realize a relaxed solution along one path.  It is used as
+is when it is exact: rank one (the principal eigenvector), a real
+rank-two X (the one complex current whose real outer product it is) or,
+without peak limits, any rank (time-sharing its scaled eigenvectors).
+Otherwise it is rounded by a per-slot time-sharing LP and by Gaussian
+randomization, next to re-solves of the relaxation under a rank penalty.
+Every candidate schedule is scaled to the largest gain its limits allow.
+P0 keeps the one delivering the most profile-capped power; P1 keeps,
+among those reaching its target, the one needing the least TX power
+there, scaled down to the target.
 """
 
 import math
@@ -234,6 +237,18 @@ def rank_bound(n_rx, n_tx):
     return min(n_rx, math.ceil(math.sqrt(n_rx + 2 * n_tx)))
 
 
+def _p1_problem(scenario, profile, target_power, model, use_peaks):
+    """The P1 relaxation: minimize the TX power over the delivery floors."""
+    rhs = delivery_rhs(scenario, profile, target_power)
+    vectors, bounds = model.m_vectors, rhs
+    if use_peaks:
+        peak_vectors, peak_rhs = _peak_rows(scenario, model)
+        vectors = np.concatenate([vectors, peak_vectors])
+        bounds = np.concatenate([rhs, peak_rhs])
+    sense = (GE,) * rhs.size + (LE,) * (len(bounds) - rhs.size)
+    return SdpProblem(model.b_bar, vectors, sense, bounds)
+
+
 def solve_p1_sdr(scenario, profile, target_power, model=None,
                  use_peak_constraints=True):
     """Relaxed sum-power minimization, optionally with all peak limits.
@@ -247,16 +262,10 @@ def solve_p1_sdr(scenario, profile, target_power, model=None,
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
-    rhs = delivery_rhs(scenario, profile, target_power)
-    vectors, bounds = model.m_vectors, rhs
-    if use_peak_constraints:
-        peak_vectors, peak_rhs = _peak_rows(scenario, model)
-        vectors = np.concatenate([vectors, peak_vectors])
-        bounds = np.concatenate([rhs, peak_rhs])
-    sense = (GE,) * rhs.size + (LE,) * (len(bounds) - rhs.size)
-    conic = solve_sdp(SdpProblem(model.b_bar, vectors, sense, bounds))
+    problem = _p1_problem(scenario, profile, target_power, model, use_peak_constraints)
+    conic = solve_sdp(problem)
     rank = 0
-    if conic.is_optimal and np.max(rhs, initial=0.0) > 0.0:
+    if conic.is_optimal and np.max(problem.rhs[:scenario.n_rx], initial=0.0) > 0.0:
         rank = _spectrum(conic.x)[2]
         bound = rank_bound(scenario.n_rx, scenario.n_tx)
         if use_peak_constraints and rank > bound:
@@ -296,32 +305,12 @@ def _peak_gain2(scenario, model, y):
     return np.minimum(cap_v.min(axis=0), cap_i.min(axis=0))
 
 
-def _delivery_gain2(model, y, rhs, tau=None):
-    """Smallest squared gain per column of ``y`` meeting every delivery floor.
-
-    With time fractions ``tau`` the columns are the slots of one schedule,
-    and the one gain returned is that of its time-averaged deliveries.
-    """
+def _delivery_gain2(model, y, rhs):
+    """Smallest squared gain per column of ``y`` meeting every delivery floor."""
     q_delivery = np.abs(model.m_vectors @ y) ** 2
-    if tau is not None:
-        q_delivery = q_delivery @ tau[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         need = np.where(rhs[:, None] > 0, rhs[:, None] / q_delivery, 0.0)
     return need.max(axis=0, initial=0.0)
-
-
-def _within_reach(lower, upper):
-    """True where the squared-gain need ``lower`` fits under the cap ``upper``.
-
-    A need above the cap by at most the delivery tolerance still fits.
-    """
-    return np.isfinite(lower) & (lower * (1.0 - _DELIVERY_REL_TOL) <= upper)
-
-
-def _schedule_peak_gain2(scenario, model, solution):
-    """Largest common squared gain keeping every slot within its peak limits."""
-    currents = np.stack([exc.currents for exc, _ in solution.slots], axis=1)
-    return float(np.min(_peak_gain2(scenario, model, currents)))
 
 
 def _rescaled(scenario, model, solution, gain2):
@@ -332,21 +321,6 @@ def _rescaled(scenario, model, solution, gain2):
                          solution.sdr_rank)
 
 
-def _at_floors(scenario, model, solution, rhs, use_peaks):
-    """The schedule scaled to the smallest gain meeting every delivery floor.
-
-    With peaks, a need above some slot's peak limits by at most the delivery
-    tolerance is clipped at them; a larger one gives None.
-    """
-    currents = np.stack([exc.currents for exc, _ in solution.slots], axis=1)
-    tau = np.array([t for _, t in solution.slots])
-    lower = float(_delivery_gain2(model, currents, rhs, tau)[0])
-    upper = _schedule_peak_gain2(scenario, model, solution) if use_peaks else math.inf
-    if not _within_reach(lower, upper):
-        return None
-    return _rescaled(scenario, model, solution, min(lower, upper))
-
-
 def _at_limits(scenario, model, solution, use_peaks):
     """The schedule scaled by the largest gain the cap (and peaks) allow.
 
@@ -355,8 +329,28 @@ def _at_limits(scenario, model, solution, use_peaks):
     """
     gain2 = scenario.total_power_cap / solution.tx_power
     if use_peaks:
-        gain2 = min(gain2, _schedule_peak_gain2(scenario, model, solution))
+        currents = np.stack([exc.currents for exc, _ in solution.slots], axis=1)
+        gain2 = min(gain2, float(np.min(_peak_gain2(scenario, model, currents))))
     return _rescaled(scenario, model, solution, gain2)
+
+
+def _reaches(solution, profile, target_power):
+    """True if the schedule delivers ``target_power`` at the profile, within
+    the delivery tolerance."""
+    return profile_capped_power(solution, profile) >= target_power * (1.0 - _DELIVERY_REL_TOL)
+
+
+def _at_target(scenario, model, solution, profile, target_power):
+    """A schedule at its limits scaled down to deliver ``target_power``.
+
+    Powers scale with the squared gain, so the gain is ``min(1, P/p)`` for
+    the schedule's profile-capped power p; a p short of the target by more
+    than the delivery tolerance raises ``InfeasibleError``.
+    """
+    if not _reaches(solution, profile, target_power):
+        raise InfeasibleError("the schedule falls short of the target within the limits")
+    p = profile_capped_power(solution, profile)
+    return _rescaled(scenario, model, solution, min(1.0, target_power / p))
 
 
 def _slot_lp_rows(scenario, model, vecs):
@@ -380,13 +374,35 @@ def _slot_lp_rows(scenario, model, vecs):
     return c0, c1, peak_rows.reshape(-1, 2 * vecs.shape[1])
 
 
-def _slot_lp_schedule(scenario, model, vecs, objective, a_le, b_le):
-    """Solve a per-slot LP and turn its solution into a schedule.
+def _time_sharing_lp(x_star, scenario, profile, model, target_power=None):
+    """Time-sharing over the eigendirections of a relaxed solution, at its limits.
 
-    The LP minimizes ``objective`` over the nonnegative variables subject to
-    the rows ``a_le x <= b_le`` and, last, ``sum_l tau_l = 1``.
+    One LP over the per-slot variables of :func:`_slot_lp_rows`, with every
+    peak limit kept inside each slot and ``sum_l tau_l = 1``.  Without a
+    target it has one more variable t and maximizes it subject to
+    deliveries ``>= d_q t`` and the time-averaged cap (P0); with one it
+    minimizes the TX power subject to the delivery floors, less the
+    delivery tolerance (P1).  An infeasible LP raises ``InfeasibleError``.
     """
+    _, evecs, rank = _spectrum(x_star)
+    vecs = evecs[:, :max(rank, 1)]
     n_slots = vecs.shape[1]
+    c0, c1, peak_rows = _slot_lp_rows(scenario, model, vecs)
+    if target_power is None:
+        per_watt = delivery_rhs(scenario, profile, 1.0)
+        objective = np.concatenate([np.zeros(2 * n_slots), [-1.0]])
+        a_le = np.vstack([
+            np.hstack([-c1.T, np.zeros((per_watt.size, n_slots)), per_watt[:, None]]),
+            np.concatenate([c0 / 2.0, np.zeros(n_slots + 1)])[None, :],
+            np.hstack([peak_rows, np.zeros((len(peak_rows), 1))]),
+        ])
+        b_le = np.concatenate([np.zeros(per_watt.size), [scenario.total_power_cap],
+                               np.zeros(len(peak_rows))])
+    else:
+        rhs = delivery_rhs(scenario, profile, target_power) * (1.0 - _DELIVERY_REL_TOL)
+        objective = np.concatenate([c0 / 2.0, np.zeros(n_slots)])
+        a_le = np.vstack([np.hstack([-c1.T, np.zeros((rhs.size, n_slots))]), peak_rows])
+        b_le = np.concatenate([-rhs, np.zeros(len(peak_rows))])
     tau_row = np.zeros(a_le.shape[1])
     tau_row[n_slots:2 * n_slots] = 1.0
     k = len(b_le) + 1
@@ -400,14 +416,13 @@ def _slot_lp_schedule(scenario, model, vecs, objective, a_le, b_le):
         raise SolverError(f"time-sharing LP ended with status {lp_sol.status}")
     phi = np.maximum(lp_sol.u[:n_slots], 0.0)
     tau = np.maximum(lp_sol.u[n_slots:2 * n_slots], 0.0)
-    keep = tau > 1e-9
-    idx = np.nonzero(keep)[0]
-    theta = phi[keep] / tau[keep]          # per-slot squared gain, peak-safe
-    tau_kept = tau[keep] / tau[keep].sum()
-    slots = [(Excitation(math.sqrt(max(th, 0.0)) * vecs[:, l]), float(t))
-             for th, t, l in zip(theta, tau_kept, idx)]
-    return make_solution(scenario, model, slots, METHOD_TIME_SHARING,
-                         sdr_rank=n_slots)
+    keep = np.flatnonzero(tau > 1e-9)
+    total = tau[keep].sum()
+    # slot l at its per-slot squared gain phi_l / tau_l, which keeps its peaks
+    slots = [(Excitation(math.sqrt(max(phi[l] / tau[l], 0.0)) * vecs[:, l]),
+              float(tau[l] / total)) for l in keep]
+    sol = make_solution(scenario, model, slots, METHOD_TIME_SHARING, sdr_rank=n_slots)
+    return _at_limits(scenario, model, sol, use_peaks=True)
 
 
 def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None):
@@ -416,23 +431,13 @@ def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None):
     Fixes the eigenvector directions, then jointly optimizes per-slot time
     fractions and power scalings by an LP whose per-slot rows keep every
     peak limit satisfied inside each slot; infeasibility of the LP means
-    the target delivery is unreachable by this schedule family.  The LP
-    meets the deliveries up to the delivery tolerance; the schedule is then
-    scaled back up as far as that tolerance and every slot's peaks allow.
+    the target delivery is unreachable by this schedule family.  The
+    schedule is scaled to its limits and then down to the target, which
+    raises ``InfeasibleError`` where the cap keeps it short.
     """
     model = _model_for(scenario, model)
-    rhs = delivery_rhs(scenario, profile, target_power) * (1.0 - _DELIVERY_REL_TOL)
-    _, evecs, rank = _spectrum(x_star)
-    vecs = evecs[:, :max(rank, 1)]
-    n_slots = vecs.shape[1]
-    c0, c1, peak_rows = _slot_lp_rows(scenario, model, vecs)
-    sol = _slot_lp_schedule(
-        scenario, model, vecs, np.concatenate([c0 / 2.0, np.zeros(n_slots)]),
-        np.vstack([np.hstack([-c1.T, np.zeros((rhs.size, n_slots))]), peak_rows]),
-        np.concatenate([-rhs, np.zeros(len(peak_rows))]))
-    gain2 = min(1.0 / (1.0 - _DELIVERY_REL_TOL),
-                _schedule_peak_gain2(scenario, model, sol))
-    return _rescaled(scenario, model, sol, gain2)
+    sol = _time_sharing_lp(x_star, scenario, profile, model, target_power)
+    return _at_target(scenario, model, sol, profile, target_power)
 
 
 def _gaussian_draws(x_star, draws, seed):
@@ -445,35 +450,46 @@ def _gaussian_draws(x_star, draws, seed):
     return shaped @ (w / math.sqrt(2.0)), rank             # (N, draws)
 
 
+def _gaussian_rounding(x_star, scenario, profile, model, draws, seed, target_power=None):
+    """The best Gaussian draw shaped by a relaxed solution, at its limits.
+
+    Every draw is scaled to the largest gain the cap and peaks allow.
+    Without a target the draw delivering the most profile-capped power wins
+    (P0).  With one, only draws reaching the target within the delivery
+    tolerance count, and the one needing the least TX power at the target
+    wins (P1); with no such draw ``InfeasibleError`` is raised.
+    """
+    y, rank = _gaussian_draws(x_star, draws, seed)
+    p_tx = 0.5 * np.real(np.einsum("id,ij,jd->d", y.conj(), model.b_bar, y))
+    gain2 = np.minimum(scenario.total_power_cap / p_tx,
+                       _peak_gain2(scenario, model, y))
+    need = _delivery_gain2(model, y, delivery_rhs(scenario, profile, 1.0))   # per watt
+    if target_power is None:
+        best = int(np.argmax(gain2 / need))
+    else:
+        ok = np.flatnonzero(gain2 / need >= target_power * (1.0 - _DELIVERY_REL_TOL))
+        if ok.size == 0:
+            raise InfeasibleError("no randomized draw satisfies all constraints")
+        gain2_at_target = np.minimum(target_power * need[ok], gain2[ok])
+        best = int(ok[np.argmin(gain2_at_target * p_tx[ok])])
+    sol = make_solution(scenario, model, [(Excitation(y[:, best]), 1.0)],
+                        METHOD_RANDOMIZATION, sdr_rank=rank)
+    return _at_limits(scenario, model, sol, use_peaks=True)
+
+
 def randomization_extract(x_star, scenario, profile, target_power, model=None,
                           draws=4000, seed=0):
     """Gaussian rounding of a relaxed solution to a feasible single vector.
 
-    Each draw is shaped by the eigenstructure of the relaxed matrix and then
-    rescaled into the feasible interval for its squared gain; the interval's
-    lower endpoint minimizes the TX power of that draw.  The best feasible
-    draw wins; an empty feasible set means the target is declared
-    unreachable.
+    Each draw is shaped by the eigenstructure of the relaxed matrix and
+    scaled to its limits; among the draws that reach the target there, the
+    one needing the least TX power for it wins and is scaled down to the
+    target.  No such draw means the target is declared unreachable.
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
-    rhs = delivery_rhs(scenario, profile, target_power)
-    y, rank = _gaussian_draws(x_star, draws, seed)
-    lower = _delivery_gain2(model, y, rhs)
-    upper = _peak_gain2(scenario, model, y)
-    # a draw whose binding delivery meets a binding cap within the delivery
-    # tolerance is clipped at the cap
-    ok = _within_reach(lower, upper)
-    if not np.any(ok):
-        raise InfeasibleError("no randomized draw satisfies all constraints")
-
-    mu2 = np.minimum(lower[ok], upper[ok])
-    p_tx = 0.5 * mu2 * np.real(np.einsum("id,ij,jd->d", y[:, ok].conj(),
-                                         model.b_bar, y[:, ok]))
-    best = int(np.argmin(p_tx))
-    current = math.sqrt(mu2[best]) * y[:, ok][:, best]
-    return make_solution(scenario, model, [(Excitation(current), 1.0)],
-                         METHOD_RANDOMIZATION, sdr_rank=rank)
+    sol = _gaussian_rounding(x_star, scenario, profile, model, draws, seed, target_power)
+    return _at_target(scenario, model, sol, profile, target_power)
 
 
 def _debug(message, *args):
@@ -502,6 +518,63 @@ def _roundings(options, time_sharing, randomization):
     return candidates
 
 
+def _rank_penalized(problem, conic, scenario, profile, model, use_peaks):
+    """Schedules from re-solving a relaxation under a rank penalty.
+
+    Convex iteration on the rank (Dattorro, *Convex Optimization & Euclidean
+    Distance Geometry*, ch. 4): each solve adds ``lam |c*|/Tr X*`` times
+    ``Tr((I - v v^H) X)`` to ``problem``'s objective, v the principal
+    eigenvector of the previous solution and (X*, c*) ``conic``, the
+    solution of ``problem`` and its value (-t* for P0, the TX power for
+    P1).  Each solve starts from the one before it (the first from
+    ``conic``): only the objective changes, so the previous primal-dual pair
+    is a warm start.  Each solution's principal eigenvector is scaled to its
+    limits, up to the first solve that is not optimal.
+    """
+    scale = 2.0 * abs(float(conic.value)) / float(np.trace(conic.x).real)
+    v = psd_eigendecomposition(conic.x)[1][:, 0]
+    schedules = []
+    step = conic
+    for lam in _RANK_PENALTY_WEIGHTS:
+        penalty = lam * scale * (np.eye(scenario.n_tx) - np.outer(v, v.conj()))
+        step = solve_sdp(replace(problem, objective=problem.objective + penalty), start=step)
+        if not step.is_optimal:
+            _debug("rank penalty %g: %s after %d iterations", lam, step.status,
+                   step.iterations)
+            break
+        _, evecs, rank = _spectrum(step.x)
+        v = evecs[:, 0]
+        sol = _at_limits(scenario, model, make_solution(
+            scenario, model, [(Excitation(v), 1.0)], METHOD_RANK_PENALTY, rank), use_peaks)
+        _debug("rank penalty %g: %s after %d iterations, rank %d, p %.9g W", lam,
+               step.status, step.iterations, rank, profile_capped_power(sol, profile))
+        schedules.append(sol)
+    return schedules
+
+
+def _candidates(scenario, profile, model, conic, problem, options, target_power=None):
+    """Every schedule realizing or rounding a relaxed solution, each at its limits.
+
+    ``conic`` is the optimal solution of the relaxation that ``problem()``
+    builds.  An exact realization (:func:`_exact_realization`) is the one
+    candidate when there is one.  Otherwise the roundings that
+    ``options.method`` selects run (a ``target_power`` selects P1's LP and
+    draw rule), followed by the rank-penalized re-solves of the relaxation.
+    """
+    use_peaks = options.use_peak_constraints
+    exact = _exact_realization(scenario, model, conic.x, use_peaks)
+    if exact is not None:
+        return [_at_limits(scenario, model, exact, use_peaks)]
+    candidates = _roundings(
+        options,
+        lambda: _time_sharing_lp(conic.x, scenario, profile, model, target_power),
+        lambda: _gaussian_rounding(conic.x, scenario, profile, model,
+                                   options.randomization_draws, options.seed,
+                                   target_power))
+    return candidates + _rank_penalized(problem(), conic, scenario, profile, model,
+                                        use_peaks)
+
+
 def _within_limits(scenario, model, solution, use_peaks):
     """True if the schedule keeps the total power cap on average and, with
     peaks, every peak limit in every slot, each within ``_SLACK_TOL``."""
@@ -513,20 +586,15 @@ def _within_limits(scenario, model, solution, use_peaks):
         for r in reports)
 
 
-def _delivers_target(solution, profile, target_power):
-    want = profile.alpha * target_power
-    slack = solution.per_rx_power - want
-    return bool(np.all(slack >= -_DELIVERY_REL_TOL * np.maximum(want, 1e-9)))
-
-
 def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=None):
     """Minimize TX sum power subject to per-RX delivery shares.
 
-    An exact realization of the relaxed solution (there always is one
-    without peak limits) is scaled down to the delivery floors.  Otherwise
-    the rescaled time-sharing LP and Gaussian randomization run, and the
-    one with lower TX power that meets the floors is taken.  A schedule
-    over the total power cap (or a peak limit) raises ``InfeasibleError``.
+    The relaxation (:func:`solve_p1_sdr`) is realized or rounded as in
+    :func:`solve_p0` (see :func:`_candidates`), every candidate at its
+    limits.  Each candidate that reaches the target there is scaled down to
+    it (:func:`_at_target`), and the one with the least TX power wins: the
+    one with the most profile-capped power per TX watt.  No such candidate
+    raises ``InfeasibleError``.
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
@@ -547,22 +615,10 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
         raise InfeasibleError("delivery shares are unreachable")
     if not conic.is_optimal:
         raise SolverError(f"relaxation ended with status {conic.status}")
-
-    exact = _exact_realization(scenario, model, conic.x, use_peaks)
-    if exact is not None:
-        exact = _at_floors(scenario, model, exact,
-                           delivery_rhs(scenario, profile, target_power), use_peaks)
-    if exact is not None:
-        candidates = [exact]
-    else:
-        candidates = [c for c in _roundings(
-            options,
-            lambda: solve_p1_ts_lp(conic.x, scenario, profile, target_power, model),
-            lambda: randomization_extract(conic.x, scenario, profile, target_power,
-                                          model, options.randomization_draws,
-                                          options.seed))
-            if _delivers_target(c, profile, target_power)]
-    candidates = [c for c in candidates if _within_limits(scenario, model, c, use_peaks)]
+    schedules = _candidates(scenario, profile, model, conic, lambda: _p1_problem(
+        scenario, profile, target_power, model, use_peaks), options, target_power)
+    candidates = [_at_target(scenario, model, c, profile, target_power)
+                  for c in schedules if _reaches(c, profile, target_power)]
     if not candidates:
         raise InfeasibleError("no schedule meets the delivery shares within the limits")
     return min(candidates, key=lambda c: c.tx_power)
@@ -624,89 +680,14 @@ def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True,
     return conic
 
 
-def _randomization_max(x_star, scenario, profile, model, draws, seed):
-    """Gaussian draw delivering the most profile-respecting power at its limits."""
-    y, rank = _gaussian_draws(x_star, draws, seed)
-    p_tx = 0.5 * np.real(np.einsum("id,ij,jd->d", y.conj(), model.b_bar, y))
-    gain2 = np.minimum(scenario.total_power_cap / p_tx,
-                       _peak_gain2(scenario, model, y))
-    per_watt = delivery_rhs(scenario, profile, 1.0)
-    best = int(np.argmax(gain2 / _delivery_gain2(model, y, per_watt)))
-    sol = make_solution(scenario, model, [(Excitation(y[:, best]), 1.0)],
-                        METHOD_RANDOMIZATION, sdr_rank=rank)
-    return _at_limits(scenario, model, sol, use_peaks=True)
-
-
-def _ts_lp_max(x_star, scenario, profile, model):
-    """Time-sharing over the eigendirections that maximizes the delivered power.
-
-    The per-slot LP of :func:`solve_p1_ts_lp` with one more variable t:
-    maximize t subject to deliveries ``>= d_q t``, the time-averaged cap
-    and every peak limit inside each slot.
-    """
-    _, evecs, rank = _spectrum(x_star)
-    vecs = evecs[:, :max(rank, 1)]
-    n_slots = vecs.shape[1]
-    c0, c1, peak_rows = _slot_lp_rows(scenario, model, vecs)
-    per_watt = delivery_rhs(scenario, profile, 1.0)
-    zeros = np.zeros((per_watt.size, n_slots))
-    a_le = np.vstack([
-        np.hstack([-c1.T, zeros, per_watt[:, None]]),
-        np.concatenate([c0 / 2.0, np.zeros(n_slots + 1)])[None, :],
-        np.hstack([peak_rows, np.zeros((len(peak_rows), 1))]),
-    ])
-    b_le = np.concatenate([np.zeros(per_watt.size), [scenario.total_power_cap],
-                           np.zeros(len(peak_rows))])
-    sol = _slot_lp_schedule(scenario, model, vecs,
-                            np.concatenate([np.zeros(2 * n_slots), [-1.0]]), a_le, b_le)
-    return _at_limits(scenario, model, sol, use_peaks=True)
-
-
-def _rank_penalized(conic, scenario, profile, model, use_peaks):
-    """Schedules from re-solving the P0 relaxation under a rank penalty.
-
-    Convex iteration on the rank (Dattorro, *Convex Optimization & Euclidean
-    Distance Geometry*, ch. 4): each solve adds ``lam t*/Tr X*`` times
-    ``Tr((I - v v^H) X)`` to the objective, v the principal eigenvector of
-    the previous solution and (t*, X*) the unpenalized one.  Each solve
-    starts from the one before it (the first from ``conic``): only the
-    objective changes, so the previous primal-dual pair is a warm start.
-    Each solution's principal eigenvector is scaled to its limits, up to
-    the first solve that is not optimal.
-    """
-    problem = _p0_problem(scenario, profile, model, use_peaks)
-    scale = 2.0 * float(conic.u[0]) / float(np.trace(conic.x).real)
-    v = psd_eigendecomposition(conic.x)[1][:, 0]
-    schedules = []
-    step = conic
-    for lam in _RANK_PENALTY_WEIGHTS:
-        penalty = lam * scale * (np.eye(scenario.n_tx) - np.outer(v, v.conj()))
-        step = solve_sdp(replace(problem, objective=penalty), start=step)
-        if not step.is_optimal:
-            _debug("rank penalty %g: %s after %d iterations", lam, step.status,
-                   step.iterations)
-            break
-        _, evecs, rank = _spectrum(step.x)
-        v = evecs[:, 0]
-        sol = _at_limits(scenario, model, make_solution(
-            scenario, model, [(Excitation(v), 1.0)], METHOD_RANK_PENALTY, rank), use_peaks)
-        _debug("rank penalty %g: %s after %d iterations, rank %d, p %.9g W", lam,
-               step.status, step.iterations, rank, profile_capped_power(sol, profile))
-        schedules.append(sol)
-    return schedules
-
-
 def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None):
     """Maximize the delivered sum power for one power profile.
 
     One joint relaxation (:func:`solve_p0_sdr`, started from ``start``, the
     relaxation of another profile, when one is given) gives an upper bound;
-    its solution is realized exactly where it can be (see
-    :func:`_exact_realization`, always without peaks).  Otherwise the
-    roundings that ``options.method`` selects run next to the rank-penalized
-    re-solves of the same relaxation (:func:`_rank_penalized`), each
-    schedule scaled to the largest gain the limits allow, and the best one
-    wins.  Returns the profile-respecting power the schedule delivers,
+    its solution is realized or rounded (see :func:`_candidates`), every
+    candidate at its limits, and the one delivering the most
+    profile-respecting power wins.  Returns that power,
     ``min_q per_rx_q / alpha_q``, and the schedule, whose ``relaxation``
     is the relaxation solved (None for ``closed_form``).
     """
@@ -725,15 +706,9 @@ def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None)
         conic = solve_p0_sdr(scenario, profile, model, use_peaks, start)
         if not conic.is_optimal:
             raise SolverError(f"relaxation ended with status {conic.status}")
-        exact = _exact_realization(scenario, model, conic.x, use_peaks)
-        if exact is not None:
-            candidates = [_at_limits(scenario, model, exact, use_peaks)]
-        else:
-            candidates = _roundings(
-                options, lambda: _ts_lp_max(conic.x, scenario, profile, model),
-                lambda: _randomization_max(conic.x, scenario, profile, model,
-                                           options.randomization_draws, options.seed))
-            candidates += _rank_penalized(conic, scenario, profile, model, use_peaks)
+        candidates = _candidates(
+            scenario, profile, model, conic,
+            lambda: _p0_problem(scenario, profile, model, use_peaks), options)
     best = max(candidates, key=lambda c: profile_capped_power(c, profile),
                default=zero_solution(scenario, model))
     return profile_capped_power(best, profile), replace(best, relaxation=conic)

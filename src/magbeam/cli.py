@@ -220,6 +220,8 @@ def cmd_estimate(args):
     if not args.out:
         raise UsageError("--out is required")
     scenario = load_scenario(args.scenario)
+    if scenario.n_rx == 0:
+        raise UsageError("the scenario has no receivers to estimate")
     if args.slots < scenario.n_rx:
         raise UsageError(f"need at least Q={scenario.n_rx} training slots, "
                          f"got {args.slots}")

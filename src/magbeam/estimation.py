@@ -264,6 +264,8 @@ def _ls_estimates(aug):
 def estimate_ls(record: TrainingRecord) -> EstimationResult:
     """Least-squares estimate from noisy feedback; real by construction."""
     q, t = record.z_tilde.shape
+    if q == 0:
+        raise EstimationError("no receivers to estimate")
     if t < q:
         raise EstimationError(f"need at least Q={q} slots, got {t}")
     aug = _ls_normal_equations(_real_rows(record.g), _real_rows(record.z_tilde)[..., None])
@@ -340,6 +342,8 @@ def _pairwise_estimates(scenario, i_tx, v, noisy):
 def estimate_pairwise_benchmark(scenario: Scenario, snr_db: float, seed: int = 0,
                                 active_voltage: float = 0.75) -> EstimationResult:
     """One-pair-at-a-time benchmark: N*Q slots, one estimate per slot."""
+    if scenario.n_rx == 0:
+        raise EstimationError("no receivers to estimate")
     i_tx, i_rx, sigma2 = _pairwise_setup(scenario, snr_db, active_voltage)
     rng = np.random.default_rng([int(seed), 0x7633])
     noisy = np.stack([i_rx.real, i_rx.imag]) + _cscg(rng, i_rx.shape, sigma2)
@@ -373,6 +377,8 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if scenario.n_rx == 0:
+        raise ValueError("no receivers to estimate")
     if estimator not in ("ls", "perfect", "pairwise"):
         raise ValueError(f"unknown estimator {estimator!r}")
     snr_db_list = [float(snr_db) for snr_db in snr_db_list]

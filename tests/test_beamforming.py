@@ -7,8 +7,9 @@ import pytest
 from conftest import random_scenario, row_matrices
 from magbeam import beamforming
 from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits,
-                                 _p0_problem, _peak_rows, _rank_penalized, _roundings,
-                                 _slot_lp_rows, benchmark_uncoordinated,
+                                 _p0_problem, _p1_problem, _peak_rows, _rank_penalized,
+                                 _rescaled, _roundings, _slot_lp_rows, _within_limits,
+                                 benchmark_uncoordinated,
                                  delivery_rhs, profile_capped_power,
                                  randomization_extract, rank_bound,
                                  solve_p0, solve_p0_sdr, solve_p1,
@@ -409,6 +410,80 @@ class TestSolveP1Dispatch:
         sol = solve_p1(tabletop_two_user, profile, 80.0, NO_PEAKS)
         assert 90.0 < sol.tx_power <= tabletop_two_user.total_power_cap
 
+    def test_every_target_below_the_maximum_is_met(self, tabletop):
+        # P0 delivers 39.41 W at equal shares; every target up to 95% of it
+        # has a schedule, and a larger target never costs less TX power
+        profile = PowerProfile.uniform(4)
+        model = build_impedance(tabletop)
+        p_star, _ = solve_p0(tabletop, profile, model=model)
+        tx_power = 0.0
+        for target in np.linspace(1.0, 0.95 * p_star, 20):
+            sol = solve_p1(tabletop, profile, target, model=model)
+            assert np.all(sol.per_rx_power >= profile.alpha * target * (1 - 1e-5))
+            assert sol.tx_power <= tabletop.total_power_cap + 1e-6
+            assert sol.tx_power >= tx_power
+            tx_power = sol.tx_power
+
+
+class TestMethodOption:
+    """``SolveOptions.method`` means the same for P0 and P1."""
+
+    # both relaxations have rank one on the two-user scenario here
+    EXACT_ALPHA = (0.3, 0.7)
+
+    @staticmethod
+    def _solve(problem, sc, alpha, method):
+        options = SolveOptions(method=method)
+        if problem == "p0":
+            return solve_p0(sc, PowerProfile(alpha), options)[1]
+        return solve_p1(sc, PowerProfile(alpha), 12.0, options)
+
+    @staticmethod
+    def _rounded(problem, tabletop, tabletop_two_user):
+        # neither relaxation has an exact realization: alpha_1 = 0.55 on the
+        # two-user grid for P0, equal shares at 12 W on table2 for P1
+        if problem == "p0":
+            return tabletop_two_user, (0.55, 0.45)
+        return tabletop, (0.25, 0.25, 0.25, 0.25)
+
+    @pytest.mark.parametrize("problem", ["p0", "p1"])
+    def test_exact_realization_always_wins(self, problem, tabletop_two_user, monkeypatch):
+        def no_rounding(*args, **kwargs):
+            raise AssertionError("a rounding ran")
+
+        monkeypatch.setattr(beamforming, "_roundings", no_rounding)
+        monkeypatch.setattr(beamforming, "_rank_penalized", no_rounding)
+        solutions = [self._solve(problem, tabletop_two_user, self.EXACT_ALPHA, method)
+                     for method in ("auto", "sdr", "ts", "randomization")]
+        assert {s.method for s in solutions} == {"sdr_rank1"}
+        assert len({s.tx_power for s in solutions}) == 1
+
+    @pytest.mark.parametrize("problem", ["p0", "p1"])
+    def test_sdr_raises_on_reaching_a_rounding(self, problem, tabletop, tabletop_two_user):
+        sc, alpha = self._rounded(problem, tabletop, tabletop_two_user)
+        with pytest.raises(SolverError, match="no exact realization"):
+            self._solve(problem, sc, alpha, "sdr")
+
+    @pytest.mark.parametrize("problem", ["p0", "p1"])
+    @pytest.mark.parametrize("method, ran", [
+        ("auto", ["ts", "randomization", "rank penalty"]),
+        ("ts", ["ts", "rank penalty"]),
+        ("randomization", ["randomization", "rank penalty"]),
+    ])
+    def test_method_picks_the_roundings(self, problem, method, ran, tabletop,
+                                        tabletop_two_user, monkeypatch):
+        calls = []
+        for name, label in (("_time_sharing_lp", "ts"),
+                            ("_gaussian_rounding", "randomization"),
+                            ("_rank_penalized", "rank penalty")):
+            def spy(*args, fn=getattr(beamforming, name), label=label, **kwargs):
+                calls.append(label)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(beamforming, name, spy)
+        sc, alpha = self._rounded(problem, tabletop, tabletop_two_user)
+        self._solve(problem, sc, alpha, method)
+        assert calls == ran
+
 
 class TestBisection:
     def test_two_user_unconstrained_corner(self, tabletop_two_user):
@@ -544,7 +619,8 @@ class TestRankPenalty:
         for k in self.FALLBACK:
             profile = two_user_profiles(40)[k]
             conic = solve_p0_sdr(sc, profile, model)
-            schedules = _rank_penalized(conic, sc, profile, model, True)
+            problem = _p0_problem(sc, profile, model, use_peaks=True)
+            schedules = _rank_penalized(problem, conic, sc, profile, model, True)
             assert len(schedules) == 6
             values.append(max(profile_capped_power(s, profile) for s in schedules))
         return values
@@ -580,6 +656,18 @@ class TestRankPenalty:
         assert all(" optimal after " in line and ", rank " in line for line in lines)
         assert lines[0].startswith("rank penalty 0.03:")
         assert lines[-1].startswith("rank penalty 0.3:")
+
+    def test_penalized_p1_schedule_meets_the_target(self, tabletop):
+        # equal shares at 12 W on table2: neither rounding of the P1
+        # relaxation reaches the target within the limits, the penalty does
+        profile = PowerProfile.uniform(4)
+        model = build_impedance(tabletop)
+        conic, _ = solve_p1_sdr(tabletop, profile, 12.0, model)
+        problem = _p1_problem(tabletop, profile, 12.0, model, use_peaks=True)
+        schedules = _rank_penalized(problem, conic, tabletop, profile, model, True)
+        scaled = [_rescaled(tabletop, model, s, 12.0 / profile_capped_power(s, profile))
+                  for s in schedules]
+        assert any(_within_limits(tabletop, model, s, True) for s in scaled)
 
     def test_swallowed_rounding_is_logged(self, caplog):
         caplog.set_level("DEBUG", logger="magbeam")

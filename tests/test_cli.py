@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from magbeam import beamforming, region
+from magbeam.circuit import (Excitation, build_impedance, constraint_slacks,
+                             delivered_powers, tx_total_power)
 from magbeam.cli import main
 from magbeam.conic import ConicSolution, kernel
-from magbeam.scenario import bundled_scenario_path, save_scenario, table_scenario
+from magbeam.scenario import (bundled_scenario_path, load_scenario, save_scenario,
+                              table_scenario)
 
 MISO = str(bundled_scenario_path("table2_miso"))
 TWO_USER = str(bundled_scenario_path("table2_two_user"))
@@ -39,6 +42,29 @@ class TestBeamform:
 
     def test_infeasible_target(self, capsys):
         assert main(["beamform", MISO, "--target-power", "70"]) == 2
+
+    @pytest.mark.parametrize("alpha, target", [("0.25,0.25,0.25,0.25", "12"),
+                                               ("0.25,0.25,0.25,0.25", "23.65"),
+                                               ("0.1,0.1,0.7,0.1", "12")])
+    def test_target_met_by_a_rounding(self, alpha, target, tmp_path):
+        # P0 delivers 39.41 W and 18.95 W at these shares; the P1 relaxation
+        # has no exact realization here, and the written schedule keeps every
+        # limit and meets every share
+        out = tmp_path / "result.json"
+        assert main(["beamform", TABLE, "--alpha", alpha, "--target-power", target,
+                     "--out", str(out), "--no-manifest"]) == 0
+        sc = load_scenario(TABLE)
+        model = build_impedance(sc)
+        per_rx, tx_power = 0.0, 0.0
+        for slot in json.loads(out.read_text())["solution"]["slots"]:
+            exc = Excitation(np.array(slot["currents_re"]) + 1j * np.array(slot["currents_im"]))
+            rep = constraint_slacks(sc, model, exc)
+            assert min(rep.voltage_slack.min(), rep.current_slack.min()) >= -1e-6
+            per_rx = per_rx + slot["time_fraction"] * delivered_powers(sc, model, exc)
+            tx_power += slot["time_fraction"] * tx_total_power(model, exc)
+        assert tx_power <= sc.total_power_cap + 1e-6
+        shares = np.array(alpha.split(","), dtype=float) * float(target)
+        assert np.all(per_rx >= shares * (1 - 1e-5))
 
     def test_target_over_the_cap_is_infeasible(self, capsys):
         # no peak limit binds, but the schedule would draw about 240 W from
@@ -266,6 +292,16 @@ class TestEstimate:
     def test_too_few_slots_usage_error(self, tmp_path):
         out = tmp_path / "mse.csv"
         assert main(["estimate", TABLE, "--slots", "3", "--out", str(out)]) == 64
+
+    @pytest.mark.parametrize("estimator", ["ls", "pairwise", "perfect"])
+    def test_no_receivers_usage_error(self, tmp_path, capsys, estimator):
+        path = tmp_path / "no_rx.json"
+        save_scenario(table_scenario([]), path)
+        out = tmp_path / "mse.csv"
+        assert main(["estimate", str(path), "--estimator", estimator, "--slots", "5",
+                     "--out", str(out)]) == 64
+        assert "no receivers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

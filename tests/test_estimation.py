@@ -9,6 +9,7 @@ from conftest import random_scenario
 from magbeam import estimation
 from magbeam.circuit import Scenario
 from magbeam.errors import EstimationError
+from magbeam.scenario import table_scenario
 from magbeam.estimation import (_CHUNK, BLOCK_SINGLE_TX, DRIVEN_ZERO,
                                 RANDOM_VOLTAGE, TrainingProtocol, TrainingRecord,
                                 estimate_ls, estimate_pairwise_benchmark,
@@ -133,12 +134,21 @@ class TestLsEstimate:
         with pytest.raises(EstimationError):
             estimate_ls(rec)
 
+    def test_no_receivers(self):
+        rec = simulate_training(table_scenario([]), TrainingProtocol(n_slots=5), math.inf)
+        with pytest.raises(EstimationError, match="no receivers to estimate"):
+            estimate_ls(rec)
+
 
 class TestPairwiseBenchmark:
     def test_noiseless_exact(self, tabletop):
         res = estimate_pairwise_benchmark(tabletop, float("inf"))
         assert np.linalg.norm(res.m_hat - tabletop.mutual_tx_rx) \
             <= 1e-12 * np.linalg.norm(tabletop.mutual_tx_rx)
+
+    def test_no_receivers(self):
+        with pytest.raises(EstimationError, match="no receivers to estimate"):
+            estimate_pairwise_benchmark(table_scenario([]), 30.0)
 
     def test_deterministic(self, tabletop):
         a = estimate_pairwise_benchmark(tabletop, 25.0, seed=9)
@@ -173,6 +183,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="NaN"):
             monte_carlo_mse(tabletop, estimator, TrainingProtocol(n_slots=10),
                             [30.0, math.nan], trials=10, seed=0)
+
+    @pytest.mark.parametrize("estimator", ["ls", "perfect", "pairwise"])
+    def test_no_receivers_rejected(self, estimator):
+        with pytest.raises(ValueError, match="no receivers to estimate"):
+            monte_carlo_mse(table_scenario([]), estimator, TrainingProtocol(n_slots=5),
+                            [30.0], trials=10, seed=0)
 
     def test_perfect_estimator_zero_mse(self, tabletop):
         rows = monte_carlo_mse(tabletop, "perfect", TrainingProtocol(n_slots=10),
