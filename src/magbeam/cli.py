@@ -228,14 +228,14 @@ def cmd_estimate(args):
     started = _utc_now()
     mode = RANDOM_VOLTAGE if args.mode == "random" else BLOCK_SINGLE_TX
     inactive = OPEN_CIRCUIT if args.inactive_tx == "open" else DRIVEN_ZERO
-    protocol = TrainingProtocol(mode=mode, n_slots=args.slots,
-                                active_voltage=args.voltage, seed=args.seed,
-                                inactive_tx=inactive)
-    if args.estimator == "ls":
-        try:
+    try:
+        protocol = TrainingProtocol(mode=mode, n_slots=args.slots,
+                                    active_voltage=args.voltage, seed=args.seed,
+                                    inactive_tx=inactive)
+        if args.estimator == "ls":
             check_slots(scenario, protocol)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     rows = monte_carlo_mse(scenario, args.estimator, protocol,
                            _parse_snr_list(args.snr_list),
                            trials=args.trials, seed=args.seed)

@@ -129,8 +129,12 @@ def _nt_scaling(x, z):
 def _factor_normal(m):
     """Solver for the (nominally SPD) normal matrix, with escalating jitter.
 
-    A Cholesky only tests m + jitter*I; each right-hand side is one LU solve.
+    A Cholesky only tests m + jitter*I; each right-hand side is one LU solve,
+    or a least-squares solve of m where no jitter passes or the LU fails.
     """
+    def least_squares(rhs):
+        return np.linalg.lstsq(m, rhs, rcond=None)[0]
+
     jitter = 0.0
     for _ in range(6):
         shifted = m + jitter * np.eye(len(m)) if jitter else m
@@ -142,10 +146,19 @@ def _factor_normal(m):
         if jitter:
             import logging
             logging.getLogger("magbeam.conic").debug("normal matrix needs jitter %.1e", jitter)
-        return lambda rhs: np.linalg.solve(shifted, rhs)
+
+        def solve(rhs):
+            try:
+                return np.linalg.solve(shifted, rhs)
+            except np.linalg.LinAlgError:   # Cholesky passed, but LU met a zero pivot
+                import logging
+                logging.getLogger("magbeam.conic").debug("normal matrix singular in LU: "
+                                                         "least squares")
+                return least_squares(rhs)
+        return solve
     import logging
     logging.getLogger("magbeam.conic").debug("normal matrix not factored: least squares")
-    return lambda rhs: np.linalg.lstsq(m, rhs, rcond=None)[0]
+    return least_squares
 
 
 def _schur_complement(v_rows, e, weight):

@@ -9,19 +9,20 @@ receiver-current matrix (perfect feedback) or by a least-squares fit that
 stays real-valued by construction (noisy feedback).
 
 The Monte-Carlo runs keyed chunks of 8192 trials on real arrays, trial axis
-last, while two worker threads draw and stage the next chunks.  For LS a
-worker stages the sufficient statistics, not the feedback noise: with
-``[Re Z, Im Z] = C V^T`` (V orthonormal, one QR per SNR), the normal
-equations see the Q x 2T noise only through Q x Q iid normals and an
-independent Wishart_Q(2T - Q) matrix, drawn by its Bartlett factor (Anderson,
-An Introduction to Multivariate Statistical Analysis, sec. 7.2).  At T = 10
-and Q = 4 a trial draws 22 normals and 4 gammas instead of 80 normals.  A
-1e5-trial LS row takes about 0.04 s and a 4e5-trial pairwise row 0.16 s
-(2.3e6 and 2.4e6 trials/s in the benchmark's ``estimate_mc`` on a 2-vCPU
-Xeon).
+last; two worker threads each take a whole chunk, from its draws to its
+squared errors.  For LS a chunk draws the sufficient statistics, not the
+feedback noise: with ``[Re Z, Im Z] = C V^T`` (V orthonormal, one QR per
+SNR), the normal equations see the Q x 2T noise only through Q x Q iid
+normals and an independent Wishart_Q(2T - Q) matrix, drawn by its Bartlett
+factor (Anderson, An Introduction to Multivariate Statistical Analysis,
+sec. 7.2).  At T = 10 and Q = 4 a trial draws 22 normals and 4 gammas
+instead of 80 normals.  A 1e5-trial LS row takes about 0.025 s and a
+4e5-trial pairwise row 0.10 s, both about 4e6 trials/s (one OpenBLAS thread
+on a 2-vCPU Xeon).
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,9 @@ class TrainingProtocol:
             raise ValueError(f"unknown inactive-TX model {self.inactive_tx!r}")
         if self.n_slots < 1:
             raise ValueError("need at least one training slot")
+        if not (math.isfinite(self.active_voltage) and self.active_voltage != 0.0):
+            raise ValueError("training voltage must be finite and nonzero, "
+                             f"got {self.active_voltage!r}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,7 @@ def simulate_training(scenario: Scenario, protocol: TrainingProtocol,
         z = (1j * scenario.omega / scenario.rx_resistance)[:, None] * (model.m_vectors @ y)
     g = (1j / scenario.omega) * (h - f @ y)
 
-    if math.isinf(snr_db):
+    if math.isinf(snr_db) or z.size == 0:   # no receiver, nothing fed back
         sigma2 = 0.0
     else:
         sigma2 = float(np.mean(np.abs(z) ** 2)) / 10.0 ** (snr_db / 10.0)
@@ -312,13 +316,17 @@ def _pairwise_setup(scenario: Scenario, snr_db: float, v: float):
     """Two-coil responses at drive ``v`` and the feedback noise variance.
 
     The noise is set from the mean received-current power over all pairs,
-    so that its ratio to the noise variance equals the requested SNR.
+    so that its ratio to the noise variance equals the requested SNR; at a
+    finite SNR that power must not underflow to zero.
     """
     i_tx, i_rx = pairwise_circuit(scenario)
     i_tx, i_rx = v * i_tx, v * i_rx
-    sigma2 = 0.0 if math.isinf(snr_db) else \
-        float(np.mean(np.abs(i_rx) ** 2)) / 10.0 ** (snr_db / 10.0)
-    return i_tx, i_rx, sigma2
+    if math.isinf(snr_db):
+        return i_tx, i_rx, 0.0
+    power = float(np.mean(np.abs(i_rx) ** 2))
+    if power == 0.0:
+        raise EstimationError("received currents are zero at this training voltage")
+    return i_tx, i_rx, power / 10.0 ** (snr_db / 10.0)
 
 
 def _pairwise_estimates(scenario, i_tx, v, noisy):
@@ -366,14 +374,13 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
                     snr_db_list, trials: int = 100_000, seed: int = 0):
     """Normalized-MSE table over SNR points, averaged over noise draws.
 
-    Each chunk of ``_CHUNK`` trials draws from its own stream keyed by (seed,
-    SNR index, chunk index), so results are reproducible and do not depend
-    on the order in which chunks are processed.  Two worker threads each
-    draw a chunk and stage the estimator's input in the buffers of the
-    chunk's parity; once the calling thread has finished a chunk, its
-    buffers pass to the chunk two ahead, which may open the next SNR row.
-    A ``perfect`` row, and any row at an infinite SNR, is one noiseless
-    estimate (``trials`` 1).
+    A row's trials run in chunks of ``_CHUNK``, each drawn from its own stream
+    keyed by (seed, SNR index, chunk index), so results are reproducible and
+    do not depend on which thread runs a chunk, or when.  Each row is one map
+    of two worker threads over its chunks: a chunk draws, stages, solves and
+    writes its squared errors into its slice of the row, holding one of two
+    buffer pairs while it runs.  A ``perfect`` row, and any row at an
+    infinite SNR, is one noiseless estimate (``trials`` 1).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -391,68 +398,68 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
             scenario, proto, snr_db)).normalized_mse, 0.0, 1, estimator, proto.n_slots)
             for snr_db in snr_db_list]
     from concurrent.futures import ThreadPoolExecutor  # here: `import magbeam` skips its 7 ms
+    from queue import SimpleQueue
     ls = estimator == "ls"
     v = protocol.active_voltage
     q = scenario.n_rx
     drawn_shape = (q, 2 * q) if ls else (2,) + m.shape
     staged_shape = (q + scenario.n_tx, q) if ls else (2,) + m.shape
-    counts = [min(_CHUNK, trials - start) for start in range(0, trials, _CHUNK)]
     # allocated on this thread: a worker's freed arrays would stay in its own malloc arena
-    buffers = [[np.empty(counts[0] * math.prod(s)) for s in (drawn_shape, staged_shape)]
-               for _ in range(2)]
-    setups = []   # per SNR: its value, noise scale, C and K (LS) or clean (Re, Im) and i_tx
-    for snr_db in snr_db_list:
-        if ls:
-            record = simulate_training(scenario, protocol, snr_db)
-            estimate_ls(record)   # EstimationError on a rank-deficient Gram
-            # Z_r = C V^T with V^T V = I, so the normal equations see the noise W
-            # only through W V (Q x Q normals) and a Wishart_Q(2T - Q) matrix
-            basis, r = np.linalg.qr(_real_rows(record.z).T)
-            sigma2, fixed, known = record.sigma2, r.T, _real_rows(record.g) @ basis
-        else:
-            known, i_rx, sigma2 = _pairwise_setup(scenario, snr_db, v)
-            fixed = np.stack([i_rx.real, i_rx.imag])[..., None]
-        setups.append((snr_db, math.sqrt(sigma2 / 2.0), fixed, known))
+    free = SimpleQueue()
+    for _ in range(2):
+        free.put([np.empty(min(_CHUNK, trials) * math.prod(s))
+                  for s in (drawn_shape, staged_shape)])
+    failed = []   # a chunk that raised: the chunks of its row not yet begun are skipped
 
-    def stage(j, i, k, count):   # on a worker: chunk k of SNR i into the buffers of parity j % 2
-        _, s, fixed, known = setups[i]
-        drawn, out = buffers[j % 2]
-        drawn = drawn[:count * math.prod(drawn_shape)]
-        out = out[:count * math.prod(staged_shape)].reshape(staged_shape + (count,))
-        rng = np.random.default_rng([int(seed), i, k])
-        if ls:
-            f = _ls_factor(rng, fixed, s, 2 * protocol.n_slots - q,
-                           drawn.reshape(drawn_shape + (count,)))
-            return _ls_normal_equations(known, f, out=out)
-        noise = drawn.reshape((2, count) + m.shape)
-        rng.standard_normal(out=noise)
-        np.multiply(noise.transpose(0, 2, 3, 1), s, out=out)
-        out += fixed
-        return out
+    def run(i, s, fixed, known, mse, start):   # on a worker: one chunk of SNR i, whole
+        if failed:
+            return
+        count = min(_CHUNK, mse.size - start)
+        buffers = free.get()
+        try:
+            drawn = buffers[0][:count * math.prod(drawn_shape)]
+            out = buffers[1][:count * math.prod(staged_shape)].reshape(staged_shape + (count,))
+            rng = np.random.default_rng([int(seed), i, start // _CHUNK])
+            if ls:
+                f = _ls_factor(rng, fixed, s, 2 * protocol.n_slots - q,
+                               drawn.reshape(drawn_shape + (count,)))
+                m_hat = _ls_estimates(_ls_normal_equations(known, f, out=out))
+            else:
+                noise = drawn.reshape((2, count) + m.shape)
+                rng.standard_normal(out=noise)
+                np.multiply(noise.transpose(0, 2, 3, 1), s, out=out)
+                out += fixed
+                m_hat = _pairwise_estimates(scenario, known, v, out)
+            m_hat -= m[..., None]
+            np.einsum("nqc,nqc->c", m_hat, m_hat, out=mse[start:start + count])
+        except BaseException:
+            failed.append(start)
+            raise
+        finally:
+            free.put(buffers)
 
-    # an infinite SNR is one trial with zero noise: the noiseless estimate
-    jobs = [(i, k, count) for i, (_, s, _, _) in enumerate(setups)
-            for k, count in enumerate(counts if s > 0.0 else [1])]
     rows = []
     with ThreadPoolExecutor(2) as pool:
-        pending = [pool.submit(stage, j, *job) for j, job in enumerate(jobs[:2])]
-        for j, (i, k, count) in enumerate(jobs):
-            snr_db, s, _, known = setups[i]
-            staged = pending.pop(0).result()
-            m_hat = _ls_estimates(staged) if ls else \
-                _pairwise_estimates(scenario, known, v, staged)
-            m_hat -= m[..., None]
-            if k == 0:
-                mse = np.empty(trials if s > 0.0 else 1)   # squared errors until normalized
-            mse[k * _CHUNK:k * _CHUNK + count] = np.einsum("nqc,nqc->c", m_hat, m_hat)
-            if j + 2 < len(jobs):   # both buffers of this parity are free only now
-                pending.append(pool.submit(stage, j + 2, *jobs[j + 2]))
-            if k * _CHUNK + count == mse.size:
-                mse /= float(np.sum(m ** 2))
-                n = mse.size
-                rows.append(MseRow(snr_db, float(mse.mean()),
-                                   float(mse.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-                                   n, estimator, protocol.n_slots if ls else m.size))
+        for i, snr_db in enumerate(snr_db_list):
+            if ls:   # C and K
+                record = simulate_training(scenario, protocol, snr_db)
+                estimate_ls(record)   # EstimationError on a rank-deficient Gram
+                # Z_r = C V^T with V^T V = I, so the normal equations see the noise W
+                # only through W V (Q x Q normals) and a Wishart_Q(2T - Q) matrix
+                basis, r = np.linalg.qr(_real_rows(record.z).T)
+                sigma2, fixed, known = record.sigma2, r.T, _real_rows(record.g) @ basis
+            else:   # clean (Re, Im) and i_tx
+                known, i_rx, sigma2 = _pairwise_setup(scenario, snr_db, v)
+                fixed = np.stack([i_rx.real, i_rx.imag])[..., None]
+            # an infinite SNR is one trial with zero noise: the noiseless estimate
+            mse = np.empty(1 if math.isinf(snr_db) else trials)   # squared errors
+            list(pool.map(functools.partial(run, i, math.sqrt(sigma2 / 2.0), fixed, known, mse),
+                          range(0, mse.size, _CHUNK)))
+            mse /= float(np.sum(m ** 2))
+            n = mse.size
+            rows.append(MseRow(snr_db, float(mse.mean()),
+                               float(mse.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+                               n, estimator, protocol.n_slots if ls else m.size))
     return rows
 
 

@@ -303,6 +303,14 @@ class TestEstimate:
         assert "no receivers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("estimator", ["ls", "pairwise", "perfect"])
+    def test_zero_voltage_usage_error(self, tmp_path, capsys, estimator):
+        out = tmp_path / "mse.csv"
+        assert main(["estimate", TABLE, "--estimator", estimator, "--voltage", "0",
+                     "--trials", "100", "--out", str(out)]) == 64
+        assert "training voltage" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["estimate", TABLE, "--slots", "10", "--snr-list", "20,30",

@@ -305,6 +305,26 @@ class TestFactorNormal:
         np.testing.assert_array_equal(sol, np.linalg.lstsq(m, rhs, rcond=None)[0])
         assert lines == ["normal matrix not factored: least squares"]
 
+    def test_lu_failure_falls_back_to_lstsq(self, caplog):
+        # rank-two 3x3 Gram matrices with a diagonal below 1e-16 of their largest
+        # entry; draws 14 and 64 pass the Cholesky test and have an exact zero LU pivot
+        rng = np.random.default_rng(0)
+        cases = []
+        for _ in range(65):
+            v = rng.standard_normal((3, 2))
+            m = v @ v.T
+            cases.append(m + np.diag(rng.uniform(0.0, 1e-16, 3) * np.max(np.diag(m))))
+        rhs = np.array([1.0, 2.0, 3.0])
+        for m in (cases[14], cases[64]):
+            np.linalg.cholesky(m)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(m, rhs)
+            caplog.clear()
+            sol, lines = self._solve(m, rhs, caplog)
+            assert np.all(np.isfinite(sol))
+            np.testing.assert_array_equal(sol, np.linalg.lstsq(m, rhs, rcond=None)[0])
+            assert lines == ["normal matrix singular in LU: least squares"]
+
 
 class TestFactoredSchur:
     """The normal matrix's PSD block from the rows' factor columns."""

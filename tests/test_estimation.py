@@ -57,6 +57,16 @@ class TestSimulateTraining:
         with pytest.raises(ValueError):
             simulate_training(tabletop, TrainingProtocol(n_slots=7), 40.0)
 
+    @pytest.mark.parametrize("voltage", [0.0, -0.0, math.inf, math.nan])
+    def test_zero_or_nonfinite_voltage_rejected(self, voltage):
+        with pytest.raises(ValueError, match="training voltage"):
+            TrainingProtocol(active_voltage=voltage)
+
+    def test_no_receivers_at_finite_snr(self):
+        # nothing is fed back, so there is no noise to scale
+        rec = simulate_training(table_scenario([]), TrainingProtocol(n_slots=5), 20.0)
+        assert rec.sigma2 == 0.0 and rec.z_tilde.shape == (0, 5)
+
     def test_noise_variance_matches_snr(self, tabletop):
         rec = simulate_training(tabletop, TrainingProtocol(n_slots=10), 20.0)
         assert rec.sigma2 == pytest.approx(
@@ -150,6 +160,11 @@ class TestPairwiseBenchmark:
         with pytest.raises(EstimationError, match="no receivers to estimate"):
             estimate_pairwise_benchmark(table_scenario([]), 30.0)
 
+    def test_underflowed_currents_are_an_error(self, tabletop):
+        # at 1e-300 V every received current is zero and every estimate 0/0
+        with pytest.raises(EstimationError, match="received currents are zero"):
+            estimate_pairwise_benchmark(tabletop, 30.0, active_voltage=1e-300)
+
     def test_deterministic(self, tabletop):
         a = estimate_pairwise_benchmark(tabletop, 25.0, seed=9)
         b = estimate_pairwise_benchmark(tabletop, 25.0, seed=9)
@@ -207,7 +222,7 @@ class TestMonteCarlo:
         assert a.mse == pytest.approx(b.mse, rel=1e-12)
 
     def test_deterministic_and_chunk_independent(self, tabletop):
-        # three chunks, so both draw buffers are filled and one is reused
+        # three chunks on two workers, so one buffer pair serves two chunks
         trials = 2 * _CHUNK + 100
         rows1 = monte_carlo_mse(tabletop, "ls", TrainingProtocol(n_slots=10),
                                 [30.0], trials=trials, seed=6)
@@ -219,6 +234,11 @@ class TestMonteCarlo:
         proto = TrainingProtocol(n_slots=5, active_voltage=1e-300)
         with pytest.raises(EstimationError):
             monte_carlo_mse(tabletop, "ls", proto, [40.0], trials=10)
+
+    def test_underflowed_pairwise_currents_are_an_error(self, tabletop):
+        proto = TrainingProtocol(active_voltage=1e-300)
+        with pytest.raises(EstimationError, match="received currents are zero"):
+            monte_carlo_mse(tabletop, "pairwise", proto, [30.0], trials=100)
 
     @pytest.mark.parametrize("snr_db", [30.0, 40.0])
     def test_ls_matches_first_order_oracle(self, tabletop, snr_db):
@@ -399,8 +419,8 @@ class TestSameDraws:
     @pytest.mark.parametrize("trials", [100, 2 * _CHUNK, 2 * _CHUNK + 17],
                              ids=["one_chunk", "two_chunks", "three_chunks"])
     def test_pipeline_matches_complex_reference(self, tabletop, estimator, trials):
-        # three chunks a row use both buffer parities and stage the second
-        # row's first chunk, keyed by SNR index 1, before the first row ends
+        # three chunks a row share the two buffer pairs, and the second row's
+        # chunks, keyed by SNR index 1, reuse the buffers of the first
         proto = TrainingProtocol(n_slots=10, seed=3)
         snrs = [25.0, 35.0]
         rows = monte_carlo_mse(tabletop, estimator, proto, snrs, trials=trials, seed=3)
@@ -427,13 +447,13 @@ class TestSameDraws:
 
 
 class TestPipelineThreads:
-    """The Monte-Carlo's two noise-drawing workers: failures and thread count."""
+    """The Monte-Carlo's two chunk workers: failures and thread count."""
 
     proto = TrainingProtocol(n_slots=10, seed=3)
 
     def _spy(self, monkeypatch, fail_on=None):
-        # wraps the LS solve run on the calling thread once per chunk; the
-        # single-trial solve of estimate_ls is not a chunk
+        # wraps the LS solve a worker runs once per chunk; the single-trial
+        # solve of estimate_ls is not a chunk
         original = estimation._ls_estimates
         threads = []
 
@@ -459,6 +479,15 @@ class TestPipelineThreads:
         mse, _ = TestSameDraws()._reference_mse(tabletop, "ls", self.proto, 25.0,
                                                 _CHUNK + 17, 3)
         assert row.mse == pytest.approx(mse, rel=1e-12)
+
+    def test_failing_chunk_stops_its_row(self, tabletop, monkeypatch):
+        # chunks not yet begun when one fails are skipped, not solved
+        before = threading.active_count()
+        threads = self._spy(monkeypatch, fail_on=2)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            monte_carlo_mse(tabletop, "ls", self.proto, [25.0], trials=64 * _CHUNK, seed=3)
+        assert threading.active_count() == before
+        assert 2 <= len(threads) <= 8
 
     def test_at_most_two_worker_threads(self, tabletop, monkeypatch):
         before = threading.active_count()
