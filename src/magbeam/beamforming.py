@@ -110,7 +110,7 @@ class BeamformingSolution:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """How P0 and P1 realize a relaxation; a bad method or draw count raises ValueError."""
+    """How P0 and P1 realize a relaxation; a bad method, seed or draw count raises ValueError."""
 
     use_peak_constraints: bool = True
     method: str = "auto"
@@ -122,6 +122,8 @@ class SolveOptions:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.randomization_draws < 1:
             raise ValueError(f"randomization_draws must be >= 1, got {self.randomization_draws}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 DEFAULT_OPTIONS = SolveOptions()

@@ -78,6 +78,14 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    """argparse type: an integer of at least 0, such as a seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_snr_list(text):
     try:
         out = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -236,9 +244,12 @@ def cmd_estimate(args):
             check_slots(scenario, protocol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rows = monte_carlo_mse(scenario, args.estimator, protocol,
-                           _parse_snr_list(args.snr_list),
-                           trials=args.trials, seed=args.seed)
+    try:   # an SNR whose noise variance leaves the float range
+        rows = monte_carlo_mse(scenario, args.estimator, protocol,
+                               _parse_snr_list(args.snr_list),
+                               trials=args.trials, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     write_mse_csv(rows, args.out)
     if not args.no_manifest:
         write_manifest(args.out + ".manifest.json", "estimate", scenario,
@@ -308,7 +319,7 @@ def build_parser():
     pb.add_argument("--method", default="auto",
                     choices=["auto", "sdr", "ts", "randomization",
                              "closed_form", "benchmark"])
-    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--seed", type=_nonnegative_int, default=0)
     pb.add_argument("--draws", type=_positive_int, default=4000,
                     help="randomization draw count")
     pb.add_argument("--out", default=None, help="result JSON path (default stdout)")
@@ -324,7 +335,7 @@ def build_parser():
     pr.add_argument("--no-peaks", action="store_true")
     pr.add_argument("--baseline", action="store_true",
                     help="also report the identical-current baseline")
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--seed", type=_nonnegative_int, default=0)
     pr.add_argument("--draws", type=_positive_int, default=4000)
     pr.add_argument("--out", default=None, help="output CSV path")
     pr.add_argument("--no-manifest", action="store_true", help=argparse.SUPPRESS)
@@ -338,7 +349,7 @@ def build_parser():
                     help="comma-separated SNRs in dB ('inf' allowed)")
     pe.add_argument("--slots", type=int, default=10, help="training slots T")
     pe.add_argument("--trials", type=_positive_int, default=100_000)
-    pe.add_argument("--seed", type=int, default=0)
+    pe.add_argument("--seed", type=_nonnegative_int, default=0)
     pe.add_argument("--mode", default="block", choices=["block", "random"])
     pe.add_argument("--inactive-tx", default="open", choices=["open", "driven"],
                     help="idle-TX model in block mode")

@@ -8,27 +8,33 @@ Solves the standard-form problem
                 u >= 0                    (length p, p may be 0)
 
 with an infeasible start, Nesterov-Todd scaling of the PSD block and a
-Mehrotra predictor-corrector step, as in SDPT3 (Toh, Todd & Tutuncu 1999).
-Per iteration: the NT scaling (one batched Cholesky of X and Z and an SVD
-give r with r^-1 X r^-H = r^H Z r = diag(d), W = r r^H); the Schur
+Mehrotra predictor-corrector step, as in SDPT3 (Toh, Todd & Tutuncu 1999).  As
+there, the iterate is one vector per side: the primal [X's reals, u] and the
+dual slack [Z's reals, z] are the rows of one array (a direction (dx, dz)
+another), with X, u, Z and z as views, and the rows are one (k, reals + p)
+operator with a metric vector for the inner product; so residuals, A(.),
+A^*(.), the objectives, mu, the affine gap and the updates are each one
+mat-vec or dot.  Per iteration: the NT scaling (one batched Cholesky of X and
+Z and an SVD give r with r^-1 X r^-H = r^H Z r = diag(d), W = r r^H), its two
+frames scaled by d^-1/2 once, so both iterates read I there; the Schur
 complement; a Cholesky of it as the positive-definiteness test, then one LU
-solve of it per direction; step lengths from lambda_min of both directions
-in the NT frame, one batched eigvalsh per step.  The factor's explicit
+solve of it per direction.  The row images of W r_d W and d_lin r_d_lin are
+hoisted out of the directions; each direction takes its framed pair's
+lambda_min from one batched eigvalsh and both orthant ratio tests in one call,
+and the Mehrotra term reads the predictor's pair.  The factor's explicit
 inverse, applied twice, would be cheaper but rounds worse late in a solve:
 with it 6 of the 11 P0 maximizations that solve on the bench's 16-charger
 tables ended numerical_failure.
 
-Every row's matrix comes as its PSD factor columns, A_i = sum_j f_j f_j^H:
-a delivery, peak-voltage or peak-current row is one column, P0's power cap
-the N + Q rows of B-bar's factor.  The Schur complement's PSD part,
-weight * Re tr(A_i W A_j W), is built from them, as in DSDP (Benson, Ye &
-Zhang 2000) and SDPT3's low-rank path: with V the n x r matrix of all
-columns, each iteration forms V^H W V (O(r n^2 + r^2 n)), squares its
-entries and sums each row's columns, weight * E |V^H W V|^2 E^T.  The
-batched W A_i W it replaced cost O(k n^3 + k^2 n^2); README ("Library
-sketch") has the timings.  The rows' (k, n^2) view, formed once per solve from the
-columns, serves the residuals and right-hand sides as mat-vecs.  At n = 5
-an iteration costs its ~100 NumPy calls, not arithmetic.
+Every row's matrix comes as its PSD factor columns, A_i = sum_j f_j f_j^H: a
+delivery, peak-voltage or peak-current row is one column, P0's power cap the
+N + Q rows of B-bar's factor.  The Schur complement's PSD part, weight *
+Re tr(A_i W A_j W), is built from them, as in DSDP (Benson, Ye & Zhang 2000)
+and SDPT3's low-rank path: with V the n x r matrix of all columns, each
+iteration forms V^H W V (O(r n^2 + r^2 n)), squares its entries and sums each
+row's columns, weight * E |V^H W V|^2 E^T, in place of the batched W A_i W
+(O(k n^3 + k^2 n^2)).  At n = 5 an iteration costs its small NumPy calls, not
+arithmetic: 154 us, against 187 us before the stacked iterate (README).
 
 The dual is  max b.y  s.t.  sum_i y_i A_i + Z = C (Z PSD),
 a_lin^T y + z = c (z >= 0).  X is real or complex as its data are.
@@ -79,37 +85,36 @@ def _sym(m):
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _flat(m):
-    """Trailing n x n matrices as rows of reals, so Re tr(A^H B) is a dot."""
-    m = np.ascontiguousarray(m)
-    return m.reshape(m.shape[:-2] + (math.prod(m.shape[-2:]),)).view(float)
+def _max_step_framed(ds):
+    """Largest alpha with I + alpha*ds PSD, for one Hermitian matrix or a stack.
+
+    A stack (..., n, n) shares one batched eigvalsh, which reads only the
+    lower triangles; returns a float, or an array over the stack.
+    """
+    step = np.full(ds.shape[:-2], np.inf)
+    if ds.shape[-1]:
+        lam = np.linalg.eigvalsh(ds)[..., 0]
+        np.divide(-1.0, lam, out=step, where=~(lam >= -1e-14))
+    return step if step.ndim else float(step)
 
 
 def _max_step_psd(d, ds):
-    """Largest alpha with diag(d) + alpha*ds PSD (d > 0: an NT-frame iterate).
-
-    ``ds`` is one Hermitian matrix or a stack (..., n, n) of them sharing one
-    batched eigvalsh, which reads only their lower triangles; returns a
-    float, or an array over the stack.
-    """
-    step = np.full(ds.shape[:-2], np.inf)
-    if d.size:
-        s = 1.0 / np.sqrt(d)
-        lam = np.linalg.eigvalsh(ds * (s[:, None] * s))[..., 0]
-        np.divide(-1.0, lam, out=step, where=~(lam >= -1e-14))
-    return step if step.ndim else float(step)
+    """Largest alpha with diag(d) + alpha*ds PSD (d > 0: an NT-frame iterate)."""
+    s = 1.0 / np.sqrt(d)
+    return _max_step_framed(ds * (s[:, None] * s))
 
 
 def _max_step_pos(v, dv):
     """Largest alpha with v + alpha*dv >= 0 (v > 0), as min -v_i/dv_i over dv_i < 0.
 
+    Taken along the last axis, so a stack of pairs gives an array of steps.
     A bound beyond 1e300 reads as unbounded (inf).
     """
     ratio = np.full(v.shape, -np.inf)
     # an entry with |dv_i| <= 1e-300 v_i, whose ratio could overflow, bounds
     # the step only beyond 1e300, which every caller's min(1, .) drops
     np.divide(v, dv, out=ratio, where=dv < -1e-300 * v)
-    return -float(ratio.max(initial=-np.inf))
+    return -ratio.max(axis=-1, initial=-np.inf)
 
 
 def _nt_scaling(x, z):
@@ -179,13 +184,6 @@ def _schur_complement(v_rows, e, weight):
     return schur
 
 
-def _interior(m):
-    """``m`` plus ``_WARM_START_SHIFT`` times its mean eigenvalue (times I for a matrix)."""
-    if m.ndim == 1:
-        return m + _WARM_START_SHIFT * np.sum(m) / max(m.size, 1)
-    return m + _WARM_START_SHIFT * np.trace(m).real / max(len(m), 1) * np.eye(len(m))
-
-
 def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
                      gap_tol=1e-8, feas_tol=1e-8, max_iter=100, start=None):
     """Run the interior-point iteration; see module docstring for the form.
@@ -205,69 +203,70 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
     ``ValueError``.
     """
     b = np.asarray(b, dtype=float)
-    k = b.size
-    n = c_psd.shape[0]
+    k, n = b.size, c_psd.shape[0]
     dtype = complex if np.iscomplexobj(c_psd) or np.iscomplexobj(a_factors) else float
     weight = HERMITIAN_WEIGHT if dtype is complex else 1.0
     c_psd = _sym(np.asarray(c_psd, dtype=dtype))
     c_lin = np.asarray(c_lin, dtype=float)
     p = c_lin.size
-    a_factors = np.asarray(a_factors, dtype=dtype)
-    factor_rows = np.asarray(factor_rows)
+    a_factors, factor_rows = np.asarray(a_factors, dtype=dtype), np.asarray(factor_rows)
     a_lin = np.asarray(a_lin, dtype=float)
     if a_lin.shape != (k, p):
         raise ValueError("constraint data dimensions are inconsistent")
-    if a_factors.shape != (factor_rows.size, n) or np.any((factor_rows < 0) | (factor_rows >= k)):
+    if a_factors.shape != (factor_rows.size, n) or ((factor_rows < 0) | (factor_rows >= k)).any():
         raise ValueError("factor vectors do not match the rows")
     if n + p == 0 or k == 0:
         raise ValueError("empty problem")
 
     e = (factor_rows == np.arange(k)[:, None]).astype(float)
-    # the rows' matrices as one (k, n^2) view, for the residuals and rhs
-    a_flat = e @ _flat(a_factors[:, :, None] * a_factors.conj()[:, None, :])
     schur = _schur_complement(a_factors, e, weight)
+    # a point of the space is one real vector, X's nr reals then u, so that
+    # weight * Re tr(A^H B) + a.b is a dot weighed by ``metric``; the rows
+    # are one operator, A(v) = a_met @ v and A^*(y) = y @ a_mat
+    reals = 2 if dtype is complex else 1
+    nr = reals * n * n
+    c = np.concatenate([c_psd.ravel().view(float), c_lin])
+    metric = np.concatenate([np.full(nr, weight), np.ones(p)])
+    outer = a_factors[:, :, None] * a_factors.conj()[:, None, :]
+    a_mat = np.hstack([e @ outer.reshape(len(outer), n * n).view(float), a_lin])
+    a_met, c_met = a_mat * metric, c * metric
     degree = weight * n + p
 
-    def inner(m1, m2):
-        return weight * np.vdot(m1, m2).real
+    def psd(v):
+        """The PSD block of a vector, or of a stack of them, as matrix views."""
+        return v[..., :nr].view(dtype).reshape(v.shape[:-1] + (n, n))
 
     norm_b = 1.0 + math.sqrt(b @ b)
-    norm_c = 1.0 + math.sqrt(inner(c_psd, c_psd) + c_lin @ c_lin)
+    norm_c = 1.0 + math.sqrt(c @ c_met)
 
-    rho_p = max(1.0, float(np.max(np.abs(b))))
-    rho_d = max(1.0, float(np.max(np.abs(c_psd), initial=0.0)),
-                float(np.max(np.abs(c_lin), initial=0.0)))
+    # the primal [X, u] and dual slack [Z, z] as the rows of one array, a
+    # direction (dx, dz) likewise; X, u, Z and z, and their steps, are views
+    xz, dxz, v = np.zeros((2, nr + p)), np.empty((2, nr + p)), np.empty(nr + p)
+    (xv, zv), xz_m, xz_lin, v_m, v_lin = xz, psd(xz), xz[:, nr:], psd(v), v[nr:]
+    (dx, dz), dxz_m, dxz_lin = dxz, psd(dxz), dxz[:, nr:]
+    (x, z_psd), (u, z_lin), (dx_m, dz_m), (dx_lin, dz_lin) = xz_m, xz_lin, dxz_m, dxz_lin
+    diag = xz[:, :nr:reals * (n + 1)]   # the real diagonals of X and Z
     if start is None:
-        x = rho_p * np.eye(n, dtype=dtype)
-        u = rho_p * np.ones(p)
-        z_psd = rho_d * np.eye(n, dtype=dtype)
-        z_lin = rho_d * np.ones(p)
+        diag[...] = xz_lin[...] = [[max(1.0, float(np.max(np.abs(b))))],
+                                   [max(1.0, float(np.max(np.abs(c_psd), initial=0.0)),
+                                        float(np.max(np.abs(c_lin), initial=0.0)))]]
     else:
         if [np.shape(m) for m in start] != [(n, n), (p,), (k,), (n, n), (p,)] \
                 or (dtype is float and np.iscomplexobj(start[0])):
             raise ValueError("start iterate does not match the problem")
-        x, u, _, z_psd, z_lin = start
-        x, z_psd = (_interior(_sym(np.asarray(m, dtype=dtype))) for m in (x, z_psd))
-        u, z_lin = (_interior(np.asarray(m, dtype=float)) for m in (u, z_lin))
+        xz_m[...], xz_lin[...] = (start[0], start[3]), (start[1], start[4])
+        xz_m[...] = _sym(xz_m)
+        # each cone block moves by _WARM_START_SHIFT times its mean eigenvalue
+        diag += _WARM_START_SHIFT * diag.sum(axis=1, keepdims=True) / max(n, 1)
+        xz_lin += _WARM_START_SHIFT * xz_lin.sum(axis=1, keepdims=True) / max(p, 1)
     y = np.zeros(k)
 
-    # an empty block (p = 0, or n = 0 for an LP) contributes exact zeros
-    def a_op(xm, uv):
-        return a_lin @ uv + weight * (a_flat @ _flat(xm))
-
-    def at_op(yv):
-        return (yv @ a_flat).view(dtype).reshape(n, n), a_lin.T @ yv
-
-    def residuals(x, u, y, z_psd, z_lin):
+    def residuals(y):
         # residuals, objectives, relative gap and scaled infeasibilities
-        r_p = b - a_op(x, u)
-        aty_psd, aty_lin = at_op(y)
-        r_d_psd, r_d_lin = c_psd - aty_psd - z_psd, c_lin - aty_lin - z_lin
-        pobj, dobj = inner(c_psd, x) + c_lin @ u, b @ y
-        return (r_p, r_d_psd, r_d_lin, pobj, dobj,
-                float(abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))),
-                math.sqrt(r_p @ r_p) / norm_b,
-                math.sqrt(inner(r_d_psd, r_d_psd) + r_d_lin @ r_d_lin) / norm_c)
+        r_p, r_d = b - a_met @ xv, c - y @ a_mat - zv
+        pobj, dobj = c_met @ xv, b @ y
+        return (r_p, r_d, pobj, dobj, float(abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))),
+                math.sqrt(r_p @ r_p) / norm_b, math.sqrt(r_d @ (metric * r_d)) / norm_c)
 
     import logging  # here: `import magbeam` skips its 5 ms
     log = logging.getLogger("magbeam.conic")
@@ -277,9 +276,8 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
-        r_p, r_d_psd, r_d_lin, pobj, dobj, rel_gap, p_inf, d_inf = \
-            residuals(x, u, y, z_psd, z_lin)
-        mu = (inner(x, z_psd) + u @ z_lin) / degree
+        r_p, r_d, pobj, dobj, rel_gap, p_inf, d_inf = residuals(y)
+        mu = (xv * metric) @ zv / degree
         if debug:
             log.debug("iter %3d  pobj % .9e  dobj % .9e  pinf %.2e  dinf %.2e  mu %.2e",
                       it, pobj, dobj, p_inf, d_inf, mu)
@@ -291,9 +289,9 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
         # Farkas certificate of primal infeasibility: find y with b.y > 0 and
         # -A^*(y) in the dual cone.
         if dobj > feas_tol:
-            s_cand, v_cand = at_op(y / dobj)
-            viol = 0.0
-            ref = 1.0
+            cand = (y / dobj) @ a_mat
+            s_cand, v_cand = psd(cand), cand[nr:]
+            viol, ref = 0.0, 1.0
             if n:
                 viol = max(viol, max(0.0, float(np.linalg.eigvalsh(_sym(s_cand))[-1])))
                 ref = max(ref, float(np.sqrt(weight) * np.linalg.norm(s_cand)))
@@ -306,79 +304,81 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
                 break
 
         # improving-ray certificate of unboundedness
-        ray_scale = weight * x.trace().real + u.sum()
+        ray_scale = weight * diag[0].sum() + u.sum()
         if ray_scale > 0 and pobj / ray_scale < -max(1e-6, 100 * feas_tol) and \
                 np.linalg.norm(b - r_p) / ray_scale <= feas_tol:
             status = UNBOUNDED
             break
 
         # NT scaling; ``frame`` maps a stack (dx, dz) into the frame where x
-        # and z_psd are both diag(d_spec)
+        # and z_psd are both I
         try:
             r_mat, r_inv, d_spec = _nt_scaling(x, z_psd) if n else (x, x, np.zeros(0))
         except np.linalg.LinAlgError:
             break
         r_h = r_mat.conj().T
-        frame = np.array((r_inv, r_h))
-        frame_h = frame.conj().swapaxes(-1, -2)
         w_mat = r_mat @ r_h
-        wrw = w_mat @ r_d_psd @ w_mat
+        frame = np.array((r_inv, r_h)) * (1.0 / np.sqrt(d_spec))[:, None]
+        frame_h = frame.conj().swapaxes(-1, -2)
         d_lin = u / z_lin
-        solve_normal = _factor_normal(schur(w_mat)
-                                      + (a_lin * d_lin) @ a_lin.T)
+        solve_normal = _factor_normal(schur(w_mat) + (a_lin * d_lin) @ a_lin.T)
+        # the rows' image of the constant part of every direction (v as work space)
+        np.matmul(w_mat @ psd(r_d), w_mat, out=v_m)
+        np.multiply(d_lin, r_d[nr:], out=v_lin)
+        rhs = r_p + a_met @ v
 
-        def directions(v_psd, v_lin):
-            rhs = r_p - weight * (a_flat @ _flat(v_psd - wrw))
-            dy = solve_normal(rhs - a_lin @ (v_lin - d_lin * r_d_lin))
-            dz_psd_, dz_lin_ = at_op(dy)
-            # Hermitian up to rounding: both terms are; z_psd's update symmetrizes
-            dz_psd_ = r_d_psd - dz_psd_
-            dz_lin_ = r_d_lin - dz_lin_
-            dx_ = _sym(v_psd - w_mat @ dz_psd_ @ w_mat)
-            return np.array((dx_, dz_psd_)), v_lin - d_lin * dz_lin_, dy, dz_lin_
+        def directions():
+            # dxz for the scaled complementarity target v; dy, the framed
+            # pair and both sides' largest steps
+            dy = solve_normal(rhs - a_met @ v)
+            np.subtract(r_d, dy @ a_mat, out=dz)
+            np.matmul(w_mat @ dz_m, w_mat, out=dx_m)
+            np.multiply(d_lin, dz_lin, out=dx_lin)
+            np.subtract(v, dx, out=dx)
+            np.add(dx_m, dx_m.conj().T, out=dx_m)
+            np.multiply(dx_m, 0.5, out=dx_m)
+            framed = frame @ dxz_m @ frame_h
+            return dy, framed, np.minimum(_max_step_framed(framed),
+                                          _max_step_pos(xz_lin, dxz_lin))
 
         # predictor (affine scaling) direction
-        dxz_a, du_a, _, dzl_a = directions(-x, -u)
-        ddxz = frame @ dxz_a @ frame_h
-        step_x, step_z = _max_step_psd(d_spec, ddxz)
-        ap_aff = min(1.0, min(step_x, _max_step_pos(u, du_a)))
-        ad_aff = min(1.0, min(step_z, _max_step_pos(z_lin, dzl_a)))
-        gap_aff = inner(x + ap_aff * dxz_a[0], z_psd + ad_aff * dxz_a[1]) \
-            + (u + ap_aff * du_a) @ (z_lin + ad_aff * dzl_a)
-        mu_aff = max(gap_aff, 0.0) / degree
+        np.negative(xv, out=v)
+        _, framed, steps = directions()
+        trial = xz + np.minimum(1.0, steps)[:, None] * dxz
+        mu_aff = max((trial[0] * metric) @ trial[1], 0.0) / degree
         sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
 
         # corrector with Mehrotra second-order term, in the scaled space (t_mat
-        # is exactly Hermitian)
-        target = -_sym(ddxz[0] @ ddxz[1])
-        target.flat[::n + 1] += sigma * mu - d_spec ** 2
-        t_mat = 2.0 * target / (d_spec[:, None] + d_spec[None, :])
-        v_lin = (sigma * mu - u * z_lin - du_a * dzl_a) / z_lin
+        # is exactly Hermitian); framed = S (r^-1 dx r^-H, r^H dz r) S for
+        # S = diag(d^-1/2), so their product there is framed[0] D framed[1]
+        prod = (framed[0] * d_spec) @ framed[1]
+        t_mat = (prod + prod.conj().T) \
+            * (-d_spec[:, None] * d_spec / (d_spec[:, None] + d_spec))
+        t_mat.flat[::n + 1] += sigma * mu - d_spec ** 2
+        np.divide(sigma * mu - u * z_lin - dx_lin * dz_lin, z_lin, out=v_lin)
+        np.matmul(frame_h[1] @ t_mat, frame[1], out=v_m)
 
-        dxz, du, dy, dz_lin = directions(r_mat @ t_mat @ r_h, v_lin)
-        step_x, step_z = _max_step_psd(d_spec, frame @ dxz @ frame_h)
-        alpha_p = min(1.0, _STEP_FRACTION * min(step_x, _max_step_pos(u, du)))
-        alpha_d = min(1.0, _STEP_FRACTION * min(step_z, _max_step_pos(z_lin, dz_lin)))
-        if alpha_p < _MIN_STEP and alpha_d < _MIN_STEP:
+        dy, _, steps = directions()
+        alphas = np.minimum(1.0, _STEP_FRACTION * steps)
+        if alphas.max() < _MIN_STEP:
             stall += 1
             if stall >= 2:
                 break
         else:
             stall = 0
 
-        # exactly Hermitian without _sym: so are x's start and every dx
-        x = x + alpha_p * dxz[0]
-        u = u + alpha_p * du
-        y = y + alpha_d * dy
-        z_psd = _sym(z_psd + alpha_d * dxz[1])
-        z_lin = z_lin + alpha_d * dz_lin
+        # x and each dx are exactly Hermitian, dz only up to rounding: symmetrize z
+        xz += alphas[:, None] * dxz
+        y = y + alphas[1] * dy
+        z_psd += z_psd.conj().T
+        z_psd *= 0.5
 
     if status == NUMERICAL_FAILURE and best_cert <= 1e-5:
         # weakly infeasible: the iteration stalled but an approximate dual
         # ray was found along the way
         status = INFEASIBLE
 
-    *_, rel_gap, p_inf, d_inf = residuals(x, u, y, z_psd, z_lin)
-    return KernelResult(status=status, x=x, u=u, y=y, z_psd=z_psd, z_lin=z_lin,
-                        rel_gap=rel_gap, primal_infeas=p_inf, dual_infeas=d_inf,
-                        iterations=it)
+    *_, rel_gap, p_inf, d_inf = residuals(y)
+    return KernelResult(status=status, x=x.copy(), u=u.copy(), y=y, z_psd=z_psd.copy(),
+                        z_lin=z_lin.copy(), rel_gap=rel_gap, primal_infeas=p_inf,
+                        dual_infeas=d_inf, iterations=it)

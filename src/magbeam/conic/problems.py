@@ -9,6 +9,7 @@ the same kernel restricted to the orthant, i.e. the diagonal-barrier
 specialization.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,8 @@ class SdpProblem:
         for name, value in (("objective", objective), ("factors", factors), ("sense", sense),
                             ("rhs", rhs), ("linear_objective", c_u), ("linear", linear)):
             object.__setattr__(self, name, value)
-        if not all(np.all(np.isfinite(a)) for a in (objective, *factors, rhs, c_u, linear)):
+        if not all(np.isfinite(a).all()
+                   for a in (objective, np.concatenate(factors), rhs, c_u, linear)):
             raise ValueError("problem data must be finite")
         # every row's sum of f f^H is Hermitian by construction
         if np.linalg.norm(objective - objective.conj().T) > 1e-9 * np.linalg.norm(objective):
@@ -136,11 +138,11 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     """
     factors, rhs = np.concatenate(problem.factors), problem.rhs
     rows = np.repeat(np.arange(rhs.size), [len(f) for f in problem.factors])
-    dtype = complex if np.any(problem.objective.imag) or np.any(factors.imag) else float
+    dtype = complex if problem.objective.imag.any() or factors.imag.any() else float
     # the kernel weighs a Hermitian block's trace products by this factor,
     # so its data goes in divided by it and its norms grow by the root
     weight = kernel.HERMITIAN_WEIGHT if dtype is complex else 1.0
-    root_weight = np.sqrt(weight)
+    root_weight = math.sqrt(weight)
     objective, factors = (np.asarray(m if dtype is complex else m.real, dtype=dtype)
                           for m in (problem.objective, factors))
     c_u, linear = problem.linear_objective, problem.linear
@@ -176,10 +178,11 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
         start=None if start is None else start.iterate)
 
     u = res.u[:c_u.size]
-    value = 0.5 * float(np.sum(objective.conj() * res.x).real) + float(c_u @ u)
+    value = 0.5 * float((objective.conj() * res.x).sum().real) + float(c_u @ u)
     duals = np.zeros(live.size)
     duals[live] = res.y * obj_scale / scales
-    return ConicSolution(status=res.status, value=value, x=res.x, duals=duals,
+    # x and u are copies: a caller's edits must not reach a later warm start
+    return ConicSolution(status=res.status, value=value, x=res.x.copy(), duals=duals,
                          rel_gap=res.rel_gap, iterations=res.iterations,
                          primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas,
-                         u=u, iterate=(res.x, res.u, res.y, res.z_psd, res.z_lin))
+                         u=u.copy(), iterate=(res.x, res.u, res.y, res.z_psd, res.z_lin))

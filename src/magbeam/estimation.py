@@ -64,6 +64,8 @@ class TrainingProtocol:
             raise ValueError(f"unknown inactive-TX model {self.inactive_tx!r}")
         if self.n_slots < 1:
             raise ValueError("need at least one training slot")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.active_voltage) and self.active_voltage != 0.0):
             raise ValueError("training voltage must be finite and nonzero, "
                              f"got {self.active_voltage!r}")
@@ -138,6 +140,25 @@ def _single_tx_currents(scenario, protocol):
     return y
 
 
+def _noise_variance(power, snr_db):
+    """The feedback noise variance ``power / 10^(snr_db / 10)`` (0 at +inf dB).
+
+    A linear SNR above the float range leaves no noise a float can hold, so
+    the variance is 0; one that underflows to 0 (-inf dB among them), or a
+    variance that overflows, raises ``ValueError``.
+    """
+    try:
+        sigma2 = power / 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return 0.0
+    except ZeroDivisionError:
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):
+        raise ValueError(f"an SNR of {snr_db} dB puts the noise variance beyond "
+                         "the float range")
+    return sigma2
+
+
 def simulate_training(scenario: Scenario, protocol: TrainingProtocol,
                       snr_db: float) -> TrainingRecord:
     """Run the training circuit over the T slots and add feedback noise.
@@ -147,7 +168,8 @@ def simulate_training(scenario: Scenario, protocol: TrainingProtocol,
     active TX and records the induced EMF at the idle ports.  The feedback
     noise variance is set from the mean received-current power of a
     noiseless dry run so that ``mean |i_rx|^2 / sigma^2`` equals the
-    requested SNR.
+    requested SNR; an SNR for which that variance leaves the float range
+    raises ``ValueError``.
     """
     model = build_impedance(scenario)
     b_conj = model.b_complex.conj()
@@ -170,10 +192,8 @@ def simulate_training(scenario: Scenario, protocol: TrainingProtocol,
         z = (1j * scenario.omega / scenario.rx_resistance)[:, None] * (model.m_vectors @ y)
     g = (1j / scenario.omega) * (h - f @ y)
 
-    if math.isinf(snr_db) or z.size == 0:   # no receiver, nothing fed back
-        sigma2 = 0.0
-    else:
-        sigma2 = float(np.mean(np.abs(z) ** 2)) / 10.0 ** (snr_db / 10.0)
+    # with no receiver nothing is fed back, so there is no noise
+    sigma2 = _noise_variance(float(np.mean(np.abs(z) ** 2)), snr_db) if z.size else 0.0
     rng = np.random.default_rng([int(protocol.seed), 0x7632])
     re, im = _cscg(rng, z.shape, sigma2)
     return TrainingRecord(scenario=scenario, h=h, y=y, z=z, z_tilde=z + (re + 1j * im),
@@ -321,12 +341,12 @@ def _pairwise_setup(scenario: Scenario, snr_db: float, v: float):
     """
     i_tx, i_rx = pairwise_circuit(scenario)
     i_tx, i_rx = v * i_tx, v * i_rx
-    if math.isinf(snr_db):
+    if snr_db == math.inf:
         return i_tx, i_rx, 0.0
     power = float(np.mean(np.abs(i_rx) ** 2))
     if power == 0.0:
         raise EstimationError("received currents are zero at this training voltage")
-    return i_tx, i_rx, power / 10.0 ** (snr_db / 10.0)
+    return i_tx, i_rx, _noise_variance(power, snr_db)
 
 
 def _pairwise_estimates(scenario, i_tx, v, noisy):
@@ -380,10 +400,14 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
     of two worker threads over its chunks: a chunk draws, stages, solves and
     writes its squared errors into its slice of the row, holding one of two
     buffer pairs while it runs.  A ``perfect`` row, and any row at an
-    infinite SNR, is one noiseless estimate (``trials`` 1).
+    infinite SNR, is one noiseless estimate (``trials`` 1).  A negative
+    seed, or an SNR whose noise variance leaves the float range, raises
+    ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if scenario.n_rx == 0:
         raise ValueError("no receivers to estimate")
     if estimator not in ("ls", "perfect", "pairwise"):

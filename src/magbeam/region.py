@@ -91,10 +91,10 @@ def sweep_region(scenario, grid_size=40, baseline=False, alphas=None,
     The first point's relaxation starts cold and each later one from the
     relaxation of the point before it (cold again after a point that solved
     none).  Over 40 random profiles of the four-user ``table2`` (seeded
-    Dirichlet draws, sorted) the sweep took 729 kernel iterations with
-    peaks and 553 without, where cold starts took 1,135 and 632; one of
-    those profiles ends ``numerical_failure`` from the cold start and solves
-    from its neighbour.
+    Dirichlet draws, sorted) the sweep took 725 kernel iterations with
+    peaks, 670 of them in the relaxations, and 553 without, where cold
+    starts took 1,137 and 632; one of those profiles ends
+    ``numerical_failure`` from the cold start and solves from its neighbour.
     """
     if alphas is None:
         if scenario.n_rx != 2:

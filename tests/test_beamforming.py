@@ -771,6 +771,11 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match=message):
             SolveOptions(**bad)
 
+    def test_negative_seed_rejected(self):
+        # NumPy's generators take no negative seed; the option says so first
+        with pytest.raises(ValueError, match="seed"):
+            SolveOptions(seed=-1)
+
 
 class TestBenchmark:
     def test_miso_max_feasible(self, tabletop_miso, miso_model):

@@ -174,6 +174,37 @@ def test_bad_number_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", TABLE, "--seed", "-1", "--out", "unused.csv"],
+    ["region", TWO_USER, "--seed", "-1", "--out", "unused.csv"],
+    ["beamform", TABLE, "--alpha", "0.25,0.25,0.25,0.25", "--target-power", "2",
+     "--method", "randomization", "--seed", "-1"],
+], ids=["estimate", "region", "beamform"])
+def test_negative_seed_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == 64
+    assert "non-negative integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("estimator", ["ls", "pairwise", "perfect"])
+def test_out_of_range_snr(estimator, tmp_path, monkeypatch, capsys):
+    # a linear SNR above the float range leaves no noise; a noise variance
+    # beyond it is a usage error, with nothing written
+    monkeypatch.chdir(tmp_path)
+    assert main(["estimate", TABLE, "--estimator", estimator, "--snr-list", "4000,1e308",
+                 "--trials", "10", "--out", "mse.csv", "--no-manifest"]) == 0
+    with open("mse.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["snr_db"]) for r in rows] == [4000.0, 1e308]
+    assert all(float(r["mse"]) <= 1e-18 for r in rows)
+    for snr in ("-4000", "-inf"):
+        assert _exit_code(["estimate", TABLE, "--estimator", estimator,
+                           f"--snr-list=30,{snr}", "--trials", "10", "--out", "bad.csv"]) == 64
+        assert "float range" in capsys.readouterr().err
+        assert not (tmp_path / "bad.csv").exists()
+
+
 def test_back_to_back_calls_parse_independently(tmp_path, capsys):
     # ``region --alpha`` appends; no call may see an earlier call's list
     def region_rows(*extra):

@@ -522,6 +522,37 @@ class TestWarmStart:
         assert warm.iterations < cold.iterations
         self._assert_kkt(prob, warm)
 
+    def test_results_share_no_memory(self, monkeypatch):
+        # the kernel keeps x and u, z_psd and z_lin as views of stacked
+        # vectors; no returned array may alias another
+        results = []
+        solve = kernel.solve_mixed_cone
+
+        def spy(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(kernel, "solve_mixed_cone", spy)
+        n = self.N
+        sol = solve_sdp(self._problem(np.zeros((n, n))))
+        res = results[0]
+        for arrays in ((res.x, res.u, res.y, res.z_psd, res.z_lin), sol.iterate,
+                       (sol.x, sol.u, sol.duals) + sol.iterate):
+            for a, b in itertools.combinations(arrays, 2):
+                assert not np.shares_memory(a, b)
+
+    def test_mutated_solution_keeps_its_warm_start(self):
+        n = self.N
+        prob = self._problem(np.zeros((n, n)))
+        base = solve_sdp(prob)
+        warm = solve_sdp(prob, start=base)
+        u = base.u.copy()
+        base.x[...] = 0.0
+        assert np.array_equal(base.u, u)
+        again = solve_sdp(prob, start=base)
+        assert again.iterations == warm.iterations
+        assert np.array_equal(again.x, warm.x) and np.array_equal(again.u, warm.u)
+
     def test_start_from_other_rows_rejected(self):
         n = self.N
         base = solve_sdp(self._problem(np.zeros((n, n))))

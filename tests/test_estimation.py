@@ -62,6 +62,23 @@ class TestSimulateTraining:
         with pytest.raises(ValueError, match="training voltage"):
             TrainingProtocol(active_voltage=voltage)
 
+    def test_negative_seed_rejected(self, tabletop):
+        with pytest.raises(ValueError, match="seed"):
+            TrainingProtocol(seed=-1)
+        with pytest.raises(ValueError, match="seed must be"):
+            monte_carlo_mse(tabletop, "ls", TrainingProtocol(), [30.0], trials=10, seed=-1)
+
+    def test_out_of_range_snr(self, tabletop):
+        # 10^(4000/10) overflows: no noise; the variance itself overflows at
+        # -3200 dB and divides by an underflowed 0 at -4000 and -inf dB
+        for snr, sigma2 in ((4000.0, 0.0), (1e308, 0.0), (math.inf, 0.0)):
+            assert simulate_training(tabletop, TrainingProtocol(), snr).sigma2 == sigma2
+        for snr in (-3200.0, -4000.0, -math.inf):
+            with pytest.raises(ValueError, match="float range"):
+                simulate_training(tabletop, TrainingProtocol(), snr)
+            with pytest.raises(ValueError, match="float range"):
+                estimate_pairwise_benchmark(tabletop, snr)
+
     def test_no_receivers_at_finite_snr(self):
         # nothing is fed back, so there is no noise to scale
         rec = simulate_training(table_scenario([]), TrainingProtocol(n_slots=5), 20.0)

@@ -167,6 +167,23 @@ class TestWarmStartedSweep:
         assert abs(sum(counts) - sum(expected)) <= 5
         assert all(abs(c - e) <= 2 for c, e in zip(counts, expected, strict=True))
 
+    def test_no_peak_sweep_relaxation_iterations(self, tabletop_two_user):
+        # the real-dtype kernel path (no peak rows, 278 in all), pinned as above
+        expected = [14, 12] + [6] * 28 + [9, 9, 9, 8, 6, 6, 6, 6, 7, 7, 11]
+        sweep = sweep_region(tabletop_two_user, grid_size=40, options=NO_PEAKS)
+        counts = [p.relaxation.iterations for p in sweep.points]
+        assert abs(sum(counts) - sum(expected)) <= 5
+        assert all(abs(c - e) <= 2 for c, e in zip(counts, expected, strict=True))
+
+    @pytest.mark.parametrize("use_peaks, expected", [(True, 670), (False, 553)],
+                             ids=["peaks", "no_peaks"])
+    def test_four_user_sweep_relaxation_iterations(self, tabletop, use_peaks, expected):
+        # the 40 seeded profiles of sweep_region's docstring
+        alphas = np.random.default_rng(0).dirichlet(np.ones(4), 40)
+        sweep = sweep_region(tabletop, alphas=alphas,
+                             options=SolveOptions(use_peak_constraints=use_peaks))
+        assert abs(sum(p.relaxation.iterations for p in sweep.points) - expected) <= 5
+
 
 class TestBaselinePoint:
     def test_profile_capped_value(self, tabletop_two_user):
