@@ -27,7 +27,7 @@ import numpy as np
 
 from .circuit import (Excitation, build_impedance, constraint_slacks,
                       delivered_powers, tx_total_power)
-from .conic import (EQ, GE, INFEASIBLE, LE, SdpProblem, numerical_rank,
+from .conic import (GE, INFEASIBLE, LE, SdpProblem, numerical_rank,
                     psd_eigendecomposition, solve_sdp)
 from .errors import InfeasibleError, SolverError
 
@@ -355,74 +355,48 @@ def _at_target(scenario, model, solution, profile, target_power):
     return _rescaled(scenario, model, solution, min(1.0, target_power / p))
 
 
-def _slot_lp_rows(scenario, model, vecs):
-    """Coefficients of the per-slot LP over the fixed directions ``vecs``.
-
-    The LP variables start with ``[phi_1..phi_L, tau_1..tau_L]``: slot l
-    runs ``vecs[:, l]`` at squared gain ``phi_l / tau_l`` for the time
-    fraction ``tau_l``.  Returns the TX power and per-RX delivery quadratic
-    forms of each direction, and the rows keeping every peak limit inside
-    each slot (``<= 0``).
-    """
-    c0 = np.real(np.einsum("il,ij,jl->l", vecs.conj(), model.b_bar, vecs))
-    c1 = (np.abs(model.m_vectors @ vecs) ** 2).T
-    gains = np.stack([np.abs(model.b_columns.conj() @ vecs) ** 2,
-                      np.abs(vecs) ** 2], axis=2)                  # (N, L, 2)
-    limits = np.stack([scenario.peak_voltage ** 2,
-                       scenario.peak_current ** 2], axis=1)        # (N, 2)
-    eye = np.eye(vecs.shape[1])[None, :, None, :]
-    peak_rows = np.concatenate([gains[..., None] * eye,
-                                -limits[:, None, :, None] * eye], axis=3)
-    return c0, c1, peak_rows.reshape(-1, 2 * vecs.shape[1])
-
-
 def _time_sharing_lp(x_star, scenario, profile, model, target_power=None):
     """Time-sharing over the eigendirections of a relaxed solution, at its limits.
 
-    One LP over the per-slot variables of :func:`_slot_lp_rows`, with every
-    peak limit kept inside each slot and ``sum_l tau_l = 1``.  Without a
-    target it has one more variable t and maximizes it subject to
-    deliveries ``>= d_q t`` and the time-averaged cap (P0); with one it
+    Slot l runs direction ``v_l`` at its peak gain ``g_l``
+    (:func:`_peak_gain2`) for the time ``phi_l / g_l``, so every peak limit
+    holds inside it, and ``phi_l`` weighs its powers in the time average.
+    One LP over ``phi`` keeps the time budget ``sum_l phi_l / g_l <= 1``.
+    Without a target it has one more variable t and maximizes it subject
+    to deliveries ``>= d_q t`` and the time-averaged cap (P0); with one it
     minimizes the TX power subject to the delivery floors, less the
-    delivery tolerance (P1).  An infeasible LP raises ``InfeasibleError``.
+    delivery tolerance (P1).  Time left over stretches every slot alike,
+    and the schedule is scaled to its limits.  An infeasible LP raises
+    ``InfeasibleError``.
     """
     _, evecs, rank = _spectrum(x_star)
     vecs = evecs[:, :max(rank, 1)]
     n_slots = vecs.shape[1]
-    c0, c1, peak_rows = _slot_lp_rows(scenario, model, vecs)
+    tx_power = np.real(np.einsum("il,ij,jl->l", vecs.conj(), model.b_bar, vecs)) / 2.0
+    delivery = np.abs(model.m_vectors @ vecs) ** 2
+    gain2 = _peak_gain2(scenario, model, vecs)
     if target_power is None:
         per_watt = delivery_rhs(scenario, profile, 1.0)
-        objective = np.concatenate([np.zeros(2 * n_slots), [-1.0]])
-        a_le = np.vstack([
-            np.hstack([-c1.T, np.zeros((per_watt.size, n_slots)), per_watt[:, None]]),
-            np.concatenate([c0 / 2.0, np.zeros(n_slots + 1)])[None, :],
-            np.hstack([peak_rows, np.zeros((len(peak_rows), 1))]),
-        ])
-        b_le = np.concatenate([np.zeros(per_watt.size), [scenario.total_power_cap],
-                               np.zeros(len(peak_rows))])
+        objective = np.append(np.zeros(n_slots), -1.0)
+        a_le = np.vstack([np.hstack([-delivery, per_watt[:, None]]),
+                          np.append(tx_power, 0.0), np.append(1.0 / gain2, 0.0)])
+        b_le = np.append(np.zeros(per_watt.size), [scenario.total_power_cap, 1.0])
     else:
         rhs = delivery_rhs(scenario, profile, target_power) * (1.0 - _DELIVERY_REL_TOL)
-        objective = np.concatenate([c0 / 2.0, np.zeros(n_slots)])
-        a_le = np.vstack([np.hstack([-c1.T, np.zeros((rhs.size, n_slots))]), peak_rows])
-        b_le = np.concatenate([-rhs, np.zeros(len(peak_rows))])
-    tau_row = np.zeros(a_le.shape[1])
-    tau_row[n_slots:2 * n_slots] = 1.0
-    k = len(b_le) + 1
+        objective = tx_power
+        a_le = np.vstack([-delivery, 1.0 / gain2])
+        b_le = np.append(-rhs, 1.0)
     lp_sol = solve_sdp(SdpProblem(
-        np.zeros((0, 0)), np.zeros((k, 0)), (LE,) * (k - 1) + (EQ,),
-        np.append(b_le, 1.0), linear_objective=objective,
-        linear=np.vstack([a_le, tau_row])))
+        np.zeros((0, 0)), np.zeros((len(b_le), 0)), (LE,) * len(b_le), b_le,
+        linear_objective=objective, linear=a_le))
     if lp_sol.status == INFEASIBLE:
         raise InfeasibleError("per-slot peak limits cannot support this delivery")
     if not lp_sol.is_optimal:
         raise SolverError(f"time-sharing LP ended with status {lp_sol.status}")
-    phi = np.maximum(lp_sol.u[:n_slots], 0.0)
-    tau = np.maximum(lp_sol.u[n_slots:2 * n_slots], 0.0)
-    keep = np.flatnonzero(tau > 1e-9)
-    total = tau[keep].sum()
-    # slot l at its per-slot squared gain phi_l / tau_l, which keeps its peaks
-    slots = [(Excitation(math.sqrt(max(phi[l] / tau[l], 0.0)) * vecs[:, l]),
-              float(tau[l] / total)) for l in keep]
+    time = np.maximum(lp_sol.u[:n_slots], 0.0) / gain2
+    keep = np.flatnonzero(time > 1e-9 * time.sum())
+    slots = [(Excitation(math.sqrt(gain2[l]) * vecs[:, l]), float(tau))
+             for l, tau in zip(keep, time[keep] / time[keep].sum())]
     sol = make_solution(scenario, model, slots, METHOD_TIME_SHARING, sdr_rank=n_slots)
     return _at_limits(scenario, model, sol, use_peaks=True)
 
@@ -430,12 +404,12 @@ def _time_sharing_lp(x_star, scenario, profile, model, target_power=None):
 def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None):
     """Time-sharing rounding of a higher-rank relaxed solution.
 
-    Fixes the eigenvector directions, then jointly optimizes per-slot time
-    fractions and power scalings by an LP whose per-slot rows keep every
-    peak limit satisfied inside each slot; infeasibility of the LP means
-    the target delivery is unreachable by this schedule family.  The
-    schedule is scaled to its limits and then down to the target, which
-    raises ``InfeasibleError`` where the cap keeps it short.
+    Fixes the eigenvector directions, each run at its peak gain, and
+    optimizes their time shares by the LP of :func:`_time_sharing_lp`;
+    infeasibility of the LP means the target delivery is unreachable by
+    this schedule family.  The schedule is scaled to its limits and then
+    down to the target, which raises ``InfeasibleError`` where the cap
+    keeps it short.
     """
     model = _model_for(scenario, model)
     sol = _time_sharing_lp(x_star, scenario, profile, model, target_power)

@@ -2,12 +2,11 @@
 
 from .kernel import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, UNBOUNDED
 from .linalg import numerical_rank, psd_eigendecomposition
-from .problems import (EQ, GE, LE, ConicSolution, SdpProblem, Tolerances,
-                       solve_sdp)
+from .problems import GE, LE, ConicSolution, SdpProblem, Tolerances, solve_sdp
 
 __all__ = [
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED", "NUMERICAL_FAILURE",
-    "GE", "LE", "EQ",
+    "GE", "LE",
     "SdpProblem", "ConicSolution", "Tolerances",
     "solve_sdp",
     "psd_eigendecomposition", "numerical_rank",

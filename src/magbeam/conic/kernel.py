@@ -98,12 +98,6 @@ def _max_step_framed(ds):
     return step if step.ndim else float(step)
 
 
-def _max_step_psd(d, ds):
-    """Largest alpha with diag(d) + alpha*ds PSD (d > 0: an NT-frame iterate)."""
-    s = 1.0 / np.sqrt(d)
-    return _max_step_framed(ds * (s[:, None] * s))
-
-
 def _max_step_pos(v, dv):
     """Largest alpha with v + alpha*dv >= 0 (v > 0), as min -v_i/dv_i over dv_i < 0.
 

@@ -19,9 +19,8 @@ from .kernel import OPTIMAL
 
 GE = ">="
 LE = "<="
-EQ = "=="
-# the coefficient of each sense's unit slack column; an equality has none
-_SLACK_SIGN = {LE: 1.0, GE: -1.0, EQ: 0.0}
+# the coefficient of each sense's unit slack column
+_SLACK_SIGN = {LE: 1.0, GE: -1.0}
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class SdpProblem:
     the same problem again: ``dataclasses.replace(problem, rhs=...)`` or
     ``objective=...`` keeps the rows.  Real and complex data may mix, which
     makes X complex Hermitian.  Dimension n = 0 is an LP in u.  ``sense``
-    holds k entries of ``GE``, ``LE`` or ``EQ``.  ``linear_objective`` sets
+    holds k entries of ``GE`` or ``LE``.  ``linear_objective`` sets
     the number p of scalar variables ``u`` (none by default), and
     ``linear`` (k x p) their row coefficients, zeros by default.
     """
@@ -74,7 +73,7 @@ class SdpProblem:
             raise ValueError("matrix dimensions do not match the problem")
         sense = tuple(self.sense)
         if any(s not in _SLACK_SIGN for s in sense):
-            raise ValueError(f"each sense must be '>=', '<=' or '==', got {sense!r}")
+            raise ValueError(f"each sense must be '>=' or '<=', got {sense!r}")
         rhs = np.asarray(self.rhs, dtype=float)
         c_u = np.asarray(self.linear_objective, dtype=float)
         linear = np.zeros((k, c_u.size)) if self.linear is None \
@@ -149,7 +148,7 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     signs = np.array([_SLACK_SIGN[s] for s in problem.sense])
 
     # orthant block: the problem's own scalar variables, then one unit
-    # slack per inequality row
+    # slack per row
     obj_scale = max(float(np.hypot(np.linalg.norm(objective) / root_weight,
                                    np.linalg.norm(c_u))), 1e-300)
     # each row's own data norm in the kernel's geometry, taken before its
@@ -166,9 +165,7 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     scales = np.maximum(scales, 1e-300)
     rows = (np.cumsum(live) - 1)[rows[live_cols]]
     a_factors = factors[live_cols] / np.sqrt(weight * scales)[rows, None]
-    # np.compress, unlike a boolean index, keeps the slack columns C-ordered;
-    # the kernel's BLAS products round differently on another layout
-    a_lin = np.hstack([linear / scales[:, None], np.compress(signs, np.diag(signs), axis=1)])
+    a_lin = np.hstack([linear / scales[:, None], np.diag(signs)])
     res = kernel.solve_mixed_cone(
         c_psd=objective / (2.0 * weight * obj_scale),
         c_lin=np.concatenate([c_u, np.zeros(a_lin.shape[1] - c_u.size)]) / obj_scale,

@@ -402,7 +402,7 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
     buffer pairs while it runs.  A ``perfect`` row, and any row at an
     infinite SNR, is one noiseless estimate (``trials`` 1).  A negative
     seed, or an SNR whose noise variance leaves the float range, raises
-    ``ValueError``.
+    ``ValueError`` before any row is solved.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -462,18 +462,20 @@ def monte_carlo_mse(scenario: Scenario, estimator: str, protocol: TrainingProtoc
         finally:
             free.put(buffers)
 
+    # every row's noise variance is checked before the first row is solved
+    setups = [simulate_training(scenario, protocol, snr_db) if ls
+              else _pairwise_setup(scenario, snr_db, v) for snr_db in snr_db_list]
     rows = []
     with ThreadPoolExecutor(2) as pool:
-        for i, snr_db in enumerate(snr_db_list):
+        for i, (snr_db, setup) in enumerate(zip(snr_db_list, setups)):
             if ls:   # C and K
-                record = simulate_training(scenario, protocol, snr_db)
-                estimate_ls(record)   # EstimationError on a rank-deficient Gram
+                estimate_ls(setup)   # EstimationError on a rank-deficient Gram
                 # Z_r = C V^T with V^T V = I, so the normal equations see the noise W
                 # only through W V (Q x Q normals) and a Wishart_Q(2T - Q) matrix
-                basis, r = np.linalg.qr(_real_rows(record.z).T)
-                sigma2, fixed, known = record.sigma2, r.T, _real_rows(record.g) @ basis
+                basis, r = np.linalg.qr(_real_rows(setup.z).T)
+                sigma2, fixed, known = setup.sigma2, r.T, _real_rows(setup.g) @ basis
             else:   # clean (Re, Im) and i_tx
-                known, i_rx, sigma2 = _pairwise_setup(scenario, snr_db, v)
+                known, i_rx, sigma2 = setup
                 fixed = np.stack([i_rx.real, i_rx.imag])[..., None]
             # an infinite SNR is one trial with zero noise: the noiseless estimate
             mse = np.empty(1 if math.isinf(snr_db) else trials)   # squared errors

@@ -8,7 +8,7 @@ from conftest import random_scenario, row_matrices
 from magbeam import beamforming
 from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits,
                                  _p0_problem, _p1_problem, _peak_rows, _rank_penalized,
-                                 _rescaled, _roundings, _slot_lp_rows, _within_limits,
+                                 _rescaled, _roundings, _within_limits,
                                  benchmark_uncoordinated,
                                  delivery_rhs, profile_capped_power,
                                  randomization_extract, rank_bound,
@@ -19,7 +19,7 @@ from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits,
 from magbeam.circuit import (Excitation, Scenario, build_impedance,
                              constraint_slacks, delivered_powers,
                              tx_total_power, tx_voltages)
-from magbeam.conic import (GE, SdpProblem, kernel, numerical_rank,
+from magbeam.conic import (GE, LE, SdpProblem, kernel, numerical_rank,
                            psd_eigendecomposition, solve_sdp)
 from magbeam.errors import InfeasibleError, SolverError
 from magbeam.region import two_user_profiles
@@ -305,24 +305,91 @@ class TestTimeSharingLp:
             assert ts.tx_power <= rand.tx_power + 1e-9
             assert ts.tx_power == pytest.approx(conic.value, rel=1e-4)
 
-    def test_peak_rows_match_loop_construction(self, tabletop):
-        model = build_impedance(tabletop)
-        vecs = np.linalg.qr(np.random.default_rng(4).standard_normal((5, 3))
-                            + 0j)[0]
-        _, _, rows = _slot_lp_rows(tabletop, model, vecs)
-        c2 = np.abs(model.b_columns.conj() @ vecs) ** 2
-        c3 = np.abs(vecs) ** 2
+    @staticmethod
+    def _per_tx_reference(x_star, sc, profile, model, target_power=None):
+        # the LP over [phi, tau (, t)] with 2N per-TX peak rows per slot,
+        # slot l at squared gain phi_l / tau_l for the time tau_l; returns its
+        # optimal value.  sum tau <= 1 has the optimum of sum tau = 1, since a
+        # larger tau_l only loosens slot l's rows; as a <= and >= pair the
+        # rows leave the LP no interior, and the kernel fails on it for P1
+        _, evecs, rank = beamforming._spectrum(x_star)
+        vecs = evecs[:, :max(rank, 1)]
         n_slots = vecs.shape[1]
-        expected = []
-        for i in range(tabletop.n_tx):
-            for l in range(n_slots):
-                for gain, limit in ((c2, tabletop.peak_voltage),
-                                    (c3, tabletop.peak_current)):
+        tx = np.real(np.einsum("il,ij,jl->l", vecs.conj(), model.b_bar, vecs)) / 2.0
+        delivery = np.abs(model.m_vectors @ vecs) ** 2
+        rows, rhs = [], []
+        for n in range(sc.n_tx):
+            for quad, limit in ((np.abs(model.b_columns[n].conj() @ vecs) ** 2,
+                                 sc.peak_voltage[n]),
+                                (np.abs(vecs[n]) ** 2, sc.peak_current[n])):
+                for l in range(n_slots):
                     row = np.zeros(2 * n_slots)
-                    row[l] = gain[i, l]
-                    row[n_slots + l] = -limit[i] ** 2
-                    expected.append(row)
-        assert np.array_equal(rows, np.array(expected))
+                    row[l], row[n_slots + l] = quad[l], -limit ** 2
+                    rows.append(row)
+                    rhs.append(0.0)
+        rows.append(np.concatenate([np.zeros(n_slots), np.ones(n_slots)]))
+        rhs.append(1.0)
+        sense = [LE] * len(rows)
+        if target_power is None:
+            rows = [np.append(r, 0.0) for r in rows]
+            per_watt = delivery_rhs(sc, profile, 1.0)
+            for q in range(sc.n_rx):
+                rows.append(np.concatenate([delivery[q], np.zeros(n_slots), [-per_watt[q]]]))
+            rows.append(np.concatenate([tx, np.zeros(n_slots + 1)]))
+            rhs += [0.0] * sc.n_rx + [sc.total_power_cap]
+            sense += [GE] * sc.n_rx + [LE]
+            objective = np.concatenate([np.zeros(2 * n_slots), [-1.0]])
+        else:
+            floors = delivery_rhs(sc, profile, target_power) * (1.0 - 1e-5)
+            rows += [np.concatenate([d, np.zeros(n_slots)]) for d in delivery]
+            rhs += list(floors)
+            sense += [GE] * sc.n_rx
+            objective = np.concatenate([tx, np.zeros(n_slots)])
+        sol = solve_sdp(SdpProblem(np.zeros((0, 0)), np.zeros((len(rows), 0)), sense, rhs,
+                                   linear_objective=objective, linear=np.array(rows)))
+        assert sol.is_optimal
+        return sol.value
+
+    @pytest.mark.parametrize("problem", ["p0", "p1"])
+    def test_matches_per_tx_peak_rows(self, problem, tabletop, tabletop_two_user,
+                                      monkeypatch):
+        # each slot at its peak gain under one time-budget row has the
+        # optimum of the per-TX peak rows with the time fractions as variables
+        if problem == "p0":
+            sc, cases = tabletop_two_user, [(PowerProfile([a, 1.0 - a]), None)
+                                            for a in (0.55, 0.575, 0.6)]
+        else:
+            profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
+            sc, cases = tabletop, [(profile, target) for target in (3.0, 5.0, 7.0)]
+        model = build_impedance(sc)
+        kernel_rows, values = [], []
+        solve, mixed_cone = beamforming.solve_sdp, kernel.solve_mixed_cone
+
+        def solve_spy(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            values.append(sol.value)
+            return sol
+
+        def kernel_spy(**kwargs):
+            kernel_rows.append(kwargs["b"].size)
+            return mixed_cone(**kwargs)
+
+        for profile, target in cases:
+            if target is None:
+                x_star = solve_p0_sdr(sc, profile, model).x
+            else:
+                x_star = solve_p1_sdr(sc, profile, target, model)[0].x
+            expected = self._per_tx_reference(x_star, sc, profile, model, target)
+            with monkeypatch.context() as m:
+                m.setattr(beamforming, "solve_sdp", solve_spy)
+                m.setattr(kernel, "solve_mixed_cone", kernel_spy)
+                sol = beamforming._time_sharing_lp(x_star, sc, profile, model, target)
+            assert values[-1] == pytest.approx(expected, rel=1e-7)
+            assert sol.tx_power <= sc.total_power_cap * (1 + 1e-9)
+            for exc, _ in sol.slots:
+                rep = constraint_slacks(sc, model, exc)
+                assert min(rep.voltage_slack.min(), rep.current_slack.min()) >= -1e-9
+        assert kernel_rows == [sc.n_rx + (2 if problem == "p0" else 1)] * len(cases)
 
     def test_zero_time_slots_dropped(self, tabletop):
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])

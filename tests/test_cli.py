@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magbeam import beamforming, region
+from magbeam import beamforming, estimation, region
 from magbeam.circuit import (Excitation, build_impedance, constraint_slacks,
                              delivered_powers, tx_total_power)
 from magbeam.cli import main
@@ -203,6 +203,21 @@ def test_out_of_range_snr(estimator, tmp_path, monkeypatch, capsys):
                            f"--snr-list=30,{snr}", "--trials", "10", "--out", "bad.csv"]) == 64
         assert "float range" in capsys.readouterr().err
         assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("estimator", ["ls", "pairwise"])
+def test_out_of_range_snr_solves_no_row(estimator, tmp_path, monkeypatch, capsys):
+    # every row's noise variance is checked before the first row's estimates
+    monkeypatch.chdir(tmp_path)
+    name = "_ls_estimates" if estimator == "ls" else "_pairwise_estimates"
+    calls = []
+    solve = getattr(estimation, name)
+    monkeypatch.setattr(estimation, name, lambda *args: calls.append(1) or solve(*args))
+    assert _exit_code(["estimate", TABLE, "--estimator", estimator,
+                       "--snr-list=20,30,-4000", "--out", "bad.csv"]) == 64
+    assert "float range" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_back_to_back_calls_parse_independently(tmp_path, capsys):

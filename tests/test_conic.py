@@ -7,15 +7,22 @@ import numpy as np
 import pytest
 
 from conftest import row_matrices
-from magbeam.conic import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, SdpProblem,
+from magbeam.conic import (GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, SdpProblem,
                            Tolerances, kernel, numerical_rank, psd_eigendecomposition,
                            solve_sdp)
-from magbeam.conic.kernel import (_factor_normal, _max_step_pos, _max_step_psd, _nt_scaling,
-                                  _schur_complement)
+from magbeam.conic.kernel import (_factor_normal, _max_step_framed, _max_step_pos,
+                                  _nt_scaling, _schur_complement)
 
 W_TABLE = 42.6e6
 R_RX = 10.5367
 M_RX2 = np.array([0.04747, 0.5642, 0.01945, 0.01116, 0.1526]) * 1e-6
+
+
+def _max_step_psd(d, ds):
+    # largest alpha with diag(d) + alpha*ds PSD (d > 0), stepped in the frame
+    # d^-1/2 ds d^-1/2 where the iterate is the identity
+    s = 1.0 / np.sqrt(d)
+    return _max_step_framed(ds * (s[:, None] * s))
 
 
 def _single_constraint_optimum(b_bar, m_vec, rhs):
@@ -587,12 +594,6 @@ class TestSolveLp:
         sol = solve_sdp(_lp([-1.0], [[-1.0]], (LE,), [0.0]))
         assert sol.status == UNBOUNDED
 
-    def test_equality_rows(self):
-        sol = solve_sdp(_lp([1.0, 2.0], [[1.0, 1.0]], (EQ,), [1.0]))
-        assert sol.is_optimal
-        assert sol.value == pytest.approx(1.0, abs=1e-8)
-        assert sol.u == pytest.approx([1.0, 0.0], abs=1e-7)
-
     def test_vertex_enumeration_oracle(self):
         rng = np.random.default_rng(14)
         for trial in range(25):
@@ -626,6 +627,11 @@ class TestProblemForm:
         with pytest.raises(ValueError, match="sense"):
             SdpProblem(np.eye(2), np.eye(2)[None], ("=>",), [1.0])
 
+    def test_rejects_equality_sense(self):
+        # the problem form has inequality rows only
+        with pytest.raises(ValueError, match="sense"):
+            SdpProblem(np.eye(2), np.eye(2)[None], ("==",), [1.0])
+
     @pytest.mark.parametrize("field", ["rhs", "sense", "linear"])
     def test_rejects_row_count_mismatch(self, field):
         rows = {"rhs": [1.0, 2.0], "sense": (GE, LE), "linear": [[0.0], [0.0]]}
@@ -645,20 +651,20 @@ class TestProblemForm:
                        linear_objective=data["linear_objective"], linear=data["linear"])
 
     @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
-    def test_equality_row_on_psd_block(self, complex_data):
-        # minimize Tr X s.t. Tr(A X) = b: X = (b / lambda_max) v v^H
+    def test_ge_row_on_psd_block(self, complex_data):
+        # minimize Tr X s.t. Tr(A X) >= b: the row binds at X = (b / lambda_max) v v^H
         rng = np.random.default_rng(16)
         g = rng.standard_normal((4, 4))
         if complex_data:
             g = g + 1j * rng.standard_normal((4, 4))
         a = g @ g.conj().T
-        sol = solve_sdp(SdpProblem(2.0 * np.eye(4), g.T[None], (EQ,), [3.0]))
+        sol = solve_sdp(SdpProblem(2.0 * np.eye(4), g.T[None], (GE,), [3.0]))
         assert sol.is_optimal
         assert sol.value == pytest.approx(3.0 / np.linalg.eigvalsh(a)[-1], rel=1e-6)
         assert float(np.sum(a.conj() * sol.x).real) == pytest.approx(3.0, rel=1e-7)
 
     def test_one_slack_column_per_inequality_row(self, monkeypatch):
-        # +1 for a <= row, -1 for a >= row, none for an == row
+        # +1 for a <= row, -1 for a >= row
         seen = []
         solve = kernel.solve_mixed_cone
 
@@ -667,12 +673,11 @@ class TestProblemForm:
             return solve(**kwargs)
 
         monkeypatch.setattr(kernel, "solve_mixed_cone", spy)
-        sol = solve_sdp(_lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
-                            (LE, GE, EQ), [2.0, 0.5, 1.5]))
-        assert sol.is_optimal and sol.value == pytest.approx(1.5, abs=1e-8)
+        sol = solve_sdp(_lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], (LE, GE), [2.0, 0.5]))
+        assert sol.is_optimal and sol.value == pytest.approx(0.5, abs=1e-8)
         a_lin, = seen
-        assert a_lin.shape == (3, 4)
-        assert np.sign(a_lin[:, 2:]).tolist() == [[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]]
+        assert a_lin.shape == (2, 4)
+        assert np.sign(a_lin[:, 2:]).tolist() == [[1.0, 0.0], [0.0, -1.0]]
 
 
 class TestEigUtilities:

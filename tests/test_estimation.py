@@ -222,6 +222,18 @@ class TestMonteCarlo:
             monte_carlo_mse(table_scenario([]), estimator, TrainingProtocol(n_slots=5),
                             [30.0], trials=10, seed=0)
 
+    @pytest.mark.parametrize("estimator", ["ls", "pairwise"])
+    def test_bad_snr_rejected_before_any_row(self, tabletop, estimator, monkeypatch):
+        name = "_ls_estimates" if estimator == "ls" else "_pairwise_estimates"
+        calls = []
+        solve = getattr(estimation, name)
+        monkeypatch.setattr(estimation, name,
+                            lambda *args: calls.append(1) or solve(*args))
+        with pytest.raises(ValueError, match="float range"):
+            monte_carlo_mse(tabletop, estimator, TrainingProtocol(n_slots=10),
+                            [20.0, 30.0, -4000.0], trials=10, seed=0)
+        assert calls == []
+
     def test_perfect_estimator_zero_mse(self, tabletop):
         rows = monte_carlo_mse(tabletop, "perfect", TrainingProtocol(n_slots=10),
                                [float("inf")], trials=10, seed=0)
