@@ -10,9 +10,8 @@ coupling-matrix estimation from noisy receiver-current feedback.
 __version__ = "0.1.0"
 
 from .beamforming import (BeamformingSolution, PowerProfile, SolveOptions,
-                          benchmark_uncoordinated, randomization_extract,
-                          solve_p0, solve_p1, solve_p1_sdr,
-                          solve_p1_ts_lp, solve_p2_closed_form_single_rx,
+                          benchmark_uncoordinated, solve_p0, solve_p1,
+                          solve_p1_sdr, solve_p2_closed_form_single_rx,
                           time_sharing_from_sdr)
 from .circuit import (Excitation, ImpedanceModel, Scenario, build_impedance,
                       constraint_slacks, delivered_powers, efficiency,
@@ -38,7 +37,7 @@ __all__ = [
     # beamforming
     "PowerProfile", "BeamformingSolution", "SolveOptions",
     "solve_p2_closed_form_single_rx", "time_sharing_from_sdr",
-    "solve_p1_sdr", "solve_p1_ts_lp", "randomization_extract", "solve_p1",
+    "solve_p1_sdr", "solve_p1",
     "solve_p0", "benchmark_uncoordinated",
     # region
     "PowerRegionPoint", "RegionSweep", "boundary_point", "sweep_region",

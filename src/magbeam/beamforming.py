@@ -16,8 +16,8 @@ Otherwise it is rounded by a per-slot time-sharing LP and by Gaussian
 randomization, next to re-solves of the relaxation under a rank penalty.
 Every candidate schedule is scaled to the largest gain its limits allow.
 P0 keeps the one delivering the most profile-capped power; P1 keeps,
-among those reaching its target, the one needing the least TX power
-there, scaled down to the target.
+among those reaching its target, the one needing the least TX power per
+profile-capped watt there, scaled down to the target.
 """
 
 import math
@@ -401,21 +401,6 @@ def _time_sharing_lp(x_star, scenario, profile, model, target_power=None):
     return _at_limits(scenario, model, sol, use_peaks=True)
 
 
-def solve_p1_ts_lp(x_star, scenario, profile, target_power, model=None):
-    """Time-sharing rounding of a higher-rank relaxed solution.
-
-    Fixes the eigenvector directions, each run at its peak gain, and
-    optimizes their time shares by the LP of :func:`_time_sharing_lp`;
-    infeasibility of the LP means the target delivery is unreachable by
-    this schedule family.  The schedule is scaled to its limits and then
-    down to the target, which raises ``InfeasibleError`` where the cap
-    keeps it short.
-    """
-    model = _model_for(scenario, model)
-    sol = _time_sharing_lp(x_star, scenario, profile, model, target_power)
-    return _at_target(scenario, model, sol, profile, target_power)
-
-
 def _gaussian_draws(x_star, draws, seed):
     """Complex Gaussian vectors shaped by the eigenstructure of ``x_star``."""
     evals, evecs, rank = _spectrum(x_star)
@@ -451,21 +436,6 @@ def _gaussian_rounding(x_star, scenario, profile, model, draws, seed, target_pow
     sol = make_solution(scenario, model, [(Excitation(y[:, best]), 1.0)],
                         METHOD_RANDOMIZATION, sdr_rank=rank)
     return _at_limits(scenario, model, sol, use_peaks=True)
-
-
-def randomization_extract(x_star, scenario, profile, target_power, model=None,
-                          draws=4000, seed=0):
-    """Gaussian rounding of a relaxed solution to a feasible single vector.
-
-    Each draw is shaped by the eigenstructure of the relaxed matrix and
-    scaled to its limits; among the draws that reach the target there, the
-    one needing the least TX power for it wins and is scaled down to the
-    target.  No such draw means the target is declared unreachable.
-    """
-    model = _model_for(scenario, model)
-    _check_profile(scenario, profile)
-    sol = _gaussian_rounding(x_star, scenario, profile, model, draws, seed, target_power)
-    return _at_target(scenario, model, sol, profile, target_power)
 
 
 def _debug(message, *args):
@@ -568,9 +538,10 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
     The relaxation (:func:`solve_p1_sdr`) is realized or rounded as in
     :func:`solve_p0` (see :func:`_candidates`), every candidate at its
     limits.  Each candidate that reaches the target there is scaled down to
-    it (:func:`_at_target`), and the one with the least TX power wins: the
-    one with the most profile-capped power per TX watt.  No such candidate
-    raises ``InfeasibleError``.
+    it (:func:`_at_target`), and the one with the most profile-capped power
+    per TX watt wins: the least TX power at the target, with a candidate
+    short of the target by up to the delivery tolerance charged for its
+    shortfall.  No such candidate raises ``InfeasibleError``.
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
@@ -597,7 +568,7 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
                   for c in schedules if _reaches(c, profile, target_power)]
     if not candidates:
         raise InfeasibleError("no schedule meets the delivery shares within the limits")
-    return min(candidates, key=lambda c: c.tx_power)
+    return min(candidates, key=lambda c: c.tx_power / profile_capped_power(c, profile))
 
 
 def _closed_form(scenario, target_power, model, use_peaks):

@@ -194,7 +194,9 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
     its cone blocks is shifted into the interior by ``_WARM_START_SHIFT``
     times its mean eigenvalue, and the multipliers ``y`` restart at zero.
     A start of other dimensions, or complex for real data, raises
-    ``ValueError``.
+    ``ValueError``.  The status is ``infeasible`` only on a Farkas
+    certificate within ``feas_tol``; a solve that stalls ends
+    ``numerical_failure``.
     """
     b = np.asarray(b, dtype=float)
     k, n = b.size, c_psd.shape[0]
@@ -266,7 +268,6 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
     log = logging.getLogger("magbeam.conic")
     debug = log.isEnabledFor(logging.DEBUG)
     status = NUMERICAL_FAILURE
-    best_cert = np.inf           # best Farkas-certificate residual seen
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
@@ -292,7 +293,6 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
             if p:
                 viol = max(viol, max(0.0, float(np.max(v_cand))))
                 ref = max(ref, float(np.max(np.abs(v_cand))))
-            best_cert = min(best_cert, viol / ref)
             if viol / ref <= feas_tol:
                 status = INFEASIBLE
                 break
@@ -366,11 +366,6 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
         y = y + alphas[1] * dy
         z_psd += z_psd.conj().T
         z_psd *= 0.5
-
-    if status == NUMERICAL_FAILURE and best_cert <= 1e-5:
-        # weakly infeasible: the iteration stalled but an approximate dual
-        # ray was found along the way
-        status = INFEASIBLE
 
     *_, rel_gap, p_inf, d_inf = residuals(y)
     return KernelResult(status=status, x=x.copy(), u=u.copy(), y=y, z_psd=z_psd.copy(),

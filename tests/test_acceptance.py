@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario
-from magbeam.beamforming import (PowerProfile, SolveOptions,
+from magbeam.beamforming import (PowerProfile, SolveOptions, _at_target,
+                                 _gaussian_rounding, _time_sharing_lp,
                                  benchmark_uncoordinated, delivery_rhs,
-                                 profile_capped_power, randomization_extract,
-                                 rank_bound, solve_p0, solve_p0_sdr,
-                                 solve_p1, solve_p1_sdr, solve_p1_ts_lp,
+                                 profile_capped_power, rank_bound, solve_p0,
+                                 solve_p0_sdr, solve_p1, solve_p1_sdr,
                                  solve_p2_closed_form_single_rx,
                                  time_sharing_from_sdr)
 from magbeam.circuit import (Excitation, build_impedance, constraint_slacks,
@@ -365,10 +365,12 @@ def test_criterion_8_four_user_comparison(tabletop):
         if not conic.is_optimal:
             continue
         try:
-            ts = solve_p1_ts_lp(conic.x, tabletop, FOUR_USER_PROFILE, target,
-                                model)
-            rand = randomization_extract(conic.x, tabletop, FOUR_USER_PROFILE,
-                                         target, model, seed=8)
+            ts = _at_target(tabletop, model, _time_sharing_lp(
+                conic.x, tabletop, FOUR_USER_PROFILE, model, target),
+                FOUR_USER_PROFILE, target)
+            rand = _at_target(tabletop, model, _gaussian_rounding(
+                conic.x, tabletop, FOUR_USER_PROFILE, model, 4000, 8, target),
+                FOUR_USER_PROFILE, target)
         except InfeasibleError:
             continue
         compared += 1
@@ -479,8 +481,8 @@ def test_criterion_10_property_suites():
                                 use_peak_constraints=False)
         if not conic.is_optimal:
             continue
-        rand = randomization_extract(conic.x, sc, profile, 0.5, model,
-                                     draws=100, seed=trial)
+        rand = _at_target(sc, model, _gaussian_rounding(
+            conic.x, sc, profile, model, 100, trial, 0.5), profile, 0.5)
         if rand.tx_power >= conic.value * (1 - 1e-6):
             ok_sandwich += 1
     crit.check("relaxation-value sandwich (50 draws)", ok_sandwich == 50,

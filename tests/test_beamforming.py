@@ -6,14 +6,13 @@ import pytest
 
 from conftest import random_scenario, row_matrices
 from magbeam import beamforming
-from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits,
-                                 _p0_problem, _p1_problem, _peak_rows, _rank_penalized,
-                                 _rescaled, _roundings, _within_limits,
+from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits, _at_target,
+                                 _gaussian_rounding, _p0_problem, _p1_problem,
+                                 _peak_rows, _rank_penalized, _rescaled, _roundings,
+                                 _time_sharing_lp, _within_limits,
                                  benchmark_uncoordinated,
-                                 delivery_rhs, profile_capped_power,
-                                 randomization_extract, rank_bound,
-                                 solve_p0, solve_p0_sdr, solve_p1,
-                                 solve_p1_sdr, solve_p1_ts_lp,
+                                 delivery_rhs, profile_capped_power, rank_bound,
+                                 solve_p0, solve_p0_sdr, solve_p1, solve_p1_sdr,
                                  solve_p2_closed_form_single_rx,
                                  time_sharing_from_sdr)
 from magbeam.circuit import (Excitation, Scenario, build_impedance,
@@ -289,7 +288,8 @@ class TestTimeSharingLp:
         profile = PowerProfile([1.0])
         conic, rank = solve_p1_sdr(tabletop_miso, profile, 10.0, miso_model)
         assert rank == 1
-        sol = solve_p1_ts_lp(conic.x, tabletop_miso, profile, 10.0, miso_model)
+        sol = _at_target(tabletop_miso, miso_model, _time_sharing_lp(
+            conic.x, tabletop_miso, profile, miso_model, 10.0), profile, 10.0)
         assert len(sol.slots) == 1
         assert sol.tx_power == pytest.approx(conic.value, rel=1e-5)
 
@@ -299,9 +299,10 @@ class TestTimeSharingLp:
         for target in [3.0, 5.0, 7.0]:
             conic, rank = solve_p1_sdr(tabletop, profile, target, model)
             assert conic.is_optimal and rank >= 2
-            ts = solve_p1_ts_lp(conic.x, tabletop, profile, target, model)
-            rand = randomization_extract(conic.x, tabletop, profile, target,
-                                         model, seed=3)
+            ts = _at_target(tabletop, model, _time_sharing_lp(
+                conic.x, tabletop, profile, model, target), profile, target)
+            rand = _at_target(tabletop, model, _gaussian_rounding(
+                conic.x, tabletop, profile, model, 4000, 3, target), profile, target)
             assert ts.tx_power <= rand.tx_power + 1e-9
             assert ts.tx_power == pytest.approx(conic.value, rel=1e-4)
 
@@ -393,8 +394,10 @@ class TestTimeSharingLp:
 
     def test_zero_time_slots_dropped(self, tabletop):
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
-        conic, _ = solve_p1_sdr(tabletop, profile, 5.0)
-        sol = solve_p1_ts_lp(conic.x, tabletop, profile, 5.0)
+        model = build_impedance(tabletop)
+        conic, _ = solve_p1_sdr(tabletop, profile, 5.0, model)
+        sol = _at_target(tabletop, model, _time_sharing_lp(
+            conic.x, tabletop, profile, model, 5.0), profile, 5.0)
         assert all(tau > 1e-9 for _, tau in sol.slots)
         assert sum(tau for _, tau in sol.slots) == pytest.approx(1.0, abs=1e-12)
 
@@ -408,8 +411,8 @@ class TestRandomization:
         base = solve_p1(tabletop_miso, profile, 2.0 * target, model=miso_model)
         y = base.excitation.currents
         x_star = np.outer(y, y.conj())
-        sol = randomization_extract(x_star, tabletop_miso, profile, target,
-                                    miso_model, draws=64, seed=1)
+        sol = _at_target(tabletop_miso, miso_model, _gaussian_rounding(
+            x_star, tabletop_miso, profile, miso_model, 64, 1, target), profile, target)
         assert sol.per_rx_power[0] == pytest.approx(target, rel=1e-9)
         assert sol.tx_power == pytest.approx(0.5 * base.tx_power, rel=1e-9)
 
@@ -417,15 +420,18 @@ class TestRandomization:
         profile = PowerProfile([1.0])
         conic, rank = solve_p1_sdr(tabletop_miso, profile, 20.0, miso_model)
         assert rank == 1
-        sol = randomization_extract(conic.x, tabletop_miso, profile, 20.0,
-                                    miso_model, draws=4000, seed=0)
+        sol = _at_target(tabletop_miso, miso_model, _gaussian_rounding(
+            conic.x, tabletop_miso, profile, miso_model, 4000, 0, 20.0), profile, 20.0)
         assert sol.tx_power <= conic.value * 1.01
 
     def test_deterministic_for_fixed_seed(self, tabletop):
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
-        conic, _ = solve_p1_sdr(tabletop, profile, 5.0)
-        a = randomization_extract(conic.x, tabletop, profile, 5.0, seed=7)
-        b = randomization_extract(conic.x, tabletop, profile, 5.0, seed=7)
+        model = build_impedance(tabletop)
+        conic, _ = solve_p1_sdr(tabletop, profile, 5.0, model)
+        a = _at_target(tabletop, model, _gaussian_rounding(
+            conic.x, tabletop, profile, model, 4000, 7, 5.0), profile, 5.0)
+        b = _at_target(tabletop, model, _gaussian_rounding(
+            conic.x, tabletop, profile, model, 4000, 7, 5.0), profile, 5.0)
         assert np.array_equal(a.excitation.currents, b.excitation.currents)
         assert a.tx_power == b.tx_power
 
@@ -477,6 +483,33 @@ class TestSolveP1Dispatch:
         sol = solve_p1(tabletop_two_user, profile, 80.0, NO_PEAKS)
         assert 90.0 < sol.tx_power <= tabletop_two_user.total_power_cap
 
+    def test_least_tx_power_per_delivered_watt_wins(self, tabletop):
+        # at equal shares and 2 W a candidate delivering up to the 1e-5
+        # tolerance short of the target needs less TX power than one meeting
+        # it, but more per delivered watt
+        profile = PowerProfile.uniform(4)
+        sol = solve_p1(tabletop, profile, 2.0)
+        assert profile_capped_power(sol, profile) >= 2.0 * (1 - 1e-9)
+
+    def test_maximum_is_not_refused_without_a_certificate(self, tabletop):
+        # P0's maximum here is set by the peak limits, which leave P1's
+        # relaxation at that target nearly one feasible point; a solve that
+        # stalls there is a SolverError, never a refusal.  1% above it the
+        # kernel finds a Farkas certificate
+        profile = PowerProfile.uniform(4)
+        model = build_impedance(tabletop)
+        p_star, _ = solve_p0(tabletop, profile, model=model)
+        assert p_star == pytest.approx(39.40964224603305, rel=1e-9)
+        try:
+            sol = solve_p1(tabletop, profile, p_star, model=model)
+        except SolverError:
+            pass
+        else:
+            assert profile_capped_power(sol, profile) >= p_star * (1 - 1e-5)
+        with pytest.raises(InfeasibleError):
+            solve_p1(tabletop, profile, 1.01 * p_star, model=model)
+        assert solve_p1_sdr(tabletop, profile, 1.01 * p_star, model)[0].status == "infeasible"
+
     def test_every_target_below_the_maximum_is_met(self, tabletop):
         # P0 delivers 39.41 W at equal shares; every target up to 95% of it
         # has a schedule, and a larger target never costs less TX power
@@ -490,6 +523,14 @@ class TestSolveP1Dispatch:
             assert sol.tx_power <= tabletop.total_power_cap + 1e-6
             assert sol.tx_power >= tx_power
             tx_power = sol.tx_power
+
+    def test_min_power_nondecreasing_in_target(self, tabletop_miso, miso_model):
+        profile = PowerProfile([1.0])
+        values = []
+        for target in [5.0, 15.0, 30.0, 45.0]:
+            sol = solve_p1(tabletop_miso, profile, target, model=miso_model)
+            values.append(sol.tx_power)
+        assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
 class TestMethodOption:
@@ -552,7 +593,9 @@ class TestMethodOption:
         assert calls == ran
 
 
-class TestBisection:
+class TestP0CornersAndCap:
+    """P0 at the two-user corners, for an uncoupled receiver and under a tiny cap."""
+
     def test_two_user_unconstrained_corner(self, tabletop_two_user):
         p_star, sol = solve_p0(tabletop_two_user, PowerProfile([1.0, 0.0]),
                                options=NO_PEAKS)
@@ -583,14 +626,6 @@ class TestBisection:
                         peak_voltage=sc.peak_voltage, peak_current=sc.peak_current)
         p_star, _ = solve_p0(tiny, PowerProfile([1.0]))
         assert p_star <= 1e-6
-
-    def test_min_power_nondecreasing_in_target(self, tabletop_miso, miso_model):
-        profile = PowerProfile([1.0])
-        values = []
-        for target in [5.0, 15.0, 30.0, 45.0]:
-            sol = solve_p1(tabletop_miso, profile, target, model=miso_model)
-            values.append(sol.tx_power)
-        assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
 class TestBoundaryMaximum:
@@ -914,6 +949,6 @@ class TestSandwichProperty:
                 delivered = delivered_powers(sc, model, exc)
                 if np.all(delivered >= profile.alpha * 0.5 * (1 - 1e-9)):
                     assert feas_power >= conic.value * (1 - 1e-8)
-            rand = randomization_extract(conic.x, sc, profile, 0.5, model,
-                                         draws=200, seed=trial)
+            rand = _at_target(sc, model, _gaussian_rounding(
+                conic.x, sc, profile, model, 200, trial, 0.5), profile, 0.5)
             assert rand.tx_power >= conic.value * (1 - 1e-6)

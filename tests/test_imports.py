@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import magbeam
+import magbeam.conic
 
 
 def test_import_skips_lazy_and_non_dependency_modules():
@@ -15,3 +16,9 @@ def test_import_skips_lazy_and_non_dependency_modules():
     done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                           text=True, check=True)
     assert done.stdout.split() == []
+
+
+def test_every_export_resolves():
+    # a deleted function must not leave its name behind in __all__
+    for module in (magbeam, magbeam.conic):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
