@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .beamforming import (BeamformingSolution, PowerProfile, SolveOptions,
                           benchmark_uncoordinated, solve_p0, solve_p1,
-                          solve_p1_sdr, solve_p2_closed_form_single_rx,
+                          solve_p2_closed_form_single_rx, solve_relaxation,
                           time_sharing_from_sdr)
 from .circuit import (Excitation, ImpedanceModel, Scenario, build_impedance,
                       constraint_slacks, delivered_powers, efficiency,
@@ -37,7 +37,7 @@ __all__ = [
     # beamforming
     "PowerProfile", "BeamformingSolution", "SolveOptions",
     "solve_p2_closed_form_single_rx", "time_sharing_from_sdr",
-    "solve_p1_sdr", "solve_p1",
+    "solve_relaxation", "solve_p1",
     "solve_p0", "benchmark_uncoordinated",
     # region
     "PowerRegionPoint", "RegionSweep", "boundary_point", "sweep_region",

@@ -1,12 +1,13 @@
 """TX current allocation: sum-power maximization via SDR and friends.
 
-The delivered-power maximization for a fixed power-profile vector (P0) is
-relaxed once, jointly in the current covariance X and the delivered power
-t: maximize t subject to Tr(M_q X) >= d_q t per receiver, the total power
-cap and (optionally) the peak limits.  Its value bounds the optimum from
-above.  The fixed-target TX sum-power minimization (P1) has the same
-structure with the delivery floors fixed; its relaxation is one SDP with
-the peak rows optional, real exactly when its data is.
+The delivered-power maximization for a fixed power-profile vector (P0) and
+the fixed-target TX sum-power minimization (P1) share one relaxation step
+(:func:`solve_relaxation`): one SDP in the current covariance X with a
+delivery row per receiver, optionally the peak limits and, for P0, the
+delivered power t under the total power cap (maximize t subject to
+Tr(M_q X) >= d_q t, a bound on the optimum).  It is built, solved and
+eigendecomposed once; one verdict refuses it when it is not optimal or, for
+P1 with peaks, above the provable rank bound.
 
 Both problems realize a relaxed solution along one path.  It is used as
 is when it is exact: rank one (the principal eigenvector), a real
@@ -88,8 +89,9 @@ class PowerProfile:
 class BeamformingSolution:
     """One or more (excitation, time fraction) slots plus achieved powers.
 
-    ``relaxation`` is the conic solution of the P0 relaxation that
-    :func:`solve_p0` realized or rounded, and None for every other solution.
+    ``relaxation`` is the conic solution of the P0 or P1 relaxation that
+    :func:`solve_p0` or :func:`solve_p1` realized or rounded, and None for
+    every other solution (closed form, benchmark, zero target).
     """
 
     slots: tuple
@@ -223,8 +225,12 @@ def time_sharing_from_sdr(scenario, x_star, model=None):
     fraction ``lambda_l / sum_k lambda_k``; slot-averaged delivered and TX
     powers then reproduce the matrix traces identically.
     """
-    model = _model_for(scenario, model)
-    evals, evecs, rank = _spectrum(x_star)
+    return _time_shared(scenario, _model_for(scenario, model), _spectrum(x_star))
+
+
+def _time_shared(scenario, model, spectrum):
+    """:func:`time_sharing_from_sdr` of the matrix with this spectrum."""
+    evals, evecs, rank = spectrum
     if rank == 0:
         raise ValueError("cannot build a schedule from the zero matrix")
     lam = evals[:rank]
@@ -239,44 +245,77 @@ def rank_bound(n_rx, n_tx):
     return min(n_rx, math.ceil(math.sqrt(n_rx + 2 * n_tx)))
 
 
-def _p1_problem(scenario, profile, target_power, model, use_peaks):
-    """The P1 relaxation: minimize the TX power over the delivery floors."""
-    rhs = delivery_rhs(scenario, profile, target_power)
-    vectors, bounds = model.m_vectors, rhs
+def _relaxation_problem(scenario, profile, model, use_peaks, target_power=None):
+    """:func:`solve_relaxation`'s SDP: the delivery rows, P0's cap, the peak rows."""
+    n_rx = scenario.n_rx
+    rows = [*model.m_vectors]
+    if target_power is None:
+        rows.append(model.b_bar_factor / math.sqrt(2.0))
+        rhs = [np.zeros(n_rx), [scenario.total_power_cap]]
+        objective, c_u = np.zeros((scenario.n_tx, scenario.n_tx)), (-1.0,)
+    else:
+        rhs = [delivery_rhs(scenario, profile, target_power)]
+        objective, c_u = model.b_bar, ()
     if use_peaks:
         peak_vectors, peak_rhs = _peak_rows(scenario, model)
-        vectors = np.concatenate([vectors, peak_vectors])
-        bounds = np.concatenate([rhs, peak_rhs])
-    sense = (GE,) * rhs.size + (LE,) * (len(bounds) - rhs.size)
-    return SdpProblem(model.b_bar, vectors, sense, bounds)
+        rows += list(peak_vectors)
+        rhs.append(peak_rhs)
+    linear = np.zeros((len(rows), len(c_u)))
+    if c_u:
+        linear[:n_rx, 0] = -delivery_rhs(scenario, profile, 1.0)
+    return SdpProblem(objective, rows, (GE,) * n_rx + (LE,) * (len(rows) - n_rx),
+                      np.concatenate(rhs), linear_objective=c_u, linear=linear)
 
 
-def solve_p1_sdr(scenario, profile, target_power, model=None,
-                 use_peak_constraints=True):
-    """Relaxed sum-power minimization, optionally with all peak limits.
+def _relax(problem, start=None):
+    """:func:`solve_relaxation` of a built problem."""
+    conic = solve_sdp(problem, start=start)
+    if start is not None and not conic.is_optimal:
+        _debug("warm-started relaxation ended %s after %d iterations; "
+               "solving it from the cold start", conic.status, conic.iterations)
+        conic = solve_sdp(problem)
+    return conic, _spectrum(conic.x) if conic.is_optimal else None
 
-    The SDP is real exactly when its data is: always without the peak rows,
-    and with them when no TX is coupled to another.  Returns the conic
-    solution and the numerical rank of its matrix (0 when it is not optimal
-    or nothing is to be delivered).  With peaks, a rank above
-    :func:`rank_bound` means the solver stopped short of an extreme optimum
-    and raises ``SolverError``.
+
+def solve_relaxation(scenario, profile, target_power=None, model=None,
+                     use_peak_constraints=True, start=None):
+    """The relaxation of P0, or of P1 at ``target_power``: one SDP, solved once.
+
+    P0 maximizes t over (X, t >= 0) subject to ``Tr(M_q X) >= d_q t`` per
+    receiver (``d_q`` the per-watt floor; a zero share keeps its row) and
+    ``0.5 Tr(Bbar X) <= P_cap``; its optimal t, ``conic.u[0]``, bounds the
+    profile-respecting sum power.  P1 minimizes ``0.5 Tr(Bbar X)`` over the
+    target's floors.  Both optionally keep every peak row; X is real exactly
+    when the data is.  Returns the conic solution and, when optimal, the
+    ``(eigenvalues, eigenvectors, rank)`` of X, else None.  A solve from
+    ``start``, the relaxation of another profile (same rows), that does not
+    end optimal is solved again cold.
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
-    problem = _p1_problem(scenario, profile, target_power, model, use_peak_constraints)
-    conic = solve_sdp(problem)
-    rank = 0
-    if conic.is_optimal and np.max(problem.rhs[:scenario.n_rx], initial=0.0) > 0.0:
-        rank = _spectrum(conic.x)[2]
-        bound = rank_bound(scenario.n_rx, scenario.n_tx)
-        if use_peak_constraints and rank > bound:
-            raise SolverError(f"relaxed solution has rank {rank}, above the "
-                              f"provable bound {bound}: the solver stopped short")
-    return conic, rank
+    problem = _relaxation_problem(scenario, profile, model, use_peak_constraints, target_power)
+    return _relax(problem, start)
 
 
-def _exact_realization(scenario, model, x_star, use_peaks):
+def _optimal_relaxation(scenario, profile, model, use_peaks, target_power=None, start=None):
+    """The relaxation's problem, optimal conic solution and spectrum, or a refusal:
+    ``InfeasibleError`` when infeasible (never P0: X = 0, t = 0 is feasible),
+    ``SolverError`` at any other status but optimal or, for P1 with peaks, at a
+    rank above :func:`rank_bound` (the solver stopped short)."""
+    problem = _relaxation_problem(scenario, profile, model, use_peaks, target_power)
+    conic, spectrum = _relax(problem, start)
+    if conic.status == INFEASIBLE:
+        raise InfeasibleError("delivery shares are unreachable")
+    if not conic.is_optimal:
+        raise SolverError(f"relaxation ended with status {conic.status}")
+    rank, bound = spectrum[2], rank_bound(scenario.n_rx, scenario.n_tx)
+    if use_peaks and target_power is not None and rank > bound:
+        raise SolverError(f"relaxed solution has rank {rank}, above the "
+                          f"provable bound {bound}: the solver stopped short")
+    return problem, conic, spectrum
+
+
+def _exact_realization(scenario, model, spectrum, use_peaks):
     """A schedule reproducing every trace of a relaxed solution, or None.
 
     Rank at most one gives the principal eigenvector.  A real rank-two
@@ -286,14 +325,14 @@ def _exact_realization(scenario, model, x_star, use_peaks):
     rank bound, Huang & Palomar 2010).  Without peak limits any higher rank
     is realized by time-sharing; with them it has no exact realization.
     """
-    evals, evecs, rank = _spectrum(x_star)
-    if rank <= 1 or (rank == 2 and np.isrealobj(x_star)):
+    evals, evecs, rank = spectrum
+    if rank <= 1 or (rank == 2 and np.isrealobj(evecs)):
         k = max(rank, 1)
         gains = np.sqrt(np.maximum(evals[:k], 0.0)) * np.array([1.0, 1j])[:k]
         return make_solution(scenario, model, [(Excitation(evecs[:, :k] @ gains), 1.0)],
                              METHOD_SDR_RANK1, sdr_rank=k)
     if not use_peaks:
-        return time_sharing_from_sdr(scenario, x_star, model)
+        return _time_shared(scenario, model, spectrum)
     return None
 
 
@@ -355,7 +394,7 @@ def _at_target(scenario, model, solution, profile, target_power):
     return _rescaled(scenario, model, solution, min(1.0, target_power / p))
 
 
-def _time_sharing_lp(x_star, scenario, profile, model, target_power=None):
+def _time_sharing_lp(spectrum, scenario, profile, model, target_power=None):
     """Time-sharing over the eigendirections of a relaxed solution, at its limits.
 
     Slot l runs direction ``v_l`` at its peak gain ``g_l``
@@ -369,7 +408,7 @@ def _time_sharing_lp(x_star, scenario, profile, model, target_power=None):
     and the schedule is scaled to its limits.  An infeasible LP raises
     ``InfeasibleError``.
     """
-    _, evecs, rank = _spectrum(x_star)
+    _, evecs, rank = spectrum
     vecs = evecs[:, :max(rank, 1)]
     n_slots = vecs.shape[1]
     tx_power = np.real(np.einsum("il,ij,jl->l", vecs.conj(), model.b_bar, vecs)) / 2.0
@@ -401,18 +440,8 @@ def _time_sharing_lp(x_star, scenario, profile, model, target_power=None):
     return _at_limits(scenario, model, sol, use_peaks=True)
 
 
-def _gaussian_draws(x_star, draws, seed):
-    """Complex Gaussian vectors shaped by the eigenstructure of ``x_star``."""
-    evals, evecs, rank = _spectrum(x_star)
-    rank = max(rank, 1)
-    shaped = evecs[:, :rank] * np.sqrt(np.maximum(evals[:rank], 0.0))
-    rng = np.random.default_rng([int(seed), 0x6D72])
-    w = (rng.standard_normal((rank, draws)) + 1j * rng.standard_normal((rank, draws)))
-    return shaped @ (w / math.sqrt(2.0)), rank             # (N, draws)
-
-
-def _gaussian_rounding(x_star, scenario, profile, model, draws, seed, target_power=None):
-    """The best Gaussian draw shaped by a relaxed solution, at its limits.
+def _gaussian_rounding(spectrum, scenario, profile, model, draws, seed, target_power=None):
+    """The best Gaussian draw shaped by a relaxed solution's spectrum, at its limits.
 
     Every draw is scaled to the largest gain the cap and peaks allow.
     Without a target the draw delivering the most profile-capped power wins
@@ -420,7 +449,12 @@ def _gaussian_rounding(x_star, scenario, profile, model, draws, seed, target_pow
     tolerance count, and the one needing the least TX power at the target
     wins (P1); with no such draw ``InfeasibleError`` is raised.
     """
-    y, rank = _gaussian_draws(x_star, draws, seed)
+    evals, evecs, rank = spectrum
+    rank = max(rank, 1)
+    shaped = evecs[:, :rank] * np.sqrt(np.maximum(evals[:rank], 0.0))
+    rng = np.random.default_rng([int(seed), 0x6D72])
+    w = (rng.standard_normal((rank, draws)) + 1j * rng.standard_normal((rank, draws)))
+    y = shaped @ (w / math.sqrt(2.0))                       # (N, draws)
     p_tx = 0.5 * np.real(np.einsum("id,ij,jd->d", y.conj(), model.b_bar, y))
     gain2 = np.minimum(scenario.total_power_cap / p_tx,
                        _peak_gain2(scenario, model, y))
@@ -464,23 +498,23 @@ def _roundings(options, time_sharing, randomization):
     return candidates
 
 
-def _rank_penalized(problem, conic, scenario, profile, model, use_peaks):
+def _rank_penalized(problem, conic, spectrum, scenario, profile, model, use_peaks):
     """Schedules from re-solving a relaxation under a rank penalty.
 
     Convex iteration on the rank (Dattorro, *Convex Optimization & Euclidean
     Distance Geometry*, ch. 4): each solve adds ``lam |c*|/Tr X*`` times
     ``Tr((I - v v^H) X)`` to ``problem``'s objective, v the principal
-    eigenvector of the previous solution and (X*, c*) ``conic``, the
-    solution of ``problem`` and its value (-t* for P0, the TX power for
-    P1).  Each solve starts from the one before it (the first from
-    ``conic``): only the objective changes, so the previous primal-dual pair
-    is a warm start.  Each solution's principal eigenvector is scaled to its
-    limits, up to the first solve that is not optimal.
+    eigenvector of the previous solution (the first from ``spectrum``) and
+    (X*, c*) ``conic``, the solution of ``problem`` and its value (-t* for
+    P0, the TX power for P1).  Each solve starts from the one before it
+    (the first from ``conic``): only the objective changes, so the previous
+    primal-dual pair is a warm start.  Each solution's principal
+    eigenvector is scaled to its limits, up to the first solve that is not
+    optimal.
     """
     scale = 2.0 * abs(float(conic.value)) / float(np.trace(conic.x).real)
-    v = psd_eigendecomposition(conic.x)[1][:, 0]
-    schedules = []
-    step = conic
+    v = spectrum[1][:, 0]
+    schedules, step = [], conic
     for lam in _RANK_PENALTY_WEIGHTS:
         penalty = lam * scale * (np.eye(scenario.n_tx) - np.outer(v, v.conj()))
         step = solve_sdp(replace(problem, objective=problem.objective + penalty), start=step)
@@ -498,27 +532,25 @@ def _rank_penalized(problem, conic, scenario, profile, model, use_peaks):
     return schedules
 
 
-def _candidates(scenario, profile, model, conic, problem, options, target_power=None):
+def _candidates(scenario, profile, model, relaxation, options, target_power=None):
     """Every schedule realizing or rounding a relaxed solution, each at its limits.
 
-    ``conic`` is the optimal solution of the relaxation that ``problem()``
-    builds.  An exact realization (:func:`_exact_realization`) is the one
-    candidate when there is one.  Otherwise the roundings that
-    ``options.method`` selects run (a ``target_power`` selects P1's LP and
-    draw rule), followed by the rank-penalized re-solves of the relaxation.
+    ``relaxation`` is the problem, optimal solution and spectrum from
+    :func:`_optimal_relaxation`.  An exact realization
+    (:func:`_exact_realization`) is the one candidate when there is one.
+    Otherwise the roundings that ``options.method`` selects run (a
+    ``target_power`` selects P1's LP and draw rule), followed by the
+    rank-penalized re-solves of the relaxation.
     """
-    use_peaks = options.use_peak_constraints
-    exact = _exact_realization(scenario, model, conic.x, use_peaks)
+    use_peaks, spectrum = options.use_peak_constraints, relaxation[2]
+    exact = _exact_realization(scenario, model, spectrum, use_peaks)
     if exact is not None:
         return [_at_limits(scenario, model, exact, use_peaks)]
     candidates = _roundings(
-        options,
-        lambda: _time_sharing_lp(conic.x, scenario, profile, model, target_power),
-        lambda: _gaussian_rounding(conic.x, scenario, profile, model,
-                                   options.randomization_draws, options.seed,
-                                   target_power))
-    return candidates + _rank_penalized(problem(), conic, scenario, profile, model,
-                                        use_peaks)
+        options, lambda: _time_sharing_lp(spectrum, scenario, profile, model, target_power),
+        lambda: _gaussian_rounding(spectrum, scenario, profile, model,
+                                   options.randomization_draws, options.seed, target_power))
+    return candidates + _rank_penalized(*relaxation, scenario, profile, model, use_peaks)
 
 
 def _within_limits(scenario, model, solution, use_peaks):
@@ -535,13 +567,14 @@ def _within_limits(scenario, model, solution, use_peaks):
 def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=None):
     """Minimize TX sum power subject to per-RX delivery shares.
 
-    The relaxation (:func:`solve_p1_sdr`) is realized or rounded as in
+    The relaxation (:func:`solve_relaxation`) is realized or rounded as in
     :func:`solve_p0` (see :func:`_candidates`), every candidate at its
     limits.  Each candidate that reaches the target there is scaled down to
     it (:func:`_at_target`), and the one with the most profile-capped power
     per TX watt wins: the least TX power at the target, with a candidate
     short of the target by up to the delivery tolerance charged for its
-    shortfall.  No such candidate raises ``InfeasibleError``.
+    shortfall.  No such candidate raises ``InfeasibleError``.  The
+    schedule's ``relaxation`` is the relaxation solved.
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
@@ -557,18 +590,14 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
             raise InfeasibleError("the closed form exceeds the total power cap")
         return closed
 
-    conic, _ = solve_p1_sdr(scenario, profile, target_power, model, use_peaks)
-    if conic.status == INFEASIBLE:
-        raise InfeasibleError("delivery shares are unreachable")
-    if not conic.is_optimal:
-        raise SolverError(f"relaxation ended with status {conic.status}")
-    schedules = _candidates(scenario, profile, model, conic, lambda: _p1_problem(
-        scenario, profile, target_power, model, use_peaks), options, target_power)
+    relaxation = _optimal_relaxation(scenario, profile, model, use_peaks, target_power)
+    schedules = _candidates(scenario, profile, model, relaxation, options, target_power)
     candidates = [_at_target(scenario, model, c, profile, target_power)
                   for c in schedules if _reaches(c, profile, target_power)]
     if not candidates:
         raise InfeasibleError("no schedule meets the delivery shares within the limits")
-    return min(candidates, key=lambda c: c.tx_power / profile_capped_power(c, profile))
+    best = min(candidates, key=lambda c: c.tx_power / profile_capped_power(c, profile))
+    return replace(best, relaxation=relaxation[1])
 
 
 def _closed_form(scenario, target_power, model, use_peaks):
@@ -578,59 +607,10 @@ def _closed_form(scenario, target_power, model, use_peaks):
     return solve_p2_closed_form_single_rx(scenario, target_power, model)
 
 
-def _p0_problem(scenario, profile, model, use_peaks):
-    """The joint P0 relaxation, minimizing -t.
-
-    Every receiver has a delivery row, also at a zero share, where it is
-    redundant; so every profile of a scenario gives the same rows.
-    """
-    n_rx = scenario.n_rx
-    rows = [*model.m_vectors, model.b_bar_factor / math.sqrt(2.0)]
-    rhs = [np.zeros(n_rx), [scenario.total_power_cap]]
-    if use_peaks:
-        peak_vectors, peak_rhs = _peak_rows(scenario, model)
-        rows += list(peak_vectors)
-        rhs.append(peak_rhs)
-    linear = np.zeros((len(rows), 1))
-    linear[:n_rx, 0] = -delivery_rhs(scenario, profile, 1.0)
-    return SdpProblem(np.zeros((scenario.n_tx, scenario.n_tx)), rows,
-                      (GE,) * n_rx + (LE,) * (len(rows) - n_rx), np.concatenate(rhs),
-                      linear_objective=(-1.0,), linear=linear)
-
-
-def solve_p0_sdr(scenario, profile, model=None, use_peak_constraints=True,
-                 start=None):
-    """Joint relaxation of the delivered-power maximization for one profile.
-
-    Maximizes t over (X, t) subject to ``Tr(M_q X) >= d_q t`` for every
-    receiver (``d_q`` the per-watt delivery floor, zero at a zero share),
-    ``0.5 Tr(Bbar X) <= P_cap``, optionally every peak row, ``X`` PSD and
-    ``t >= 0``; one mixed PSD+orthant solve.  ``X`` is real without peaks
-    and Hermitian with them.  The optimal t, ``conic.u[0]``, bounds the
-    achievable profile-respecting sum power from above.
-
-    ``start`` is the relaxation of another profile of the same scenario and
-    peak setting (the rows are the same, only the coefficients on t move);
-    the solve starts from it, and a warm solve that does not end optimal is
-    solved once more from the cold start.
-    """
-    model = _model_for(scenario, model)
-    _check_profile(scenario, profile)
-    problem = _p0_problem(scenario, profile, model, use_peak_constraints)
-    if start is None:
-        return solve_sdp(problem)
-    conic = solve_sdp(problem, start=start)
-    if not conic.is_optimal:
-        _debug("warm-started relaxation ended %s after %d iterations; "
-               "solving it from the cold start", conic.status, conic.iterations)
-        conic = solve_sdp(problem)
-    return conic
-
-
 def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None):
     """Maximize the delivered sum power for one power profile.
 
-    One joint relaxation (:func:`solve_p0_sdr`, started from ``start``, the
+    One joint relaxation (:func:`solve_relaxation`, started from ``start``, the
     relaxation of another profile, when one is given) gives an upper bound;
     its solution is realized or rounded (see :func:`_candidates`), every
     candidate at its limits, and the one delivering the most
@@ -644,21 +624,15 @@ def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None)
         return 0.0, zero_solution(scenario, model)
 
     use_peaks = options.use_peak_constraints
-    conic = None
     if options.method == METHOD_CLOSED_FORM:
         # a direction at 1 W, scaled to the cap
-        candidates = [_at_limits(scenario, model,
-                                 _closed_form(scenario, 1.0, model, use_peaks), False)]
-    else:
-        conic = solve_p0_sdr(scenario, profile, model, use_peaks, start)
-        if not conic.is_optimal:
-            raise SolverError(f"relaxation ended with status {conic.status}")
-        candidates = _candidates(
-            scenario, profile, model, conic,
-            lambda: _p0_problem(scenario, profile, model, use_peaks), options)
-    best = max(candidates, key=lambda c: profile_capped_power(c, profile),
+        best = _at_limits(scenario, model, _closed_form(scenario, 1.0, model, use_peaks), False)
+        return profile_capped_power(best, profile), best
+    relaxation = _optimal_relaxation(scenario, profile, model, use_peaks, start=start)
+    best = max(_candidates(scenario, profile, model, relaxation, options),
+               key=lambda c: profile_capped_power(c, profile),
                default=zero_solution(scenario, model))
-    return profile_capped_power(best, profile), replace(best, relaxation=conic)
+    return profile_capped_power(best, profile), replace(best, relaxation=relaxation[1])
 
 
 def benchmark_uncoordinated(scenario, target_power=None, max_feasible=False,

@@ -46,7 +46,8 @@ class UsageError(Exception):
     pass
 
 
-def _parse_alpha(text):
+def _parse_alpha(text, n_rx):
+    """A ``--alpha`` list as the profile of a scenario with ``n_rx`` receivers."""
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -54,9 +55,12 @@ def _parse_alpha(text):
     if not values:
         raise UsageError("empty profile")
     try:
-        return PowerProfile(values)
+        profile = PowerProfile(values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if profile.alpha.size != n_rx:
+        raise UsageError(f"profile has {profile.alpha.size} entries for Q={n_rx} receivers")
+    return profile
 
 
 def _finite_float(text):
@@ -155,16 +159,15 @@ def cmd_beamform(args):
     scenario = load_scenario(args.scenario)
     model = build_impedance(scenario)
     if args.alpha:
-        profile = _parse_alpha(args.alpha)
+        profile = _parse_alpha(args.alpha, scenario.n_rx)
     elif scenario.n_rx == 1:
         profile = PowerProfile([1.0])
     else:
         raise UsageError(f"--alpha is required for Q={scenario.n_rx} receivers")
-    if profile.alpha.size != scenario.n_rx:
-        raise UsageError(f"profile has {profile.alpha.size} entries for "
-                         f"Q={scenario.n_rx} receivers")
     if (args.target_power is None) == (not args.maximize):
         raise UsageError("specify exactly one of --target-power or --maximize")
+    if args.target_power is not None and args.target_power < 0.0:
+        raise UsageError(f"--target-power must be >= 0 W, got {args.target_power:g}")
     if args.method == "closed_form" and not args.no_peaks:
         raise UsageError("--method closed_form ignores peak limits; add --no-peaks")
     if args.method == "closed_form" and scenario.n_rx != 1:
@@ -204,7 +207,7 @@ def cmd_region(args):
     if not args.out:
         raise UsageError("--out is required")
     scenario = load_scenario(args.scenario)
-    alphas = [_parse_alpha(a) for a in args.alpha] if args.alpha else None
+    alphas = [_parse_alpha(a, scenario.n_rx) for a in args.alpha] if args.alpha else None
     if alphas is None and scenario.n_rx != 2:
         raise UsageError(f"the grid sweep needs Q=2; pass --alpha lists for "
                          f"Q={scenario.n_rx}")

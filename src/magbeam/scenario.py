@@ -111,11 +111,14 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The scenario in a JSON file; an unreadable or invalid file raises ``ScenarioError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"not valid JSON: {exc}", field=str(path)) from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"not valid JSON: {exc}", field=str(path)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read the file: {exc}", field=str(path)) from exc
     return scenario_from_dict(doc)
 
 

@@ -21,9 +21,8 @@ from magbeam.beamforming import (PowerProfile, SolveOptions, _at_target,
                                  _gaussian_rounding, _time_sharing_lp,
                                  benchmark_uncoordinated, delivery_rhs,
                                  profile_capped_power, rank_bound, solve_p0,
-                                 solve_p0_sdr, solve_p1, solve_p1_sdr,
-                                 solve_p2_closed_form_single_rx,
-                                 time_sharing_from_sdr)
+                                 solve_p1, solve_p2_closed_form_single_rx,
+                                 solve_relaxation, time_sharing_from_sdr)
 from magbeam.circuit import (Excitation, build_impedance, constraint_slacks,
                              delivered_powers, efficiency, tx_total_power,
                              tx_voltages)
@@ -97,8 +96,8 @@ def test_criterion_2_single_rx_constrained_maximum(tabletop_miso, miso_model):
                            model=miso_model)
     crit.check("maximum reaches the 56 W reference", p_star >= 56.0 * (1 - 0.02),
                f"got {p_star:.6g}")
-    bound = float(solve_p0_sdr(tabletop_miso, PowerProfile([1.0]),
-                               miso_model).u[0])
+    bound = float(solve_relaxation(tabletop_miso, PowerProfile([1.0]),
+                                   model=miso_model)[0].u[0])
     crit.check("maximum meets the relaxation bound",
                bound * (1 - 1e-5) <= p_star <= bound * (1 + 1e-6),
                f"got {p_star:.8g}, bound {bound:.8g}")
@@ -254,7 +253,8 @@ def test_criterion_5_rank_certificates(tabletop):
                          float(np.min(sc.peak_current / np.abs(direction))))
         probe = float(delivered_powers(sc, model,
                                        Excitation(beta * direction))[0])
-        conic, rank = solve_p1_sdr(sc, PowerProfile([1.0]), probe, model)
+        conic, spectrum = solve_relaxation(sc, PowerProfile([1.0]), probe, model)
+        rank = spectrum[2] if conic.is_optimal else 0
         crit.check(f"single-RX trial {trial} solved", conic.is_optimal,
                    conic.status)
         if conic.is_optimal and rank == 1:
@@ -278,7 +278,7 @@ def test_criterion_5_rank_certificates(tabletop):
                "rank-one per Q: " + ", ".join(
                    f"Q={q}: {ok}/{n}" for q, (ok, n) in by_q.items()))
 
-    conic, rank = solve_p1_sdr(tabletop, FOUR_USER_PROFILE, 5.0)
+    conic, (_, _, rank) = solve_relaxation(tabletop, FOUR_USER_PROFILE, 5.0)
     crit.check("four-user reference profile rank two",
                conic.is_optimal and rank == 2, f"rank {rank}")
     crit.check("four-user bound", rank <= rank_bound(4, 5), f"rank {rank}")
@@ -361,15 +361,15 @@ def test_criterion_8_four_user_comparison(tabletop):
     compared = 0
     for frac in (0.2, 0.4, 0.6, 0.8, 0.95):
         target = frac * p_ref
-        conic, rank = solve_p1_sdr(tabletop, FOUR_USER_PROFILE, target, model)
+        conic, spectrum = solve_relaxation(tabletop, FOUR_USER_PROFILE, target, model)
         if not conic.is_optimal:
             continue
         try:
             ts = _at_target(tabletop, model, _time_sharing_lp(
-                conic.x, tabletop, FOUR_USER_PROFILE, model, target),
+                spectrum, tabletop, FOUR_USER_PROFILE, model, target),
                 FOUR_USER_PROFILE, target)
             rand = _at_target(tabletop, model, _gaussian_rounding(
-                conic.x, tabletop, FOUR_USER_PROFILE, model, 4000, 8, target),
+                spectrum, tabletop, FOUR_USER_PROFILE, model, 4000, 8, target),
                 FOUR_USER_PROFILE, target)
         except InfeasibleError:
             continue
@@ -477,12 +477,12 @@ def test_criterion_10_property_suites():
         sc = random_scenario(rng, n_rx=int(rng.integers(1, 3)))
         model = build_impedance(sc)
         profile = PowerProfile.normalized(rng.uniform(0.1, 1.0, sc.n_rx))
-        conic, _ = solve_p1_sdr(sc, profile, 0.5, model,
-                                use_peak_constraints=False)
+        conic, spectrum = solve_relaxation(sc, profile, 0.5, model,
+                                           use_peak_constraints=False)
         if not conic.is_optimal:
             continue
         rand = _at_target(sc, model, _gaussian_rounding(
-            conic.x, sc, profile, model, 100, trial, 0.5), profile, 0.5)
+            spectrum, sc, profile, model, 100, trial, 0.5), profile, 0.5)
         if rand.tx_power >= conic.value * (1 - 1e-6):
             ok_sandwich += 1
     crit.check("relaxation-value sandwich (50 draws)", ok_sandwich == 50,

@@ -7,14 +7,13 @@ import pytest
 from conftest import random_scenario, row_matrices
 from magbeam import beamforming
 from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits, _at_target,
-                                 _gaussian_rounding, _p0_problem, _p1_problem,
-                                 _peak_rows, _rank_penalized, _rescaled, _roundings,
+                                 _gaussian_rounding, _peak_rows, _rank_penalized,
+                                 _relaxation_problem, _rescaled, _roundings,
                                  _time_sharing_lp, _within_limits,
                                  benchmark_uncoordinated,
                                  delivery_rhs, profile_capped_power, rank_bound,
-                                 solve_p0, solve_p0_sdr, solve_p1, solve_p1_sdr,
-                                 solve_p2_closed_form_single_rx,
-                                 time_sharing_from_sdr)
+                                 solve_p0, solve_p1, solve_p2_closed_form_single_rx,
+                                 solve_relaxation, time_sharing_from_sdr)
 from magbeam.circuit import (Excitation, Scenario, build_impedance,
                              constraint_slacks, delivered_powers,
                              tx_total_power, tx_voltages)
@@ -123,8 +122,8 @@ class TestClosedFormSingleRx:
 
 class TestRelaxationWithoutPeaks:
     def test_single_rx_matches_closed_form(self, tabletop_miso, miso_model):
-        conic, rank = solve_p1_sdr(tabletop_miso, PowerProfile([1.0]), 1.0,
-                                   miso_model, use_peak_constraints=False)
+        conic, (_, _, rank) = solve_relaxation(tabletop_miso, PowerProfile([1.0]), 1.0,
+                                               miso_model, use_peak_constraints=False)
         closed = solve_p2_closed_form_single_rx(tabletop_miso, 1.0, miso_model)
         assert conic.is_optimal and rank == 1
         assert conic.value == pytest.approx(closed.tx_power, rel=1e-6)
@@ -135,9 +134,10 @@ class TestRelaxationWithoutPeaks:
         for trial in range(20):
             sc = random_scenario(rng, n_rx=int(rng.integers(1, 3)))
             profile = PowerProfile.normalized(rng.uniform(0.05, 1.0, sc.n_rx))
-            conic, rank = solve_p1_sdr(sc, profile, 1.0,
-                                       use_peak_constraints=False)
+            conic, spectrum = solve_relaxation(sc, profile, 1.0,
+                                               use_peak_constraints=False)
             assert conic.is_optimal, f"trial {trial}: {conic.status}"
+            rank = spectrum[2]
             assert rank == 1, f"trial {trial}: rank {rank}"
 
     def test_three_receivers_rank_two_realized_by_time_sharing(self):
@@ -149,10 +149,10 @@ class TestRelaxationWithoutPeaks:
         for _ in range(25):
             sc = random_scenario(rng, n_rx=3)
             profile = PowerProfile.normalized(rng.uniform(0.05, 1.0, 3))
-            conic, rank = solve_p1_sdr(sc, profile, 1.0,
-                                       use_peak_constraints=False)
+            conic, spectrum = solve_relaxation(sc, profile, 1.0,
+                                               use_peak_constraints=False)
             assert conic.is_optimal
-            if rank == 2:
+            if spectrum[2] == 2:
                 sol = time_sharing_from_sdr(sc, conic.x)
                 assert len(sol.slots) == 2
                 # the schedule reproduces the full matrix's power exactly;
@@ -169,8 +169,8 @@ class TestRelaxationWithoutPeaks:
         # with a zero share on the second receiver the optimum matches the
         # single-delivery closed form evaluated on the same two-user circuit
         model = build_impedance(tabletop_two_user)
-        conic2, _ = solve_p1_sdr(tabletop_two_user, PowerProfile([1.0, 0.0]), 2.0,
-                                 model, use_peak_constraints=False)
+        conic2, _ = solve_relaxation(tabletop_two_user, PowerProfile([1.0, 0.0]), 2.0,
+                                     model, use_peak_constraints=False)
         rhs1 = delivery_rhs(tabletop_two_user, PowerProfile([1.0, 0.0]), 2.0)[0]
         ell = np.linalg.inv(np.linalg.cholesky(model.b_bar))
         m_vec = model.m_vectors[0]
@@ -218,24 +218,24 @@ class TestTimeSharing:
 
 class TestRelaxationWithPeaks:
     def test_single_rx_rank_one(self, tabletop_miso, miso_model):
-        conic, rank = solve_p1_sdr(tabletop_miso, PowerProfile([1.0]), 20.0,
-                                   miso_model)
+        conic, (_, _, rank) = solve_relaxation(tabletop_miso, PowerProfile([1.0]), 20.0,
+                                               miso_model)
         assert conic.is_optimal and rank == 1
 
     def test_four_user_reference_profile_rank_two(self, tabletop):
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
-        conic, rank = solve_p1_sdr(tabletop, profile, 5.0)
+        conic, (_, _, rank) = solve_relaxation(tabletop, profile, 5.0)
         assert conic.is_optimal and rank == 2
 
     def test_zero_target(self, tabletop_miso, miso_model):
-        conic, rank = solve_p1_sdr(tabletop_miso, PowerProfile([1.0]), 0.0,
-                                   miso_model)
+        conic, _ = solve_relaxation(tabletop_miso, PowerProfile([1.0]), 0.0,
+                                    miso_model)
         assert conic.is_optimal
         assert conic.value == pytest.approx(0.0, abs=1e-6)
 
     def test_infeasible_target_detected(self, tabletop_miso, miso_model):
-        conic, _ = solve_p1_sdr(tabletop_miso, PowerProfile([1.0]), 70.0,
-                                miso_model)
+        conic, _ = solve_relaxation(tabletop_miso, PowerProfile([1.0]), 70.0,
+                                    miso_model)
         assert conic.status != "optimal"
 
     def test_rank_bound_formula(self):
@@ -257,13 +257,13 @@ class TestRelaxationWithPeaks:
         seen = []
         solve = beamforming.solve_sdp
 
-        def spy(problem):
+        def spy(problem, start=None):
             seen.append(problem)
-            return solve(problem)
+            return solve(problem, start=start)
 
         monkeypatch.setattr(beamforming, "solve_sdp", spy)
         sc = random_scenario(np.random.default_rng(30), n_tx=30, n_rx=4)
-        sol = solve_p0_sdr(sc, PowerProfile.uniform(4))
+        sol, _ = solve_relaxation(sc, PowerProfile.uniform(4))
         prob, = seen
         assert sol.is_optimal and np.iscomplexobj(sol.x)
         mats = row_matrices(prob)
@@ -286,10 +286,10 @@ class TestRelaxationWithPeaks:
 class TestTimeSharingLp:
     def test_rank_one_input_single_slot(self, tabletop_miso, miso_model):
         profile = PowerProfile([1.0])
-        conic, rank = solve_p1_sdr(tabletop_miso, profile, 10.0, miso_model)
-        assert rank == 1
+        conic, spectrum = solve_relaxation(tabletop_miso, profile, 10.0, miso_model)
+        assert spectrum[2] == 1
         sol = _at_target(tabletop_miso, miso_model, _time_sharing_lp(
-            conic.x, tabletop_miso, profile, miso_model, 10.0), profile, 10.0)
+            spectrum, tabletop_miso, profile, miso_model, 10.0), profile, 10.0)
         assert len(sol.slots) == 1
         assert sol.tx_power == pytest.approx(conic.value, rel=1e-5)
 
@@ -297,23 +297,23 @@ class TestTimeSharingLp:
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
         model = build_impedance(tabletop)
         for target in [3.0, 5.0, 7.0]:
-            conic, rank = solve_p1_sdr(tabletop, profile, target, model)
-            assert conic.is_optimal and rank >= 2
+            conic, spectrum = solve_relaxation(tabletop, profile, target, model)
+            assert conic.is_optimal and spectrum[2] >= 2
             ts = _at_target(tabletop, model, _time_sharing_lp(
-                conic.x, tabletop, profile, model, target), profile, target)
+                spectrum, tabletop, profile, model, target), profile, target)
             rand = _at_target(tabletop, model, _gaussian_rounding(
-                conic.x, tabletop, profile, model, 4000, 3, target), profile, target)
+                spectrum, tabletop, profile, model, 4000, 3, target), profile, target)
             assert ts.tx_power <= rand.tx_power + 1e-9
             assert ts.tx_power == pytest.approx(conic.value, rel=1e-4)
 
     @staticmethod
-    def _per_tx_reference(x_star, sc, profile, model, target_power=None):
+    def _per_tx_reference(spectrum, sc, profile, model, target_power=None):
         # the LP over [phi, tau (, t)] with 2N per-TX peak rows per slot,
         # slot l at squared gain phi_l / tau_l for the time tau_l; returns its
         # optimal value.  sum tau <= 1 has the optimum of sum tau = 1, since a
         # larger tau_l only loosens slot l's rows; as a <= and >= pair the
         # rows leave the LP no interior, and the kernel fails on it for P1
-        _, evecs, rank = beamforming._spectrum(x_star)
+        _, evecs, rank = spectrum
         vecs = evecs[:, :max(rank, 1)]
         n_slots = vecs.shape[1]
         tx = np.real(np.einsum("il,ij,jl->l", vecs.conj(), model.b_bar, vecs)) / 2.0
@@ -376,15 +376,12 @@ class TestTimeSharingLp:
             return mixed_cone(**kwargs)
 
         for profile, target in cases:
-            if target is None:
-                x_star = solve_p0_sdr(sc, profile, model).x
-            else:
-                x_star = solve_p1_sdr(sc, profile, target, model)[0].x
-            expected = self._per_tx_reference(x_star, sc, profile, model, target)
+            spectrum = solve_relaxation(sc, profile, target, model)[1]
+            expected = self._per_tx_reference(spectrum, sc, profile, model, target)
             with monkeypatch.context() as m:
                 m.setattr(beamforming, "solve_sdp", solve_spy)
                 m.setattr(kernel, "solve_mixed_cone", kernel_spy)
-                sol = beamforming._time_sharing_lp(x_star, sc, profile, model, target)
+                sol = beamforming._time_sharing_lp(spectrum, sc, profile, model, target)
             assert values[-1] == pytest.approx(expected, rel=1e-7)
             assert sol.tx_power <= sc.total_power_cap * (1 + 1e-9)
             for exc, _ in sol.slots:
@@ -395,9 +392,9 @@ class TestTimeSharingLp:
     def test_zero_time_slots_dropped(self, tabletop):
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
         model = build_impedance(tabletop)
-        conic, _ = solve_p1_sdr(tabletop, profile, 5.0, model)
+        _, spectrum = solve_relaxation(tabletop, profile, 5.0, model)
         sol = _at_target(tabletop, model, _time_sharing_lp(
-            conic.x, tabletop, profile, model, 5.0), profile, 5.0)
+            spectrum, tabletop, profile, model, 5.0), profile, 5.0)
         assert all(tau > 1e-9 for _, tau in sol.slots)
         assert sum(tau for _, tau in sol.slots) == pytest.approx(1.0, abs=1e-12)
 
@@ -412,26 +409,27 @@ class TestRandomization:
         y = base.excitation.currents
         x_star = np.outer(y, y.conj())
         sol = _at_target(tabletop_miso, miso_model, _gaussian_rounding(
-            x_star, tabletop_miso, profile, miso_model, 64, 1, target), profile, target)
+            beamforming._spectrum(x_star), tabletop_miso, profile, miso_model, 64, 1, target),
+            profile, target)
         assert sol.per_rx_power[0] == pytest.approx(target, rel=1e-9)
         assert sol.tx_power == pytest.approx(0.5 * base.tx_power, rel=1e-9)
 
     def test_converges_to_relaxation_value(self, tabletop_miso, miso_model):
         profile = PowerProfile([1.0])
-        conic, rank = solve_p1_sdr(tabletop_miso, profile, 20.0, miso_model)
-        assert rank == 1
+        conic, spectrum = solve_relaxation(tabletop_miso, profile, 20.0, miso_model)
+        assert spectrum[2] == 1
         sol = _at_target(tabletop_miso, miso_model, _gaussian_rounding(
-            conic.x, tabletop_miso, profile, miso_model, 4000, 0, 20.0), profile, 20.0)
+            spectrum, tabletop_miso, profile, miso_model, 4000, 0, 20.0), profile, 20.0)
         assert sol.tx_power <= conic.value * 1.01
 
     def test_deterministic_for_fixed_seed(self, tabletop):
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
         model = build_impedance(tabletop)
-        conic, _ = solve_p1_sdr(tabletop, profile, 5.0, model)
+        _, spectrum = solve_relaxation(tabletop, profile, 5.0, model)
         a = _at_target(tabletop, model, _gaussian_rounding(
-            conic.x, tabletop, profile, model, 4000, 7, 5.0), profile, 5.0)
+            spectrum, tabletop, profile, model, 4000, 7, 5.0), profile, 5.0)
         b = _at_target(tabletop, model, _gaussian_rounding(
-            conic.x, tabletop, profile, model, 4000, 7, 5.0), profile, 5.0)
+            spectrum, tabletop, profile, model, 4000, 7, 5.0), profile, 5.0)
         assert np.array_equal(a.excitation.currents, b.excitation.currents)
         assert a.tx_power == b.tx_power
 
@@ -508,7 +506,8 @@ class TestSolveP1Dispatch:
             assert profile_capped_power(sol, profile) >= p_star * (1 - 1e-5)
         with pytest.raises(InfeasibleError):
             solve_p1(tabletop, profile, 1.01 * p_star, model=model)
-        assert solve_p1_sdr(tabletop, profile, 1.01 * p_star, model)[0].status == "infeasible"
+        assert solve_relaxation(tabletop, profile, 1.01 * p_star, model)[0].status == \
+            "infeasible"
 
     def test_every_target_below_the_maximum_is_met(self, tabletop):
         # P0 delivers 39.41 W at equal shares; every target up to 95% of it
@@ -634,7 +633,7 @@ class TestBoundaryMaximum:
     def test_pinned_two_user_point_meets_bound(self, tabletop_two_user):
         profile = PowerProfile([0.35, 0.65])
         p_star, _ = solve_p0(tabletop_two_user, profile)
-        bound = solve_p0_sdr(tabletop_two_user, profile).u[0]
+        bound = solve_relaxation(tabletop_two_user, profile)[0].u[0]
         assert p_star >= 73.28
         assert p_star == pytest.approx(bound, rel=1e-5)
 
@@ -651,7 +650,7 @@ class TestBoundaryMaximum:
         model = build_impedance(tabletop)
         p_star, sol = solve_p0(tabletop, profile, options=NO_PEAKS,
                                model=model)
-        conic = solve_p0_sdr(tabletop, profile, model, use_peak_constraints=False)
+        conic, _ = solve_relaxation(tabletop, profile, model=model, use_peak_constraints=False)
         assert len(sol.slots) == 1 and sol.sdr_rank == 2
         shared = _at_limits(tabletop, model,
                             time_sharing_from_sdr(tabletop, conic.x, model), False)
@@ -683,7 +682,8 @@ class TestBoundaryMaximum:
         for k, profile in enumerate(two_user_profiles(40)):
             p_star, sol = solve_p0(sc, profile, options=options,
                                    model=model)
-            conic = solve_p0_sdr(sc, profile, model, use_peaks)
+            conic, _ = solve_relaxation(sc, profile, model=model,
+                                        use_peak_constraints=use_peaks)
             bound = conic.u[0]
             assert p_star <= bound * (1 + 1e-6)
             assert p_star >= floors.get(k, 0.0)
@@ -720,9 +720,9 @@ class TestRankPenalty:
         values = []
         for k in self.FALLBACK:
             profile = two_user_profiles(40)[k]
-            conic = solve_p0_sdr(sc, profile, model)
-            problem = _p0_problem(sc, profile, model, use_peaks=True)
-            schedules = _rank_penalized(problem, conic, sc, profile, model, True)
+            conic, spectrum = solve_relaxation(sc, profile, model=model)
+            problem = _relaxation_problem(sc, profile, model, use_peaks=True)
+            schedules = _rank_penalized(problem, conic, spectrum, sc, profile, model, True)
             assert len(schedules) == 6
             values.append(max(profile_capped_power(s, profile) for s in schedules))
         return values
@@ -749,6 +749,27 @@ class TestRankPenalty:
         assert len(iterations) == 18
         assert warm == pytest.approx(cold, rel=1e-6)
 
+    def test_one_eigendecomposition_per_relaxed_solve(self, tabletop_two_user, monkeypatch):
+        # the relaxation is decomposed once for every rounding that reads it,
+        # and each penalized re-solve (started warm) once
+        eigs, warm = [], []
+        eig, solve = beamforming.psd_eigendecomposition, beamforming.solve_sdp
+
+        def eig_spy(x):
+            eigs.append(x)
+            return eig(x)
+
+        def solve_spy(problem, start=None):
+            if start is not None:
+                warm.append(problem)
+            return solve(problem, start=start)
+
+        monkeypatch.setattr(beamforming, "psd_eigendecomposition", eig_spy)
+        monkeypatch.setattr(beamforming, "solve_sdp", solve_spy)
+        solve_p0(tabletop_two_user, two_user_profiles(40)[self.FALLBACK[0]])
+        assert len(warm) == 6
+        assert len(eigs) == 1 + len(warm)
+
     def test_debug_log(self, tabletop_two_user, caplog):
         caplog.set_level("DEBUG", logger="magbeam")
         solve_p0(tabletop_two_user, two_user_profiles(40)[self.FALLBACK[0]])
@@ -764,9 +785,9 @@ class TestRankPenalty:
         # relaxation reaches the target within the limits, the penalty does
         profile = PowerProfile.uniform(4)
         model = build_impedance(tabletop)
-        conic, _ = solve_p1_sdr(tabletop, profile, 12.0, model)
-        problem = _p1_problem(tabletop, profile, 12.0, model, use_peaks=True)
-        schedules = _rank_penalized(problem, conic, tabletop, profile, model, True)
+        conic, spectrum = solve_relaxation(tabletop, profile, 12.0, model)
+        problem = _relaxation_problem(tabletop, profile, model, True, 12.0)
+        schedules = _rank_penalized(problem, conic, spectrum, tabletop, profile, model, True)
         scaled = [_rescaled(tabletop, model, s, 12.0 / profile_capped_power(s, profile))
                   for s in schedules]
         assert any(_within_limits(tabletop, model, s, True) for s in scaled)
@@ -787,8 +808,8 @@ class TestWarmStartedRelaxation:
 
     def test_zero_share_keeps_the_rows(self, tabletop_two_user):
         model = build_impedance(tabletop_two_user)
-        corner = solve_p0_sdr(tabletop_two_user, PowerProfile([0.0, 1.0]), model)
-        inner = solve_p0_sdr(tabletop_two_user, PowerProfile([0.5, 0.5]), model)
+        corner, _ = solve_relaxation(tabletop_two_user, PowerProfile([0.0, 1.0]), model=model)
+        inner, _ = solve_relaxation(tabletop_two_user, PowerProfile([0.5, 0.5]), model=model)
         assert corner.duals.size == inner.duals.size == 2 + 1 + 2 * 5
 
     def test_failed_warm_start_is_retried_cold(self, tabletop_two_user, monkeypatch,
@@ -796,7 +817,7 @@ class TestWarmStartedRelaxation:
         sc = tabletop_two_user
         model = build_impedance(sc)
         profile = PowerProfile([0.3, 0.7])
-        start = solve_p0_sdr(sc, PowerProfile([0.275, 0.725]), model)
+        start, _ = solve_relaxation(sc, PowerProfile([0.275, 0.725]), model=model)
         cold_p, cold = solve_p0(sc, profile, model=model)
         solve = beamforming.solve_sdp
         warm_iterations = []
@@ -827,8 +848,8 @@ class TestWarmStartedRelaxation:
         sc = tabletop_two_user
         mutual = sc.mutual_tx_rx.copy()
         mutual[:, 0] = 0.0
-        zeroed = solve_p0_sdr(replace(sc, mutual_tx_rx=mutual), PowerProfile([0.0, 1.0]))
-        alone = solve_p0_sdr(select_receivers(sc, [1]), PowerProfile([1.0]))
+        zeroed, _ = solve_relaxation(replace(sc, mutual_tx_rx=mutual), PowerProfile([0.0, 1.0]))
+        alone, _ = solve_relaxation(select_receivers(sc, [1]), PowerProfile([1.0]))
         assert zeroed.is_optimal and alone.is_optimal
         assert zeroed.iterations <= alone.iterations
         assert zeroed.u[0] == pytest.approx(alone.u[0], rel=1e-8)
@@ -846,7 +867,7 @@ class TestWarmStartedRelaxation:
         sc = tabletop_two_user
         model = build_impedance(sc)
         profile = PowerProfile([0.55, 0.45])
-        problem = _p0_problem(sc, profile, model, use_peaks=True)
+        problem = _relaxation_problem(sc, profile, model, use_peaks=True)
         rows = [*model.m_vectors, model.b_bar_factor / math.sqrt(2.0),
                 *_peak_rows(sc, model)[0]]
         linear = np.zeros((len(rows), 1))
@@ -934,8 +955,8 @@ class TestSandwichProperty:
             sc = random_scenario(rng, n_rx=int(rng.integers(1, 3)))
             model = build_impedance(sc)
             profile = PowerProfile.normalized(rng.uniform(0.1, 1.0, sc.n_rx))
-            conic, _ = solve_p1_sdr(sc, profile, 0.5, model,
-                                    use_peak_constraints=False)
+            conic, spectrum = solve_relaxation(sc, profile, 0.5, model,
+                                               use_peak_constraints=False)
             assert conic.is_optimal
             # any feasible rank-one point costs at least the relaxed value
             rhs = delivery_rhs(sc, profile, 0.5)
@@ -950,5 +971,5 @@ class TestSandwichProperty:
                 if np.all(delivered >= profile.alpha * 0.5 * (1 - 1e-9)):
                     assert feas_power >= conic.value * (1 - 1e-8)
             rand = _at_target(sc, model, _gaussian_rounding(
-                conic.x, sc, profile, model, 200, trial, 0.5), profile, 0.5)
+                spectrum, sc, profile, model, 200, trial, 0.5), profile, 0.5)
             assert rand.tx_power >= conic.value * (1 - 1e-6)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magbeam import beamforming, estimation, region
+from magbeam import beamforming, cli, estimation, region
 from magbeam.circuit import (Excitation, build_impedance, constraint_slacks,
                              delivered_powers, tx_total_power)
 from magbeam.cli import main
@@ -151,6 +151,8 @@ def _exit_code(argv):
     ["beamform", MISO, "--target-power", "nan"],
     ["beamform", MISO, "--target-power", "inf"],
     ["region", TWO_USER, "--alpha", "nan,1", "--out", "unused.csv"],
+    ["region", TABLE, "--alpha", "0.5,0.5", "--out", "unused.csv"],
+    ["beamform", TABLE, "--alpha", "0.25,0.25,0.25,0.25", "--target-power", "-1"],
     ["estimate", TABLE, "--snr-list", "nan", "--out", "unused.csv"],
     ["estimate", TABLE, "--snr-list", "30,nan", "--estimator", "pairwise",
      "--out", "unused.csv"],
@@ -165,8 +167,8 @@ def _exit_code(argv):
     # block training at T = 7 is not a multiple of N = 5
     ["estimate", TABLE, "--slots", "7", "--out", "unused.csv"],
 ], ids=["alpha-nan", "alpha-inf", "target-nan", "target-inf", "region-alpha-nan",
-        "snr-nan-ls", "snr-nan-pairwise", "snr-unparsable", "voltage-nan",
-        "voltage-inf", "trials-zero", "grid-zero", "region-draws-zero",
+        "region-alpha-length", "target-negative", "snr-nan-ls", "snr-nan-pairwise",
+        "snr-unparsable", "voltage-nan", "voltage-inf", "trials-zero", "grid-zero", "region-draws-zero",
         "beamform-draws-zero", "slots-not-multiple-of-n"])
 def test_bad_number_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -366,7 +368,26 @@ class TestEstimate:
         assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["beamform", "{path}", "--maximize"],
+    ["region", "{path}", "--out", "unused.csv"],
+    ["estimate", "{path}", "--out", "unused.csv"],
+], ids=["beamform", "region", "estimate"])
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_scenario_is_usage_error(argv, name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / name)
+    assert main([a.format(path=path) for a in argv]) == 64
+    assert "cannot read the file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestValidate:
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_file_fails(self, tmp_path, capsys, name):
+        assert main(["validate", str(tmp_path / name)]) == 1
+        assert "[FAIL] schema and physical invariants" in capsys.readouterr().out
+
     @pytest.mark.parametrize("name", ["table2", "table2_miso", "table2_two_user"])
     def test_bundled_passes(self, name, capsys):
         assert main(["validate", str(bundled_scenario_path(name))]) == 0
@@ -436,22 +457,26 @@ class TestHookPoints:
                      "--out", str(tmp_path / "region.csv")]) == 0
         assert sorted(float(p.alpha[0]) for p in calls) == [0.0, 0.5, 1.0]
 
-    def test_target_power_reaches_p1_relaxation(self, monkeypatch, capsys):
-        # ``beamform --target-power`` solves its relaxation through
-        # ``beamforming.solve_p1_sdr``, which returns ``(conic, rank)``
-        results = []
-        relax = beamforming.solve_p1_sdr
+    def test_target_power_solution_carries_its_relaxation(self, monkeypatch, capsys):
+        # ``beamform --target-power`` solves through ``cli.solve_p1``, whose
+        # solution carries the optimal P1 relaxation that it realized
+        solutions = []
+        solve = cli.solve_p1
 
         def probe(*args, **kwargs):
-            results.append(relax(*args, **kwargs))
-            return results[-1]
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
 
-        monkeypatch.setattr(beamforming, "solve_p1_sdr", probe)
+        monkeypatch.setattr(cli, "solve_p1", probe)
         assert main(["beamform", TABLE, "--alpha", "0.25,0.25,0.25,0.25",
                      "--target-power", "2"]) == 0
-        (conic, rank), = results
-        assert isinstance(conic, ConicSolution) and conic.is_optimal
-        assert isinstance(rank, int) and rank >= 1
+        (sol,) = solutions
+        conic, _ = beamforming.solve_relaxation(load_scenario(TABLE),
+                                                beamforming.PowerProfile.uniform(4), 2.0)
+        assert isinstance(sol.relaxation, ConicSolution) and sol.relaxation.is_optimal
+        assert (sol.relaxation.value, sol.relaxation.iterations) == \
+            (conic.value, conic.iterations)
+        np.testing.assert_array_equal(sol.relaxation.x, conic.x)
 
     def test_region_calls_kernel_with_c_psd_and_b(self, tmp_path, monkeypatch):
         # a kernel span reads the PSD block from the keyword ``c_psd`` (n x n)

@@ -80,6 +80,12 @@ class TestLoad:
         with pytest.raises(ScenarioError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("name", ["missing.json", ".", "latin1.json"])
+    def test_unreadable_file_reported(self, tmp_path, name):
+        (tmp_path / "latin1.json").write_bytes(b'{"name": "\xe9"}')
+        with pytest.raises(ScenarioError, match="cannot read the file"):
+            load_scenario(tmp_path / name)
+
 
 class TestRoundTrip:
     def test_bit_identical(self, tmp_path):
