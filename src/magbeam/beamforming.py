@@ -135,17 +135,20 @@ def _model_for(scenario, model):
     return build_impedance(scenario) if model is None else model
 
 
-def make_solution(scenario, model, slots, method, sdr_rank=1):
+def make_solution(scenario, model, slots, method, sdr_rank=1, relaxation=None):
     """Assemble a solution record with time-averaged powers."""
     per_rx = np.zeros(scenario.n_rx)
-    p_tx = 0.0
     for exc, tau in slots:
         per_rx = per_rx + tau * delivered_powers(scenario, model, exc)
-        p_tx += tau * tx_total_power(model, exc)
     return BeamformingSolution(
         slots=tuple(slots), achieved_sum_power=float(per_rx.sum()),
-        tx_power=float(p_tx), per_rx_power=per_rx, method=method,
-        sdr_rank=int(sdr_rank))
+        tx_power=_tx_power(model, slots), per_rx_power=per_rx, method=method,
+        sdr_rank=int(sdr_rank), relaxation=relaxation)
+
+
+def _tx_power(model, slots):
+    """The time-averaged TX power of a schedule."""
+    return float(sum(tau * tx_total_power(model, exc) for exc, tau in slots))
 
 
 def zero_solution(scenario, model=None, method=METHOD_SDR_RANK1):
@@ -201,12 +204,13 @@ def solve_p2_closed_form_single_rx(scenario, target_power, model=None):
 
 
 def _peak_rows(scenario, model):
-    """The peak limits as ``<=`` rows ``(vectors, rhs)``, voltages then currents.
+    """The peak limits as ``<=`` rows ``(factors, rhs)``, voltages then currents.
 
-    Row n's matrix is b_n b_n^H for a voltage and e_n e_n^T for a current.
+    Row n's matrix is b_n b_n^H for a voltage and e_n e_n^T for a current,
+    each the model's own factor block (``model.row_factors``).
     """
-    vectors = np.concatenate([model.b_columns, np.eye(scenario.n_tx)])
-    return vectors, np.concatenate([scenario.peak_voltage, scenario.peak_current]) ** 2
+    return (model.row_factors[scenario.n_rx + 1:],
+            np.concatenate([scenario.peak_voltage, scenario.peak_current]) ** 2)
 
 
 def _spectrum(x_star):
@@ -225,19 +229,20 @@ def time_sharing_from_sdr(scenario, x_star, model=None):
     fraction ``lambda_l / sum_k lambda_k``; slot-averaged delivered and TX
     powers then reproduce the matrix traces identically.
     """
-    return _time_shared(scenario, _model_for(scenario, model), _spectrum(x_star))
+    spectrum = _spectrum(x_star)
+    return make_solution(scenario, _model_for(scenario, model), _time_shared(spectrum),
+                         METHOD_TIME_SHARING, sdr_rank=spectrum[2])
 
 
-def _time_shared(scenario, model, spectrum):
-    """:func:`time_sharing_from_sdr` of the matrix with this spectrum."""
+def _time_shared(spectrum):
+    """The slots of :func:`time_sharing_from_sdr` for the matrix with this spectrum."""
     evals, evecs, rank = spectrum
     if rank == 0:
         raise ValueError("cannot build a schedule from the zero matrix")
     lam = evals[:rank]
     total = float(lam.sum())
-    slots = [(Excitation(math.sqrt(total) * evecs[:, l]), float(lam[l] / total))
-             for l in range(rank)]
-    return make_solution(scenario, model, slots, METHOD_TIME_SHARING, sdr_rank=rank)
+    return [(Excitation(math.sqrt(total) * evecs[:, l]), float(lam[l] / total))
+            for l in range(rank)]
 
 
 def rank_bound(n_rx, n_tx):
@@ -246,19 +251,23 @@ def rank_bound(n_rx, n_tx):
 
 
 def _relaxation_problem(scenario, profile, model, use_peaks, target_power=None):
-    """:func:`solve_relaxation`'s SDP: the delivery rows, P0's cap, the peak rows."""
+    """:func:`solve_relaxation`'s SDP: the delivery rows, P0's cap, the peak rows.
+
+    Its rows are the model's own factor blocks (``model.row_factors``), so
+    the relaxations of one model have the same rows for a warm start.
+    """
     n_rx = scenario.n_rx
-    rows = [*model.m_vectors]
     if target_power is None:
-        rows.append(model.b_bar_factor / math.sqrt(2.0))
+        rows = model.row_factors[:n_rx + 1]
         rhs = [np.zeros(n_rx), [scenario.total_power_cap]]
         objective, c_u = np.zeros((scenario.n_tx, scenario.n_tx)), (-1.0,)
     else:
+        rows = model.row_factors[:n_rx]
         rhs = [delivery_rhs(scenario, profile, target_power)]
         objective, c_u = model.b_bar, ()
     if use_peaks:
-        peak_vectors, peak_rhs = _peak_rows(scenario, model)
-        rows += list(peak_vectors)
+        peak_rows, peak_rhs = _peak_rows(scenario, model)
+        rows += peak_rows
         rhs.append(peak_rhs)
     linear = np.zeros((len(rows), len(c_u)))
     if c_u:
@@ -315,8 +324,9 @@ def _optimal_relaxation(scenario, profile, model, use_peaks, target_power=None, 
     return problem, conic, spectrum
 
 
-def _exact_realization(scenario, model, spectrum, use_peaks):
-    """A schedule reproducing every trace of a relaxed solution, or None.
+def _exact_realization(spectrum, use_peaks):
+    """Slots reproducing every trace of a relaxed solution, with their method
+    and rank, or None.
 
     Rank at most one gives the principal eigenvector.  A real rank-two
     ``l1 v1 v1^T + l2 v2 v2^T`` equals ``Re(x x^H)`` for the one complex
@@ -329,10 +339,9 @@ def _exact_realization(scenario, model, spectrum, use_peaks):
     if rank <= 1 or (rank == 2 and np.isrealobj(evecs)):
         k = max(rank, 1)
         gains = np.sqrt(np.maximum(evals[:k], 0.0)) * np.array([1.0, 1j])[:k]
-        return make_solution(scenario, model, [(Excitation(evecs[:, :k] @ gains), 1.0)],
-                             METHOD_SDR_RANK1, sdr_rank=k)
+        return [(Excitation(evecs[:, :k] @ gains), 1.0)], METHOD_SDR_RANK1, k
     if not use_peaks:
-        return _time_shared(scenario, model, spectrum)
+        return _time_shared(spectrum), METHOD_TIME_SHARING, rank
     return None
 
 
@@ -356,23 +365,29 @@ def _delivery_gain2(model, y, rhs):
 
 def _rescaled(scenario, model, solution, gain2):
     """The schedule with every slot's currents scaled by ``sqrt(gain2)``."""
+    return _scaled(scenario, model, solution.slots, gain2, solution.method,
+                   solution.sdr_rank, solution.relaxation)
+
+
+def _scaled(scenario, model, slots, gain2, method, sdr_rank, relaxation):
+    """The solution of ``slots`` with every current scaled by ``sqrt(gain2)``."""
     mu = math.sqrt(gain2)
-    slots = [(Excitation(mu * exc.currents), tau) for exc, tau in solution.slots]
-    return make_solution(scenario, model, slots, solution.method,
-                         solution.sdr_rank)
+    return make_solution(scenario, model, [(Excitation(mu * exc.currents), tau)
+                                           for exc, tau in slots],
+                         method, sdr_rank, relaxation)
 
 
-def _at_limits(scenario, model, solution, use_peaks):
-    """The schedule scaled by the largest gain the cap (and peaks) allow.
+def _at_limits(scenario, model, use_peaks, slots, method, sdr_rank=1, relaxation=None):
+    """The solution of ``slots`` scaled by the largest gain the cap (and peaks) allow.
 
     The total power cap binds the time-averaged TX power, each peak limit
-    every slot.
+    every slot.  Only the scaled schedule is evaluated.
     """
-    gain2 = scenario.total_power_cap / solution.tx_power
+    gain2 = scenario.total_power_cap / _tx_power(model, slots)
     if use_peaks:
-        currents = np.stack([exc.currents for exc, _ in solution.slots], axis=1)
+        currents = np.stack([exc.currents for exc, _ in slots], axis=1)
         gain2 = min(gain2, float(np.min(_peak_gain2(scenario, model, currents))))
-    return _rescaled(scenario, model, solution, gain2)
+    return _scaled(scenario, model, slots, gain2, method, sdr_rank, relaxation)
 
 
 def _reaches(solution, profile, target_power):
@@ -394,7 +409,7 @@ def _at_target(scenario, model, solution, profile, target_power):
     return _rescaled(scenario, model, solution, min(1.0, target_power / p))
 
 
-def _time_sharing_lp(spectrum, scenario, profile, model, target_power=None):
+def _time_sharing_lp(spectrum, scenario, profile, model, target_power=None, relaxation=None):
     """Time-sharing over the eigendirections of a relaxed solution, at its limits.
 
     Slot l runs direction ``v_l`` at its peak gain ``g_l``
@@ -405,8 +420,8 @@ def _time_sharing_lp(spectrum, scenario, profile, model, target_power=None):
     to deliveries ``>= d_q t`` and the time-averaged cap (P0); with one it
     minimizes the TX power subject to the delivery floors, less the
     delivery tolerance (P1).  Time left over stretches every slot alike,
-    and the schedule is scaled to its limits.  An infeasible LP raises
-    ``InfeasibleError``.
+    and the schedule is scaled to its limits, as a solution of ``relaxation``.
+    An infeasible LP raises ``InfeasibleError``.
     """
     _, evecs, rank = spectrum
     vecs = evecs[:, :max(rank, 1)]
@@ -436,12 +451,13 @@ def _time_sharing_lp(spectrum, scenario, profile, model, target_power=None):
     keep = np.flatnonzero(time > 1e-9 * time.sum())
     slots = [(Excitation(math.sqrt(gain2[l]) * vecs[:, l]), float(tau))
              for l, tau in zip(keep, time[keep] / time[keep].sum())]
-    sol = make_solution(scenario, model, slots, METHOD_TIME_SHARING, sdr_rank=n_slots)
-    return _at_limits(scenario, model, sol, use_peaks=True)
+    return _at_limits(scenario, model, True, slots, METHOD_TIME_SHARING, n_slots, relaxation)
 
 
-def _gaussian_rounding(spectrum, scenario, profile, model, draws, seed, target_power=None):
-    """The best Gaussian draw shaped by a relaxed solution's spectrum, at its limits.
+def _gaussian_rounding(spectrum, scenario, profile, model, draws, seed, target_power=None,
+                       relaxation=None):
+    """The best Gaussian draw shaped by a relaxed solution's spectrum, at its
+    limits, as a solution of ``relaxation``.
 
     Every draw is scaled to the largest gain the cap and peaks allow.
     Without a target the draw delivering the most profile-capped power wins
@@ -467,9 +483,8 @@ def _gaussian_rounding(spectrum, scenario, profile, model, draws, seed, target_p
             raise InfeasibleError("no randomized draw satisfies all constraints")
         gain2_at_target = np.minimum(target_power * need[ok], gain2[ok])
         best = int(ok[np.argmin(gain2_at_target * p_tx[ok])])
-    sol = make_solution(scenario, model, [(Excitation(y[:, best]), 1.0)],
-                        METHOD_RANDOMIZATION, sdr_rank=rank)
-    return _at_limits(scenario, model, sol, use_peaks=True)
+    return _at_limits(scenario, model, True, [(Excitation(y[:, best]), 1.0)],
+                      METHOD_RANDOMIZATION, rank, relaxation)
 
 
 def _debug(message, *args):
@@ -510,7 +525,7 @@ def _rank_penalized(problem, conic, spectrum, scenario, profile, model, use_peak
     (the first from ``conic``): only the objective changes, so the previous
     primal-dual pair is a warm start.  Each solution's principal
     eigenvector is scaled to its limits, up to the first solve that is not
-    optimal.
+    optimal, as a solution of ``conic``.
     """
     scale = 2.0 * abs(float(conic.value)) / float(np.trace(conic.x).real)
     v = spectrum[1][:, 0]
@@ -524,8 +539,8 @@ def _rank_penalized(problem, conic, spectrum, scenario, profile, model, use_peak
             break
         _, evecs, rank = _spectrum(step.x)
         v = evecs[:, 0]
-        sol = _at_limits(scenario, model, make_solution(
-            scenario, model, [(Excitation(v), 1.0)], METHOD_RANK_PENALTY, rank), use_peaks)
+        sol = _at_limits(scenario, model, use_peaks, [(Excitation(v), 1.0)],
+                         METHOD_RANK_PENALTY, rank, conic)
         _debug("rank penalty %g: %s after %d iterations, rank %d, p %.9g W", lam,
                step.status, step.iterations, rank, profile_capped_power(sol, profile))
         schedules.append(sol)
@@ -536,20 +551,22 @@ def _candidates(scenario, profile, model, relaxation, options, target_power=None
     """Every schedule realizing or rounding a relaxed solution, each at its limits.
 
     ``relaxation`` is the problem, optimal solution and spectrum from
-    :func:`_optimal_relaxation`.  An exact realization
-    (:func:`_exact_realization`) is the one candidate when there is one.
-    Otherwise the roundings that ``options.method`` selects run (a
-    ``target_power`` selects P1's LP and draw rule), followed by the
-    rank-penalized re-solves of the relaxation.
+    :func:`_optimal_relaxation`; every candidate is a solution of it.  An
+    exact realization (:func:`_exact_realization`) is the one candidate
+    when there is one.  Otherwise the roundings that ``options.method``
+    selects run (a ``target_power`` selects P1's LP and draw rule),
+    followed by the rank-penalized re-solves of the relaxation.
     """
-    use_peaks, spectrum = options.use_peak_constraints, relaxation[2]
-    exact = _exact_realization(scenario, model, spectrum, use_peaks)
+    use_peaks, (_, conic, spectrum) = options.use_peak_constraints, relaxation
+    exact = _exact_realization(spectrum, use_peaks)
     if exact is not None:
-        return [_at_limits(scenario, model, exact, use_peaks)]
+        return [_at_limits(scenario, model, use_peaks, *exact, conic)]
     candidates = _roundings(
-        options, lambda: _time_sharing_lp(spectrum, scenario, profile, model, target_power),
+        options, lambda: _time_sharing_lp(spectrum, scenario, profile, model, target_power,
+                                          conic),
         lambda: _gaussian_rounding(spectrum, scenario, profile, model,
-                                   options.randomization_draws, options.seed, target_power))
+                                   options.randomization_draws, options.seed, target_power,
+                                   conic))
     return candidates + _rank_penalized(*relaxation, scenario, profile, model, use_peaks)
 
 
@@ -596,8 +613,7 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
                   for c in schedules if _reaches(c, profile, target_power)]
     if not candidates:
         raise InfeasibleError("no schedule meets the delivery shares within the limits")
-    best = min(candidates, key=lambda c: c.tx_power / profile_capped_power(c, profile))
-    return replace(best, relaxation=relaxation[1])
+    return min(candidates, key=lambda c: c.tx_power / profile_capped_power(c, profile))
 
 
 def _closed_form(scenario, target_power, model, use_peaks):
@@ -626,13 +642,16 @@ def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None)
     use_peaks = options.use_peak_constraints
     if options.method == METHOD_CLOSED_FORM:
         # a direction at 1 W, scaled to the cap
-        best = _at_limits(scenario, model, _closed_form(scenario, 1.0, model, use_peaks), False)
+        closed = _closed_form(scenario, 1.0, model, use_peaks)
+        best = _at_limits(scenario, model, False, closed.slots, closed.method)
         return profile_capped_power(best, profile), best
     relaxation = _optimal_relaxation(scenario, profile, model, use_peaks, start=start)
-    best = max(_candidates(scenario, profile, model, relaxation, options),
-               key=lambda c: profile_capped_power(c, profile),
-               default=zero_solution(scenario, model))
-    return profile_capped_power(best, profile), replace(best, relaxation=relaxation[1])
+    candidates = _candidates(scenario, profile, model, relaxation, options)
+    if not candidates:
+        return 0.0, replace(zero_solution(scenario, model), relaxation=relaxation[1])
+    powers = [profile_capped_power(c, profile) for c in candidates]
+    best = powers.index(max(powers))
+    return powers[best], candidates[best]
 
 
 def benchmark_uncoordinated(scenario, target_power=None, max_feasible=False,
@@ -647,10 +666,10 @@ def benchmark_uncoordinated(scenario, target_power=None, max_feasible=False,
     if (target_power is None) == (not max_feasible):
         raise ValueError("specify exactly one of target_power or max_feasible")
     model = _model_for(scenario, model)
-    ones = make_solution(scenario, model, [(Excitation(np.ones(scenario.n_tx)), 1.0)],
-                         METHOD_BENCHMARK)
+    slots = [(Excitation(np.ones(scenario.n_tx)), 1.0)]
     if max_feasible:
-        return _at_limits(scenario, model, ones, use_peak_constraints)
+        return _at_limits(scenario, model, use_peak_constraints, slots, METHOD_BENCHMARK)
+    ones = make_solution(scenario, model, slots, METHOD_BENCHMARK)
     if target_power > 0 and ones.achieved_sum_power == 0.0:
         raise InfeasibleError("identical currents do not reach any receiver")
     gain2 = target_power / ones.achieved_sum_power if target_power > 0 else 0.0

@@ -15,6 +15,7 @@ All quantities are SI; voltage/current magnitudes are peak phasor
 amplitudes (hence the 1/2 factors in every power expression).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +142,13 @@ class ImpedanceModel:
     coupling vector m_q.  ``b_bar_factor`` is the (N + Q) x N factor of
     ``b_bar``, rows sqrt(r_n) e_n then (w / sqrt(r_q)) m_q, whose outer
     products sum to ``b_bar`` up to rounding.
+
+    ``row_factors`` holds the quadratic forms that the relaxations constrain,
+    each as a read-only 2-D factor block F standing for F^T conj(F): the Q
+    deliveries m_q, the TX power 0.5 Bbar (``b_bar_factor / sqrt(2)``), the N
+    voltages b_n and the N currents e_n.  It is built with the model, so
+    every problem built from one model holds the same blocks, by which a
+    warm-started solve knows its rows (:func:`magbeam.conic.solve_sdp`).
     """
 
     b_bar: np.ndarray
@@ -148,6 +156,15 @@ class ImpedanceModel:
     b_columns: np.ndarray
     b_bar_factor: np.ndarray
     m_vectors: np.ndarray
+    row_factors: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        power = self.b_bar_factor / math.sqrt(2.0)
+        currents = np.eye(self.n_tx)
+        for arr in (power, currents):
+            arr.setflags(write=False)
+        object.__setattr__(self, "row_factors", (
+            *self.m_vectors[:, None], power, *self.b_columns[:, None], *currents[:, None]))
 
     @property
     def n_tx(self):

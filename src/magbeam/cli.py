@@ -1,9 +1,10 @@
 """Command-line front end: beamform / region / estimate / validate.
 
 Exit codes: 0 success, 1 validation failure, 2 infeasible target,
-64 usage error, 70 numerical failure.  Every run that writes files also
-writes a manifest JSON capturing the scenario hash, options, seed and
-tool version so results can be reproduced bit-for-bit.
+64 usage error (a run too large for the memory included), 70 numerical
+failure.  Every run that writes files also writes a manifest JSON capturing
+the scenario hash, options, seed and tool version so results can be
+reproduced bit-for-bit.
 """
 
 import argparse
@@ -375,6 +376,10 @@ def main(argv=None):
         return args.func(args)
     except UsageError as exc:
         print(f"magbeam: usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # an array the machine cannot hold: NumPy refuses it before filling any
+        print(f"magbeam: usage error: not enough memory for this run ({exc})", file=sys.stderr)
         return EXIT_USAGE
     except ScenarioError as exc:
         print(f"magbeam: invalid scenario: {exc}", file=sys.stderr)

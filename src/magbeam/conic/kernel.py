@@ -36,12 +36,19 @@ row's columns, weight * E |V^H W V|^2 E^T, in place of the batched W A_i W
 (O(k n^3 + k^2 n^2)).  At n = 5 an iteration costs its small NumPy calls, not
 arithmetic: 154 us, against 187 us before the stacked iterate (README).
 
+What the rows are apart from their data, the map from factor columns to
+rows and the inner product's metric, is a :class:`RowMap`.  A re-solve of
+the same rows under another objective, rhs or row scaling (``solve_sdp``
+from a ``start``) passes the one its cold solve made in place of
+``factor_rows``; only the scaled operator is built again.
+
 The dual is  max b.y  s.t.  sum_i y_i A_i + Z = C (Z PSD),
 a_lin^T y + z = c (z >= 0).  X is real or complex as its data are.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,39 +92,43 @@ def _sym(m):
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _max_step_framed(ds):
+def _max_step_framed(ds, out=None):
     """Largest alpha with I + alpha*ds PSD, for one Hermitian matrix or a stack.
 
     A stack (..., n, n) shares one batched eigvalsh, which reads only the
-    lower triangles; returns a float, or an array over the stack.
+    lower triangles; returns a float, or an array over the stack (``out``,
+    when given, of the stack's shape).
     """
-    step = np.full(ds.shape[:-2], np.inf)
+    step = np.empty(ds.shape[:-2]) if out is None else out
+    step.fill(np.inf)
     if ds.shape[-1]:
         lam = np.linalg.eigvalsh(ds)[..., 0]
         np.divide(-1.0, lam, out=step, where=~(lam >= -1e-14))
     return step if step.ndim else float(step)
 
 
-def _max_step_pos(v, dv):
+def _max_step_pos(v, dv, work=None):
     """Largest alpha with v + alpha*dv >= 0 (v > 0), as min -v_i/dv_i over dv_i < 0.
 
-    Taken along the last axis, so a stack of pairs gives an array of steps.
-    A bound beyond 1e300 reads as unbounded (inf).
+    Taken along the last axis, so a stack of pairs gives an array of steps;
+    ``work``, when given, is scratch of v's shape.  A bound beyond 1e300
+    reads as unbounded (inf).
     """
-    ratio = np.full(v.shape, -np.inf)
+    ratio = np.empty(v.shape) if work is None else work
+    ratio.fill(-np.inf)
     # an entry with |dv_i| <= 1e-300 v_i, whose ratio could overflow, bounds
     # the step only beyond 1e300, which every caller's min(1, .) drops
     np.divide(v, dv, out=ratio, where=dv < -1e-300 * v)
     return -ratio.max(axis=-1, initial=-np.inf)
 
 
-def _nt_scaling(x, z):
-    """NT scaling of the PSD block.
+def _nt_scaling(xz):
+    """NT scaling of the PSD block, from the stack ``xz`` = (x, z).
 
     Returns (r, r_inv, d) with r^{-1} x r^{-H} = r^H z r = diag(d) and the
     scaling matrix w = r r^H satisfying w z w = x.
     """
-    lx, lz = np.linalg.cholesky(np.array((x, z)))
+    lx, lz = np.linalg.cholesky(xz)
     uu, ss, vvh = np.linalg.svd(lz.conj().T @ lx)
     sqrt_s = np.sqrt(ss)
     r = lx @ (vvh.conj().T / sqrt_s)
@@ -178,13 +189,40 @@ def _schur_complement(v_rows, e, weight):
     return schur
 
 
+class RowMap(NamedTuple):
+    """The rows' part of the kernel's operator that their data leaves alone.
+
+    ``e`` is the k x r map with e[i, j] = 1 where factor column j is row i's,
+    and ``metric`` weighs a point's reals (X's, then u's) in the inner
+    product.  Neither depends on the columns or on the rows' scales, so the
+    re-solves of one problem's rows share one (:func:`row_map`).
+    """
+
+    e: np.ndarray
+    metric: np.ndarray
+
+
+def row_map(factor_rows, k, n, p, dtype):
+    """The :class:`RowMap` of k rows owning the columns ``factor_rows`` over an
+    n x n block of ``dtype`` and p scalars."""
+    factor_rows = np.asarray(factor_rows)
+    if ((factor_rows < 0) | (factor_rows >= k)).any():
+        raise ValueError("factor vectors do not match the rows")
+    weight = HERMITIAN_WEIGHT if dtype is complex else 1.0
+    nr = (2 if dtype is complex else 1) * n * n
+    return RowMap(e=(factor_rows == np.arange(k)[:, None]).astype(float),
+                  metric=np.concatenate([np.full(nr, weight), np.ones(p)]))
+
+
 def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
                      gap_tol=1e-8, feas_tol=1e-8, max_iter=100, start=None):
     """Run the interior-point iteration; see module docstring for the form.
 
     Row i's matrix is A_i = sum_j f_j f_j^H over the columns f_j of
     ``a_factors`` (r x n, one column per array row) whose ``factor_rows``
-    entry is i.  An LP has ``c_psd`` 0 x 0 and ``a_factors`` r x 0.  Each
+    entry is i.  ``factor_rows`` may also be the :class:`RowMap` made of
+    it, which a caller re-solving the same rows under new data or scales
+    makes once.  An LP has ``c_psd`` 0 x 0 and ``a_factors`` r x 0.  Each
     iteration logs one line at DEBUG on ``magbeam.conic``, a child of the
     ``magbeam`` logger.
 
@@ -205,24 +243,24 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
     c_psd = _sym(np.asarray(c_psd, dtype=dtype))
     c_lin = np.asarray(c_lin, dtype=float)
     p = c_lin.size
-    a_factors, factor_rows = np.asarray(a_factors, dtype=dtype), np.asarray(factor_rows)
-    a_lin = np.asarray(a_lin, dtype=float)
+    a_factors, a_lin = np.asarray(a_factors, dtype=dtype), np.asarray(a_lin, dtype=float)
     if a_lin.shape != (k, p):
         raise ValueError("constraint data dimensions are inconsistent")
-    if a_factors.shape != (factor_rows.size, n) or ((factor_rows < 0) | (factor_rows >= k)).any():
-        raise ValueError("factor vectors do not match the rows")
     if n + p == 0 or k == 0:
         raise ValueError("empty problem")
-
-    e = (factor_rows == np.arange(k)[:, None]).astype(float)
-    schur = _schur_complement(a_factors, e, weight)
     # a point of the space is one real vector, X's nr reals then u, so that
     # weight * Re tr(A^H B) + a.b is a dot weighed by ``metric``; the rows
     # are one operator, A(v) = a_met @ v and A^*(y) = y @ a_mat
     reals = 2 if dtype is complex else 1
     nr = reals * n * n
+    rows = factor_rows if isinstance(factor_rows, RowMap) \
+        else row_map(factor_rows, k, n, p, dtype)
+    e, metric = rows.e, rows.metric
+    if a_factors.shape != (e.shape[1], n) or e.shape[0] != k or metric.size != nr + p:
+        raise ValueError("factor vectors do not match the rows")
+
+    schur = _schur_complement(a_factors, e, weight)
     c = np.concatenate([c_psd.ravel().view(float), c_lin])
-    metric = np.concatenate([np.full(nr, weight), np.ones(p)])
     outer = a_factors[:, :, None] * a_factors.conj()[:, None, :]
     a_mat = np.hstack([e @ outer.reshape(len(outer), n * n).view(float), a_lin])
     a_met, c_met = a_mat * metric, c * metric
@@ -241,6 +279,7 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
     (xv, zv), xz_m, xz_lin, v_m, v_lin = xz, psd(xz), xz[:, nr:], psd(v), v[nr:]
     (dx, dz), dxz_m, dxz_lin = dxz, psd(dxz), dxz[:, nr:]
     (x, z_psd), (u, z_lin), (dx_m, dz_m), (dx_lin, dz_lin) = xz_m, xz_lin, dxz_m, dxz_lin
+    max_steps, ratios = np.empty(2), np.empty((2, p))   # work space of the step lengths
     diag = xz[:, :nr:reals * (n + 1)]   # the real diagonals of X and Z
     if start is None:
         diag[...] = xz_lin[...] = [[max(1.0, float(np.max(np.abs(b))))],
@@ -307,7 +346,7 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
         # NT scaling; ``frame`` maps a stack (dx, dz) into the frame where x
         # and z_psd are both I
         try:
-            r_mat, r_inv, d_spec = _nt_scaling(x, z_psd) if n else (x, x, np.zeros(0))
+            r_mat, r_inv, d_spec = _nt_scaling(xz_m) if n else (x, x, np.zeros(0))
         except np.linalg.LinAlgError:
             break
         r_h = r_mat.conj().T
@@ -332,8 +371,9 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
             np.add(dx_m, dx_m.conj().T, out=dx_m)
             np.multiply(dx_m, 0.5, out=dx_m)
             framed = frame @ dxz_m @ frame_h
-            return dy, framed, np.minimum(_max_step_framed(framed),
-                                          _max_step_pos(xz_lin, dxz_lin))
+            _max_step_framed(framed, out=max_steps)
+            return dy, framed, np.minimum(max_steps, _max_step_pos(xz_lin, dxz_lin, ratios),
+                                          out=max_steps)
 
         # predictor (affine scaling) direction
         np.negative(xv, out=v)

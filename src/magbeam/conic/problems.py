@@ -10,7 +10,9 @@ specialization.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,13 +48,15 @@ class SdpProblem:
     r x n block F standing for sum_j f_j f_j^H over its rows f_j (P0's power
     cap).  A k x n array is k vectors, a k x r x n array k blocks, and a
     list may mix both.  After construction ``factors`` is a tuple of one
-    2-D block per row (a vector becomes a 1 x n block), so the fields build
-    the same problem again: ``dataclasses.replace(problem, rhs=...)`` or
-    ``objective=...`` keeps the rows.  Real and complex data may mix, which
-    makes X complex Hermitian.  Dimension n = 0 is an LP in u.  ``sense``
-    holds k entries of ``GE`` or ``LE``.  ``linear_objective`` sets
-    the number p of scalar variables ``u`` (none by default), and
-    ``linear`` (k x p) their row coefficients, zeros by default.
+    2-D block per row (a vector becomes a 1 x n block, a 2-D array is kept
+    as the same object), so the fields build the same problem again:
+    ``dataclasses.replace(problem, rhs=...)`` or ``objective=...`` keeps
+    the rows, block for block, as a warm start checks.  Real and complex
+    data may mix, which makes X complex Hermitian.  Dimension n = 0 is an
+    LP in u.  ``sense`` holds k entries of ``GE`` or ``LE``.
+    ``linear_objective`` sets the number p of scalar variables ``u`` (none
+    by default), and ``linear`` (k x p) their row coefficients, zeros by
+    default.
     """
 
     objective: np.ndarray
@@ -93,13 +97,82 @@ class SdpProblem:
             raise ValueError("the objective must be symmetric/Hermitian")
 
 
+class _Rows(NamedTuple):
+    """A problem's rows as :func:`solve_sdp` passes them to the kernel, before
+    they are scaled.
+
+    A cold solve prepares them and its :class:`ConicSolution` carries them.
+    ``factors`` and ``sense`` are the rows they were prepared from; the
+    other fields are the kernel's ``dtype``, each row's Gram norm
+    ``psd_norms`` (|A_i|_F, whatever its scale), the ``live`` rows (those
+    that constrain something), the live rows' factor ``columns`` stacked in
+    row order with the kernel row of each (``column_rows``), their unit
+    ``slacks`` and the kernel's :class:`~magbeam.conic.kernel.RowMap`.
+    """
+
+    factors: tuple
+    sense: tuple
+    dtype: type
+    psd_norms: np.ndarray
+    live: np.ndarray
+    columns: np.ndarray
+    column_rows: np.ndarray
+    slacks: np.ndarray
+    row_map: kernel.RowMap
+
+    def of(self, problem, complex_objective):
+        """True if these are the problem's rows: its own factor blocks (as
+        objects) and senses, in the dtype it takes."""
+        factors = problem.factors
+        return (self.sense == problem.sense and len(self.factors) == len(factors)
+                and all(map(operator.is_, self.factors, factors))
+                and (self.dtype is complex) == (complex_objective
+                                                or bool(self.columns.imag.any())))
+
+
+def _weight(dtype):
+    # the kernel weighs a Hermitian block's trace products by this factor,
+    # so its data goes in divided by it and its norms grow by the root
+    return kernel.HERMITIAN_WEIGHT if dtype is complex else 1.0
+
+
+def _scales(problem, psd_norms, dtype):
+    """Each row's data norm in the kernel's geometry, taken before its unit
+    slack is appended: the larger of |(A_i, linear_i)| and |rhs_i|."""
+    return np.maximum(np.hypot(psd_norms / math.sqrt(_weight(dtype)),
+                               np.linalg.norm(problem.linear, axis=1)),
+                      np.abs(problem.rhs))
+
+
+def _prepare(problem, complex_objective):
+    """The :class:`_Rows` of a problem whose objective is complex or not."""
+    factors, k = np.concatenate(problem.factors), len(problem.factors)
+    rows = np.repeat(np.arange(k), [len(f) for f in problem.factors])
+    dtype = complex if complex_objective or factors.imag.any() else float
+    factors = np.asarray(factors if dtype is complex else factors.real, dtype=dtype)
+    # |A_i|_F is that of its columns' Gram matrix
+    same_row = rows[:, None] == rows[None, :]
+    gram2 = np.abs(factors.conj() @ factors.T) ** 2
+    psd_norms = np.sqrt(np.bincount(rows, (gram2 * same_row).sum(axis=1), k))
+    # rows that constrain nothing stay out of the kernel
+    live = _scales(problem, psd_norms, dtype) > 0.0
+    live_cols = live[rows]
+    column_rows = (np.cumsum(live) - 1)[rows[live_cols]]
+    signs = np.array([_SLACK_SIGN[s] for s in problem.sense])[live]
+    row_map = kernel.row_map(column_rows, signs.size, problem.objective.shape[0],
+                             problem.linear_objective.size + signs.size, dtype)
+    return _Rows(problem.factors, problem.sense, dtype, psd_norms, live, factors[live_cols],
+                 column_rows, np.diag(signs), row_map)
+
+
 @dataclass
 class ConicSolution:
     """Solver outcome: the primal matrix ``x`` (0 x 0 for an LP) and scalars ``u``.
 
     ``iterate`` is the kernel's final ``(x, u, y, z_psd, z_lin)`` in its own
-    scaled form, without the rows that constrain nothing, the ``start`` of
-    a later solve with the same rows.
+    scaled form, without the rows that constrain nothing, and ``rows`` the
+    problem's rows as the solve prepared them: together the ``start`` of a
+    later solve with the same rows.
     """
 
     status: str
@@ -112,6 +185,7 @@ class ConicSolution:
     dual_infeas: float = 0.0
     u: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iterate: tuple = None
+    rows: _Rows = field(default=None, repr=False)
 
     @property
     def is_optimal(self):
@@ -122,54 +196,57 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
               start: ConicSolution = None) -> ConicSolution:
     """Solve a trace-constrained SDP or LP; see :class:`SdpProblem` for the form.
 
-    ``start`` is an earlier solution of a problem with the same constraint
-    rows, typically with another objective; the kernel starts from its
-    final iterate moved into the interior, not from the identity.  A start
-    whose dimension, row count or number of scalar variables differs
-    raises ``ValueError``.  The kernel logs each iteration at DEBUG on
-    the ``magbeam.conic`` logger.
-
     A row whose matrix, ``linear`` row and rhs are all zero constrains
     nothing; it does not reach the kernel and its dual reads 0 (a problem
     of such rows only raises ``ValueError``).  The kernel gets the other
     rows as their factor columns stacked in row order, each scaled by the
-    root of its row's scale, and the row of each column.
-    """
-    factors, rhs = np.concatenate(problem.factors), problem.rhs
-    rows = np.repeat(np.arange(rhs.size), [len(f) for f in problem.factors])
-    dtype = complex if problem.objective.imag.any() or factors.imag.any() else float
-    # the kernel weighs a Hermitian block's trace products by this factor,
-    # so its data goes in divided by it and its norms grow by the root
-    weight = kernel.HERMITIAN_WEIGHT if dtype is complex else 1.0
-    root_weight = math.sqrt(weight)
-    objective, factors = (np.asarray(m if dtype is complex else m.real, dtype=dtype)
-                          for m in (problem.objective, factors))
-    c_u, linear = problem.linear_objective, problem.linear
-    signs = np.array([_SLACK_SIGN[s] for s in problem.sense])
+    root of its row's scale, and the row of each column.  It logs each
+    iteration at DEBUG on the ``magbeam.conic`` logger.
 
-    # orthant block: the problem's own scalar variables, then one unit
-    # slack per row
-    obj_scale = max(float(np.hypot(np.linalg.norm(objective) / root_weight,
+    ``start`` is an earlier solution of a problem with the same rows,
+    typically with another objective or rhs, or another ``linear``: the
+    same factor blocks as objects (``dataclasses.replace`` keeps them, and
+    so does every relaxation built from one impedance model) and the same
+    senses.  The solve then reuses the rows as that solution prepared them
+    (their stacked columns, Gram norms, live rows, slack columns and the
+    kernel's row map), and the kernel starts from its final iterate moved
+    into the interior, not from the identity.  Without a start, or with one
+    of other rows or whose rows no longer fit the problem (another dtype,
+    other rows that constrain nothing), the solve prepares its rows and
+    starts cold; a start of other dimensions raises ``ValueError``.
+    """
+    complex_objective = bool(problem.objective.imag.any())
+    rows = None if start is None else start.rows
+    if rows is not None and not rows.of(problem, complex_objective):
+        rows = None
+    scales = None if rows is None else _scales(problem, rows.psd_norms, rows.dtype)
+    if rows is None or not np.array_equal(scales > 0.0, rows.live):
+        rows = _prepare(problem, complex_objective)
+        scales = _scales(problem, rows.psd_norms, rows.dtype)
+        if start is not None:
+            n, k = problem.objective.shape[0], len(rows.slacks)
+            p = problem.linear_objective.size + k
+            if [np.shape(a) for a in start.iterate] != [(n, n), (p,), (k,), (n, n), (p,)]:
+                raise ValueError("start iterate does not match the problem")
+            start = None
+
+    dtype, weight = rows.dtype, _weight(rows.dtype)
+    objective = np.asarray(problem.objective if dtype is complex else problem.objective.real,
+                           dtype=dtype)
+    c_u, linear, rhs = problem.linear_objective, problem.linear, problem.rhs
+    obj_scale = max(float(np.hypot(np.linalg.norm(objective) / math.sqrt(weight),
                                    np.linalg.norm(c_u))), 1e-300)
-    # each row's own data norm in the kernel's geometry, taken before its
-    # unit slack is appended; |A_i|_F is that of its columns' Gram matrix
-    same_row = rows[:, None] == rows[None, :]
-    gram2 = np.abs(factors.conj() @ factors.T) ** 2
-    psd_norms = np.sqrt(np.bincount(rows, (gram2 * same_row).sum(axis=1), len(rhs)))
-    scales = np.maximum(np.hypot(psd_norms / root_weight, np.linalg.norm(linear, axis=1)),
-                        np.abs(rhs))
-    # rows that constrain nothing stay out of the kernel
-    live = scales > 0.0
-    live_cols = live[rows]
-    linear, rhs, signs, scales = (a[live] for a in (linear, rhs, signs, scales))
+    live = rows.live
+    linear, rhs, scales = (a[live] for a in (linear, rhs, scales))
     scales = np.maximum(scales, 1e-300)
-    rows = (np.cumsum(live) - 1)[rows[live_cols]]
-    a_factors = factors[live_cols] / np.sqrt(weight * scales)[rows, None]
-    a_lin = np.hstack([linear / scales[:, None], np.diag(signs)])
+    a_factors = rows.columns / np.sqrt(weight * scales)[rows.column_rows, None]
+    # orthant block: the problem's own scalar variables, then one unit slack
+    # per row
+    a_lin = np.hstack([linear / scales[:, None], rows.slacks])
     res = kernel.solve_mixed_cone(
         c_psd=objective / (2.0 * weight * obj_scale),
         c_lin=np.concatenate([c_u, np.zeros(a_lin.shape[1] - c_u.size)]) / obj_scale,
-        a_factors=a_factors, a_lin=a_lin, b=rhs / scales, factor_rows=rows,
+        a_factors=a_factors, a_lin=a_lin, b=rhs / scales, factor_rows=rows.row_map,
         gap_tol=tolerances.rel_gap, feas_tol=tolerances.feasibility,
         max_iter=tolerances.max_iterations,
         start=None if start is None else start.iterate)
@@ -182,4 +259,5 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     return ConicSolution(status=res.status, value=value, x=res.x.copy(), duals=duals,
                          rel_gap=res.rel_gap, iterations=res.iterations,
                          primal_infeas=res.primal_infeas, dual_infeas=res.dual_infeas,
-                         u=u.copy(), iterate=(res.x, res.u, res.y, res.z_psd, res.z_lin))
+                         u=u.copy(), iterate=(res.x, res.u, res.y, res.z_psd, res.z_lin),
+                         rows=rows)

@@ -17,7 +17,7 @@ from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits, _at_tar
 from magbeam.circuit import (Excitation, Scenario, build_impedance,
                              constraint_slacks, delivered_powers,
                              tx_total_power, tx_voltages)
-from magbeam.conic import (GE, LE, SdpProblem, kernel, numerical_rank,
+from magbeam.conic import (GE, LE, SdpProblem, kernel, numerical_rank, problems,
                            psd_eigendecomposition, solve_sdp)
 from magbeam.errors import InfeasibleError, SolverError
 from magbeam.region import two_user_profiles
@@ -652,8 +652,8 @@ class TestBoundaryMaximum:
                                model=model)
         conic, _ = solve_relaxation(tabletop, profile, model=model, use_peak_constraints=False)
         assert len(sol.slots) == 1 and sol.sdr_rank == 2
-        shared = _at_limits(tabletop, model,
-                            time_sharing_from_sdr(tabletop, conic.x, model), False)
+        unit = time_sharing_from_sdr(tabletop, conic.x, model)
+        shared = _at_limits(tabletop, model, False, unit.slots, unit.method, unit.sdr_rank)
         assert len(shared.slots) == 2
         assert p_star == pytest.approx(profile_capped_power(shared, profile),
                                        rel=1e-9)
@@ -840,6 +840,32 @@ class TestWarmStartedRelaxation:
         assert [r.getMessage() for r in caplog.records if r.name == "magbeam"] == [
             f"warm-started relaxation ended numerical_failure after "
             f"{warm_iterations[0]} iterations; solving it from the cold start"]
+
+    def test_start_of_another_scenario_is_not_used(self, tabletop_two_user, monkeypatch):
+        # the TXs relabelled give a relaxation of the same shapes on other rows:
+        # as a start it prepares this scenario's rows and solves cold, bit
+        # for bit
+        sc = tabletop_two_user
+        order = [1, 2, 3, 4, 0]
+        relabelled = replace(sc, tx_resistance=sc.tx_resistance[order],
+                             mutual_tx_rx=sc.mutual_tx_rx[order],
+                             mutual_tx_tx=sc.mutual_tx_tx[np.ix_(order, order)],
+                             peak_voltage=sc.peak_voltage[order],
+                             peak_current=sc.peak_current[order])
+        start, _ = solve_relaxation(relabelled, PowerProfile([0.275, 0.725]))
+        model = build_impedance(sc)
+        profile = PowerProfile([0.3, 0.7])
+        cold_p, cold = solve_p0(sc, profile, model=model)
+        prepared = []
+        prepare = problems._prepare
+        monkeypatch.setattr(problems, "_prepare",
+                            lambda problem, *args: prepared.append(1) or prepare(problem, *args))
+        p_star, sol = solve_p0(sc, profile, model=model, start=start)
+        assert prepared == [1] and sol.relaxation.rows is not start.rows
+        assert p_star == cold_p
+        assert sol.relaxation.iterations == cold.relaxation.iterations
+        np.testing.assert_array_equal(sol.relaxation.x, cold.relaxation.x)
+        np.testing.assert_array_equal(sol.excitation.currents, cold.excitation.currents)
 
     def test_uncoupled_zero_share_row_costs_nothing(self, tabletop_two_user):
         # RX1 without coupling at a zero share has an all-zero delivery row;

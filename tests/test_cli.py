@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -219,6 +220,38 @@ def test_out_of_range_snr_solves_no_row(estimator, tmp_path, monkeypatch, capsys
                        "--snr-list=20,30,-4000", "--out", "bad.csv"]) == 64
     assert "float range" in capsys.readouterr().err
     assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", TABLE, "--trials", "1000000000000", "--out", "mse.csv"],
+    ["beamform", TABLE, "--alpha", "0.25,0.25,0.25,0.25", "--target-power", "12",
+     "--draws", "1000000000000"],
+], ids=["estimate-trials", "beamform-draws"])
+def test_run_beyond_memory_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # the squared errors of 1e12 trials and the normals of 1e12 draws: the
+    # allocations are patched to refuse any array of more than 1e9 entries
+    # as NumPy refuses one it cannot hold, so nothing that large is asked for
+    def refusing(allocate):
+        def allocation(shape, *args, **kwargs):
+            if math.prod(np.atleast_1d(shape)) > 10 ** 9:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return allocate(shape, *args, **kwargs)
+        return allocation
+
+    rng = np.random.default_rng
+
+    class Rng:
+        def __init__(self, seed):
+            self._rng = rng(seed)
+            self.standard_normal = refusing(self._rng.standard_normal)
+
+    monkeypatch.setattr(np, "empty", refusing(np.empty))
+    monkeypatch.setattr(np.random, "default_rng", Rng)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 64
+    assert capsys.readouterr().err.startswith(
+        "magbeam: usage error: not enough memory for this run (Unable to allocate")
     assert list(tmp_path.iterdir()) == []
 
 

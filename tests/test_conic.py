@@ -246,7 +246,7 @@ class TestStepLength:
             z = b @ b.conj().T + 0.1 * np.eye(n)
             # every fourth direction is PSD: no step leaves the cone
             dm = h @ h.conj().T if trial % 4 == 0 else (h + h.conj().T) / 2.0
-            r, r_inv, d = _nt_scaling(x, z)
+            r, r_inv, d = _nt_scaling(np.array((x, z)))
             for m, step in ((x, _max_step_psd(d, r_inv @ dm @ r_inv.conj().T)),
                             (z, _max_step_psd(d, r.conj().T @ dm @ r))):
                 expected = self._largest_psd_step(m, dm)

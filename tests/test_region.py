@@ -3,9 +3,10 @@ import csv
 import numpy as np
 import pytest
 
+from magbeam import beamforming
 from magbeam.beamforming import PowerProfile, SolveOptions, solve_p0
 from magbeam.circuit import build_impedance
-from magbeam.conic import kernel
+from magbeam.conic import kernel, problems
 from magbeam.region import (RegionSweep, benchmark_point, boundary_point,
                             sweep_region, two_user_profiles, write_region_csv,
                             write_sweep_summary)
@@ -155,6 +156,33 @@ class TestWarmStartedSweep:
         assert all(r.status == kernel.OPTIMAL for r in results)
         assert sum(r.iterations for r in results) <= 690
 
+
+    def test_sweep_prepares_the_rows_once(self, tabletop_two_user, monkeypatch):
+        # the first relaxation prepares the P0 rows (2 deliveries, the cap, 10
+        # peaks); the other 40 relaxations and each fallback point's six
+        # rank-penalty re-solves take them from their start, and only the
+        # three time-sharing LPs (Q + 2 rows) prepare their own
+        prepared, warm = [], []
+        prepare, solve = problems._prepare, beamforming.solve_sdp
+
+        def prepare_spy(problem, *args):
+            prepared.append(len(problem.factors))
+            return prepare(problem, *args)
+
+        def solve_spy(problem, start=None):
+            sol = solve(problem, start=start)
+            if start is not None:
+                warm.append((start.rows, sol.rows))
+            return sol
+
+        monkeypatch.setattr(problems, "_prepare", prepare_spy)
+        monkeypatch.setattr(beamforming, "solve_sdp", solve_spy)
+        sweep = sweep_region(tabletop_two_user, grid_size=40)
+        assert prepared[0] == 13 and sorted(prepared[1:]) == [4, 4, 4]
+        rows = sweep.points[0].relaxation.rows
+        assert all(p.relaxation.rows is rows for p in sweep.points)
+        assert len(warm) == 40 + 3 * 6
+        assert all(start is rows and used is rows for start, used in warm)
 
     def test_peak_sweep_relaxation_iterations(self, tabletop_two_user):
         # each point's warm relaxation, as counted when the normal matrix
