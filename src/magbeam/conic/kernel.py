@@ -34,7 +34,9 @@ and SDPT3's low-rank path: with V the n x r matrix of all columns, each
 iteration forms V^H W V (O(r n^2 + r^2 n)), squares its entries and sums each
 row's columns, weight * E |V^H W V|^2 E^T, in place of the batched W A_i W
 (O(k n^3 + k^2 n^2)).  At n = 5 an iteration costs its small NumPy calls, not
-arithmetic: 154 us, against 187 us before the stacked iterate (README).
+arithmetic, so LAPACK is called through :mod:`.linalg`, which skips the
+numpy.linalg wrappers for the same arrays: about 186 us an iteration on a
+2-vCPU VM, against 205 us through numpy.linalg (README).
 
 What the rows are apart from their data, the map from factor columns to
 rows and the inner product's metric, is a :class:`RowMap`.  A re-solve of
@@ -51,6 +53,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from . import linalg
 
 # status codes shared with the public wrappers
 OPTIMAL = "optimal"
@@ -102,7 +106,7 @@ def _max_step_framed(ds, out=None):
     step = np.empty(ds.shape[:-2]) if out is None else out
     step.fill(np.inf)
     if ds.shape[-1]:
-        lam = np.linalg.eigvalsh(ds)[..., 0]
+        lam = linalg.eigvalsh(ds)[..., 0]
         np.divide(-1.0, lam, out=step, where=~(lam >= -1e-14))
     return step if step.ndim else float(step)
 
@@ -128,8 +132,8 @@ def _nt_scaling(xz):
     Returns (r, r_inv, d) with r^{-1} x r^{-H} = r^H z r = diag(d) and the
     scaling matrix w = r r^H satisfying w z w = x.
     """
-    lx, lz = np.linalg.cholesky(xz)
-    uu, ss, vvh = np.linalg.svd(lz.conj().T @ lx)
+    lx, lz = linalg.cholesky(xz)
+    uu, ss, vvh = linalg.svd(lz.conj().T @ lx)
     sqrt_s = np.sqrt(ss)
     r = lx @ (vvh.conj().T / sqrt_s)
     r_inv = (uu.conj().T @ lz.conj().T) / sqrt_s[:, None]
@@ -149,7 +153,7 @@ def _factor_normal(m):
     for _ in range(6):
         shifted = m + jitter * np.eye(len(m)) if jitter else m
         try:
-            np.linalg.cholesky(shifted)
+            linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             jitter = jitter * 100.0 if jitter else np.max(np.abs(np.diag(m))) * 1e-14
             continue
@@ -159,7 +163,7 @@ def _factor_normal(m):
 
         def solve(rhs):
             try:
-                return np.linalg.solve(shifted, rhs)
+                return linalg.solve(shifted, rhs)
             except np.linalg.LinAlgError:   # Cholesky passed, but LU met a zero pivot
                 import logging
                 logging.getLogger("magbeam.conic").debug("normal matrix singular in LU: "
@@ -327,8 +331,8 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
             s_cand, v_cand = psd(cand), cand[nr:]
             viol, ref = 0.0, 1.0
             if n:
-                viol = max(viol, max(0.0, float(np.linalg.eigvalsh(_sym(s_cand))[-1])))
-                ref = max(ref, float(np.sqrt(weight) * np.linalg.norm(s_cand)))
+                viol = max(viol, max(0.0, float(linalg.eigvalsh(_sym(s_cand))[-1])))
+                ref = max(ref, math.sqrt(weight) * linalg.frobenius_norm(s_cand))
             if p:
                 viol = max(viol, max(0.0, float(np.max(v_cand))))
                 ref = max(ref, float(np.max(np.abs(v_cand))))
@@ -338,10 +342,11 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
 
         # improving-ray certificate of unboundedness
         ray_scale = weight * diag[0].sum() + u.sum()
-        if ray_scale > 0 and pobj / ray_scale < -max(1e-6, 100 * feas_tol) and \
-                np.linalg.norm(b - r_p) / ray_scale <= feas_tol:
-            status = UNBOUNDED
-            break
+        if ray_scale > 0 and pobj / ray_scale < -max(1e-6, 100 * feas_tol):
+            a_x = b - r_p
+            if math.sqrt(a_x @ a_x) / ray_scale <= feas_tol:
+                status = UNBOUNDED
+                break
 
         # NT scaling; ``frame`` maps a stack (dx, dz) into the frame where x
         # and z_psd are both I

@@ -1,6 +1,83 @@
-"""Eigen utilities for real symmetric and complex Hermitian PSD matrices."""
+"""Dense linear algebra for the conic solver: LAPACK entry points and PSD
+eigen utilities for real symmetric and complex Hermitian matrices.
+
+``cholesky``, ``eigvalsh``, ``eigh``, ``svd`` and ``solve`` call the LAPACK
+gufuncs behind ``numpy.linalg`` directly, with the loop chosen from the
+input's dtype, and give the same arrays as their ``numpy.linalg`` namesakes.
+They skip the wrappers' dtype coercion and shape checks, which cost more
+than the LAPACK call itself on the kernel's 5 x 5 blocks: the input must be
+a float64 or complex128 array of (stacked) square matrices.  As in NumPy, a
+LAPACK failure raises :class:`numpy.linalg.LinAlgError` and no floating-point
+warning is issued.
+"""
+
+import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
+
+
+def _raiser(message):
+    def raise_linalg_error(err, flag):
+        raise LinAlgError(message)
+    return raise_linalg_error
+
+
+# the gufuncs flag a failed factorization as an invalid operation; as in
+# numpy.linalg, that raises, and underflow and the like stay silent
+_NOT_POSITIVE_DEFINITE = _raiser("Matrix is not positive definite")
+_SINGULAR = _raiser("Singular matrix")
+_EIGENVALUES_NOT_CONVERGED = _raiser("Eigenvalues did not converge")
+_SVD_NOT_CONVERGED = _raiser("SVD did not converge")
+_QUIET = {"over": "ignore", "divide": "ignore", "under": "ignore"}
+
+
+def cholesky(a):
+    """Lower Cholesky factor of a matrix or of each matrix of a stack."""
+    signature = "D->D" if a.dtype.kind == "c" else "d->d"
+    with np.errstate(call=_NOT_POSITIVE_DEFINITE, invalid="call", **_QUIET):
+        return _umath_linalg.cholesky_lo(a, signature=signature)
+
+
+def eigvalsh(a):
+    """Ascending eigenvalues of a Hermitian matrix or stack, from its lower triangle."""
+    signature = "D->d" if a.dtype.kind == "c" else "d->d"
+    with np.errstate(call=_EIGENVALUES_NOT_CONVERGED, invalid="call", **_QUIET):
+        return _umath_linalg.eigvalsh_lo(a, signature=signature)
+
+
+def eigh(a):
+    """``(eigenvalues, eigenvectors)`` of a Hermitian matrix or stack, eigenvalues
+    ascending, from its lower triangle."""
+    signature = "D->dD" if a.dtype.kind == "c" else "d->dd"
+    with np.errstate(call=_EIGENVALUES_NOT_CONVERGED, invalid="call", **_QUIET):
+        return _umath_linalg.eigh_lo(a, signature=signature)
+
+
+def svd(a):
+    """Full ``(u, s, vh)`` of a square matrix or stack, s descending."""
+    signature = "D->DdD" if a.dtype.kind == "c" else "d->ddd"
+    with np.errstate(call=_SVD_NOT_CONVERGED, invalid="call", **_QUIET):
+        return _umath_linalg.svd_f(a, signature=signature)
+
+
+def solve(a, b):
+    """x with a x = b, for a square matrix a and a vector b (one LU solve)."""
+    signature = "DD->D" if "c" in (a.dtype.kind, b.dtype.kind) else "dd->d"
+    with np.errstate(call=_SINGULAR, invalid="call", **_QUIET):
+        return _umath_linalg.solve1(a, b, signature=signature)
+
+
+def frobenius_norm(a):
+    """|a|_F summed as ``np.linalg.norm(a)`` sums it, so equal to it bit for bit:
+    a real array's dot with itself, a complex one's real parts' dot plus its
+    imaginary parts'."""
+    a = a.ravel(order="K")
+    if a.dtype.kind == "c":
+        return math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
+    if a.dtype.kind != "f":
+        a = a.astype(float)
+    return math.sqrt(a.dot(a))
 
 
 def psd_eigendecomposition(x):
@@ -14,9 +91,9 @@ def psd_eigendecomposition(x):
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.linalg.norm(x - x.conj().T) > 1e-8 * np.linalg.norm(x):
+    if frobenius_norm(x - x.conj().T) > 1e-8 * frobenius_norm(x):
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((x + x.conj().T) / 2.0)
+    w, v = eigh((x + x.conj().T) / 2.0)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
@@ -33,4 +110,3 @@ def numerical_rank(eigenvalues, rel_tol=1e-6):
     if largest <= 0.0:
         return 0
     return int(np.count_nonzero(w > rel_tol * largest))
-

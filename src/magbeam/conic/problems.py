@@ -18,6 +18,7 @@ import numpy as np
 
 from . import kernel
 from .kernel import OPTIMAL
+from .linalg import frobenius_norm
 
 GE = ">="
 LE = "<="
@@ -68,7 +69,9 @@ class SdpProblem:
 
     def __post_init__(self):
         objective = np.asarray(self.objective)
-        factors = tuple(np.atleast_2d(f) for f in self.factors)
+        # a 2-D array stays the same object, as np.atleast_2d keeps it, without the call
+        factors = tuple(f if isinstance(f, np.ndarray) and f.ndim == 2 else np.atleast_2d(f)
+                        for f in self.factors)
         k = len(factors)
         if k == 0:
             raise ValueError("at least one constraint is required")
@@ -89,11 +92,12 @@ class SdpProblem:
         for name, value in (("objective", objective), ("factors", factors), ("sense", sense),
                             ("rhs", rhs), ("linear_objective", c_u), ("linear", linear)):
             object.__setattr__(self, name, value)
-        if not all(np.isfinite(a).all()
-                   for a in (objective, np.concatenate(factors), rhs, c_u, linear)):
+        # the shapes agree, so every number of the problem fits in one vector
+        data = (np.concatenate((objective, *factors)), rhs, c_u, linear)
+        if not np.isfinite(np.concatenate([a.ravel() for a in data])).all():
             raise ValueError("problem data must be finite")
         # every row's sum of f f^H is Hermitian by construction
-        if np.linalg.norm(objective - objective.conj().T) > 1e-9 * np.linalg.norm(objective):
+        if frobenius_norm(objective - objective.conj().T) > 1e-9 * frobenius_norm(objective):
             raise ValueError("the objective must be symmetric/Hermitian")
 
 

@@ -1,15 +1,16 @@
 import itertools
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import row_matrices
-from magbeam.conic import (GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, SdpProblem,
-                           Tolerances, kernel, numerical_rank, psd_eigendecomposition,
-                           solve_sdp)
+from magbeam.conic import (GE, INFEASIBLE, LE, NUMERICAL_FAILURE, OPTIMAL, UNBOUNDED,
+                           SdpProblem, Tolerances, kernel, linalg, numerical_rank,
+                           psd_eigendecomposition, solve_sdp)
 from magbeam.conic.kernel import (_factor_normal, _max_step_framed, _max_step_pos,
                                   _nt_scaling, _schur_complement)
 
@@ -279,6 +280,18 @@ class TestBatchedStep:
                               [math.inf, math.inf])
 
 
+def _lu_failure_cases():
+    """Rank-two 3x3 Gram matrices with a diagonal below 1e-16 of their largest
+    entry: draws 14 and 64 pass the Cholesky test and have an exact zero LU pivot."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(65):
+        v = rng.standard_normal((3, 2))
+        m = v @ v.T
+        cases.append(m + np.diag(rng.uniform(0.0, 1e-16, 3) * np.max(np.diag(m))))
+    return cases[14], cases[64]
+
+
 class TestFactorNormal:
     """The normal matrix's solver: a Cholesky test, jitter, then least squares."""
 
@@ -313,16 +326,8 @@ class TestFactorNormal:
         assert lines == ["normal matrix not factored: least squares"]
 
     def test_lu_failure_falls_back_to_lstsq(self, caplog):
-        # rank-two 3x3 Gram matrices with a diagonal below 1e-16 of their largest
-        # entry; draws 14 and 64 pass the Cholesky test and have an exact zero LU pivot
-        rng = np.random.default_rng(0)
-        cases = []
-        for _ in range(65):
-            v = rng.standard_normal((3, 2))
-            m = v @ v.T
-            cases.append(m + np.diag(rng.uniform(0.0, 1e-16, 3) * np.max(np.diag(m))))
         rhs = np.array([1.0, 2.0, 3.0])
-        for m in (cases[14], cases[64]):
+        for m in _lu_failure_cases():
             np.linalg.cholesky(m)
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.solve(m, rhs)
@@ -331,6 +336,51 @@ class TestFactorNormal:
             assert np.all(np.isfinite(sol))
             np.testing.assert_array_equal(sol, np.linalg.lstsq(m, rhs, rcond=None)[0])
             assert lines == ["normal matrix singular in LU: least squares"]
+
+
+class TestLapackEntryPoints:
+    """conic.linalg's direct LAPACK calls give numpy.linalg's arrays, and fail as it does."""
+
+    @staticmethod
+    def _assert_same(ours, numpy_result):
+        assert ours.dtype == numpy_result.dtype
+        assert np.array_equal(ours, numpy_result)
+
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [5, 16])
+    def test_matches_numpy(self, n, complex_data):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((3, n, n))
+        if complex_data:
+            g = g + 1j * rng.standard_normal((3, n, n))
+        h = g @ g.conj().swapaxes(-1, -2) + np.eye(n)
+        rhs = rng.standard_normal(n)
+        self._assert_same(linalg.cholesky(h), np.linalg.cholesky(h))
+        self._assert_same(linalg.eigvalsh(h), np.linalg.eigvalsh(h))
+        for ours, numpy_result in zip(linalg.eigh(h), np.linalg.eigh(h)):
+            self._assert_same(ours, numpy_result)
+        for ours, numpy_result in zip(linalg.svd(g), np.linalg.svd(g)):
+            self._assert_same(ours, numpy_result)
+        for m in g:
+            self._assert_same(linalg.solve(m, rhs), np.linalg.solve(m, rhs))
+            for view in (m, m.T, m[::2]):
+                assert linalg.frobenius_norm(view) == np.linalg.norm(view)
+
+    def test_failure_raises_without_warning(self):
+        rhs = np.array([1.0, 2.0, 3.0])
+        indefinite = np.array((np.eye(3), np.diag([1.0, -1.0, 2.0])))
+        errstate = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stack in (indefinite, indefinite.astype(complex)):
+                with pytest.raises(np.linalg.LinAlgError):
+                    linalg.cholesky(stack)
+                assert np.geterr() == errstate
+            for m in _lu_failure_cases():
+                linalg.cholesky(m)
+                with pytest.raises(np.linalg.LinAlgError):
+                    linalg.solve(m, rhs)
+                assert np.geterr() == errstate
 
 
 class TestFactoredSchur:
@@ -559,6 +609,21 @@ class TestWarmStart:
         again = solve_sdp(prob, start=base)
         assert again.iterations == warm.iterations
         assert np.array_equal(again.x, warm.x) and np.array_equal(again.u, warm.u)
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    def test_indefinite_start_ends_numerical_failure(self, dtype):
+        # X = diag(1, -10) stays indefinite after the start's shift, so the NT
+        # scaling's Cholesky fails in the first iteration: a numerical failure,
+        # not an exception or a warning
+        start = (np.diag([1.0, -10.0]).astype(dtype), np.zeros(0), np.zeros(1),
+                 np.eye(2, dtype=dtype), np.zeros(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kernel.solve_mixed_cone(
+                c_psd=np.eye(2, dtype=dtype), c_lin=np.zeros(0),
+                a_factors=np.array([[1.0, 0.0]], dtype=dtype), a_lin=np.zeros((1, 0)),
+                b=[1.0], factor_rows=[0], start=start)
+        assert res.status == NUMERICAL_FAILURE and res.iterations == 1
 
     def test_start_from_other_rows_rejected(self):
         n = self.N
