@@ -34,9 +34,10 @@ and SDPT3's low-rank path: with V the n x r matrix of all columns, each
 iteration forms V^H W V (O(r n^2 + r^2 n)), squares its entries and sums each
 row's columns, weight * E |V^H W V|^2 E^T, in place of the batched W A_i W
 (O(k n^3 + k^2 n^2)).  At n = 5 an iteration costs its small NumPy calls, not
-arithmetic, so LAPACK is called through :mod:`.linalg`, which skips the
-numpy.linalg wrappers for the same arrays: about 186 us an iteration on a
-2-vCPU VM, against 205 us through numpy.linalg (README).
+arithmetic, so LAPACK is called through :mod:`.linalg` without the numpy.linalg
+wrappers or a per-call error state, scalars and step lengths stay Python floats,
+and the residuals and frames fill per-solve buffers: about 160 us an iteration
+on a 2-vCPU VM (README).
 
 What the rows are apart from their data, the map from factor columns to
 rows and the inner product's metric, is a :class:`RowMap`.  A re-solve of
@@ -96,19 +97,19 @@ def _sym(m):
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _max_step_framed(ds, out=None):
-    """Largest alpha with I + alpha*ds PSD, for one Hermitian matrix or a stack.
+def _minimum(a, b):
+    """``np.minimum`` of two floats: NaN if either is NaN, b on a tie."""
+    return a if a < b or a != a else b
 
-    A stack (..., n, n) shares one batched eigvalsh, which reads only the
-    lower triangles; returns a float, or an array over the stack (``out``,
-    when given, of the stack's shape).
+
+def _max_step_framed(lam, bound=math.inf):
+    """Largest alpha <= ``bound`` with I + alpha*ds PSD, as a float, from ds's
+    smallest eigenvalue ``lam`` (inf for a 0 x 0 ds).
+
+    Unbounded where lam >= -1e-14, else -1/lam; combined as ``np.minimum``
+    combines, so a NaN lam or bound gives NaN.
     """
-    step = np.empty(ds.shape[:-2]) if out is None else out
-    step.fill(np.inf)
-    if ds.shape[-1]:
-        lam = linalg.eigvalsh(ds)[..., 0]
-        np.divide(-1.0, lam, out=step, where=~(lam >= -1e-14))
-    return step if step.ndim else float(step)
+    return _minimum(-1.0 / lam if not lam >= -1e-14 else math.inf, bound)
 
 
 def _max_step_pos(v, dv, work=None):
@@ -283,7 +284,10 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
     (xv, zv), xz_m, xz_lin, v_m, v_lin = xz, psd(xz), xz[:, nr:], psd(v), v[nr:]
     (dx, dz), dxz_m, dxz_lin = dxz, psd(dxz), dxz[:, nr:]
     (x, z_psd), (u, z_lin), (dx_m, dz_m), (dx_lin, dz_lin) = xz_m, xz_lin, dxz_m, dxz_lin
-    max_steps, ratios = np.empty(2), np.empty((2, p))   # work space of the step lengths
+    # the residuals, the NT frames and the orthant ratios are filled in place
+    r_p, r_d, ratios = np.empty(k), np.empty(nr + p), np.empty((2, p))
+    r_d_m, r_d_lin, frame = psd(r_d), r_d[nr:], np.empty((2, n, n), dtype)
+    frame_x, frame_z = frame
     diag = xz[:, :nr:reals * (n + 1)]   # the real diagonals of X and Z
     if start is None:
         diag[...] = xz_lin[...] = [[max(1.0, float(np.max(np.abs(b))))],
@@ -301,10 +305,11 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
     y = np.zeros(k)
 
     def residuals(y):
-        # residuals, objectives, relative gap and scaled infeasibilities
-        r_p, r_d = b - a_met @ xv, c - y @ a_mat - zv
-        pobj, dobj = c_met @ xv, b @ y
-        return (r_p, r_d, pobj, dobj, float(abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))),
+        # r_p and r_d; the objectives, relative gap and scaled infeasibilities
+        np.subtract(b, a_met @ xv, out=r_p)
+        np.subtract(np.subtract(c, y @ a_mat, out=r_d), zv, out=r_d)
+        pobj, dobj = float(c_met @ xv), float(b @ y)
+        return (pobj, dobj, abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
                 math.sqrt(r_p @ r_p) / norm_b, math.sqrt(r_d @ (metric * r_d)) / norm_c)
 
     import logging  # here: `import magbeam` skips its 5 ms
@@ -314,8 +319,8 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
-        r_p, r_d, pobj, dobj, rel_gap, p_inf, d_inf = residuals(y)
-        mu = (xv * metric) @ zv / degree
+        pobj, dobj, rel_gap, p_inf, d_inf = residuals(y)
+        mu = float((xv * metric) @ zv) / degree
         if debug:
             log.debug("iter %3d  pobj % .9e  dobj % .9e  pinf %.2e  dinf %.2e  mu %.2e",
                       it, pobj, dobj, p_inf, d_inf, mu)
@@ -341,7 +346,7 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
                 break
 
         # improving-ray certificate of unboundedness
-        ray_scale = weight * diag[0].sum() + u.sum()
+        ray_scale = weight * float(diag[0].sum()) + float(u.sum())
         if ray_scale > 0 and pobj / ray_scale < -max(1e-6, 100 * feas_tol):
             a_x = b - r_p
             if math.sqrt(a_x @ a_x) / ray_scale <= feas_tol:
@@ -356,13 +361,15 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
             break
         r_h = r_mat.conj().T
         w_mat = r_mat @ r_h
-        frame = np.array((r_inv, r_h)) * (1.0 / np.sqrt(d_spec))[:, None]
+        frame_scale = (1.0 / np.sqrt(d_spec))[:, None]
+        np.multiply(r_inv, frame_scale, out=frame_x)
+        np.multiply(r_h, frame_scale, out=frame_z)
         frame_h = frame.conj().swapaxes(-1, -2)
         d_lin = u / z_lin
         solve_normal = _factor_normal(schur(w_mat) + (a_lin * d_lin) @ a_lin.T)
         # the rows' image of the constant part of every direction (v as work space)
-        np.matmul(w_mat @ psd(r_d), w_mat, out=v_m)
-        np.multiply(d_lin, r_d[nr:], out=v_lin)
+        np.matmul(w_mat @ r_d_m, w_mat, out=v_m)
+        np.multiply(d_lin, r_d_lin, out=v_lin)
         rhs = r_p + a_met @ v
 
         def directions():
@@ -376,14 +383,15 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
             np.add(dx_m, dx_m.conj().T, out=dx_m)
             np.multiply(dx_m, 0.5, out=dx_m)
             framed = frame @ dxz_m @ frame_h
-            _max_step_framed(framed, out=max_steps)
-            return dy, framed, np.minimum(max_steps, _max_step_pos(xz_lin, dxz_lin, ratios),
-                                          out=max_steps)
+            lams = linalg.eigvalsh(framed)[:, 0].tolist() if n else (math.inf, math.inf)
+            bounds = _max_step_pos(xz_lin, dxz_lin, ratios).tolist()
+            return dy, framed, (_max_step_framed(lams[0], bounds[0]),
+                                _max_step_framed(lams[1], bounds[1]))
 
         # predictor (affine scaling) direction
         np.negative(xv, out=v)
-        _, framed, steps = directions()
-        trial = xz + np.minimum(1.0, steps)[:, None] * dxz
+        _, framed, (step_x, step_z) = directions()
+        trial = xz + np.array(((_minimum(1.0, step_x),), (_minimum(1.0, step_z),))) * dxz
         mu_aff = max((trial[0] * metric) @ trial[1], 0.0) / degree
         sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
 
@@ -393,13 +401,14 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
         prod = (framed[0] * d_spec) @ framed[1]
         t_mat = (prod + prod.conj().T) \
             * (-d_spec[:, None] * d_spec / (d_spec[:, None] + d_spec))
-        t_mat.flat[::n + 1] += sigma * mu - d_spec ** 2
+        t_mat.reshape(-1)[::n + 1] += sigma * mu - d_spec ** 2
         np.divide(sigma * mu - u * z_lin - dx_lin * dz_lin, z_lin, out=v_lin)
-        np.matmul(frame_h[1] @ t_mat, frame[1], out=v_m)
+        np.matmul(frame_h[1] @ t_mat, frame_z, out=v_m)
 
-        dy, _, steps = directions()
-        alphas = np.minimum(1.0, _STEP_FRACTION * steps)
-        if alphas.max() < _MIN_STEP:
+        dy, _, (step_x, step_z) = directions()
+        alpha_x = _minimum(1.0, _STEP_FRACTION * step_x)
+        alpha_z = _minimum(1.0, _STEP_FRACTION * step_z)
+        if alpha_x < _MIN_STEP and alpha_z < _MIN_STEP:
             stall += 1
             if stall >= 2:
                 break
@@ -407,12 +416,12 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
             stall = 0
 
         # x and each dx are exactly Hermitian, dz only up to rounding: symmetrize z
-        xz += alphas[:, None] * dxz
-        y = y + alphas[1] * dy
+        xz += np.array(((alpha_x,), (alpha_z,))) * dxz
+        y = y + alpha_z * dy
         z_psd += z_psd.conj().T
         z_psd *= 0.5
-
-    *_, rel_gap, p_inf, d_inf = residuals(y)
+    else:   # each break leaves before the iterate moves, its residuals in hand
+        *_, rel_gap, p_inf, d_inf = residuals(y)
     return KernelResult(status=status, x=x.copy(), u=u.copy(), y=y, z_psd=z_psd.copy(),
                         z_lin=z_lin.copy(), rel_gap=rel_gap, primal_infeas=p_inf,
                         dual_infeas=d_inf, iterations=it)

@@ -8,64 +8,79 @@ They skip the wrappers' dtype coercion and shape checks, which cost more
 than the LAPACK call itself on the kernel's 5 x 5 blocks: the input must be
 a float64 or complex128 array of (stacked) square matrices.  As in NumPy, a
 LAPACK failure raises :class:`numpy.linalg.LinAlgError` and no floating-point
-warning is issued.
+warning is issued.  Each call sets an error state built once at import, the
+one ``np.errstate`` would build per call, in NumPy's per-thread context
+variable and resets it after; its ufunc buffer size, which changes no
+result, is the one at import.
 """
 
 import math
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 
-def _raiser(message):
+def _error_state(message):
     def raise_linalg_error(err, flag):
         raise LinAlgError(message)
-    return raise_linalg_error
+    # the gufuncs flag a failed factorization as an invalid operation; as in
+    # numpy.linalg, that raises, and underflow and the like stay silent
+    return _make_extobj(call=raise_linalg_error, invalid="call",
+                        over="ignore", divide="ignore", under="ignore")
 
 
-# the gufuncs flag a failed factorization as an invalid operation; as in
-# numpy.linalg, that raises, and underflow and the like stay silent
-_NOT_POSITIVE_DEFINITE = _raiser("Matrix is not positive definite")
-_SINGULAR = _raiser("Singular matrix")
-_EIGENVALUES_NOT_CONVERGED = _raiser("Eigenvalues did not converge")
-_SVD_NOT_CONVERGED = _raiser("SVD did not converge")
-_QUIET = {"over": "ignore", "divide": "ignore", "under": "ignore"}
+_NOT_POSITIVE_DEFINITE = _error_state("Matrix is not positive definite")
+_SINGULAR = _error_state("Singular matrix")
+_EIGENVALUES_NOT_CONVERGED = _error_state("Eigenvalues did not converge")
+_SVD_NOT_CONVERGED = _error_state("SVD did not converge")
 
 
 def cholesky(a):
     """Lower Cholesky factor of a matrix or of each matrix of a stack."""
-    signature = "D->D" if a.dtype.kind == "c" else "d->d"
-    with np.errstate(call=_NOT_POSITIVE_DEFINITE, invalid="call", **_QUIET):
-        return _umath_linalg.cholesky_lo(a, signature=signature)
+    token = _extobj_contextvar.set(_NOT_POSITIVE_DEFINITE)
+    try:
+        return _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def eigvalsh(a):
     """Ascending eigenvalues of a Hermitian matrix or stack, from its lower triangle."""
-    signature = "D->d" if a.dtype.kind == "c" else "d->d"
-    with np.errstate(call=_EIGENVALUES_NOT_CONVERGED, invalid="call", **_QUIET):
-        return _umath_linalg.eigvalsh_lo(a, signature=signature)
+    token = _extobj_contextvar.set(_EIGENVALUES_NOT_CONVERGED)
+    try:
+        return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def eigh(a):
     """``(eigenvalues, eigenvectors)`` of a Hermitian matrix or stack, eigenvalues
     ascending, from its lower triangle."""
-    signature = "D->dD" if a.dtype.kind == "c" else "d->dd"
-    with np.errstate(call=_EIGENVALUES_NOT_CONVERGED, invalid="call", **_QUIET):
-        return _umath_linalg.eigh_lo(a, signature=signature)
+    token = _extobj_contextvar.set(_EIGENVALUES_NOT_CONVERGED)
+    try:
+        return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def svd(a):
     """Full ``(u, s, vh)`` of a square matrix or stack, s descending."""
-    signature = "D->DdD" if a.dtype.kind == "c" else "d->ddd"
-    with np.errstate(call=_SVD_NOT_CONVERGED, invalid="call", **_QUIET):
-        return _umath_linalg.svd_f(a, signature=signature)
+    token = _extobj_contextvar.set(_SVD_NOT_CONVERGED)
+    try:
+        return _umath_linalg.svd_f(a, signature="D->DdD" if a.dtype.kind == "c" else "d->ddd")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def solve(a, b):
     """x with a x = b, for a square matrix a and a vector b (one LU solve)."""
     signature = "DD->D" if "c" in (a.dtype.kind, b.dtype.kind) else "dd->d"
-    with np.errstate(call=_SINGULAR, invalid="call", **_QUIET):
+    token = _extobj_contextvar.set(_SINGULAR)
+    try:
         return _umath_linalg.solve1(a, b, signature=signature)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def frobenius_norm(a):

@@ -1,6 +1,8 @@
+import contextvars
 import itertools
 import logging
 import math
+import threading
 import warnings
 from dataclasses import replace
 
@@ -11,7 +13,7 @@ from conftest import row_matrices
 from magbeam.conic import (GE, INFEASIBLE, LE, NUMERICAL_FAILURE, OPTIMAL, UNBOUNDED,
                            SdpProblem, Tolerances, kernel, linalg, numerical_rank,
                            psd_eigendecomposition, solve_sdp)
-from magbeam.conic.kernel import (_factor_normal, _max_step_framed, _max_step_pos,
+from magbeam.conic.kernel import (_factor_normal, _max_step_framed, _max_step_pos, _minimum,
                                   _nt_scaling, _schur_complement)
 
 W_TABLE = 42.6e6
@@ -21,9 +23,13 @@ M_RX2 = np.array([0.04747, 0.5642, 0.01945, 0.01116, 0.1526]) * 1e-6
 
 def _max_step_psd(d, ds):
     # largest alpha with diag(d) + alpha*ds PSD (d > 0), stepped in the frame
-    # d^-1/2 ds d^-1/2 where the iterate is the identity
+    # d^-1/2 ds d^-1/2 where the iterate is the identity; a stack (..., n, n)
+    # takes its smallest eigenvalues from one batched eigvalsh, as the kernel
+    # does, and an n = 0 stack has none (inf)
     s = 1.0 / np.sqrt(d)
-    return _max_step_framed(ds * (s[:, None] * s))
+    framed = ds * (s[:, None] * s)
+    lams = linalg.eigvalsh(framed)[..., 0] if len(d) else np.full(ds.shape[:-2], math.inf)
+    return np.vectorize(_max_step_framed, otypes=[float])(lams)
 
 
 def _single_constraint_optimum(b_bar, m_vec, rhs):
@@ -101,7 +107,8 @@ class TestSolveSdp:
 
 
 class TestKktCertificates:
-    def _random_problem(self, rng, complex_data=False):
+    @staticmethod
+    def _random_problem(rng, complex_data=False):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(2, 6))
 
@@ -160,6 +167,49 @@ class TestKktCertificates:
             harder = solve_sdp(replace(prob, rhs=rhs))
             if harder.is_optimal:
                 assert harder.value >= base - 1e-7 * (1 + abs(base))
+
+
+class TestKernelResult:
+    @staticmethod
+    def _residuals(kw, res):
+        # the relative gap and scaled infeasibilities of the kernel's problem
+        # at res, in its own geometry (inner product weight * Re tr(A^H B))
+        weight = kernel.HERMITIAN_WEIGHT if np.iscomplexobj(kw["c_psd"]) else 1.0
+        f, e, a_lin, b = kw["a_factors"], kw["factor_rows"].e, kw["a_lin"], kw["b"]
+        c, c_lin = (kw["c_psd"] + kw["c_psd"].conj().T) / 2.0, kw["c_lin"]
+        mats = np.einsum("ij,ja,jb->iab", e, f, f.conj())
+
+        def dot(p, q):
+            return weight * np.sum(p.conj() * q).real
+
+        r_p = b - [dot(m, res.x) for m in mats] - a_lin @ res.u
+        r_d = c - np.tensordot(res.y, mats, 1) - res.z_psd
+        r_lin = c_lin - res.y @ a_lin - res.z_lin
+        pobj, dobj = dot(c, res.x) + c_lin @ res.u, b @ res.y
+        norm_c = 1.0 + math.sqrt(dot(c, c) + c_lin @ c_lin)
+        return (abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
+                np.linalg.norm(r_p) / (1.0 + np.linalg.norm(b)),
+                math.sqrt(dot(r_d, r_d) + r_lin @ r_lin) / norm_c)
+
+    def test_optimal_result_reports_its_iterate(self, monkeypatch):
+        # an optimal stop keeps the residuals it was just tested on; a solve cut
+        # one iteration short ends on the same iterate and evaluates them after
+        # its loop, and a direct evaluation agrees to rounding
+        seen, solve = [], kernel.solve_mixed_cone
+        monkeypatch.setattr(kernel, "solve_mixed_cone",
+                            lambda **kw: seen.append(kw) or solve(**kw))
+        rng = np.random.default_rng(10)
+        for trial in range(6):
+            solve_sdp(TestKktCertificates._random_problem(rng, bool(trial % 2)))
+            kw = seen.pop()
+            res = solve(**kw)
+            short = solve(**{**kw, "max_iter": res.iterations - 1})
+            assert (res.status, short.status) == (OPTIMAL, NUMERICAL_FAILURE)
+            for field in ("x", "u", "y", "z_psd", "z_lin"):
+                assert np.array_equal(getattr(short, field), getattr(res, field))
+            reported = (res.rel_gap, res.primal_infeas, res.dual_infeas)
+            assert (short.rel_gap, short.primal_infeas, short.dual_infeas) == reported
+            assert reported == pytest.approx(self._residuals(kw, res), rel=1e-6, abs=1e-14)
 
 
 class TestComplexEmbedding:
@@ -257,6 +307,36 @@ class TestStepLength:
                 else:
                     assert step == pytest.approx(expected, rel=1e-9)
         assert unbounded >= 20
+
+    def test_float_combine_matches_numpy(self):
+        # the kernel's float step lengths against the array code they replace:
+        # np.divide(-1, lam, where=not lam >= -1e-14) into inf, np.minimum with
+        # the orthant bound, then np.minimum(1, fraction * step); bit for bit,
+        # with NaN, signed zeros and infinities; lam = inf stands for an LP's
+        # missing PSD block (n = 0), whose step is the orthant bound
+        edge = -1e-14
+        lams = [math.nan, math.inf, -math.inf, 0.0, -0.0, edge, np.nextafter(edge, -1.0),
+                np.nextafter(edge, 0.0), -0.5, -1e300, 2.0]
+        bounds = [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 2.0, 1e-300]
+
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.uint64)
+
+        lam, bound = (np.array(v, dtype=float) for v in zip(*itertools.product(lams, bounds)))
+        psd = np.full(lam.shape, np.inf)
+        np.divide(-1.0, lam, out=psd, where=~(lam >= -1e-14))
+        expected = np.minimum(psd, bound)
+        steps = [_max_step_framed(a, b) for a, b in zip(lam.tolist(), bound.tolist())]
+        assert all(type(step) is float for step in steps)
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(steps), nan)
+        assert np.array_equal(bits(steps)[~nan], bits(expected)[~nan])
+        for fraction in (1.0, 0.99):
+            alphas = [_minimum(1.0, fraction * step) for step in steps]
+            expected_alphas = np.minimum(1.0, fraction * expected)
+            assert np.array_equal(np.isnan(alphas), nan)
+            assert np.array_equal(bits(alphas)[~nan], bits(expected_alphas)[~nan])
+        assert _max_step_framed(-2.0) == 0.5 and _max_step_framed(edge) == math.inf
 
 
 class TestBatchedStep:
@@ -381,6 +461,71 @@ class TestLapackEntryPoints:
                 with pytest.raises(np.linalg.LinAlgError):
                     linalg.solve(m, rhs)
                 assert np.geterr() == errstate
+
+    # each entry point with arguments it solves and arguments it fails on (a
+    # 3 x 3 NaN matrix fails eigvalsh, eigh and svd to converge)
+    _SPD, _NAN, _RHS = np.eye(3) + 0.5, np.full((3, 3), np.nan), np.ones(3)
+    ENTRY_POINTS = {"cholesky": (linalg.cholesky, (_SPD,), (np.diag([1.0, -1.0, 2.0]),)),
+                    "eigvalsh": (linalg.eigvalsh, (_SPD,), (_NAN,)),
+                    "eigh": (linalg.eigh, (_SPD,), (_NAN,)),
+                    "svd": (linalg.svd, (_SPD,), (_NAN,)),
+                    "solve": (linalg.solve, (_SPD, _RHS), (np.zeros((3, 3)), _RHS))}
+
+    @staticmethod
+    def _state():
+        return np.geterr(), np.geterrcall(), np.getbufsize()
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_error_state_is_restored(self, name):
+        # under a caller's own error state and buffer size, in a context of
+        # its own so that none of it outlives the test
+        call, good, bad = self.ENTRY_POINTS[name]
+
+        def check():
+            np.seterr(all="warn")
+            np.seterrcall(print)
+            np.setbufsize(2 * np.getbufsize())
+            state = self._state()
+            call(*good)
+            assert self._state() == state
+            with pytest.raises(np.linalg.LinAlgError):
+                call(*bad)
+            assert self._state() == state
+
+        contextvars.copy_context().run(check)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_outer_raise_state_does_not_leak_in(self, name):
+        # a failure raises LinAlgError, not FloatingPointError
+        call, good, bad = self.ENTRY_POINTS[name]
+        expected = call(*good)
+        with np.errstate(all="raise"):
+            result = call(*good)
+            with pytest.raises(np.linalg.LinAlgError):
+                call(*bad)
+        for ours, reference in zip(*(r if isinstance(r, tuple) else (r,)
+                                     for r in (result, expected))):
+            assert np.array_equal(ours, reference)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_failure_in_a_thread_leaves_the_caller_alone(self, name):
+        call, _, bad = self.ENTRY_POINTS[name]
+        outcome = []
+
+        def worker():
+            state = self._state()
+            try:
+                call(*bad)
+            except np.linalg.LinAlgError as error:
+                outcome.append((type(error), self._state() == state))
+
+        with np.errstate(all="raise"):
+            state = self._state()
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+            assert self._state() == state
+        assert outcome == [(np.linalg.LinAlgError, True)]
 
 
 class TestFactoredSchur:
