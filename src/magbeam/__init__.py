@@ -11,11 +11,10 @@ __version__ = "0.1.0"
 
 from .beamforming import (BeamformingSolution, PowerProfile, SolveOptions,
                           benchmark_uncoordinated, solve_p0, solve_p1,
-                          solve_p2_closed_form_single_rx, solve_relaxation,
-                          time_sharing_from_sdr)
+                          solve_p2_closed_form_single_rx)
 from .circuit import (Excitation, ImpedanceModel, Scenario, build_impedance,
                       constraint_slacks, delivered_powers, efficiency,
-                      rx_currents, tx_total_power, tx_voltages)
+                      tx_total_power, tx_voltages)
 from .errors import (EfficiencyUndefinedError, EstimationError,
                      InfeasibleError, MagbeamError, ScenarioError, SolverError)
 from .estimation import (EstimationResult, TrainingProtocol, TrainingRecord,
@@ -32,13 +31,12 @@ __all__ = [
     "__version__",
     # circuit
     "Scenario", "ImpedanceModel", "Excitation", "build_impedance",
-    "rx_currents", "delivered_powers", "tx_voltages",
+    "delivered_powers", "tx_voltages",
     "tx_total_power", "efficiency", "constraint_slacks",
     # beamforming
     "PowerProfile", "BeamformingSolution", "SolveOptions",
-    "solve_p2_closed_form_single_rx", "time_sharing_from_sdr",
-    "solve_relaxation", "solve_p1",
-    "solve_p0", "benchmark_uncoordinated",
+    "solve_p2_closed_form_single_rx", "solve_p1", "solve_p0",
+    "benchmark_uncoordinated",
     # region
     "PowerRegionPoint", "RegionSweep", "boundary_point", "sweep_region",
     # estimation

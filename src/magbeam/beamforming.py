@@ -2,7 +2,7 @@
 
 The delivered-power maximization for a fixed power-profile vector (P0) and
 the fixed-target TX sum-power minimization (P1) share one relaxation step
-(:func:`solve_relaxation`): one SDP in the current covariance X with a
+(:func:`_optimal_relaxation`): one SDP in the current covariance X with a
 delivery row per receiver, optionally the peak limits and, for P0, the
 delivered power t under the total power cap (maximize t subject to
 Tr(M_q X) >= d_q t, a bound on the optimum).  It is built, solved and
@@ -18,7 +18,8 @@ randomization, next to re-solves of the relaxation under a rank penalty.
 Every candidate schedule is scaled to the largest gain its limits allow.
 P0 keeps the one delivering the most profile-capped power; P1 keeps,
 among those reaching its target, the one needing the least TX power per
-profile-capped watt there, scaled down to the target.
+profile-capped watt there, scaled down to the target.  Only the winner
+carries the relaxation solved.
 """
 
 import math
@@ -135,7 +136,7 @@ def _model_for(scenario, model):
     return build_impedance(scenario) if model is None else model
 
 
-def make_solution(scenario, model, slots, method, sdr_rank=1, relaxation=None):
+def make_solution(scenario, model, slots, method, sdr_rank=1):
     """Assemble a solution record with time-averaged powers."""
     per_rx = np.zeros(scenario.n_rx)
     for exc, tau in slots:
@@ -143,7 +144,7 @@ def make_solution(scenario, model, slots, method, sdr_rank=1, relaxation=None):
     return BeamformingSolution(
         slots=tuple(slots), achieved_sum_power=float(per_rx.sum()),
         tx_power=_tx_power(model, slots), per_rx_power=per_rx, method=method,
-        sdr_rank=int(sdr_rank), relaxation=relaxation)
+        sdr_rank=int(sdr_rank))
 
 
 def _tx_power(model, slots):
@@ -151,8 +152,7 @@ def _tx_power(model, slots):
     return float(sum(tau * tx_total_power(model, exc) for exc, tau in slots))
 
 
-def zero_solution(scenario, model=None, method=METHOD_SDR_RANK1):
-    model = _model_for(scenario, model)
+def zero_solution(scenario, model, method=METHOD_SDR_RANK1):
     exc = Excitation(np.zeros(scenario.n_tx, dtype=complex))
     return make_solution(scenario, model, [(exc, 1.0)], method, sdr_rank=0)
 
@@ -194,13 +194,13 @@ def solve_p2_closed_form_single_rx(scenario, target_power, model=None):
     m = model.m_vectors[0]
     if np.linalg.norm(m) == 0.0:
         raise InfeasibleError("receiver is not coupled to any TX")
-    direction = m / scenario.tx_resistance
-    direction = direction / np.linalg.norm(direction)
     if target_power <= 0.0:
         return zero_solution(scenario, model, method=METHOD_CLOSED_FORM)
-    unit = make_solution(scenario, model, [(Excitation(direction), 1.0)],
-                         METHOD_CLOSED_FORM)
-    return _rescaled(scenario, model, unit, target_power / unit.achieved_sum_power)
+    direction = m / scenario.tx_resistance
+    slots = [(Excitation(direction / np.linalg.norm(direction)), 1.0)]
+    unit = make_solution(scenario, model, slots, METHOD_CLOSED_FORM)
+    return _scaled(scenario, model, slots, target_power / unit.achieved_sum_power,
+                   METHOD_CLOSED_FORM)
 
 
 def _peak_rows(scenario, model):
@@ -222,20 +222,13 @@ def _spectrum(x_star):
     return evals, evecs, numerical_rank(evals, _RANK_REL_TOL)
 
 
-def time_sharing_from_sdr(scenario, x_star, model=None):
-    """Realize an SDR matrix exactly by time-sharing its eigenvectors.
+def _time_shared(spectrum):
+    """Slots realizing the matrix with this spectrum exactly by time-sharing.
 
     Slot l runs the scaled eigenvector ``sqrt(sum_k lambda_k) v_l`` for the
     fraction ``lambda_l / sum_k lambda_k``; slot-averaged delivered and TX
     powers then reproduce the matrix traces identically.
     """
-    spectrum = _spectrum(x_star)
-    return make_solution(scenario, _model_for(scenario, model), _time_shared(spectrum),
-                         METHOD_TIME_SHARING, sdr_rank=spectrum[2])
-
-
-def _time_shared(spectrum):
-    """The slots of :func:`time_sharing_from_sdr` for the matrix with this spectrum."""
     evals, evecs, rank = spectrum
     if rank == 0:
         raise ValueError("cannot build a schedule from the zero matrix")
@@ -251,10 +244,15 @@ def rank_bound(n_rx, n_tx):
 
 
 def _relaxation_problem(scenario, profile, model, use_peaks, target_power=None):
-    """:func:`solve_relaxation`'s SDP: the delivery rows, P0's cap, the peak rows.
+    """The relaxation of P0, or of P1 at ``target_power``, as one SDP.
 
-    Its rows are the model's own factor blocks (``model.row_factors``), so
-    the relaxations of one model have the same rows for a warm start.
+    P0 maximizes t over (X, t >= 0) subject to ``Tr(M_q X) >= d_q t`` per
+    receiver (``d_q`` the per-watt floor; a zero share keeps its row) and
+    ``0.5 Tr(Bbar X) <= P_cap``; its optimal t bounds the profile-respecting
+    sum power.  P1 minimizes ``0.5 Tr(Bbar X)`` over the target's floors.
+    Both optionally keep every peak row; X is real exactly when the data
+    is.  Its rows are the model's own factor blocks (``model.row_factors``),
+    so the relaxations of one model have the same rows for a warm start.
     """
     n_rx = scenario.n_rx
     if target_power is None:
@@ -276,47 +274,24 @@ def _relaxation_problem(scenario, profile, model, use_peaks, target_power=None):
                       np.concatenate(rhs), linear_objective=c_u, linear=linear)
 
 
-def _relax(problem, start=None):
-    """:func:`solve_relaxation` of a built problem."""
+def _optimal_relaxation(scenario, profile, model, use_peaks, target_power=None, start=None):
+    """The relaxation's problem, optimal conic solution and spectrum, or a refusal:
+    ``InfeasibleError`` when infeasible (never P0: X = 0, t = 0 is feasible),
+    ``SolverError`` at any other status but optimal or, for P1 with peaks, at a
+    rank above :func:`rank_bound` (the solver stopped short).  A solve from
+    ``start``, the relaxation of another profile (same rows), that does not
+    end optimal is solved again cold."""
+    problem = _relaxation_problem(scenario, profile, model, use_peaks, target_power)
     conic = solve_sdp(problem, start=start)
     if start is not None and not conic.is_optimal:
         _debug("warm-started relaxation ended %s after %d iterations; "
                "solving it from the cold start", conic.status, conic.iterations)
         conic = solve_sdp(problem)
-    return conic, _spectrum(conic.x) if conic.is_optimal else None
-
-
-def solve_relaxation(scenario, profile, target_power=None, model=None,
-                     use_peak_constraints=True, start=None):
-    """The relaxation of P0, or of P1 at ``target_power``: one SDP, solved once.
-
-    P0 maximizes t over (X, t >= 0) subject to ``Tr(M_q X) >= d_q t`` per
-    receiver (``d_q`` the per-watt floor; a zero share keeps its row) and
-    ``0.5 Tr(Bbar X) <= P_cap``; its optimal t, ``conic.u[0]``, bounds the
-    profile-respecting sum power.  P1 minimizes ``0.5 Tr(Bbar X)`` over the
-    target's floors.  Both optionally keep every peak row; X is real exactly
-    when the data is.  Returns the conic solution and, when optimal, the
-    ``(eigenvalues, eigenvectors, rank)`` of X, else None.  A solve from
-    ``start``, the relaxation of another profile (same rows), that does not
-    end optimal is solved again cold.
-    """
-    model = _model_for(scenario, model)
-    _check_profile(scenario, profile)
-    problem = _relaxation_problem(scenario, profile, model, use_peak_constraints, target_power)
-    return _relax(problem, start)
-
-
-def _optimal_relaxation(scenario, profile, model, use_peaks, target_power=None, start=None):
-    """The relaxation's problem, optimal conic solution and spectrum, or a refusal:
-    ``InfeasibleError`` when infeasible (never P0: X = 0, t = 0 is feasible),
-    ``SolverError`` at any other status but optimal or, for P1 with peaks, at a
-    rank above :func:`rank_bound` (the solver stopped short)."""
-    problem = _relaxation_problem(scenario, profile, model, use_peaks, target_power)
-    conic, spectrum = _relax(problem, start)
     if conic.status == INFEASIBLE:
         raise InfeasibleError("delivery shares are unreachable")
     if not conic.is_optimal:
         raise SolverError(f"relaxation ended with status {conic.status}")
+    spectrum = _spectrum(conic.x)
     rank, bound = spectrum[2], rank_bound(scenario.n_rx, scenario.n_tx)
     if use_peaks and target_power is not None and rank > bound:
         raise SolverError(f"relaxed solution has rank {rank}, above the "
@@ -363,21 +338,15 @@ def _delivery_gain2(model, y, rhs):
     return need.max(axis=0, initial=0.0)
 
 
-def _rescaled(scenario, model, solution, gain2):
-    """The schedule with every slot's currents scaled by ``sqrt(gain2)``."""
-    return _scaled(scenario, model, solution.slots, gain2, solution.method,
-                   solution.sdr_rank, solution.relaxation)
-
-
-def _scaled(scenario, model, slots, gain2, method, sdr_rank, relaxation):
+def _scaled(scenario, model, slots, gain2, method, sdr_rank=1):
     """The solution of ``slots`` with every current scaled by ``sqrt(gain2)``."""
     mu = math.sqrt(gain2)
     return make_solution(scenario, model, [(Excitation(mu * exc.currents), tau)
                                            for exc, tau in slots],
-                         method, sdr_rank, relaxation)
+                         method, sdr_rank)
 
 
-def _at_limits(scenario, model, use_peaks, slots, method, sdr_rank=1, relaxation=None):
+def _at_limits(scenario, model, use_peaks, slots, method, sdr_rank=1):
     """The solution of ``slots`` scaled by the largest gain the cap (and peaks) allow.
 
     The total power cap binds the time-averaged TX power, each peak limit
@@ -387,7 +356,7 @@ def _at_limits(scenario, model, use_peaks, slots, method, sdr_rank=1, relaxation
     if use_peaks:
         currents = np.stack([exc.currents for exc, _ in slots], axis=1)
         gain2 = min(gain2, float(np.min(_peak_gain2(scenario, model, currents))))
-    return _scaled(scenario, model, slots, gain2, method, sdr_rank, relaxation)
+    return _scaled(scenario, model, slots, gain2, method, sdr_rank)
 
 
 def _reaches(solution, profile, target_power):
@@ -406,10 +375,11 @@ def _at_target(scenario, model, solution, profile, target_power):
     if not _reaches(solution, profile, target_power):
         raise InfeasibleError("the schedule falls short of the target within the limits")
     p = profile_capped_power(solution, profile)
-    return _rescaled(scenario, model, solution, min(1.0, target_power / p))
+    return _scaled(scenario, model, solution.slots, min(1.0, target_power / p),
+                   solution.method, solution.sdr_rank)
 
 
-def _time_sharing_lp(spectrum, scenario, profile, model, target_power=None, relaxation=None):
+def _time_sharing_lp(spectrum, scenario, profile, model, target_power=None):
     """Time-sharing over the eigendirections of a relaxed solution, at its limits.
 
     Slot l runs direction ``v_l`` at its peak gain ``g_l``
@@ -420,7 +390,7 @@ def _time_sharing_lp(spectrum, scenario, profile, model, target_power=None, rela
     to deliveries ``>= d_q t`` and the time-averaged cap (P0); with one it
     minimizes the TX power subject to the delivery floors, less the
     delivery tolerance (P1).  Time left over stretches every slot alike,
-    and the schedule is scaled to its limits, as a solution of ``relaxation``.
+    and the schedule is scaled to its limits.
     An infeasible LP raises ``InfeasibleError``.
     """
     _, evecs, rank = spectrum
@@ -451,13 +421,11 @@ def _time_sharing_lp(spectrum, scenario, profile, model, target_power=None, rela
     keep = np.flatnonzero(time > 1e-9 * time.sum())
     slots = [(Excitation(math.sqrt(gain2[l]) * vecs[:, l]), float(tau))
              for l, tau in zip(keep, time[keep] / time[keep].sum())]
-    return _at_limits(scenario, model, True, slots, METHOD_TIME_SHARING, n_slots, relaxation)
+    return _at_limits(scenario, model, True, slots, METHOD_TIME_SHARING, n_slots)
 
 
-def _gaussian_rounding(spectrum, scenario, profile, model, draws, seed, target_power=None,
-                       relaxation=None):
-    """The best Gaussian draw shaped by a relaxed solution's spectrum, at its
-    limits, as a solution of ``relaxation``.
+def _gaussian_rounding(spectrum, scenario, profile, model, draws, seed, target_power=None):
+    """The best Gaussian draw shaped by a relaxed solution's spectrum, at its limits.
 
     Every draw is scaled to the largest gain the cap and peaks allow.
     Without a target the draw delivering the most profile-capped power wins
@@ -484,7 +452,7 @@ def _gaussian_rounding(spectrum, scenario, profile, model, draws, seed, target_p
         gain2_at_target = np.minimum(target_power * need[ok], gain2[ok])
         best = int(ok[np.argmin(gain2_at_target * p_tx[ok])])
     return _at_limits(scenario, model, True, [(Excitation(y[:, best]), 1.0)],
-                      METHOD_RANDOMIZATION, rank, relaxation)
+                      METHOD_RANDOMIZATION, rank)
 
 
 def _debug(message, *args):
@@ -525,7 +493,7 @@ def _rank_penalized(problem, conic, spectrum, scenario, profile, model, use_peak
     (the first from ``conic``): only the objective changes, so the previous
     primal-dual pair is a warm start.  Each solution's principal
     eigenvector is scaled to its limits, up to the first solve that is not
-    optimal, as a solution of ``conic``.
+    optimal.
     """
     scale = 2.0 * abs(float(conic.value)) / float(np.trace(conic.x).real)
     v = spectrum[1][:, 0]
@@ -540,7 +508,7 @@ def _rank_penalized(problem, conic, spectrum, scenario, profile, model, use_peak
         _, evecs, rank = _spectrum(step.x)
         v = evecs[:, 0]
         sol = _at_limits(scenario, model, use_peaks, [(Excitation(v), 1.0)],
-                         METHOD_RANK_PENALTY, rank, conic)
+                         METHOD_RANK_PENALTY, rank)
         _debug("rank penalty %g: %s after %d iterations, rank %d, p %.9g W", lam,
                step.status, step.iterations, rank, profile_capped_power(sol, profile))
         schedules.append(sol)
@@ -551,22 +519,20 @@ def _candidates(scenario, profile, model, relaxation, options, target_power=None
     """Every schedule realizing or rounding a relaxed solution, each at its limits.
 
     ``relaxation`` is the problem, optimal solution and spectrum from
-    :func:`_optimal_relaxation`; every candidate is a solution of it.  An
+    :func:`_optimal_relaxation`.  An
     exact realization (:func:`_exact_realization`) is the one candidate
     when there is one.  Otherwise the roundings that ``options.method``
     selects run (a ``target_power`` selects P1's LP and draw rule),
     followed by the rank-penalized re-solves of the relaxation.
     """
-    use_peaks, (_, conic, spectrum) = options.use_peak_constraints, relaxation
+    use_peaks, spectrum = options.use_peak_constraints, relaxation[2]
     exact = _exact_realization(spectrum, use_peaks)
     if exact is not None:
-        return [_at_limits(scenario, model, use_peaks, *exact, conic)]
+        return [_at_limits(scenario, model, use_peaks, *exact)]
     candidates = _roundings(
-        options, lambda: _time_sharing_lp(spectrum, scenario, profile, model, target_power,
-                                          conic),
+        options, lambda: _time_sharing_lp(spectrum, scenario, profile, model, target_power),
         lambda: _gaussian_rounding(spectrum, scenario, profile, model,
-                                   options.randomization_draws, options.seed, target_power,
-                                   conic))
+                                   options.randomization_draws, options.seed, target_power))
     return candidates + _rank_penalized(*relaxation, scenario, profile, model, use_peaks)
 
 
@@ -584,14 +550,14 @@ def _within_limits(scenario, model, solution, use_peaks):
 def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=None):
     """Minimize TX sum power subject to per-RX delivery shares.
 
-    The relaxation (:func:`solve_relaxation`) is realized or rounded as in
+    The relaxation (:func:`_optimal_relaxation`) is realized or rounded as in
     :func:`solve_p0` (see :func:`_candidates`), every candidate at its
     limits.  Each candidate that reaches the target there is scaled down to
     it (:func:`_at_target`), and the one with the most profile-capped power
     per TX watt wins: the least TX power at the target, with a candidate
     short of the target by up to the delivery tolerance charged for its
     shortfall.  No such candidate raises ``InfeasibleError``.  The
-    schedule's ``relaxation`` is the relaxation solved.
+    winner's ``relaxation`` is the relaxation solved.
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
@@ -613,7 +579,8 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
                   for c in schedules if _reaches(c, profile, target_power)]
     if not candidates:
         raise InfeasibleError("no schedule meets the delivery shares within the limits")
-    return min(candidates, key=lambda c: c.tx_power / profile_capped_power(c, profile))
+    best = min(candidates, key=lambda c: c.tx_power / profile_capped_power(c, profile))
+    return replace(best, relaxation=relaxation[1])
 
 
 def _closed_form(scenario, target_power, model, use_peaks):
@@ -626,13 +593,13 @@ def _closed_form(scenario, target_power, model, use_peaks):
 def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None):
     """Maximize the delivered sum power for one power profile.
 
-    One joint relaxation (:func:`solve_relaxation`, started from ``start``, the
-    relaxation of another profile, when one is given) gives an upper bound;
-    its solution is realized or rounded (see :func:`_candidates`), every
-    candidate at its limits, and the one delivering the most
-    profile-respecting power wins.  Returns that power,
-    ``min_q per_rx_q / alpha_q``, and the schedule, whose ``relaxation``
-    is the relaxation solved (None for ``closed_form``).
+    One joint relaxation (:func:`_optimal_relaxation`, started from ``start``,
+    the relaxation of another profile, when one is given) gives an upper
+    bound; its solution is realized or rounded (see :func:`_candidates`),
+    every candidate at its limits, and the one delivering the most
+    profile-respecting power (or the zero schedule) wins.  Returns that
+    power, ``min_q per_rx_q / alpha_q``, and the schedule, whose
+    ``relaxation`` is the relaxation solved (None for ``closed_form``).
     """
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
@@ -646,12 +613,12 @@ def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None)
         best = _at_limits(scenario, model, False, closed.slots, closed.method)
         return profile_capped_power(best, profile), best
     relaxation = _optimal_relaxation(scenario, profile, model, use_peaks, start=start)
-    candidates = _candidates(scenario, profile, model, relaxation, options)
-    if not candidates:
-        return 0.0, replace(zero_solution(scenario, model), relaxation=relaxation[1])
+    # the zero schedule's profile-capped power is 0.0
+    candidates = (_candidates(scenario, profile, model, relaxation, options)
+                  or [zero_solution(scenario, model)])
     powers = [profile_capped_power(c, profile) for c in candidates]
     best = powers.index(max(powers))
-    return powers[best], candidates[best]
+    return powers[best], replace(candidates[best], relaxation=relaxation[1])
 
 
 def benchmark_uncoordinated(scenario, target_power=None, max_feasible=False,
@@ -673,7 +640,7 @@ def benchmark_uncoordinated(scenario, target_power=None, max_feasible=False,
     if target_power > 0 and ones.achieved_sum_power == 0.0:
         raise InfeasibleError("identical currents do not reach any receiver")
     gain2 = target_power / ones.achieved_sum_power if target_power > 0 else 0.0
-    sol = _rescaled(scenario, model, ones, gain2)
+    sol = _scaled(scenario, model, ones.slots, gain2, METHOD_BENCHMARK)
     if not _within_limits(scenario, model, sol, use_peak_constraints):
         raise InfeasibleError("target power unreachable with identical currents")
     return sol

@@ -221,12 +221,6 @@ def _check_dims(model: ImpedanceModel, exc: Excitation):
         raise ValueError(f"excitation has {exc.n_tx} entries, model expects {model.n_tx}")
 
 
-def rx_currents(scenario: Scenario, model: ImpedanceModel, exc: Excitation) -> np.ndarray:
-    """Receiver current phasors induced by a TX excitation."""
-    _check_dims(model, exc)
-    return (1j * scenario.omega / scenario.rx_resistance) * (model.m_vectors @ exc.currents)
-
-
 def delivered_powers(scenario: Scenario, model: ImpedanceModel, exc: Excitation) -> np.ndarray:
     """Vector of delivered powers for all receivers."""
     _check_dims(model, exc)

@@ -40,10 +40,10 @@ and the residuals and frames fill per-solve buffers: about 160 us an iteration
 on a 2-vCPU VM (README).
 
 What the rows are apart from their data, the map from factor columns to
-rows and the inner product's metric, is a :class:`RowMap`.  A re-solve of
-the same rows under another objective, rhs or row scaling (``solve_sdp``
-from a ``start``) passes the one its cold solve made in place of
-``factor_rows``; only the scaled operator is built again.
+rows and the inner product's metric, is the caller's :class:`RowMap`.  A
+re-solve of the same rows under another objective, rhs or row scaling
+(``solve_sdp`` from a ``start``) passes the one its cold solve made; only
+the scaled operator is built again.
 
 The dual is  max b.y  s.t.  sum_i y_i A_i + Z = C (Z PSD),
 a_lin^T y + z = c (z >= 0).  X is real or complex as its data are.
@@ -141,6 +141,12 @@ def _nt_scaling(xz):
     return r, r_inv, ss
 
 
+def _debug(message, *args):
+    """Log on the ``magbeam.conic`` logger at DEBUG."""
+    import logging  # here: `import magbeam` skips its 5 ms
+    logging.getLogger("magbeam.conic").debug(message, *args)
+
+
 def _factor_normal(m):
     """Solver for the (nominally SPD) normal matrix, with escalating jitter.
 
@@ -159,20 +165,16 @@ def _factor_normal(m):
             jitter = jitter * 100.0 if jitter else np.max(np.abs(np.diag(m))) * 1e-14
             continue
         if jitter:
-            import logging
-            logging.getLogger("magbeam.conic").debug("normal matrix needs jitter %.1e", jitter)
+            _debug("normal matrix needs jitter %.1e", jitter)
 
         def solve(rhs):
             try:
                 return linalg.solve(shifted, rhs)
             except np.linalg.LinAlgError:   # Cholesky passed, but LU met a zero pivot
-                import logging
-                logging.getLogger("magbeam.conic").debug("normal matrix singular in LU: "
-                                                         "least squares")
+                _debug("normal matrix singular in LU: least squares")
                 return least_squares(rhs)
         return solve
-    import logging
-    logging.getLogger("magbeam.conic").debug("normal matrix not factored: least squares")
+    _debug("normal matrix not factored: least squares")
     return least_squares
 
 
@@ -219,17 +221,16 @@ def row_map(factor_rows, k, n, p, dtype):
                   metric=np.concatenate([np.full(nr, weight), np.ones(p)]))
 
 
-def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
+def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
                      gap_tol=1e-8, feas_tol=1e-8, max_iter=100, start=None):
     """Run the interior-point iteration; see module docstring for the form.
 
     Row i's matrix is A_i = sum_j f_j f_j^H over the columns f_j of
-    ``a_factors`` (r x n, one column per array row) whose ``factor_rows``
-    entry is i.  ``factor_rows`` may also be the :class:`RowMap` made of
-    it, which a caller re-solving the same rows under new data or scales
-    makes once.  An LP has ``c_psd`` 0 x 0 and ``a_factors`` r x 0.  Each
-    iteration logs one line at DEBUG on ``magbeam.conic``, a child of the
-    ``magbeam`` logger.
+    ``a_factors`` (r x n, one column per array row) that ``rows``, the
+    :class:`RowMap` from :func:`row_map`, assigns to row i; a caller
+    re-solving the same rows under new data or scales makes it once.  An LP
+    has ``c_psd`` 0 x 0 and ``a_factors`` r x 0.  Each iteration logs one
+    line at DEBUG on ``magbeam.conic``, a child of the ``magbeam`` logger.
 
     ``start`` is an optional iterate ``(x, u, y, z_psd, z_lin)`` to start
     from instead of the scaled identity, typically the final iterate of a
@@ -258,8 +259,6 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, factor_rows,
     # are one operator, A(v) = a_met @ v and A^*(y) = y @ a_mat
     reals = 2 if dtype is complex else 1
     nr = reals * n * n
-    rows = factor_rows if isinstance(factor_rows, RowMap) \
-        else row_map(factor_rows, k, n, p, dtype)
     e, metric = rows.e, rows.metric
     if a_factors.shape != (e.shape[1], n) or e.shape[0] != k or metric.size != nr + p:
         raise ValueError("factor vectors do not match the rows")

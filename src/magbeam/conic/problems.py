@@ -250,7 +250,7 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     res = kernel.solve_mixed_cone(
         c_psd=objective / (2.0 * weight * obj_scale),
         c_lin=np.concatenate([c_u, np.zeros(a_lin.shape[1] - c_u.size)]) / obj_scale,
-        a_factors=a_factors, a_lin=a_lin, b=rhs / scales, factor_rows=rows.row_map,
+        a_factors=a_factors, a_lin=a_lin, b=rhs / scales, rows=rows.row_map,
         gap_tol=tolerances.rel_gap, feas_tol=tolerances.feasibility,
         max_iter=tolerances.max_iterations,
         start=None if start is None else start.iterate)

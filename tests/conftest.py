@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from magbeam import beamforming
 from magbeam.circuit import Scenario, build_impedance
 from magbeam.scenario import table_scenario
 
@@ -70,3 +71,26 @@ def random_excitation(rng, n):
 def row_matrices(problem):
     """Each row's matrix of an ``SdpProblem``: F^T conj(F) = sum_j f_j f_j^H over its block."""
     return np.stack([f.T @ f.conj() for f in problem.factors])
+
+
+def relax(scenario, profile, target_power=None, model=None, use_peak_constraints=True):
+    """The relaxation of P0, or of P1 at ``target_power``, solved once from the
+    cold start: its conic solution and, when optimal, its spectrum
+    ``(eigenvalues, eigenvectors, rank)``, else None.
+
+    The solve and the spectrum go through ``beamforming.solve_sdp`` and
+    ``beamforming._spectrum``, so a test's patches of either see them.
+    """
+    model = build_impedance(scenario) if model is None else model
+    problem = beamforming._relaxation_problem(scenario, profile, model,
+                                              use_peak_constraints, target_power)
+    conic = beamforming.solve_sdp(problem)
+    return conic, beamforming._spectrum(conic.x) if conic.is_optimal else None
+
+
+def time_shared(scenario, x_star, model=None):
+    """The schedule realizing ``x_star`` exactly by time-sharing its eigenvectors."""
+    spectrum = beamforming._spectrum(x_star)
+    model = build_impedance(scenario) if model is None else model
+    return beamforming.make_solution(scenario, model, beamforming._time_shared(spectrum),
+                                     beamforming.METHOD_TIME_SHARING, sdr_rank=spectrum[2])

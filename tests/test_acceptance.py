@@ -16,13 +16,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_scenario
+from conftest import random_scenario, relax, time_shared
 from magbeam.beamforming import (PowerProfile, SolveOptions, _at_target,
                                  _gaussian_rounding, _time_sharing_lp,
                                  benchmark_uncoordinated, delivery_rhs,
                                  profile_capped_power, rank_bound, solve_p0,
-                                 solve_p1, solve_p2_closed_form_single_rx,
-                                 solve_relaxation, time_sharing_from_sdr)
+                                 solve_p1, solve_p2_closed_form_single_rx)
 from magbeam.circuit import (Excitation, build_impedance, constraint_slacks,
                              delivered_powers, efficiency, tx_total_power,
                              tx_voltages)
@@ -96,8 +95,8 @@ def test_criterion_2_single_rx_constrained_maximum(tabletop_miso, miso_model):
                            model=miso_model)
     crit.check("maximum reaches the 56 W reference", p_star >= 56.0 * (1 - 0.02),
                f"got {p_star:.6g}")
-    bound = float(solve_relaxation(tabletop_miso, PowerProfile([1.0]),
-                                   model=miso_model)[0].u[0])
+    bound = float(relax(tabletop_miso, PowerProfile([1.0]),
+                        model=miso_model)[0].u[0])
     crit.check("maximum meets the relaxation bound",
                bound * (1 - 1e-5) <= p_star <= bound * (1 + 1e-6),
                f"got {p_star:.8g}, bound {bound:.8g}")
@@ -253,7 +252,7 @@ def test_criterion_5_rank_certificates(tabletop):
                          float(np.min(sc.peak_current / np.abs(direction))))
         probe = float(delivered_powers(sc, model,
                                        Excitation(beta * direction))[0])
-        conic, spectrum = solve_relaxation(sc, PowerProfile([1.0]), probe, model)
+        conic, spectrum = relax(sc, PowerProfile([1.0]), probe, model)
         rank = spectrum[2] if conic.is_optimal else 0
         crit.check(f"single-RX trial {trial} solved", conic.is_optimal,
                    conic.status)
@@ -278,7 +277,7 @@ def test_criterion_5_rank_certificates(tabletop):
                "rank-one per Q: " + ", ".join(
                    f"Q={q}: {ok}/{n}" for q, (ok, n) in by_q.items()))
 
-    conic, (_, _, rank) = solve_relaxation(tabletop, FOUR_USER_PROFILE, 5.0)
+    conic, (_, _, rank) = relax(tabletop, FOUR_USER_PROFILE, 5.0)
     crit.check("four-user reference profile rank two",
                conic.is_optimal and rank == 2, f"rank {rank}")
     crit.check("four-user bound", rank <= rank_bound(4, 5), f"rank {rank}")
@@ -293,7 +292,7 @@ def test_criterion_6_time_sharing_identities():
         model = build_impedance(sc)
         basis = rng.standard_normal((sc.n_tx, min(3, sc.n_tx)))
         x_star = basis @ basis.T
-        sol = time_sharing_from_sdr(sc, x_star, model)
+        sol = time_shared(sc, x_star, model)
         w2 = sc.omega ** 2
         for q in range(sc.n_rx):
             want = (w2 / (2 * sc.rx_resistance[q])
@@ -361,7 +360,7 @@ def test_criterion_8_four_user_comparison(tabletop):
     compared = 0
     for frac in (0.2, 0.4, 0.6, 0.8, 0.95):
         target = frac * p_ref
-        conic, spectrum = solve_relaxation(tabletop, FOUR_USER_PROFILE, target, model)
+        conic, spectrum = relax(tabletop, FOUR_USER_PROFILE, target, model)
         if not conic.is_optimal:
             continue
         try:
@@ -477,8 +476,8 @@ def test_criterion_10_property_suites():
         sc = random_scenario(rng, n_rx=int(rng.integers(1, 3)))
         model = build_impedance(sc)
         profile = PowerProfile.normalized(rng.uniform(0.1, 1.0, sc.n_rx))
-        conic, spectrum = solve_relaxation(sc, profile, 0.5, model,
-                                           use_peak_constraints=False)
+        conic, spectrum = relax(sc, profile, 0.5, model,
+                                use_peak_constraints=False)
         if not conic.is_optimal:
             continue
         rand = _at_target(sc, model, _gaussian_rounding(

@@ -4,16 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_scenario, row_matrices
+from conftest import random_scenario, relax, row_matrices, time_shared
 from magbeam import beamforming
 from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits, _at_target,
                                  _gaussian_rounding, _peak_rows, _rank_penalized,
-                                 _relaxation_problem, _rescaled, _roundings,
+                                 _relaxation_problem, _roundings, _scaled,
                                  _time_sharing_lp, _within_limits,
                                  benchmark_uncoordinated,
                                  delivery_rhs, profile_capped_power, rank_bound,
-                                 solve_p0, solve_p1, solve_p2_closed_form_single_rx,
-                                 solve_relaxation, time_sharing_from_sdr)
+                                 solve_p0, solve_p1, solve_p2_closed_form_single_rx)
 from magbeam.circuit import (Excitation, Scenario, build_impedance,
                              constraint_slacks, delivered_powers,
                              tx_total_power, tx_voltages)
@@ -122,8 +121,8 @@ class TestClosedFormSingleRx:
 
 class TestRelaxationWithoutPeaks:
     def test_single_rx_matches_closed_form(self, tabletop_miso, miso_model):
-        conic, (_, _, rank) = solve_relaxation(tabletop_miso, PowerProfile([1.0]), 1.0,
-                                               miso_model, use_peak_constraints=False)
+        conic, (_, _, rank) = relax(tabletop_miso, PowerProfile([1.0]), 1.0,
+                                    miso_model, use_peak_constraints=False)
         closed = solve_p2_closed_form_single_rx(tabletop_miso, 1.0, miso_model)
         assert conic.is_optimal and rank == 1
         assert conic.value == pytest.approx(closed.tx_power, rel=1e-6)
@@ -134,8 +133,8 @@ class TestRelaxationWithoutPeaks:
         for trial in range(20):
             sc = random_scenario(rng, n_rx=int(rng.integers(1, 3)))
             profile = PowerProfile.normalized(rng.uniform(0.05, 1.0, sc.n_rx))
-            conic, spectrum = solve_relaxation(sc, profile, 1.0,
-                                               use_peak_constraints=False)
+            conic, spectrum = relax(sc, profile, 1.0,
+                                    use_peak_constraints=False)
             assert conic.is_optimal, f"trial {trial}: {conic.status}"
             rank = spectrum[2]
             assert rank == 1, f"trial {trial}: rank {rank}"
@@ -149,11 +148,11 @@ class TestRelaxationWithoutPeaks:
         for _ in range(25):
             sc = random_scenario(rng, n_rx=3)
             profile = PowerProfile.normalized(rng.uniform(0.05, 1.0, 3))
-            conic, spectrum = solve_relaxation(sc, profile, 1.0,
-                                               use_peak_constraints=False)
+            conic, spectrum = relax(sc, profile, 1.0,
+                                    use_peak_constraints=False)
             assert conic.is_optimal
             if spectrum[2] == 2:
-                sol = time_sharing_from_sdr(sc, conic.x)
+                sol = time_shared(sc, conic.x)
                 assert len(sol.slots) == 2
                 # the schedule reproduces the full matrix's power exactly;
                 # against the reported objective only solver wiggle remains
@@ -169,8 +168,8 @@ class TestRelaxationWithoutPeaks:
         # with a zero share on the second receiver the optimum matches the
         # single-delivery closed form evaluated on the same two-user circuit
         model = build_impedance(tabletop_two_user)
-        conic2, _ = solve_relaxation(tabletop_two_user, PowerProfile([1.0, 0.0]), 2.0,
-                                     model, use_peak_constraints=False)
+        conic2, _ = relax(tabletop_two_user, PowerProfile([1.0, 0.0]), 2.0,
+                          model, use_peak_constraints=False)
         rhs1 = delivery_rhs(tabletop_two_user, PowerProfile([1.0, 0.0]), 2.0)[0]
         ell = np.linalg.inv(np.linalg.cholesky(model.b_bar))
         m_vec = model.m_vectors[0]
@@ -182,13 +181,13 @@ class TestRelaxationWithoutPeaks:
 class TestTimeSharing:
     def test_rank_one_single_slot(self, tabletop_miso, miso_model):
         x = np.outer([0.1, 0.2, 0.0, 0.0, 0.05], [0.1, 0.2, 0.0, 0.0, 0.05])
-        sol = time_sharing_from_sdr(tabletop_miso, x, miso_model)
+        sol = time_shared(tabletop_miso, x, miso_model)
         assert len(sol.slots) == 1
         assert sol.slots[0][1] == pytest.approx(1.0)
 
     def test_equal_eigenvalues(self):
         sc = random_scenario(np.random.default_rng(21), n_tx=2, n_rx=1)
-        sol = time_sharing_from_sdr(sc, np.diag([2.0, 2.0]))
+        sol = time_shared(sc, np.diag([2.0, 2.0]))
         assert len(sol.slots) == 2
         assert [tau for _, tau in sol.slots] == pytest.approx([0.5, 0.5])
         for exc, _ in sol.slots:
@@ -201,7 +200,7 @@ class TestTimeSharing:
             model = build_impedance(sc)
             basis = rng.standard_normal((4, 3))
             x = basis @ basis.T
-            sol = time_sharing_from_sdr(sc, x, model)
+            sol = time_shared(sc, x, model)
             w2 = sc.omega ** 2
             for q in range(sc.n_rx):
                 trace_val = (w2 / (2 * sc.rx_resistance[q])
@@ -213,29 +212,29 @@ class TestTimeSharing:
 
     def test_zero_matrix_rejected(self, tabletop_miso, miso_model):
         with pytest.raises(ValueError):
-            time_sharing_from_sdr(tabletop_miso, np.zeros((5, 5)), miso_model)
+            time_shared(tabletop_miso, np.zeros((5, 5)), miso_model)
 
 
 class TestRelaxationWithPeaks:
     def test_single_rx_rank_one(self, tabletop_miso, miso_model):
-        conic, (_, _, rank) = solve_relaxation(tabletop_miso, PowerProfile([1.0]), 20.0,
-                                               miso_model)
+        conic, (_, _, rank) = relax(tabletop_miso, PowerProfile([1.0]), 20.0,
+                                    miso_model)
         assert conic.is_optimal and rank == 1
 
     def test_four_user_reference_profile_rank_two(self, tabletop):
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
-        conic, (_, _, rank) = solve_relaxation(tabletop, profile, 5.0)
+        conic, (_, _, rank) = relax(tabletop, profile, 5.0)
         assert conic.is_optimal and rank == 2
 
     def test_zero_target(self, tabletop_miso, miso_model):
-        conic, _ = solve_relaxation(tabletop_miso, PowerProfile([1.0]), 0.0,
-                                    miso_model)
+        conic, _ = relax(tabletop_miso, PowerProfile([1.0]), 0.0,
+                         miso_model)
         assert conic.is_optimal
         assert conic.value == pytest.approx(0.0, abs=1e-6)
 
     def test_infeasible_target_detected(self, tabletop_miso, miso_model):
-        conic, _ = solve_relaxation(tabletop_miso, PowerProfile([1.0]), 70.0,
-                                    miso_model)
+        conic, _ = relax(tabletop_miso, PowerProfile([1.0]), 70.0,
+                         miso_model)
         assert conic.status != "optimal"
 
     def test_rank_bound_formula(self):
@@ -263,7 +262,7 @@ class TestRelaxationWithPeaks:
 
         monkeypatch.setattr(beamforming, "solve_sdp", spy)
         sc = random_scenario(np.random.default_rng(30), n_tx=30, n_rx=4)
-        sol, _ = solve_relaxation(sc, PowerProfile.uniform(4))
+        sol, _ = relax(sc, PowerProfile.uniform(4))
         prob, = seen
         assert sol.is_optimal and np.iscomplexobj(sol.x)
         mats = row_matrices(prob)
@@ -286,7 +285,7 @@ class TestRelaxationWithPeaks:
 class TestTimeSharingLp:
     def test_rank_one_input_single_slot(self, tabletop_miso, miso_model):
         profile = PowerProfile([1.0])
-        conic, spectrum = solve_relaxation(tabletop_miso, profile, 10.0, miso_model)
+        conic, spectrum = relax(tabletop_miso, profile, 10.0, miso_model)
         assert spectrum[2] == 1
         sol = _at_target(tabletop_miso, miso_model, _time_sharing_lp(
             spectrum, tabletop_miso, profile, miso_model, 10.0), profile, 10.0)
@@ -297,7 +296,7 @@ class TestTimeSharingLp:
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
         model = build_impedance(tabletop)
         for target in [3.0, 5.0, 7.0]:
-            conic, spectrum = solve_relaxation(tabletop, profile, target, model)
+            conic, spectrum = relax(tabletop, profile, target, model)
             assert conic.is_optimal and spectrum[2] >= 2
             ts = _at_target(tabletop, model, _time_sharing_lp(
                 spectrum, tabletop, profile, model, target), profile, target)
@@ -376,7 +375,7 @@ class TestTimeSharingLp:
             return mixed_cone(**kwargs)
 
         for profile, target in cases:
-            spectrum = solve_relaxation(sc, profile, target, model)[1]
+            spectrum = relax(sc, profile, target, model)[1]
             expected = self._per_tx_reference(spectrum, sc, profile, model, target)
             with monkeypatch.context() as m:
                 m.setattr(beamforming, "solve_sdp", solve_spy)
@@ -392,7 +391,7 @@ class TestTimeSharingLp:
     def test_zero_time_slots_dropped(self, tabletop):
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
         model = build_impedance(tabletop)
-        _, spectrum = solve_relaxation(tabletop, profile, 5.0, model)
+        _, spectrum = relax(tabletop, profile, 5.0, model)
         sol = _at_target(tabletop, model, _time_sharing_lp(
             spectrum, tabletop, profile, model, 5.0), profile, 5.0)
         assert all(tau > 1e-9 for _, tau in sol.slots)
@@ -416,7 +415,7 @@ class TestRandomization:
 
     def test_converges_to_relaxation_value(self, tabletop_miso, miso_model):
         profile = PowerProfile([1.0])
-        conic, spectrum = solve_relaxation(tabletop_miso, profile, 20.0, miso_model)
+        conic, spectrum = relax(tabletop_miso, profile, 20.0, miso_model)
         assert spectrum[2] == 1
         sol = _at_target(tabletop_miso, miso_model, _gaussian_rounding(
             spectrum, tabletop_miso, profile, miso_model, 4000, 0, 20.0), profile, 20.0)
@@ -425,7 +424,7 @@ class TestRandomization:
     def test_deterministic_for_fixed_seed(self, tabletop):
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
         model = build_impedance(tabletop)
-        _, spectrum = solve_relaxation(tabletop, profile, 5.0, model)
+        _, spectrum = relax(tabletop, profile, 5.0, model)
         a = _at_target(tabletop, model, _gaussian_rounding(
             spectrum, tabletop, profile, model, 4000, 7, 5.0), profile, 5.0)
         b = _at_target(tabletop, model, _gaussian_rounding(
@@ -506,7 +505,7 @@ class TestSolveP1Dispatch:
             assert profile_capped_power(sol, profile) >= p_star * (1 - 1e-5)
         with pytest.raises(InfeasibleError):
             solve_p1(tabletop, profile, 1.01 * p_star, model=model)
-        assert solve_relaxation(tabletop, profile, 1.01 * p_star, model)[0].status == \
+        assert relax(tabletop, profile, 1.01 * p_star, model)[0].status == \
             "infeasible"
 
     def test_every_target_below_the_maximum_is_met(self, tabletop):
@@ -633,7 +632,7 @@ class TestBoundaryMaximum:
     def test_pinned_two_user_point_meets_bound(self, tabletop_two_user):
         profile = PowerProfile([0.35, 0.65])
         p_star, _ = solve_p0(tabletop_two_user, profile)
-        bound = solve_relaxation(tabletop_two_user, profile)[0].u[0]
+        bound = relax(tabletop_two_user, profile)[0].u[0]
         assert p_star >= 73.28
         assert p_star == pytest.approx(bound, rel=1e-5)
 
@@ -650,9 +649,9 @@ class TestBoundaryMaximum:
         model = build_impedance(tabletop)
         p_star, sol = solve_p0(tabletop, profile, options=NO_PEAKS,
                                model=model)
-        conic, _ = solve_relaxation(tabletop, profile, model=model, use_peak_constraints=False)
+        conic, _ = relax(tabletop, profile, model=model, use_peak_constraints=False)
         assert len(sol.slots) == 1 and sol.sdr_rank == 2
-        unit = time_sharing_from_sdr(tabletop, conic.x, model)
+        unit = time_shared(tabletop, conic.x, model)
         shared = _at_limits(tabletop, model, False, unit.slots, unit.method, unit.sdr_rank)
         assert len(shared.slots) == 2
         assert p_star == pytest.approx(profile_capped_power(shared, profile),
@@ -682,8 +681,8 @@ class TestBoundaryMaximum:
         for k, profile in enumerate(two_user_profiles(40)):
             p_star, sol = solve_p0(sc, profile, options=options,
                                    model=model)
-            conic, _ = solve_relaxation(sc, profile, model=model,
-                                        use_peak_constraints=use_peaks)
+            conic, _ = relax(sc, profile, model=model,
+                             use_peak_constraints=use_peaks)
             bound = conic.u[0]
             assert p_star <= bound * (1 + 1e-6)
             assert p_star >= floors.get(k, 0.0)
@@ -720,7 +719,7 @@ class TestRankPenalty:
         values = []
         for k in self.FALLBACK:
             profile = two_user_profiles(40)[k]
-            conic, spectrum = solve_relaxation(sc, profile, model=model)
+            conic, spectrum = relax(sc, profile, model=model)
             problem = _relaxation_problem(sc, profile, model, use_peaks=True)
             schedules = _rank_penalized(problem, conic, spectrum, sc, profile, model, True)
             assert len(schedules) == 6
@@ -785,11 +784,11 @@ class TestRankPenalty:
         # relaxation reaches the target within the limits, the penalty does
         profile = PowerProfile.uniform(4)
         model = build_impedance(tabletop)
-        conic, spectrum = solve_relaxation(tabletop, profile, 12.0, model)
+        conic, spectrum = relax(tabletop, profile, 12.0, model)
         problem = _relaxation_problem(tabletop, profile, model, True, 12.0)
         schedules = _rank_penalized(problem, conic, spectrum, tabletop, profile, model, True)
-        scaled = [_rescaled(tabletop, model, s, 12.0 / profile_capped_power(s, profile))
-                  for s in schedules]
+        scaled = [_scaled(tabletop, model, s.slots, 12.0 / profile_capped_power(s, profile),
+                          s.method, s.sdr_rank) for s in schedules]
         assert any(_within_limits(tabletop, model, s, True) for s in scaled)
 
     def test_swallowed_rounding_is_logged(self, caplog):
@@ -808,8 +807,8 @@ class TestWarmStartedRelaxation:
 
     def test_zero_share_keeps_the_rows(self, tabletop_two_user):
         model = build_impedance(tabletop_two_user)
-        corner, _ = solve_relaxation(tabletop_two_user, PowerProfile([0.0, 1.0]), model=model)
-        inner, _ = solve_relaxation(tabletop_two_user, PowerProfile([0.5, 0.5]), model=model)
+        corner, _ = relax(tabletop_two_user, PowerProfile([0.0, 1.0]), model=model)
+        inner, _ = relax(tabletop_two_user, PowerProfile([0.5, 0.5]), model=model)
         assert corner.duals.size == inner.duals.size == 2 + 1 + 2 * 5
 
     def test_failed_warm_start_is_retried_cold(self, tabletop_two_user, monkeypatch,
@@ -817,7 +816,7 @@ class TestWarmStartedRelaxation:
         sc = tabletop_two_user
         model = build_impedance(sc)
         profile = PowerProfile([0.3, 0.7])
-        start, _ = solve_relaxation(sc, PowerProfile([0.275, 0.725]), model=model)
+        start, _ = relax(sc, PowerProfile([0.275, 0.725]), model=model)
         cold_p, cold = solve_p0(sc, profile, model=model)
         solve = beamforming.solve_sdp
         warm_iterations = []
@@ -852,7 +851,7 @@ class TestWarmStartedRelaxation:
                              mutual_tx_tx=sc.mutual_tx_tx[np.ix_(order, order)],
                              peak_voltage=sc.peak_voltage[order],
                              peak_current=sc.peak_current[order])
-        start, _ = solve_relaxation(relabelled, PowerProfile([0.275, 0.725]))
+        start, _ = relax(relabelled, PowerProfile([0.275, 0.725]))
         model = build_impedance(sc)
         profile = PowerProfile([0.3, 0.7])
         cold_p, cold = solve_p0(sc, profile, model=model)
@@ -874,8 +873,8 @@ class TestWarmStartedRelaxation:
         sc = tabletop_two_user
         mutual = sc.mutual_tx_rx.copy()
         mutual[:, 0] = 0.0
-        zeroed, _ = solve_relaxation(replace(sc, mutual_tx_rx=mutual), PowerProfile([0.0, 1.0]))
-        alone, _ = solve_relaxation(select_receivers(sc, [1]), PowerProfile([1.0]))
+        zeroed, _ = relax(replace(sc, mutual_tx_rx=mutual), PowerProfile([0.0, 1.0]))
+        alone, _ = relax(select_receivers(sc, [1]), PowerProfile([1.0]))
         assert zeroed.is_optimal and alone.is_optimal
         assert zeroed.iterations <= alone.iterations
         assert zeroed.u[0] == pytest.approx(alone.u[0], rel=1e-8)
@@ -908,6 +907,80 @@ class TestWarmStartedRelaxation:
             assert replaced.is_optimal
             assert (replaced.value, replaced.iterations) == (built.value, built.iterations)
             np.testing.assert_array_equal(replaced.x, built.x)
+
+
+class TestRelaxationAttachPoint:
+    """P0 and P1 attach the relaxation they solved to the winner, whatever its method."""
+
+    FOUR_USER = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The conic solution of every relaxation solved, in order."""
+        conics, optimal = [], beamforming._optimal_relaxation
+
+        def spy(*args, **kwargs):
+            relaxation = optimal(*args, **kwargs)
+            conics.append(relaxation[1])
+            return relaxation
+
+        monkeypatch.setattr(beamforming, "_optimal_relaxation", spy)
+        return conics
+
+    @staticmethod
+    def _without_rank_penalty(monkeypatch):
+        # the rank-penalized re-solves win wherever a rounding runs on these
+        # scenarios; without them the rounding itself wins
+        monkeypatch.setattr(beamforming, "_RANK_PENALTY_WEIGHTS", ())
+
+    def test_p0_exact_and_rank_penalty(self, tabletop_two_user, solved):
+        for alpha, method in ((0.35, "sdr_rank1"), (0.55, "rank_penalty")):
+            _, sol = solve_p0(tabletop_two_user, PowerProfile([alpha, 1.0 - alpha]))
+            assert sol.method == method
+            assert sol.relaxation is solved[-1]
+        assert len(solved) == 2
+
+    def test_p0_time_sharing_without_peaks(self, solved):
+        # each RX coupled to one TX alone: every X with the optimal diagonal
+        # is optimal, and the solver returns the full-rank centre, diagonal X
+        sc = Scenario(n_tx=3, n_rx=3, omega=1e7, tx_resistance=[10.0] * 3,
+                      rx_parasitic=[0.5] * 3, rx_load=[10.0] * 3,
+                      mutual_tx_rx=1e-6 * np.eye(3), mutual_tx_tx=np.zeros((3, 3)),
+                      total_power_cap=10.0, peak_voltage=[50.0] * 3, peak_current=[5.0] * 3)
+        _, sol = solve_p0(sc, PowerProfile.uniform(3), NO_PEAKS)
+        assert (sol.method, sol.sdr_rank) == ("time_sharing", 3)
+        assert sol.relaxation is solved[-1]
+
+    @pytest.mark.parametrize("method", ["ts", "randomization"])
+    def test_p0_and_p1_roundings(self, tabletop, tabletop_two_user, solved, monkeypatch,
+                                 method):
+        self._without_rank_penalty(monkeypatch)
+        options = SolveOptions(method=method)
+        _, p0 = solve_p0(tabletop_two_user, two_user_profiles(40)[22], options)
+        p1 = solve_p1(tabletop, self.FOUR_USER, 5.0, options)
+        expected = "time_sharing" if method == "ts" else "randomization"
+        assert (p0.method, p1.method) == (expected, expected)
+        assert p0.relaxation is solved[0] and p1.relaxation is solved[1]
+
+    def test_p0_without_candidates(self, tabletop_two_user, solved, monkeypatch):
+        monkeypatch.setattr(beamforming, "_candidates", lambda *args, **kwargs: [])
+        p_star, sol = solve_p0(tabletop_two_user, PowerProfile([0.5, 0.5]))
+        assert p_star == 0.0 and sol.sdr_rank == 0
+        assert not np.any(sol.excitation.currents)
+        assert sol.relaxation is solved[-1]
+
+    def test_no_relaxation_without_a_solve(self, tabletop_miso, miso_model, solved):
+        closed = SolveOptions(use_peak_constraints=False, method="closed_form")
+        profile = PowerProfile([1.0])
+        solutions = [solve_p1(tabletop_miso, profile, 1.0, closed, miso_model),
+                     solve_p0(tabletop_miso, profile, closed, miso_model)[1],
+                     benchmark_uncoordinated(tabletop_miso, target_power=0.1,
+                                             model=miso_model),
+                     benchmark_uncoordinated(tabletop_miso, max_feasible=True,
+                                             model=miso_model),
+                     solve_p1(tabletop_miso, profile, 0.0, model=miso_model)]
+        assert [s.relaxation for s in solutions] == [None] * 5
+        assert not solved
 
 
 class TestSolveOptions:
@@ -981,8 +1054,8 @@ class TestSandwichProperty:
             sc = random_scenario(rng, n_rx=int(rng.integers(1, 3)))
             model = build_impedance(sc)
             profile = PowerProfile.normalized(rng.uniform(0.1, 1.0, sc.n_rx))
-            conic, spectrum = solve_relaxation(sc, profile, 0.5, model,
-                                               use_peak_constraints=False)
+            conic, spectrum = relax(sc, profile, 0.5, model,
+                                    use_peak_constraints=False)
             assert conic.is_optimal
             # any feasible rank-one point costs at least the relaxed value
             rhs = delivery_rhs(sc, profile, 0.5)

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_excitation, random_scenario
 from magbeam.circuit import (Excitation, Scenario, SlackReport, build_impedance,
                              constraint_slacks, delivered_powers, efficiency,
-                             rx_currents, tx_total_power, tx_voltages)
+                             tx_total_power, tx_voltages)
 from magbeam.errors import EfficiencyUndefinedError, ScenarioError
 
 W_TABLE = 42.6e6
@@ -79,24 +79,29 @@ class TestBuildImpedance:
 
 
 class TestRxCurrents:
+    """The receiver current |i_rx| = w |m . i| / R_rx, read off the delivered
+    power p = 0.5 R_rx |i_rx|^2 times the load's share of the coil."""
+
     def test_zero_current(self, tabletop_miso, miso_model):
         exc = Excitation(np.zeros(5))
-        assert np.all(rx_currents(tabletop_miso, miso_model, exc) == 0)
+        assert np.all(delivered_powers(tabletop_miso, miso_model, exc) == 0)
 
     def test_identical_current_magnitude(self, tabletop_miso, miso_model):
         # 0.0631 A on all five TXs, aggregate coupling 0.79488 uH
         exc = Excitation(np.full(5, 0.0631, dtype=complex))
-        i_rx = rx_currents(tabletop_miso, miso_model, exc)
+        p = delivered_powers(tabletop_miso, miso_model, exc)
+        i_rx = math.sqrt(2.0 * p[0] / (R_RX * tabletop_miso.rx_power_factor[0]))
         expect = W_TABLE * 0.79488e-6 / R_RX * 0.0631
-        assert abs(i_rx[0]) == pytest.approx(expect, rel=1e-9)
-        assert abs(i_rx[0]) == pytest.approx(0.2028, abs=2e-4)
+        assert i_rx == pytest.approx(expect, rel=1e-9)
+        assert i_rx == pytest.approx(0.2028, abs=2e-4)
 
     def test_linearity(self, tabletop, rng=np.random.default_rng(1)):
+        # currents scale with the TX currents, so powers with their square
         model = build_impedance(tabletop)
         cur = random_excitation(rng, 5)
-        one = rx_currents(tabletop, model, Excitation(cur))
-        two = rx_currents(tabletop, model, Excitation(2.0 * cur))
-        assert np.allclose(two, 2.0 * one, rtol=1e-13)
+        one = delivered_powers(tabletop, model, Excitation(cur))
+        two = delivered_powers(tabletop, model, Excitation(2.0 * cur))
+        assert np.allclose(two, 4.0 * one, rtol=1e-13)
 
 
 class TestDeliveredPower:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import relax
 from magbeam import beamforming, cli, estimation, region
 from magbeam.circuit import (Excitation, build_impedance, constraint_slacks,
                              delivered_powers, tx_total_power)
@@ -504,8 +505,8 @@ class TestHookPoints:
         assert main(["beamform", TABLE, "--alpha", "0.25,0.25,0.25,0.25",
                      "--target-power", "2"]) == 0
         (sol,) = solutions
-        conic, _ = beamforming.solve_relaxation(load_scenario(TABLE),
-                                                beamforming.PowerProfile.uniform(4), 2.0)
+        conic, _ = relax(load_scenario(TABLE),
+                         beamforming.PowerProfile.uniform(4), 2.0)
         assert isinstance(sol.relaxation, ConicSolution) and sol.relaxation.is_optimal
         assert (sol.relaxation.value, sol.relaxation.iterations) == \
             (conic.value, conic.iterations)

@@ -175,7 +175,7 @@ class TestKernelResult:
         # the relative gap and scaled infeasibilities of the kernel's problem
         # at res, in its own geometry (inner product weight * Re tr(A^H B))
         weight = kernel.HERMITIAN_WEIGHT if np.iscomplexobj(kw["c_psd"]) else 1.0
-        f, e, a_lin, b = kw["a_factors"], kw["factor_rows"].e, kw["a_lin"], kw["b"]
+        f, e, a_lin, b = kw["a_factors"], kw["rows"].e, kw["a_lin"], kw["b"]
         c, c_lin = (kw["c_psd"] + kw["c_psd"].conj().T) / 2.0, kw["c_lin"]
         mats = np.einsum("ij,ja,jb->iab", e, f, f.conj())
 
@@ -572,7 +572,7 @@ class TestFactoredSchur:
             with pytest.raises(ValueError, match="vectors"):
                 kernel.solve_mixed_cone(c_psd=np.eye(3), c_lin=np.zeros(0), a_factors=factors,
                                         a_lin=np.zeros((2, 0)), b=np.ones(2),
-                                        factor_rows=np.array(rows))
+                                        rows=kernel.row_map(np.array(rows), 2, 3, 0, float))
 
 
 class TestVectorRows:
@@ -767,7 +767,7 @@ class TestWarmStart:
             res = kernel.solve_mixed_cone(
                 c_psd=np.eye(2, dtype=dtype), c_lin=np.zeros(0),
                 a_factors=np.array([[1.0, 0.0]], dtype=dtype), a_lin=np.zeros((1, 0)),
-                b=[1.0], factor_rows=[0], start=start)
+                b=[1.0], rows=kernel.row_map([0], 1, 2, 0, dtype), start=start)
         assert res.status == NUMERICAL_FAILURE and res.iterations == 1
 
     def test_start_from_other_rows_rejected(self):
