@@ -261,7 +261,11 @@ def efficiency(scenario: Scenario, model: ImpedanceModel, schedule) -> float:
 
 @dataclass(frozen=True)
 class SlackReport:
-    """Signed distances to each constraint; feasible iff all are >= -tol."""
+    """Signed distances to each constraint; negative means violated.
+
+    Beamforming judges a schedule by ``beamforming._within_limits``, which
+    applies ``_SLACK_TOL`` to these slacks; the CLI reports ``min_slack``.
+    """
 
     voltage_slack: np.ndarray
     current_slack: np.ndarray
@@ -274,9 +278,6 @@ class SlackReport:
             vals.append(float(np.min(self.voltage_slack)))
             vals.append(float(np.min(self.current_slack)))
         return min(vals)
-
-    def feasible(self, tol=1e-6):
-        return self.min_slack >= -tol
 
 
 def constraint_slacks(scenario: Scenario, model: ImpedanceModel, exc: Excitation) -> SlackReport:

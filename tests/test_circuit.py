@@ -245,7 +245,7 @@ class TestConstraintSlacks:
     def test_report_type(self, tabletop_miso, miso_model):
         rep = constraint_slacks(tabletop_miso, miso_model, Excitation(np.zeros(5)))
         assert isinstance(rep, SlackReport)
-        assert rep.feasible()
+        assert rep.min_slack >= -1e-6
 
 
 class TestProperties:
