@@ -177,8 +177,9 @@ def _check_profile(scenario, profile):
 
 def _uncoupled_demand(model, profile):
     """True if some RX with a positive share has no coupling to any TX."""
-    norms = np.linalg.norm(model.m_vectors, axis=1)
-    return bool(np.any((profile.alpha > 0) & (norms == 0.0)))
+    m = model.m_vectors
+    # a zero squared norm is a zero norm, without np.linalg.norm's wrapper
+    return bool(((profile.alpha > 0) & ((m * m).sum(axis=1) == 0.0)).any())
 
 
 def solve_p2_closed_form_single_rx(scenario, target_power, model=None):
@@ -322,19 +323,24 @@ def _exact_realization(spectrum, use_peaks):
 
 def _peak_gain2(scenario, model, y):
     """Largest squared gain per column of ``y`` that keeps every peak limit."""
-    q_volt = np.abs(model.b_columns.conj() @ y) ** 2
-    q_curr = np.abs(y) ** 2
+    # squares and caps in place (x *= x is x ** 2): a rounding's 4000 columns
+    # make each array 160 KB
+    q_volt, q_curr = np.abs(model.b_columns.conj() @ y), np.abs(y)
+    q_volt *= q_volt
+    q_curr *= q_curr
     with np.errstate(divide="ignore"):
-        cap_v = scenario.peak_voltage[:, None] ** 2 / q_volt
-        cap_i = scenario.peak_current[:, None] ** 2 / q_curr
-    return np.minimum(cap_v.min(axis=0), cap_i.min(axis=0))
+        np.divide(scenario.peak_voltage[:, None] ** 2, q_volt, out=q_volt)
+        np.divide(scenario.peak_current[:, None] ** 2, q_curr, out=q_curr)
+    return np.minimum(q_volt.min(axis=0), q_curr.min(axis=0))
 
 
 def _delivery_gain2(model, y, rhs):
     """Smallest squared gain per column of ``y`` meeting every delivery floor."""
-    q_delivery = np.abs(model.m_vectors @ y) ** 2
+    q_delivery = np.abs(model.m_vectors @ y)
+    q_delivery *= q_delivery
     with np.errstate(divide="ignore", invalid="ignore"):
-        need = np.where(rhs[:, None] > 0, rhs[:, None] / q_delivery, 0.0)
+        need = np.where(rhs[:, None] > 0, np.divide(rhs[:, None], q_delivery, out=q_delivery),
+                        0.0)
     return need.max(axis=0, initial=0.0)
 
 
@@ -354,8 +360,9 @@ def _at_limits(scenario, model, use_peaks, slots, method, sdr_rank=1):
     """
     gain2 = scenario.total_power_cap / _tx_power(model, slots)
     if use_peaks:
-        currents = np.stack([exc.currents for exc, _ in slots], axis=1)
-        gain2 = min(gain2, float(np.min(_peak_gain2(scenario, model, currents))))
+        # C-ordered columns: the array's layout decides how BLAS sums the voltages
+        currents = np.array([exc.currents for exc, _ in slots]).T.copy()
+        gain2 = min(gain2, float(_peak_gain2(scenario, model, currents).min()))
     return _scaled(scenario, model, slots, gain2, method, sdr_rank)
 
 
@@ -437,8 +444,14 @@ def _gaussian_rounding(spectrum, scenario, profile, model, draws, seed, target_p
     rank = max(rank, 1)
     shaped = evecs[:, :rank] * np.sqrt(np.maximum(evals[:rank], 0.0))
     rng = np.random.default_rng([int(seed), 0x6D72])
-    w = (rng.standard_normal((rank, draws)) + 1j * rng.standard_normal((rank, draws)))
-    y = shaped @ (w / math.sqrt(2.0))                       # (N, draws)
+    # w = (a + 1j b) / sqrt(2) for two normal draws a and b, built part by
+    # part: NumPy divides a complex array by a real as a product with its inverse
+    w, inv_sqrt2 = np.empty((rank, draws), complex), 1.0 / math.sqrt(2.0)
+    np.multiply(rng.standard_normal((rank, draws)), inv_sqrt2, out=w.real)
+    np.multiply(rng.standard_normal((rank, draws)), inv_sqrt2, out=w.imag)
+    y = shaped @ w                                          # (N, draws)
+    # summed in exactly this order: in a rank-one spectrum every draw ties for
+    # P1, and the rounding of this sum picks the draw
     p_tx = 0.5 * np.real(np.einsum("id,ij,jd->d", y.conj(), model.b_bar, y))
     gain2 = np.minimum(scenario.total_power_cap / p_tx,
                        _peak_gain2(scenario, model, y))
@@ -654,7 +667,7 @@ def profile_capped_power(solution, profile):
     profile-targeted beamforming.
     """
     alpha = profile.alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(alpha > 0, solution.per_rx_power / alpha, np.inf)
-    val = float(np.min(ratios)) if ratios.size else 0.0
-    return 0.0 if not np.isfinite(val) else val
+    ratios = np.divide(solution.per_rx_power, alpha, out=np.full(alpha.size, np.inf),
+                       where=alpha > 0)
+    val = float(ratios.min()) if ratios.size else 0.0
+    return val if math.isfinite(val) else 0.0

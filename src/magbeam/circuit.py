@@ -186,8 +186,8 @@ class Excitation:
     currents: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.array(self.currents, dtype=complex))
-        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        arr = np.array(self.currents, dtype=complex, ndmin=1)
+        if arr.ndim != 1 or not np.isfinite(arr).all():
             raise ValueError("currents must be a finite 1-D complex vector")
         arr.setflags(write=False)
         object.__setattr__(self, "currents", arr)
@@ -239,7 +239,7 @@ def tx_total_power(model: ImpedanceModel, exc: Excitation) -> float:
     """Total power drawn from all TX sources, ``0.5 i^H Bbar i``."""
     _check_dims(model, exc)
     i = exc.currents
-    return float(np.real(np.vdot(i, model.b_bar @ i))) / 2.0
+    return float(np.vdot(i, model.b_bar @ i).real) / 2.0
 
 
 def efficiency(scenario: Scenario, model: ImpedanceModel, schedule) -> float:

@@ -207,11 +207,15 @@ def cmd_beamform(args):
 def cmd_region(args):
     if not args.out:
         raise UsageError("--out is required")
+    if args.alpha and args.grid is not None:
+        raise UsageError("--grid and --alpha exclude each other: a sweep is a grid or a list")
     scenario = load_scenario(args.scenario)
     alphas = [_parse_alpha(a, scenario.n_rx) for a in args.alpha] if args.alpha else None
     if alphas is None and scenario.n_rx != 2:
         raise UsageError(f"the grid sweep needs Q=2; pass --alpha lists for "
                          f"Q={scenario.n_rx}")
+    if alphas is None and args.grid is None:
+        args.grid = 40   # the default, so that the manifest records the grid swept
     started = _utc_now()
     options = SolveOptions(use_peak_constraints=not args.no_peaks,
                            seed=args.seed, randomization_draws=args.draws)
@@ -332,8 +336,8 @@ def build_parser():
 
     pr = sub.add_parser("region", help="trace the multi-user power region")
     pr.add_argument("scenario")
-    pr.add_argument("--grid", type=_positive_int, default=40,
-                    help="two-user grid resolution")
+    pr.add_argument("--grid", type=_positive_int, default=None,
+                    help="two-user grid resolution (default 40); not with --alpha")
     pr.add_argument("--alpha", action="append",
                     help="explicit profile (repeatable); required for Q != 2")
     pr.add_argument("--no-peaks", action="store_true")

@@ -36,8 +36,8 @@ row's columns, weight * E |V^H W V|^2 E^T, in place of the batched W A_i W
 (O(k n^3 + k^2 n^2)).  At n = 5 an iteration costs its small NumPy calls, not
 arithmetic, so LAPACK is called through :mod:`.linalg` without the numpy.linalg
 wrappers or a per-call error state, scalars and step lengths stay Python floats,
-and the residuals and frames fill per-solve buffers: about 160 us an iteration
-on a 2-vCPU VM (README).
+and the residuals and frames fill per-solve buffers: about 145 us an iteration
+and 80 us of set-up a call on a 2-vCPU VM (README).
 
 What the rows are apart from their data, the map from factor columns to
 rows and the inner product's metric, is the caller's :class:`RowMap`.  A
@@ -133,11 +133,13 @@ def _nt_scaling(xz):
     Returns (r, r_inv, d) with r^{-1} x r^{-H} = r^H z r = diag(d) and the
     scaling matrix w = r r^H satisfying w z w = x.
     """
-    lx, lz = linalg.cholesky(xz)
-    uu, ss, vvh = linalg.svd(lz.conj().T @ lx)
+    factors = linalg.cholesky(xz)
+    lx, lz = factors[0], factors[1]     # indexed: unpacking iterates, which costs more
+    lz_h = lz.conj().T
+    uu, ss, vvh = linalg.svd(lz_h @ lx)
     sqrt_s = np.sqrt(ss)
     r = lx @ (vvh.conj().T / sqrt_s)
-    r_inv = (uu.conj().T @ lz.conj().T) / sqrt_s[:, None]
+    r_inv = (uu.conj().T @ lz_h) / sqrt_s[:, None]
     return r, r_inv, ss
 
 
@@ -266,7 +268,7 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
     schur = _schur_complement(a_factors, e, weight)
     c = np.concatenate([c_psd.ravel().view(float), c_lin])
     outer = a_factors[:, :, None] * a_factors.conj()[:, None, :]
-    a_mat = np.hstack([e @ outer.reshape(len(outer), n * n).view(float), a_lin])
+    a_mat = np.concatenate([e @ outer.reshape(len(outer), n * n).view(float), a_lin], axis=1)
     a_met, c_met = a_mat * metric, c * metric
     degree = weight * n + p
 
@@ -280,13 +282,16 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
     # the primal [X, u] and dual slack [Z, z] as the rows of one array, a
     # direction (dx, dz) likewise; X, u, Z and z, and their steps, are views
     xz, dxz, v = np.zeros((2, nr + p)), np.empty((2, nr + p)), np.empty(nr + p)
-    (xv, zv), xz_m, xz_lin, v_m, v_lin = xz, psd(xz), xz[:, nr:], psd(v), v[nr:]
-    (dx, dz), dxz_m, dxz_lin = dxz, psd(dxz), dxz[:, nr:]
-    (x, z_psd), (u, z_lin), (dx_m, dz_m), (dx_lin, dz_lin) = xz_m, xz_lin, dxz_m, dxz_lin
-    # the residuals, the NT frames and the orthant ratios are filled in place
-    r_p, r_d, ratios = np.empty(k), np.empty(nr + p), np.empty((2, p))
+    # (indexed: unpacking an array iterates over it, which costs more)
+    xv, zv, xz_m, xz_lin, v_m, v_lin = xz[0], xz[1], psd(xz), xz[:, nr:], psd(v), v[nr:]
+    dx, dz, dxz_m, dxz_lin = dxz[0], dxz[1], psd(dxz), dxz[:, nr:]
+    x, z_psd, u, z_lin = xz_m[0], xz_m[1], xz_lin[0], xz_lin[1]
+    dx_m, dz_m, dx_lin, dz_lin = dxz_m[0], dxz_m[1], dxz_lin[0], dxz_lin[1]
+    # the residuals, the NT frames, the orthant ratios and the step lengths are
+    # filled in place
+    r_p, r_d, ratios, steps = np.empty(k), np.empty(nr + p), np.empty((2, p)), np.empty((2, 1))
     r_d_m, r_d_lin, frame = psd(r_d), r_d[nr:], np.empty((2, n, n), dtype)
-    frame_x, frame_z = frame
+    frame_x, frame_z = frame[0], frame[1]
     diag = xz[:, :nr:reals * (n + 1)]   # the real diagonals of X and Z
     if start is None:
         diag[...] = xz_lin[...] = [[max(1.0, float(np.max(np.abs(b))))],
@@ -296,7 +301,7 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
         if [np.shape(m) for m in start] != [(n, n), (p,), (k,), (n, n), (p,)] \
                 or (dtype is float and np.iscomplexobj(start[0])):
             raise ValueError("start iterate does not match the problem")
-        xz_m[...], xz_lin[...] = (start[0], start[3]), (start[1], start[4])
+        x[...], u[...], z_psd[...], z_lin[...] = start[0], start[1], start[3], start[4]
         xz_m[...] = _sym(xz_m)
         # each cone block moves by _WARM_START_SHIFT times its mean eigenvalue
         diag += _WARM_START_SHIFT * diag.sum(axis=1, keepdims=True) / max(n, 1)
@@ -390,7 +395,8 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
         # predictor (affine scaling) direction
         np.negative(xv, out=v)
         _, framed, (step_x, step_z) = directions()
-        trial = xz + np.array(((_minimum(1.0, step_x),), (_minimum(1.0, step_z),))) * dxz
+        steps[0, 0], steps[1, 0] = _minimum(1.0, step_x), _minimum(1.0, step_z)
+        trial = xz + steps * dxz
         mu_aff = max((trial[0] * metric) @ trial[1], 0.0) / degree
         sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
 
@@ -415,12 +421,14 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
             stall = 0
 
         # x and each dx are exactly Hermitian, dz only up to rounding: symmetrize z
-        xz += np.array(((alpha_x,), (alpha_z,))) * dxz
+        steps[0, 0], steps[1, 0] = alpha_x, alpha_z
+        xz += steps * dxz
         y = y + alpha_z * dy
         z_psd += z_psd.conj().T
         z_psd *= 0.5
     else:   # each break leaves before the iterate moves, its residuals in hand
         *_, rel_gap, p_inf, d_inf = residuals(y)
-    return KernelResult(status=status, x=x.copy(), u=u.copy(), y=y, z_psd=z_psd.copy(),
-                        z_lin=z_lin.copy(), rel_gap=rel_gap, primal_infeas=p_inf,
-                        dual_infeas=d_inf, iterations=it)
+    # x, u, z_psd and z_lin are views of this call's own xz
+    return KernelResult(status=status, x=x, u=u, y=y, z_psd=z_psd, z_lin=z_lin,
+                        rel_gap=rel_gap, primal_infeas=p_inf, dual_infeas=d_inf,
+                        iterations=it)

@@ -2,8 +2,9 @@
 eigen utilities for real symmetric and complex Hermitian matrices.
 
 ``cholesky``, ``eigvalsh``, ``eigh``, ``svd`` and ``solve`` call the LAPACK
-gufuncs behind ``numpy.linalg`` directly, with the loop chosen from the
-input's dtype, and give the same arrays as their ``numpy.linalg`` namesakes.
+gufuncs behind ``numpy.linalg`` directly, which pick their float64 or
+complex128 loop from the input's dtype (faster than naming it in a
+``signature``), and give the same arrays as their ``numpy.linalg`` namesakes.
 They skip the wrappers' dtype coercion and shape checks, which cost more
 than the LAPACK call itself on the kernel's 5 x 5 blocks: the input must be
 a float64 or complex128 array of (stacked) square matrices.  As in NumPy, a
@@ -40,7 +41,7 @@ def cholesky(a):
     """Lower Cholesky factor of a matrix or of each matrix of a stack."""
     token = _extobj_contextvar.set(_NOT_POSITIVE_DEFINITE)
     try:
-        return _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+        return _umath_linalg.cholesky_lo(a)
     finally:
         _extobj_contextvar.reset(token)
 
@@ -49,7 +50,7 @@ def eigvalsh(a):
     """Ascending eigenvalues of a Hermitian matrix or stack, from its lower triangle."""
     token = _extobj_contextvar.set(_EIGENVALUES_NOT_CONVERGED)
     try:
-        return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+        return _umath_linalg.eigvalsh_lo(a)
     finally:
         _extobj_contextvar.reset(token)
 
@@ -59,7 +60,7 @@ def eigh(a):
     ascending, from its lower triangle."""
     token = _extobj_contextvar.set(_EIGENVALUES_NOT_CONVERGED)
     try:
-        return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+        return _umath_linalg.eigh_lo(a)
     finally:
         _extobj_contextvar.reset(token)
 
@@ -68,17 +69,16 @@ def svd(a):
     """Full ``(u, s, vh)`` of a square matrix or stack, s descending."""
     token = _extobj_contextvar.set(_SVD_NOT_CONVERGED)
     try:
-        return _umath_linalg.svd_f(a, signature="D->DdD" if a.dtype.kind == "c" else "d->ddd")
+        return _umath_linalg.svd_f(a)
     finally:
         _extobj_contextvar.reset(token)
 
 
 def solve(a, b):
     """x with a x = b, for a square matrix a and a vector b (one LU solve)."""
-    signature = "DD->D" if "c" in (a.dtype.kind, b.dtype.kind) else "dd->d"
     token = _extobj_contextvar.set(_SINGULAR)
     try:
-        return _umath_linalg.solve1(a, b, signature=signature)
+        return _umath_linalg.solve1(a, b)
     finally:
         _extobj_contextvar.reset(token)
 
@@ -106,9 +106,10 @@ def psd_eigendecomposition(x):
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("expected a square matrix")
-    if frobenius_norm(x - x.conj().T) > 1e-8 * frobenius_norm(x):
+    x_h = x.conj().T
+    if frobenius_norm(x - x_h) > 1e-8 * frobenius_norm(x):
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = eigh((x + x.conj().T) / 2.0)
+    w, v = eigh((x + x_h) / 2.0)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 

@@ -143,8 +143,10 @@ def _weight(dtype):
 def _scales(problem, psd_norms, dtype):
     """Each row's data norm in the kernel's geometry, taken before its unit
     slack is appended: the larger of |(A_i, linear_i)| and |rhs_i|."""
+    linear = problem.linear
+    # np.linalg.norm(linear, axis=1) as that function sums it, without its wrapper
     return np.maximum(np.hypot(psd_norms / math.sqrt(_weight(dtype)),
-                               np.linalg.norm(problem.linear, axis=1)),
+                               np.sqrt((linear * linear).sum(axis=1))),
                       np.abs(problem.rhs))
 
 
@@ -219,12 +221,13 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     other rows that constrain nothing), the solve prepares its rows and
     starts cold; a start of other dimensions raises ``ValueError``.
     """
-    complex_objective = bool(problem.objective.imag.any())
+    complex_objective = problem.objective.dtype.kind == "c" and bool(problem.objective.imag.any())
     rows = None if start is None else start.rows
     if rows is not None and not rows.of(problem, complex_objective):
         rows = None
     scales = None if rows is None else _scales(problem, rows.psd_norms, rows.dtype)
-    if rows is None or not np.array_equal(scales > 0.0, rows.live):
+    # rows.of has matched the row count, so the masks have one shape
+    if rows is None or not ((scales > 0.0) == rows.live).all():
         rows = _prepare(problem, complex_objective)
         scales = _scales(problem, rows.psd_norms, rows.dtype)
         if start is not None:
@@ -238,15 +241,15 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
     objective = np.asarray(problem.objective if dtype is complex else problem.objective.real,
                            dtype=dtype)
     c_u, linear, rhs = problem.linear_objective, problem.linear, problem.rhs
-    obj_scale = max(float(np.hypot(np.linalg.norm(objective) / math.sqrt(weight),
-                                   np.linalg.norm(c_u))), 1e-300)
+    obj_scale = max(float(np.hypot(frobenius_norm(objective) / math.sqrt(weight),
+                                   frobenius_norm(c_u))), 1e-300)
     live = rows.live
-    linear, rhs, scales = (a[live] for a in (linear, rhs, scales))
+    linear, rhs, scales = linear[live], rhs[live], scales[live]
     scales = np.maximum(scales, 1e-300)
     a_factors = rows.columns / np.sqrt(weight * scales)[rows.column_rows, None]
     # orthant block: the problem's own scalar variables, then one unit slack
     # per row
-    a_lin = np.hstack([linear / scales[:, None], rows.slacks])
+    a_lin = np.concatenate([linear / scales[:, None], rows.slacks], axis=1)
     res = kernel.solve_mixed_cone(
         c_psd=objective / (2.0 * weight * obj_scale),
         c_lin=np.concatenate([c_u, np.zeros(a_lin.shape[1] - c_u.size)]) / obj_scale,

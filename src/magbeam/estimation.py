@@ -16,9 +16,10 @@ SNR), the normal equations see the Q x 2T noise only through Q x Q iid
 normals and an independent Wishart_Q(2T - Q) matrix, drawn by its Bartlett
 factor (Anderson, An Introduction to Multivariate Statistical Analysis,
 sec. 7.2).  At T = 10 and Q = 4 a trial draws 22 normals and 4 gammas
-instead of 80 normals.  A 1e5-trial LS row takes about 0.025 s and a
-4e5-trial pairwise row 0.10 s, both about 4e6 trials/s (one OpenBLAS thread
-on a 2-vCPU Xeon).
+instead of 80 normals.  In process, a 1e5-trial LS row takes about 0.033 s
+and a 4e5-trial pairwise row about 0.14 s, both about 3e6 trials/s (best of 7
+at T = 10 on ``table2``, one OpenBLAS thread on a 2-vCPU Xeon VM); through the
+CLI the ``estimate_mc`` benchmark reads about 2.2e6 and 2.5e6 trials/s.
 """
 
 import csv

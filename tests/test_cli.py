@@ -260,7 +260,7 @@ def test_back_to_back_calls_parse_independently(tmp_path, capsys):
     # ``region --alpha`` appends; no call may see an earlier call's list
     def region_rows(*extra):
         out = tmp_path / "region.csv"
-        assert main(["region", TWO_USER, "--no-peaks", "--grid", "2", *extra,
+        assert main(["region", TWO_USER, "--no-peaks", *extra,
                      "--out", str(out), "--no-manifest"]) == 0
         with open(out, newline="") as fh:
             return list(csv.DictReader(fh))
@@ -268,7 +268,7 @@ def test_back_to_back_calls_parse_independently(tmp_path, capsys):
     first = region_rows("--alpha", "0.25,0.75")
     assert main(["validate", TWO_USER]) == 0
     second = region_rows("--alpha", "0.5,0.5")
-    grid = region_rows()
+    grid = region_rows("--grid", "2")
     assert len(first) == len(second) == 1
     assert float(first[0]["alpha_1"]) == 0.25 and float(second[0]["alpha_1"]) == 0.5
     assert len(grid) == 3
@@ -308,6 +308,28 @@ class TestRegion:
         for row in rows:
             for key in numeric:
                 float(row[key])
+
+    def test_grid_with_alpha_is_usage_error(self, tmp_path, capsys):
+        # both would sweep the list while the manifest recorded the grid; a
+        # list run records no grid
+        out = tmp_path / "region.csv"
+        assert main(["region", TWO_USER, "--grid", "2", "--alpha", "0.5,0.5",
+                     "--out", str(out)]) == 64
+        assert "--grid and --alpha" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert main(["region", TWO_USER, "--alpha", "0.5,0.5", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "region.csv.manifest.json").read_text())
+        assert manifest["options"]["grid"] is None
+
+    def test_default_grid_is_recorded(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "sweep_region",
+                            lambda scenario, grid_size, **kw: seen.append(grid_size)
+                            or region.sweep_region(scenario, 1, **kw))
+        out = tmp_path / "region.csv"
+        assert main(["region", TWO_USER, "--no-peaks", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "region.csv.manifest.json").read_text())
+        assert seen == [40] and manifest["options"]["grid"] == 40
 
     def test_q_mismatch_usage_error(self, tmp_path):
         out = tmp_path / "region.csv"

@@ -755,20 +755,50 @@ class TestWarmStart:
         assert again.iterations == warm.iterations
         assert np.array_equal(again.x, warm.x) and np.array_equal(again.u, warm.u)
 
-    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
-    def test_indefinite_start_ends_numerical_failure(self, dtype):
+    @staticmethod
+    def _indefinite_start_solve(dtype):
         # X = diag(1, -10) stays indefinite after the start's shift, so the NT
-        # scaling's Cholesky fails in the first iteration: a numerical failure,
-        # not an exception or a warning
+        # scaling's Cholesky fails in the first iteration
         start = (np.diag([1.0, -10.0]).astype(dtype), np.zeros(0), np.zeros(1),
                  np.eye(2, dtype=dtype), np.zeros(0))
+        return kernel.solve_mixed_cone(
+            c_psd=np.eye(2, dtype=dtype), c_lin=np.zeros(0),
+            a_factors=np.array([[1.0, 0.0]], dtype=dtype), a_lin=np.zeros((1, 0)),
+            b=[1.0], rows=kernel.row_map([0], 1, 2, 0, dtype), start=start)
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    def test_indefinite_start_ends_numerical_failure(self, dtype):
+        # a numerical failure, not an exception or a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = kernel.solve_mixed_cone(
-                c_psd=np.eye(2, dtype=dtype), c_lin=np.zeros(0),
-                a_factors=np.array([[1.0, 0.0]], dtype=dtype), a_lin=np.zeros((1, 0)),
-                b=[1.0], rows=kernel.row_map([0], 1, 2, 0, dtype), start=start)
+            res = self._indefinite_start_solve(dtype)
         assert res.status == NUMERICAL_FAILURE and res.iterations == 1
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    def test_failed_warm_solve_restores_the_error_state(self, dtype):
+        # TestLapackEntryPoints.test_error_state_is_restored through a warm
+        # solve whose LinAlgError the kernel catches, under a caller's own
+        # error state and buffer size, in a context of its own
+        def check():
+            np.seterr(all="warn")
+            np.seterrcall(print)
+            np.setbufsize(2 * np.getbufsize())
+            state = TestLapackEntryPoints._state()
+            assert self._indefinite_start_solve(dtype).status == NUMERICAL_FAILURE
+            assert TestLapackEntryPoints._state() == state
+
+        contextvars.copy_context().run(check)
+
+    def test_warm_result_shares_no_memory_with_its_start(self):
+        # the kernel returns views of its own iterate, and a warm solve's x and
+        # u are copies of those: no edit of either reaches the other solve
+        n = self.N
+        prob = self._problem(np.zeros((n, n)))
+        base = solve_sdp(prob)
+        warm = solve_sdp(prob, start=base)
+        for a in (warm.x, warm.u):
+            for b in base.iterate + warm.iterate + (base.x, base.u):
+                assert not np.shares_memory(a, b)
 
     def test_start_from_other_rows_rejected(self):
         n = self.N
@@ -859,6 +889,16 @@ class TestProblemForm:
         with pytest.raises(ValueError, match="finite"):
             SdpProblem(data["objective"], data["factors"], (GE,), data["rhs"],
                        linear_objective=data["linear_objective"], linear=data["linear"])
+
+    @pytest.mark.parametrize("objective, message", [
+        (np.diag([1.0, np.nan]), "finite"), (np.diag([np.inf, 1.0]), "finite"),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "Hermitian"),
+        (np.array([[1.0, 1j], [1j, 1.0]]), "Hermitian")], ids=["nan", "inf", "real", "complex"])
+    def test_replaced_objective_is_checked(self, objective, message):
+        # dataclasses.replace builds the problem again, checks included
+        problem = SdpProblem(np.eye(2), np.eye(2)[None], (GE,), [1.0])
+        with pytest.raises(ValueError, match=message):
+            replace(problem, objective=objective)
 
     @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
     def test_ge_row_on_psd_block(self, complex_data):

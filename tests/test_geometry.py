@@ -8,9 +8,10 @@ from magbeam.geometry import (MU_0, CoilGeometry, _frame, layout_mutual_matrix,
 from magbeam.scenario import table_scenario
 
 
-def _agm_elliptic(m):
-    """Complete elliptic integrals K(m), E(m) by the arithmetic-geometric mean."""
-    a, b = 1.0, math.sqrt(1.0 - m)
+def _agm_elliptic(m, kp):
+    """Complete elliptic integrals K(m), E(m) by the arithmetic-geometric mean,
+    given the complementary modulus kp = sqrt(1 - m)."""
+    a, b = 1.0, kp
     c2_sum = m / 2.0
     p = 1.0
     while abs(a - b) > 1e-15:
@@ -22,11 +23,19 @@ def _agm_elliptic(m):
     return k_val, k_val * (1.0 - c2_sum)
 
 
+def _moduli(r_b, rho, z):
+    """k^2 and k' of a loop of radius r_b seen from (rho, z); k'^2 is taken as
+    ((r_b - rho)^2 + z^2) / ((r_b + rho)^2 + z^2), which keeps its digits next
+    to the wire, where sqrt(1 - k^2) loses them all."""
+    dd = (r_b + rho) ** 2 + z ** 2
+    return 4.0 * r_b * rho / dd, math.sqrt(((r_b - rho) ** 2 + z ** 2) / dd)
+
+
 def coaxial_mutual(r_a, r_b, sep, turns):
     """Exact coaxial-loop mutual inductance via elliptic integrals."""
-    m = 4.0 * r_a * r_b / ((r_a + r_b) ** 2 + sep ** 2)
+    m, kp = _moduli(r_b, r_a, sep)
     k = math.sqrt(m)
-    kk, ee = _agm_elliptic(m)
+    kk, ee = _agm_elliptic(m, kp)
     mu0 = 4e-7 * math.pi
     return turns * mu0 * math.sqrt(r_a * r_b) * ((2.0 / k - k) * kk - (2.0 / k) * ee)
 
@@ -54,10 +63,36 @@ def pairwise_mutual_matrix(tx_coils, rx_coils, quadrature_points):
         for j, b in enumerate(rx_coils):
             pa, dla = loop_samples(a, quadrature_points)
             pb, dlb = loop_samples(b, quadrature_points)
-            dist = np.sqrt(np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2))
+            # squared distances summed one coordinate at a time, x then y then z
+            # as np.sum(axis=2) adds them, with no (q, q, 3) array
+            dist = np.zeros((len(pa), len(pb)))
+            for c in range(3):
+                diff = np.subtract.outer(pa[:, c], pb[:, c])
+                diff *= diff
+                dist += diff
+            np.sqrt(dist, out=dist)
             integral = float(np.sum((dla @ dlb.T) / dist))
             out[i, j] = MU_0 / (4.0 * math.pi) * a.turns * b.turns * integral
     return out
+
+
+def sampled_mutual(a, b, quadrature_points):
+    """``mutual_inductance(a, b, quadrature_points)`` summed sample by sample in
+    plain floats, from the textbook vector potential of b,
+    A_phi = (mu0 / pi k) sqrt(r_b / rho) ((1 - k^2 / 2) K - E), with k' from
+    ``_moduli``."""
+    n = np.asarray(b.axis, dtype=float) / np.linalg.norm(b.axis)
+    total = 0.0
+    for p, dl in zip(*loop_samples(a, quadrature_points)):
+        r = p - np.asarray(b.center, dtype=float)
+        n_x_r = np.cross(n, r)
+        rho = math.sqrt(n_x_r @ n_x_r)
+        m, kp = _moduli(b.radius, rho, float(n @ r))
+        kk, ee = _agm_elliptic(m, kp)
+        a_phi = MU_0 / (math.pi * math.sqrt(m)) * math.sqrt(b.radius / rho) \
+            * ((1.0 - m / 2.0) * kk - ee)
+        total += a_phi * float(n_x_r @ dl) / rho
+    return a.turns * b.turns * total
 
 
 def inclined_coils(rng, count, z):
@@ -85,6 +120,31 @@ class TestMutualInductance:
         ref = coaxial_mutual_series(0.10, 0.02, 0.10 * ratio, 250 * 50)
         assert mutual_inductance(a, b, 64) == pytest.approx(ref, rel=1e-12, abs=0)
         assert mutual_inductance(b, a, 64) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_coaxial_next_to_the_wire(self):
+        # equal radii 1e-7 m apart: every sample sits 1e-6 radii from the
+        # other coil's wire, where k'^2 is 2.5e-13
+        a = CoilGeometry(center=(0, 0, 0), radius=0.10, turns=3)
+        b = CoilGeometry(center=(0, 0, 1e-7), radius=0.10, turns=2)
+        ref = coaxial_mutual(0.10, 0.10, 1e-7, 3 * 2)
+        assert mutual_inductance(a, b, 64) == pytest.approx(ref, rel=1e-12, abs=0)
+        assert mutual_inductance(b, a, 64) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_inclined_pair_next_to_the_wire(self):
+        # b's axis nu leans from a's radius at its first sample s0 toward a's
+        # axis, so s0 is a's extreme point along nu; b's wire runs 1e-7 m
+        # beyond s0 (1e-6 radii), parallel to a there, in the plane normal to
+        # nu: all of a stays on one side of that plane
+        axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        a = CoilGeometry(center=(0.3, -0.2, 0.1), radius=0.05, turns=7, axis=tuple(axis))
+        points, dl = loop_samples(a, 64)
+        nu = (points[0] - np.asarray(a.center)) / a.radius + 1.5 * axis
+        nu /= np.linalg.norm(nu)
+        radial = np.cross(nu, dl[0] / np.linalg.norm(dl[0]))   # b's, at its near point
+        b = CoilGeometry(center=tuple(points[0] + 1e-7 * nu - 0.1 * radial), radius=0.1,
+                         turns=5, axis=tuple(nu))
+        ref = sampled_mutual(a, b, 64)
+        assert mutual_inductance(a, b, 64) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_quadrature_convergence(self):
         a = CoilGeometry(center=(0, 0, 0), radius=0.10, turns=250)
