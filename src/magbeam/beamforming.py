@@ -450,9 +450,10 @@ def _gaussian_rounding(spectrum, scenario, profile, model, draws, seed, target_p
     np.multiply(rng.standard_normal((rank, draws)), inv_sqrt2, out=w.real)
     np.multiply(rng.standard_normal((rank, draws)), inv_sqrt2, out=w.imag)
     y = shaped @ w                                          # (N, draws)
-    # summed in exactly this order: in a rank-one spectrum every draw ties for
-    # P1, and the rounding of this sum picks the draw
-    p_tx = 0.5 * np.real(np.einsum("id,ij,jd->d", y.conj(), model.b_bar, y))
+    # Re(y^H Bbar y) per draw, summed in Bbar y's buffer so that no second
+    # (N, draws) array is made: conj(Bbar y) y has the real part of conj(y) Bbar y
+    p_tx = model.b_bar @ y
+    p_tx = 0.5 * np.multiply(np.conjugate(p_tx, out=p_tx), y, out=p_tx).real.sum(axis=0)
     gain2 = np.minimum(scenario.total_power_cap / p_tx,
                        _peak_gain2(scenario, model, y))
     need = _delivery_gain2(model, y, delivery_rhs(scenario, profile, 1.0))   # per watt
@@ -508,6 +509,8 @@ def _rank_penalized(problem, conic, spectrum, scenario, profile, model, use_peak
     eigenvector is scaled to its limits, up to the first solve that is not
     optimal.
     """
+    import logging  # here: `import magbeam` skips its 8 ms
+    debug = logging.getLogger("magbeam").isEnabledFor(logging.DEBUG)
     scale = 2.0 * abs(float(conic.value)) / float(np.trace(conic.x).real)
     v = spectrum[1][:, 0]
     schedules, step = [], conic
@@ -522,8 +525,9 @@ def _rank_penalized(problem, conic, spectrum, scenario, profile, model, use_peak
         v = evecs[:, 0]
         sol = _at_limits(scenario, model, use_peaks, [(Excitation(v), 1.0)],
                          METHOD_RANK_PENALTY, rank)
-        _debug("rank penalty %g: %s after %d iterations, rank %d, p %.9g W", lam,
-               step.status, step.iterations, rank, profile_capped_power(sol, profile))
+        if debug:   # the power costs an evaluation of the schedule
+            _debug("rank penalty %g: %s after %d iterations, rank %d, p %.9g W", lam,
+                   step.status, step.iterations, rank, profile_capped_power(sol, profile))
         schedules.append(sol)
     return schedules
 

@@ -16,6 +16,7 @@ amplitudes (hence the 1/2 factors in every power expression).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +30,11 @@ _ACCOUNTING_MODES = (LOAD_ONLY, TOTAL_RX_RESISTANCE)
 _SYM_TOL = 1e-9
 
 
-def _readonly(a, dtype=float):
-    arr = np.array(a, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+def whole_number(value, name):
+    """``value`` as an int; any other value raises ``ScenarioError`` naming ``name``."""
+    if not (isinstance(value, numbers.Real) and value % 1 == 0):
+        raise ScenarioError(f"expected a whole number, got {value!r}", field=name)
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -61,21 +63,18 @@ class Scenario:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        n, q = int(self.n_tx), int(self.n_rx)
+        n, q = whole_number(self.n_tx, "n_tx"), whole_number(self.n_rx, "n_rx")
         if n < 1:
             raise ScenarioError("need at least one TX", field="n_tx")
         if q < 0:
             raise ScenarioError("receiver count cannot be negative", field="n_rx")
         object.__setattr__(self, "n_tx", n)
         object.__setattr__(self, "n_rx", q)
-        object.__setattr__(self, "tx_resistance", _readonly(self.tx_resistance))
-        object.__setattr__(self, "rx_parasitic", _readonly(self.rx_parasitic))
-        object.__setattr__(self, "rx_load", _readonly(self.rx_load))
-        object.__setattr__(self, "mutual_tx_rx",
-                           _readonly(np.reshape(self.mutual_tx_rx, (n, q))))
-        object.__setattr__(self, "mutual_tx_tx", _readonly(self.mutual_tx_tx))
-        object.__setattr__(self, "peak_voltage", _readonly(self.peak_voltage))
-        object.__setattr__(self, "peak_current", _readonly(self.peak_current))
+        for name in ("tx_resistance", "rx_parasitic", "rx_load", "mutual_tx_rx",
+                     "mutual_tx_tx", "peak_voltage", "peak_current"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         self._validate()
 
     def _validate(self):
@@ -137,11 +136,12 @@ class Scenario:
 class ImpedanceModel:
     """Matrices derived from a scenario, shared by every optimization.
 
-    ``b_bar``/``b_hat`` are the real/imaginary parts of the impedance matrix,
-    ``b_columns[n]`` its n-th column b_n and ``m_vectors[q]`` receiver q's
-    coupling vector m_q.  ``b_bar_factor`` is the (N + Q) x N factor of
-    ``b_bar``, rows sqrt(r_n) e_n then (w / sqrt(r_q)) m_q, whose outer
-    products sum to ``b_bar`` up to rounding.
+    ``b_bar`` is the real part Bbar of the impedance matrix, ``b_columns``
+    all of it as B^T (row n its n-th column b_n; Bhat is -w times the TX-TX
+    mutual inductances) and ``m_vectors[q]`` receiver q's coupling vector m_q.
+    ``b_bar_factor`` is the (N + Q) x N factor of ``b_bar``, rows
+    sqrt(r_n) e_n then (w / sqrt(r_q)) m_q, whose outer products sum to
+    ``b_bar`` up to rounding.
 
     ``row_factors`` holds the quadratic forms that the relaxations constrain,
     each as a read-only 2-D factor block F standing for F^T conj(F): the Q
@@ -152,7 +152,6 @@ class ImpedanceModel:
     """
 
     b_bar: np.ndarray
-    b_hat: np.ndarray
     b_columns: np.ndarray
     b_bar_factor: np.ndarray
     m_vectors: np.ndarray
@@ -173,10 +172,6 @@ class ImpedanceModel:
     @property
     def n_rx(self):
         return self.m_vectors.shape[0]
-
-    @property
-    def b_complex(self):
-        return self.b_bar + 1j * self.b_hat
 
 
 @dataclass(frozen=True)
@@ -210,10 +205,10 @@ def build_impedance(scenario: Scenario) -> ImpedanceModel:
     np.fill_diagonal(b_hat, 0.0)
 
     b_columns = (b_bar + 1j * b_hat).T.copy()               # row n = column b_n
-    for arr in (b_bar, b_hat, b_columns, b_bar_factor, m_vectors):
+    for arr in (b_bar, b_columns, b_bar_factor, m_vectors):
         arr.setflags(write=False)
-    return ImpedanceModel(b_bar=b_bar, b_hat=b_hat, b_columns=b_columns,
-                          b_bar_factor=b_bar_factor, m_vectors=m_vectors)
+    return ImpedanceModel(b_bar=b_bar, b_columns=b_columns, b_bar_factor=b_bar_factor,
+                          m_vectors=m_vectors)
 
 
 def _check_dims(model: ImpedanceModel, exc: Excitation):

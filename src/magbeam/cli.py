@@ -9,7 +9,6 @@ reproduced bit-for-bit.
 
 import argparse
 import functools
-import json
 import math
 import sys
 from datetime import datetime, timezone
@@ -26,7 +25,7 @@ from .estimation import (BLOCK_SINGLE_TX, DRIVEN_ZERO, OPEN_CIRCUIT,
                          RANDOM_VOLTAGE, TrainingProtocol, check_slots, estimate_ls,
                          monte_carlo_mse, simulate_training, write_mse_csv)
 from .region import sweep_region, write_region_csv, write_sweep_summary
-from .scenario import load_scenario, scenario_hash
+from .scenario import load_scenario, scenario_hash, write_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -120,9 +119,7 @@ def write_manifest(path, command, scenario, options, seed, outputs,
         "finished_utc": finished,
         "outputs": [str(p) for p in outputs],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def solution_to_dict(solution, scenario, model):
@@ -145,15 +142,6 @@ def solution_to_dict(solution, scenario, model):
         "per_rx_power_w": solution.per_rx_power.tolist(),
         "slots": slots,
     }
-
-
-def _emit_json(doc, out_path):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_beamform(args):
@@ -197,7 +185,7 @@ def cmd_beamform(args):
         "peak_constraints": not args.no_peaks,
         "solution": solution_to_dict(sol, scenario, model),
     }
-    _emit_json(doc, args.out)
+    write_json(doc, args.out or None)
     if args.out and not args.no_manifest:
         write_manifest(args.out + ".manifest.json", "beamform", scenario,
                        _option_dict(args), args.seed, [args.out], started, _utc_now())

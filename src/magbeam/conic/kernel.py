@@ -79,6 +79,11 @@ _WARM_START_SHIFT = 0.1
 HERMITIAN_WEIGHT = 2.0
 
 
+def block_weight(dtype):
+    """The weight of a block's trace products: that above if complex, else 1."""
+    return HERMITIAN_WEIGHT if dtype is complex else 1.0
+
+
 @dataclass
 class KernelResult:
     status: str
@@ -217,10 +222,9 @@ def row_map(factor_rows, k, n, p, dtype):
     factor_rows = np.asarray(factor_rows)
     if ((factor_rows < 0) | (factor_rows >= k)).any():
         raise ValueError("factor vectors do not match the rows")
-    weight = HERMITIAN_WEIGHT if dtype is complex else 1.0
     nr = (2 if dtype is complex else 1) * n * n
     return RowMap(e=(factor_rows == np.arange(k)[:, None]).astype(float),
-                  metric=np.concatenate([np.full(nr, weight), np.ones(p)]))
+                  metric=np.concatenate([np.full(nr, block_weight(dtype)), np.ones(p)]))
 
 
 def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
@@ -247,7 +251,7 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
     b = np.asarray(b, dtype=float)
     k, n = b.size, c_psd.shape[0]
     dtype = complex if np.iscomplexobj(c_psd) or np.iscomplexobj(a_factors) else float
-    weight = HERMITIAN_WEIGHT if dtype is complex else 1.0
+    weight = block_weight(dtype)
     c_psd = _sym(np.asarray(c_psd, dtype=dtype))
     c_lin = np.asarray(c_lin, dtype=float)
     p = c_lin.size

@@ -9,10 +9,10 @@ They skip the wrappers' dtype coercion and shape checks, which cost more
 than the LAPACK call itself on the kernel's 5 x 5 blocks: the input must be
 a float64 or complex128 array of (stacked) square matrices.  As in NumPy, a
 LAPACK failure raises :class:`numpy.linalg.LinAlgError` and no floating-point
-warning is issued.  Each call sets an error state built once at import, the
-one ``np.errstate`` would build per call, in NumPy's per-thread context
-variable and resets it after; its ufunc buffer size, which changes no
-result, is the one at import.
+warning is issued.  Each is one :func:`_lapack` wrapper, whose call sets an
+error state built once at import, the one ``np.errstate`` would build per
+call, in NumPy's per-thread context variable and resets it after; its ufunc
+buffer size, which changes no result, is the one at import.
 """
 
 import math
@@ -22,65 +22,37 @@ from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 
-def _error_state(message):
+def _lapack(gufunc, message, doc):
+    """``gufunc`` called under an error state that raises ``LinAlgError(message)``."""
     def raise_linalg_error(err, flag):
         raise LinAlgError(message)
     # the gufuncs flag a failed factorization as an invalid operation; as in
     # numpy.linalg, that raises, and underflow and the like stay silent
-    return _make_extobj(call=raise_linalg_error, invalid="call",
-                        over="ignore", divide="ignore", under="ignore")
+    state = _make_extobj(call=raise_linalg_error, invalid="call",
+                         over="ignore", divide="ignore", under="ignore")
+
+    def call(*args):
+        token = _extobj_contextvar.set(state)
+        try:
+            return gufunc(*args)
+        finally:
+            _extobj_contextvar.reset(token)
+    call.__doc__ = doc
+    return call
 
 
-_NOT_POSITIVE_DEFINITE = _error_state("Matrix is not positive definite")
-_SINGULAR = _error_state("Singular matrix")
-_EIGENVALUES_NOT_CONVERGED = _error_state("Eigenvalues did not converge")
-_SVD_NOT_CONVERGED = _error_state("SVD did not converge")
-
-
-def cholesky(a):
-    """Lower Cholesky factor of a matrix or of each matrix of a stack."""
-    token = _extobj_contextvar.set(_NOT_POSITIVE_DEFINITE)
-    try:
-        return _umath_linalg.cholesky_lo(a)
-    finally:
-        _extobj_contextvar.reset(token)
-
-
-def eigvalsh(a):
-    """Ascending eigenvalues of a Hermitian matrix or stack, from its lower triangle."""
-    token = _extobj_contextvar.set(_EIGENVALUES_NOT_CONVERGED)
-    try:
-        return _umath_linalg.eigvalsh_lo(a)
-    finally:
-        _extobj_contextvar.reset(token)
-
-
-def eigh(a):
-    """``(eigenvalues, eigenvectors)`` of a Hermitian matrix or stack, eigenvalues
-    ascending, from its lower triangle."""
-    token = _extobj_contextvar.set(_EIGENVALUES_NOT_CONVERGED)
-    try:
-        return _umath_linalg.eigh_lo(a)
-    finally:
-        _extobj_contextvar.reset(token)
-
-
-def svd(a):
-    """Full ``(u, s, vh)`` of a square matrix or stack, s descending."""
-    token = _extobj_contextvar.set(_SVD_NOT_CONVERGED)
-    try:
-        return _umath_linalg.svd_f(a)
-    finally:
-        _extobj_contextvar.reset(token)
-
-
-def solve(a, b):
-    """x with a x = b, for a square matrix a and a vector b (one LU solve)."""
-    token = _extobj_contextvar.set(_SINGULAR)
-    try:
-        return _umath_linalg.solve1(a, b)
-    finally:
-        _extobj_contextvar.reset(token)
+cholesky = _lapack(_umath_linalg.cholesky_lo, "Matrix is not positive definite",
+                   "Lower Cholesky factor of a matrix or of each matrix of a stack.")
+eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "Eigenvalues did not converge",
+                   "Ascending eigenvalues of a Hermitian matrix or stack, from its "
+                   "lower triangle.")
+eigh = _lapack(_umath_linalg.eigh_lo, "Eigenvalues did not converge",
+               "``(eigenvalues, eigenvectors)`` of a Hermitian matrix or stack, "
+               "eigenvalues ascending, from its lower triangle.")
+svd = _lapack(_umath_linalg.svd_f, "SVD did not converge",
+              "Full ``(u, s, vh)`` of a square matrix or stack, s descending.")
+solve = _lapack(_umath_linalg.solve1, "Singular matrix",
+                "x with a x = b, for a square matrix a and a vector b (one LU solve).")
 
 
 def frobenius_norm(a):

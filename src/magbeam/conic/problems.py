@@ -27,16 +27,6 @@ _SLACK_SIGN = {LE: 1.0, GE: -1.0}
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    rel_gap: float = 1e-8
-    feasibility: float = 1e-8
-    max_iterations: int = 100
-
-
-DEFAULT_TOLERANCES = Tolerances()
-
-
-@dataclass(frozen=True)
 class SdpProblem:
     """minimize 0.5*Tr(objective @ X) + linear_objective . u  subject to
     Tr(A_i @ X) + linear[i] . u  (sense[i])  rhs[i]  for each row i,
@@ -134,18 +124,14 @@ class _Rows(NamedTuple):
                                                 or bool(self.columns.imag.any())))
 
 
-def _weight(dtype):
-    # the kernel weighs a Hermitian block's trace products by this factor,
-    # so its data goes in divided by it and its norms grow by the root
-    return kernel.HERMITIAN_WEIGHT if dtype is complex else 1.0
-
-
 def _scales(problem, psd_norms, dtype):
     """Each row's data norm in the kernel's geometry, taken before its unit
     slack is appended: the larger of |(A_i, linear_i)| and |rhs_i|."""
     linear = problem.linear
-    # np.linalg.norm(linear, axis=1) as that function sums it, without its wrapper
-    return np.maximum(np.hypot(psd_norms / math.sqrt(_weight(dtype)),
+    # the data goes in divided by the block's weight and the kernel's norms
+    # grow by its root; np.linalg.norm(linear, axis=1) as that function sums
+    # it, without its wrapper
+    return np.maximum(np.hypot(psd_norms / math.sqrt(kernel.block_weight(dtype)),
                                np.sqrt((linear * linear).sum(axis=1))),
                       np.abs(problem.rhs))
 
@@ -198,8 +184,7 @@ class ConicSolution:
         return self.status == OPTIMAL
 
 
-def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
-              start: ConicSolution = None) -> ConicSolution:
+def solve_sdp(problem: SdpProblem, start: ConicSolution = None) -> ConicSolution:
     """Solve a trace-constrained SDP or LP; see :class:`SdpProblem` for the form.
 
     A row whose matrix, ``linear`` row and rhs are all zero constrains
@@ -237,7 +222,7 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
                 raise ValueError("start iterate does not match the problem")
             start = None
 
-    dtype, weight = rows.dtype, _weight(rows.dtype)
+    dtype, weight = rows.dtype, kernel.block_weight(rows.dtype)
     objective = np.asarray(problem.objective if dtype is complex else problem.objective.real,
                            dtype=dtype)
     c_u, linear, rhs = problem.linear_objective, problem.linear, problem.rhs
@@ -254,8 +239,6 @@ def solve_sdp(problem: SdpProblem, tolerances: Tolerances = DEFAULT_TOLERANCES,
         c_psd=objective / (2.0 * weight * obj_scale),
         c_lin=np.concatenate([c_u, np.zeros(a_lin.shape[1] - c_u.size)]) / obj_scale,
         a_factors=a_factors, a_lin=a_lin, b=rhs / scales, rows=rows.row_map,
-        gap_tol=tolerances.rel_gap, feas_tol=tolerances.feasibility,
-        max_iter=tolerances.max_iterations,
         start=None if start is None else start.iterate)
 
     u = res.u[:c_u.size]

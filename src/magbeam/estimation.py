@@ -173,7 +173,7 @@ def simulate_training(scenario: Scenario, protocol: TrainingProtocol,
     raises ``ValueError``.
     """
     model = build_impedance(scenario)
-    b_conj = model.b_complex.conj()
+    b_conj = model.b_columns.T.conj()
     if not np.all(np.isfinite(b_conj)):
         raise ScenarioError("impedance matrix is not finite", field="scenario")
     f = coupling_feedthrough_matrix(scenario)

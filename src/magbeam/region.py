@@ -16,7 +16,6 @@ is fixed, so a profile is only honored up to the worst-served receiver).
 """
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ from .beamforming import (DEFAULT_OPTIONS, PowerProfile,
                           benchmark_uncoordinated, profile_capped_power,
                           solve_p0)
 from .circuit import build_impedance
-from .scenario import scenario_hash
+from .scenario import scenario_hash, write_json
 
 
 @dataclass(frozen=True)
@@ -154,6 +153,4 @@ def write_sweep_summary(sweep: RegionSweep, path):
            "settings": sweep.settings,
            "n_points": len(sweep.points),
            "n_baseline_points": len(sweep.baseline_points)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)

@@ -10,12 +10,13 @@ two-receiver variants are subsets of it.
 import hashlib
 import json
 import math
+import sys
 from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 
-from .circuit import LOAD_ONLY, Scenario
+from .circuit import LOAD_ONLY, Scenario, whole_number
 from .errors import ScenarioError
 
 _H_PER_UNIT = {"H": 1.0, "uH": 1e-6, "µH": 1e-6, "nH": 1e-9}
@@ -42,15 +43,18 @@ def _unit_block(doc, key, path, units):
     if unit not in units:
         raise ScenarioError(f"unknown unit {unit!r} (allowed: {sorted(units)})",
                             field=f"{path}{key}.unit")
-    return np.asarray(blk["values"], dtype=float) * units[unit]
+    try:
+        return np.asarray(blk["values"], dtype=float) * units[unit]
+    except (TypeError, ValueError) as exc:   # a ragged or non-numeric table
+        raise ScenarioError(str(exc), field=f"{path}{key}.values") from exc
 
 
 def scenario_from_dict(doc, path="") -> Scenario:
     """Validate and convert a parsed JSON document into a Scenario."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object", field=path or "$")
-    n = _get(doc, "n_tx", path)
-    q = _get(doc, "n_rx", path)
+    n = whole_number(_get(doc, "n_tx", path), f"{path}n_tx")
+    q = whole_number(_get(doc, "n_rx", path), f"{path}n_rx")
     freq = _get(doc, "frequency", path)
     if not isinstance(freq, dict) or "unit" not in freq or "value" not in freq:
         raise ScenarioError("expected an object with 'unit' and 'value'",
@@ -68,13 +72,13 @@ def scenario_from_dict(doc, path="") -> Scenario:
     peak_v = _get(doc, "peak_voltage_v", path, required=False)
     peak_a = _get(doc, "peak_current_a", path, required=False)
     if peak_v is None:
-        peak_v = [DEFAULT_PEAK_VOLTAGE] * int(n)
+        peak_v = [DEFAULT_PEAK_VOLTAGE] * n
     if peak_a is None:
-        peak_a = [DEFAULT_PEAK_CURRENT] * int(n)
+        peak_a = [DEFAULT_PEAK_CURRENT] * n
 
     try:
         return Scenario(
-            n_tx=int(n), n_rx=int(q), omega=omega,
+            n_tx=n, n_rx=q, omega=omega,
             tx_resistance=np.asarray(_get(doc, "tx_resistance_ohm", path), dtype=float),
             rx_parasitic=np.asarray(_get(doc, "rx_parasitic_ohm", path), dtype=float),
             rx_load=np.asarray(_get(doc, "rx_load_ohm", path), dtype=float),
@@ -122,10 +126,20 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(doc)
 
 
-def save_scenario(scenario: Scenario, path):
+def write_json(doc, path=None):
+    """``doc`` as indented, key-sorted JSON and a newline, in the file ``path``
+    or, without one, on standard output: the one format of every JSON file
+    the package writes."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def save_scenario(scenario: Scenario, path):
+    write_json(scenario_to_dict(scenario), path)
 
 
 def scenario_hash(scenario: Scenario) -> str:

@@ -779,6 +779,43 @@ class TestRankPenalty:
         assert lines[0].startswith("rank penalty 0.03:")
         assert lines[-1].startswith("rank penalty 0.3:")
 
+    def test_debug_power_only_when_logged(self, tabletop_two_user, caplog, monkeypatch):
+        # each re-solve's DEBUG line costs an evaluation of its schedule,
+        # made only when the line is logged; the line and the schedules
+        # are the same either way
+        sc = tabletop_two_user
+        model = build_impedance(sc)
+        profile = two_user_profiles(40)[self.FALLBACK[0]]
+        conic, spectrum = relax(sc, profile, model=model)
+        problem = _relaxation_problem(sc, profile, model, use_peaks=True)
+        evaluated, solved = [], []
+        power, solve = beamforming.profile_capped_power, beamforming.solve_sdp
+
+        def power_spy(solution, profile):
+            evaluated.append(solution)
+            return power(solution, profile)
+
+        def solve_spy(problem, start=None):
+            solved.append(solve(problem, start=start))
+            return solved[-1]
+
+        monkeypatch.setattr(beamforming, "profile_capped_power", power_spy)
+        monkeypatch.setattr(beamforming, "solve_sdp", solve_spy)
+        caplog.set_level("INFO", logger="magbeam")
+        quiet = _rank_penalized(problem, conic, spectrum, sc, profile, model, True)
+        assert evaluated == [] and caplog.records == []
+        solved.clear()
+        caplog.set_level("DEBUG", logger="magbeam")
+        logged = _rank_penalized(problem, conic, spectrum, sc, profile, model, True)
+        assert len(evaluated) == len(logged) == 6
+        assert [s.per_rx_power.tolist() for s in logged] == \
+            [s.per_rx_power.tolist() for s in quiet]
+        weights = beamforming._RANK_PENALTY_WEIGHTS
+        assert [r.getMessage() for r in caplog.records if r.name == "magbeam"] == [
+            f"rank penalty {lam:g}: optimal after {step.iterations} iterations, "
+            f"rank {s.sdr_rank}, p {power(s, profile):.9g} W"
+            for lam, step, s in zip(weights, solved, logged)]
+
     def test_penalized_p1_schedule_meets_the_target(self, tabletop):
         # equal shares at 12 W on table2: neither rounding of the P1
         # relaxation reaches the target within the limits, the penalty does

@@ -34,13 +34,15 @@ class TestBuildImpedance:
         sc = _mk(1, 0, np.zeros((1, 0)), np.zeros((1, 1)))
         model = build_impedance(sc)
         assert model.b_bar[0, 0] == pytest.approx(13.44)
-        assert model.b_hat[0, 0] == 0.0
+        assert model.b_columns[0, 0] == model.b_bar[0, 0]
 
     def test_tabletop_cross_coupling_entry(self, tabletop):
         model = build_impedance(tabletop)
-        # -w * 6.5741 uH between the first and the center TX
-        assert model.b_hat[0, 4] == pytest.approx(-W_TABLE * 6.5741e-6, rel=1e-12)
-        assert model.b_hat[0, 4] == pytest.approx(-280.06, abs=0.01)
+        # -w * 6.5741 uH between the first and the center TX, in B's column 4
+        b_04 = model.b_columns[4, 0]
+        assert b_04.real == model.b_bar[0, 4]
+        assert b_04.imag == pytest.approx(-W_TABLE * 6.5741e-6, rel=1e-12)
+        assert b_04.imag == pytest.approx(-280.06, abs=0.01)
 
     def test_single_rx_diagonal(self):
         m = np.array([[0.5642e-6], [0.1526e-6]])
@@ -50,10 +52,13 @@ class TestBuildImpedance:
         assert model.b_bar[0, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_columns_match_complex_matrix(self, tabletop):
+        # B = Bbar - j w M_tx_tx, whose n-th column is b_columns[n]
         model = build_impedance(tabletop)
-        b = model.b_complex
+        cross = tabletop.mutual_tx_tx
+        assert not np.diag(cross).any()
         for n in range(tabletop.n_tx):
-            assert np.allclose(model.b_columns[n], b[:, n])
+            assert np.array_equal(model.b_columns[n],
+                                  model.b_bar[:, n] - 1j * tabletop.omega * cross[:, n])
 
     def test_rejects_asymmetric_cross_coupling(self):
         cross = np.array([[0.0, 1e-6], [2e-6, 0.0]])

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import row_matrices
 from magbeam.conic import (GE, INFEASIBLE, LE, NUMERICAL_FAILURE, OPTIMAL, UNBOUNDED,
-                           SdpProblem, Tolerances, kernel, linalg, numerical_rank,
+                           SdpProblem, kernel, linalg, numerical_rank,
                            psd_eigendecomposition, solve_sdp)
 from magbeam.conic.kernel import (_factor_normal, _max_step_framed, _max_step_pos, _minimum,
                                   _nt_scaling, _schur_complement)
@@ -834,7 +834,14 @@ class TestSolveLp:
         sol = solve_sdp(_lp([-1.0], [[-1.0]], (LE,), [0.0]))
         assert sol.status == UNBOUNDED
 
-    def test_vertex_enumeration_oracle(self):
+    def test_vertex_enumeration_oracle(self, monkeypatch):
+        # stopped at 1e-11 gap and feasibility, not the kernel's 1e-8
+        solve = kernel.solve_mixed_cone
+
+        def tight(**kwargs):
+            return solve(**kwargs, gap_tol=1e-11, feas_tol=1e-11)
+
+        monkeypatch.setattr(kernel, "solve_mixed_cone", tight)
         rng = np.random.default_rng(14)
         for trial in range(25):
             n = int(rng.integers(2, 5))
@@ -854,8 +861,7 @@ class TestSolveLp:
                 x = np.linalg.solve(sub, rhs_all[list(active)])
                 if np.all(rows_all @ x <= rhs_all + 1e-9):
                     best = min(best, float(c @ x))
-            sol = solve_sdp(_lp(c, a_rows, (LE,) * len(b_rows), b_rows),
-                            Tolerances(rel_gap=1e-11, feasibility=1e-11))
+            sol = solve_sdp(_lp(c, a_rows, (LE,) * len(b_rows), b_rows))
             assert sol.is_optimal, f"trial {trial}"
             assert sol.value == pytest.approx(best, abs=1e-8 * (1 + abs(best)))
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,30 @@ class TestLoad:
         tweaked["mutual_tx_tx"] = {"unit": "uH", "values": [[0.0, 1.5], [1.6, 0.0]]}
         sc = scenario_from_dict(tweaked)
         assert sc.mutual_tx_tx[0, 1] == pytest.approx(1.55e-6)
+
+    @pytest.mark.parametrize("values", [
+        [[0.4, 0.2]],          # the 2 x 1 table transposed
+        [0.4, 0.2],            # flat
+        [[0.4], [0.2], [0.1]],
+        [[0.4], [0.2, 0.1]],   # ragged
+    ])
+    def test_coupling_table_of_another_shape_rejected(self, doc, values):
+        bad = dict(doc)
+        bad["mutual_tx_rx"] = {"unit": "uH", "values": values}
+        with pytest.raises(ScenarioError, match=r"^mutual_tx_rx(: expected shape \(2, 1\)|\.values)"):
+            scenario_from_dict(bad)
+
+    @pytest.mark.parametrize("key, value", [("n_tx", 2.7), ("n_rx", 1.5), ("n_tx", "2"),
+                                            ("n_rx", None), ("n_tx", math.inf)])
+    def test_count_that_is_not_whole_rejected(self, doc, key, value):
+        # from a file, and on construction
+        with pytest.raises(ScenarioError, match=f"{key}: expected a whole number"):
+            scenario_from_dict({**doc, key: value})
+        with pytest.raises(ScenarioError, match=f"{key}: expected a whole number"):
+            replace(scenario_from_dict(doc), **{key: value})
+
+    def test_whole_float_count_loads(self, doc):
+        assert scenario_from_dict({**doc, "n_tx": 2.0}).n_tx == 2
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
