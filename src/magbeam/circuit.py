@@ -18,6 +18,7 @@ amplitudes (hence the 1/2 factors in every power expression).
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,12 +30,47 @@ _ACCOUNTING_MODES = (LOAD_ONLY, TOTAL_RX_RESISTANCE)
 
 _SYM_TOL = 1e-9
 
+# each unit's size in SI units, the SI unit first
+_H_PER_UNIT = {"H": 1.0, "uH": 1e-6, "µH": 1e-6, "nH": 1e-9}
+_RAD_PER_UNIT = {"rad/s": 1.0, "Hz": 2.0 * math.pi, "MHz": 2.0 * math.pi * 1e6}
 
-def whole_number(value, name):
-    """``value`` as an int; any other value raises ``ScenarioError`` naming ``name``."""
-    if not (isinstance(value, numbers.Real) and value % 1 == 0):
-        raise ScenarioError(f"expected a whole number, got {value!r}", field=name)
-    return int(value)
+
+class _Field(NamedTuple):
+    """One key of the scenario file format and the ``Scenario`` attribute it fills.
+
+    ``kind`` is int (a count), float (a number or table of numbers), str or dict.
+    The key of a field with ``units`` is a path ``top.sub``: ``top`` holds an
+    object with a ``unit`` out of ``units`` and the number(s) in ``sub``.
+    ``shape`` spells a table's dimensions in N (TXs) and Q (RXs); each entry must
+    exceed ``low``.  A key with a ``default`` may be omitted; a float default is
+    each TX's entry, and stands for a null too.
+    """
+
+    key: str
+    attr: str
+    kind: type = float
+    units: dict = None
+    shape: str = ""
+    low: float = -math.inf
+    default: object = None
+
+
+# the counts come first: they give the other fields' shapes
+_FIELDS = (
+    _Field("n_tx", "n_tx", int, low=0),
+    _Field("n_rx", "n_rx", int, low=-1),
+    _Field("frequency.value", "omega", units=_RAD_PER_UNIT, low=0.0),
+    _Field("tx_resistance_ohm", "tx_resistance", shape="N", low=0.0),
+    _Field("rx_parasitic_ohm", "rx_parasitic", shape="Q", low=0.0),
+    _Field("rx_load_ohm", "rx_load", shape="Q", low=0.0),
+    _Field("mutual_tx_rx.values", "mutual_tx_rx", units=_H_PER_UNIT, shape="NQ"),
+    _Field("mutual_tx_tx.values", "mutual_tx_tx", units=_H_PER_UNIT, shape="NN"),
+    _Field("total_power_cap_w", "total_power_cap", low=0.0),
+    _Field("peak_voltage_v", "peak_voltage", shape="N", low=0.0, default=50.0 * math.sqrt(2.0)),
+    _Field("peak_current_a", "peak_current", shape="N", low=0.0, default=5.0 * math.sqrt(2.0)),
+    _Field("load_accounting", "load_accounting", str, default=LOAD_ONLY),
+    _Field("metadata", "metadata", dict, default={}),
+)
 
 
 @dataclass(frozen=True)
@@ -44,8 +80,8 @@ class Scenario:
     ``mutual_tx_rx`` is N x Q (henries), ``mutual_tx_tx`` is N x N symmetric
     with zero diagonal.  ``load_accounting`` selects whether delivered power
     is booked against the load resistance only (matches the bundled
-    reference figures) or the
-    total receiver resistance.
+    reference figures) or the total receiver resistance.  Each field is
+    checked as ``_FIELDS`` says, an invalid one named by its attribute.
     """
 
     n_tx: int
@@ -63,47 +99,29 @@ class Scenario:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        n, q = whole_number(self.n_tx, "n_tx"), whole_number(self.n_rx, "n_rx")
-        if n < 1:
-            raise ScenarioError("need at least one TX", field="n_tx")
-        if q < 0:
-            raise ScenarioError("receiver count cannot be negative", field="n_rx")
-        object.__setattr__(self, "n_tx", n)
-        object.__setattr__(self, "n_rx", q)
-        for name in ("tx_resistance", "rx_parasitic", "rx_load", "mutual_tx_rx",
-                     "mutual_tx_tx", "peak_voltage", "peak_current"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        self._validate()
-
-    def _validate(self):
-        n, q = self.n_tx, self.n_rx
-        checks = [
-            ("tx_resistance", self.tx_resistance, (n,)),
-            ("rx_parasitic", self.rx_parasitic, (q,)),
-            ("rx_load", self.rx_load, (q,)),
-            ("mutual_tx_rx", self.mutual_tx_rx, (n, q)),
-            ("mutual_tx_tx", self.mutual_tx_tx, (n, n)),
-            ("peak_voltage", self.peak_voltage, (n,)),
-            ("peak_current", self.peak_current, (n,)),
-        ]
-        for name, arr, shape in checks:
-            if arr.shape != shape:
-                raise ScenarioError(f"expected shape {shape}, got {arr.shape}", field=name)
-            if not np.all(np.isfinite(arr)):
-                raise ScenarioError("entries must be finite", field=name)
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise ScenarioError("angular frequency must be positive", field="omega")
-        for name, arr in [("tx_resistance", self.tx_resistance),
-                          ("rx_parasitic", self.rx_parasitic),
-                          ("rx_load", self.rx_load),
-                          ("peak_voltage", self.peak_voltage),
-                          ("peak_current", self.peak_current)]:
-            if arr.size and np.min(arr) <= 0:
-                raise ScenarioError("entries must be strictly positive", field=name)
-        if not (np.isfinite(self.total_power_cap) and self.total_power_cap > 0):
-            raise ScenarioError("must be positive", field="total_power_cap")
+        for f in _FIELDS:
+            value = getattr(self, f.attr)
+            if f.kind is int:
+                if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                                   and value % 1 == 0):
+                    raise ScenarioError(f"expected a whole number, got {value!r}", field=f.attr)
+                value = int(value)
+            elif f.kind is float:
+                value = np.array(value, dtype=float)
+                shape = tuple({"N": self.n_tx, "Q": self.n_rx}[d] for d in f.shape)
+                if value.shape != shape:
+                    raise ScenarioError(f"expected shape {shape}, got {value.shape}",
+                                        field=self._misfit(f.attr))
+                if not np.isfinite(value).all():
+                    raise ScenarioError("entries must be finite", field=f.attr)
+                value.setflags(write=False)
+                value = value if shape else float(value)
+            else:
+                continue
+            if (np.asarray(value) <= f.low).any():
+                raise ScenarioError(f"must be greater than {f.low:g}", field=f.attr)
+            object.__setattr__(self, f.attr, value)
+        # the rules that span fields
         mt = self.mutual_tx_tx
         scale = float(np.max(np.abs(mt)))
         if np.max(np.abs(mt - mt.T)) > _SYM_TOL * scale:
@@ -118,6 +136,14 @@ class Scenario:
         if 0.5 * float(self.peak_voltage @ self.peak_current) <= self.total_power_cap:
             raise ScenarioError(
                 "sum of 0.5*V_n*A_n must exceed total_power_cap", field="total_power_cap")
+
+    def _misfit(self, table):
+        """What a shape error names: a count every table it sizes contradicts, or ``table``."""
+        for count, dim in (("n_tx", "N"), ("n_rx", "Q")):
+            if all(np.array(getattr(self, f.attr), dtype=object).shape[f.shape.index(dim):][:1]
+                   != (getattr(self, count),) for f in _FIELDS if dim in f.shape):
+                return count
+        return table
 
     @property
     def rx_resistance(self):

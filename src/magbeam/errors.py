@@ -9,7 +9,7 @@ class ScenarioError(MagbeamError):
     """A scenario file or object violates the schema or a physical invariant."""
 
     def __init__(self, message, field=None):
-        self.field = field
+        self.field, self.reason = field, message
         if field:
             message = f"{field}: {message}"
         super().__init__(message)

@@ -1,117 +1,88 @@
 """Scenario construction, JSON (de)serialization, and the bundled dataset.
 
-Scenario files are JSON with explicit unit annotations; inductances may be
-given in henries or microhenries and are converted to SI at parse time.
-Missing peak limits default to 50*sqrt(2) V and 5*sqrt(2) A per TX.  The
+Scenario files are JSON, each key read and written as the field table
+``circuit._FIELDS`` says, with units converted to SI at parse time.  The
 bundled tabletop dataset lives only in ``data/table2.json``; its one- and
 two-receiver variants are subsets of it.
 """
 
 import hashlib
 import json
-import math
 import sys
 from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 
-from .circuit import LOAD_ONLY, Scenario, whole_number
+from .circuit import _FIELDS, Scenario
 from .errors import ScenarioError
 
-_H_PER_UNIT = {"H": 1.0, "uH": 1e-6, "µH": 1e-6, "nH": 1e-9}
-_RAD_PER_UNIT = {"rad/s": 1.0, "Hz": 2.0 * math.pi, "MHz": 2.0 * math.pi * 1e6}
-
-DEFAULT_PEAK_VOLTAGE = 50.0 * math.sqrt(2.0)
-DEFAULT_PEAK_CURRENT = 5.0 * math.sqrt(2.0)
+_KEYS = {f.attr: f.key for f in _FIELDS}
+_JSON_TYPE = {str: "a string", dict: "an object"}
 
 
-def _get(doc, key, path, required=True, default=None):
-    if key not in doc:
-        if required:
-            raise ScenarioError("missing required key", field=f"{path}{key}")
-        return default
-    return doc[key]
-
-
-def _unit_block(doc, key, path, units):
-    blk = _get(doc, key, path)
-    if not isinstance(blk, dict) or "unit" not in blk or "values" not in blk:
-        raise ScenarioError("expected an object with 'unit' and 'values'",
-                            field=f"{path}{key}")
-    unit = blk["unit"]
-    if unit not in units:
-        raise ScenarioError(f"unknown unit {unit!r} (allowed: {sorted(units)})",
-                            field=f"{path}{key}.unit")
-    try:
-        return np.asarray(blk["values"], dtype=float) * units[unit]
-    except (TypeError, ValueError) as exc:   # a ragged or non-numeric table
-        raise ScenarioError(str(exc), field=f"{path}{key}.values") from exc
+def _numbers(value, name):
+    """A JSON number or rectangular table of numbers as a float array; anything
+    else, booleans and numeric strings included, raises ``ScenarioError``."""
+    table = np.array(value, dtype=object)
+    if set(map(type, table.flat)) <= {int, float}:
+        try:
+            return table.astype(float)
+        except OverflowError:   # an integer beyond the float range
+            pass
+    raise ScenarioError("expected a number or a rectangular table of numbers", field=name)
 
 
 def scenario_from_dict(doc, path="") -> Scenario:
-    """Validate and convert a parsed JSON document into a Scenario."""
+    """Validate and convert a parsed JSON document into a Scenario; a malformed
+    one raises ``ScenarioError`` naming its key, after ``path``."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object", field=path or "$")
-    n = whole_number(_get(doc, "n_tx", path), f"{path}n_tx")
-    q = whole_number(_get(doc, "n_rx", path), f"{path}n_rx")
-    freq = _get(doc, "frequency", path)
-    if not isinstance(freq, dict) or "unit" not in freq or "value" not in freq:
-        raise ScenarioError("expected an object with 'unit' and 'value'",
-                            field=f"{path}frequency")
-    if freq["unit"] not in _RAD_PER_UNIT:
-        raise ScenarioError(f"unknown unit {freq['unit']!r}", field=f"{path}frequency.unit")
-    omega = float(freq["value"]) * _RAD_PER_UNIT[freq["unit"]]
-
-    mutual_tx_rx = _unit_block(doc, "mutual_tx_rx", path, _H_PER_UNIT)
-    mutual_tx_tx = _unit_block(doc, "mutual_tx_tx", path, _H_PER_UNIT)
-    # symmetrize against asymmetric row/column echoes in hand-typed tables
-    if mutual_tx_tx.ndim == 2 and mutual_tx_tx.shape[0] == mutual_tx_tx.shape[1]:
-        mutual_tx_tx = (mutual_tx_tx + mutual_tx_tx.T) / 2.0
-
-    peak_v = _get(doc, "peak_voltage_v", path, required=False)
-    peak_a = _get(doc, "peak_current_a", path, required=False)
-    if peak_v is None:
-        peak_v = [DEFAULT_PEAK_VOLTAGE] * n
-    if peak_a is None:
-        peak_a = [DEFAULT_PEAK_CURRENT] * n
-
+    values = {}
+    for f in _FIELDS:
+        key, _, sub = f.key.partition(".")
+        value, name = doc.get(key), path + key
+        if key not in doc and f.default is None:
+            raise ScenarioError("missing required key", field=name)
+        if f.kind in _JSON_TYPE:
+            value = doc.get(key, f.default)
+            if not isinstance(value, f.kind):
+                raise ScenarioError(f"expected {_JSON_TYPE[f.kind]}", field=name)
+            value = f.kind(value)
+        elif value is None and f.default is not None:
+            # one entry per TX of the resistance table, so that an n_tx out of
+            # line with the tables is refused by the constructor, not allocated
+            value = np.full(values["tx_resistance"].shape[:1], f.default)
+        elif f.kind is float:
+            scale = 1.0
+            if sub:
+                if not (isinstance(value, dict) and "unit" in value and sub in value):
+                    raise ScenarioError(f"expected an object with 'unit' and '{sub}'", field=name)
+                unit = value["unit"]
+                if not (isinstance(unit, str) and unit in f.units):
+                    raise ScenarioError(f"unknown unit {unit!r} (allowed: {sorted(f.units)})",
+                                        field=f"{name}.unit")
+                value, scale = value[sub], f.units[unit]
+            value = _numbers(value, path + f.key) * scale
+        values[f.attr] = value   # a count goes as it is, for Scenario to check
     try:
-        return Scenario(
-            n_tx=n, n_rx=q, omega=omega,
-            tx_resistance=np.asarray(_get(doc, "tx_resistance_ohm", path), dtype=float),
-            rx_parasitic=np.asarray(_get(doc, "rx_parasitic_ohm", path), dtype=float),
-            rx_load=np.asarray(_get(doc, "rx_load_ohm", path), dtype=float),
-            mutual_tx_rx=mutual_tx_rx,
-            mutual_tx_tx=mutual_tx_tx,
-            total_power_cap=float(_get(doc, "total_power_cap_w", path)),
-            peak_voltage=np.asarray(peak_v, dtype=float),
-            peak_current=np.asarray(peak_a, dtype=float),
-            load_accounting=_get(doc, "load_accounting", path,
-                                 required=False, default=LOAD_ONLY),
-            metadata=dict(_get(doc, "metadata", path, required=False, default={})),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc), field=path or "$") from exc
+        return Scenario(**values)
+    except ScenarioError as exc:   # it names the attribute, a file names the key
+        raise ScenarioError(exc.reason, field=path + _KEYS[exc.field]) from None
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical SI-unit document; floats survive a JSON round trip exactly."""
-    return {
-        "n_tx": scenario.n_tx,
-        "n_rx": scenario.n_rx,
-        "frequency": {"unit": "rad/s", "value": scenario.omega},
-        "tx_resistance_ohm": scenario.tx_resistance.tolist(),
-        "rx_parasitic_ohm": scenario.rx_parasitic.tolist(),
-        "rx_load_ohm": scenario.rx_load.tolist(),
-        "mutual_tx_rx": {"unit": "H", "values": scenario.mutual_tx_rx.tolist()},
-        "mutual_tx_tx": {"unit": "H", "values": scenario.mutual_tx_tx.tolist()},
-        "total_power_cap_w": scenario.total_power_cap,
-        "peak_voltage_v": scenario.peak_voltage.tolist(),
-        "peak_current_a": scenario.peak_current.tolist(),
-        "load_accounting": scenario.load_accounting,
-        "metadata": scenario.metadata,
-    }
+    doc = {}
+    for f in _FIELDS:
+        value = getattr(scenario, f.attr)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        key, _, sub = f.key.partition(".")
+        if sub:   # in the SI unit, the first of the unit table
+            value = {"unit": next(iter(f.units)), sub: value}
+        doc[key] = value
+    return doc
 
 
 def load_scenario(path) -> Scenario:

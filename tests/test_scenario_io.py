@@ -1,10 +1,13 @@
 import json
 import math
+import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from magbeam.circuit import _FIELDS
 from magbeam.errors import ScenarioError
 from magbeam.scenario import (bundled_scenario_path, load_scenario,
                               save_scenario, scenario_from_dict, scenario_hash,
@@ -69,11 +72,13 @@ class TestLoad:
         with pytest.raises(ScenarioError, match="unit"):
             scenario_from_dict(bad)
 
-    def test_asymmetric_cross_table_symmetrized(self, doc):
+    def test_asymmetric_cross_table_rejected(self, doc):
+        # a file's TX-TX table is judged by the constructor's reciprocity rule,
+        # not averaged with its transpose first
         tweaked = dict(doc)
         tweaked["mutual_tx_tx"] = {"unit": "uH", "values": [[0.0, 1.5], [1.6, 0.0]]}
-        sc = scenario_from_dict(tweaked)
-        assert sc.mutual_tx_tx[0, 1] == pytest.approx(1.55e-6)
+        with pytest.raises(ScenarioError, match=r"^mutual_tx_tx\.values: must be symmetric"):
+            scenario_from_dict(tweaked)
 
     @pytest.mark.parametrize("values", [
         [[0.4, 0.2]],          # the 2 x 1 table transposed
@@ -96,8 +101,24 @@ class TestLoad:
         with pytest.raises(ScenarioError, match=f"{key}: expected a whole number"):
             replace(scenario_from_dict(doc), **{key: value})
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("n_tx", 3, "n_tx"), ("n_tx", 1e20, "n_tx"), ("n_rx", 0, "n_rx"),
+        ("rx_load_ohm", [10.0, 10.0], "rx_load_ohm"),
+        ("tx_resistance_ohm", [10.0], "tx_resistance_ohm")])
+    def test_shape_error_names_the_field_out_of_line(self, doc, key, value, named):
+        # a count is named when every table it sizes contradicts it, a table
+        # when the others agree with the count; the peaks are omitted here, so
+        # their defaults are sized without allocating n_tx entries
+        with pytest.raises(ScenarioError, match=f"^{named}: expected shape"):
+            scenario_from_dict({**doc, key: value})
+
     def test_whole_float_count_loads(self, doc):
         assert scenario_from_dict({**doc, "n_tx": 2.0}).n_tx == 2
+
+    @pytest.mark.parametrize("metadata", [[[1, 2]], "ab", None])
+    def test_metadata_that_is_not_an_object_rejected(self, doc, metadata):
+        with pytest.raises(ScenarioError, match="^metadata: expected an object"):
+            scenario_from_dict({**doc, "metadata": metadata})
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -151,3 +172,58 @@ class TestSelectReceivers:
             loaded = load_scenario(bundled_scenario_path(name))
             built = table_scenario(idx)
             assert scenario_hash(loaded) == scenario_hash(built)
+
+
+_TABLE2 = bundled_scenario_path("table2").read_text()
+
+
+def _mutation_paths():
+    # every key of the bundled table, every key of its unit objects and the
+    # first entry of every table, as a key path and the steps that reach it
+    doc = json.loads(_TABLE2)
+    for key, value in doc.items():
+        if key == "metadata":
+            continue
+        yield key, (key,)
+        if isinstance(value, list):
+            yield key, (key, 0)
+        for sub in value if isinstance(value, dict) else ():
+            yield f"{key}.{sub}", (key, sub)
+            if sub == "values":
+                yield f"{key}.values", (key, sub, 0, 0)
+
+
+_MUTANTS = ["abc", None, [], {}, True, -1, 0, 1e400, [[1, 2]], "1e400"]
+# the only mutations that leave a valid file: an omitted peak table takes its
+# default, and a TX-RX coupling may be negative or zero
+_LOADS = [("peak_voltage_v", (), None), ("peak_current_a", (), None),
+          ("mutual_tx_rx.values", (0, 0), -1), ("mutual_tx_rx.values", (0, 0), 0),
+          ("mutual_tx_tx.values", (0, 0), 0)]   # no change: the diagonal is 0
+
+
+@pytest.mark.parametrize("key_path, steps", list(_mutation_paths()),
+                         ids=lambda p: p if isinstance(p, str) else "/".join(map(str, p)))
+def test_mutation_loads_or_is_refused_by_its_key(key_path, steps):
+    entry = tuple(s for s in steps if isinstance(s, int))
+    wrong = []
+    for value in _MUTANTS:
+        doc = json.loads(_TABLE2)
+        parent = doc
+        for step in steps[:-1]:
+            parent = parent[step]
+        parent[steps[-1]] = value
+        try:
+            scenario_from_dict(doc)
+        except ScenarioError as exc:
+            if not exc.field.startswith(key_path):
+                wrong.append(f"{value!r}: {exc}")
+        else:
+            if (key_path, entry, value) not in _LOADS or type(value) is bool:
+                wrong.append(f"{value!r}: loads")
+    assert not wrong
+
+
+def test_readme_schema_lists_every_field():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Scenario JSON schema\n\n```jsonc\n(.*?)```", readme, re.S).group(1)
+    assert re.findall(r'^  "(\w+)":', block, re.M) == [f.key.partition(".")[0] for f in _FIELDS]
