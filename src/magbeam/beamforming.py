@@ -27,8 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import (Excitation, build_impedance, constraint_slacks,
-                      delivered_powers, tx_total_power)
+from .circuit import Excitation, build_impedance, constraint_slacks, evaluate_currents
 from .conic import (GE, INFEASIBLE, LE, SdpProblem, numerical_rank,
                     psd_eigendecomposition, solve_sdp)
 from .errors import InfeasibleError, SolverError
@@ -138,18 +137,18 @@ def _model_for(scenario, model):
 
 def make_solution(scenario, model, slots, method, sdr_rank=1):
     """Assemble a solution record with time-averaged powers."""
-    per_rx = np.zeros(scenario.n_rx)
-    for exc, tau in slots:
-        per_rx = per_rx + tau * delivered_powers(scenario, model, exc)
+    return _evaluated(scenario, model, slots, method, sdr_rank)[0]
+
+
+def _evaluated(scenario, model, slots, method, sdr_rank=1):
+    """The solution record of ``slots`` and the evaluation of their currents."""
+    ev = evaluate_currents(scenario, model, np.stack([exc.currents for exc, _ in slots], 1))
+    taus = np.array([tau for _, tau in slots])
+    per_rx = ev.delivered @ taus
     return BeamformingSolution(
         slots=tuple(slots), achieved_sum_power=float(per_rx.sum()),
-        tx_power=_tx_power(model, slots), per_rx_power=per_rx, method=method,
-        sdr_rank=int(sdr_rank))
-
-
-def _tx_power(model, slots):
-    """The time-averaged TX power of a schedule."""
-    return float(sum(tau * tx_total_power(model, exc) for exc, tau in slots))
+        tx_power=float(ev.tx_power @ taus), per_rx_power=per_rx, method=method,
+        sdr_rank=int(sdr_rank)), ev
 
 
 def zero_solution(scenario, model, method=METHOD_SDR_RANK1):
@@ -200,8 +199,7 @@ def solve_p2_closed_form_single_rx(scenario, target_power, model=None):
     direction = m / scenario.tx_resistance
     slots = [(Excitation(direction / np.linalg.norm(direction)), 1.0)]
     unit = make_solution(scenario, model, slots, METHOD_CLOSED_FORM)
-    return _scaled(scenario, model, slots, target_power / unit.achieved_sum_power,
-                   METHOD_CLOSED_FORM)
+    return _scaled(unit, target_power / unit.achieved_sum_power)
 
 
 def _peak_rows(scenario, model):
@@ -321,49 +319,27 @@ def _exact_realization(spectrum, use_peaks):
     return None
 
 
-def _peak_gain2(scenario, model, y):
-    """Largest squared gain per column of ``y`` that keeps every peak limit."""
-    # squares and caps in place (x *= x is x ** 2): a rounding's 4000 columns
-    # make each array 160 KB
-    q_volt, q_curr = np.abs(model.b_columns.conj() @ y), np.abs(y)
-    q_volt *= q_volt
-    q_curr *= q_curr
-    with np.errstate(divide="ignore"):
-        np.divide(scenario.peak_voltage[:, None] ** 2, q_volt, out=q_volt)
-        np.divide(scenario.peak_current[:, None] ** 2, q_curr, out=q_curr)
-    return np.minimum(q_volt.min(axis=0), q_curr.min(axis=0))
-
-
-def _delivery_gain2(model, y, rhs):
-    """Smallest squared gain per column of ``y`` meeting every delivery floor."""
-    q_delivery = np.abs(model.m_vectors @ y)
-    q_delivery *= q_delivery
-    with np.errstate(divide="ignore", invalid="ignore"):
-        need = np.where(rhs[:, None] > 0, np.divide(rhs[:, None], q_delivery, out=q_delivery),
-                        0.0)
-    return need.max(axis=0, initial=0.0)
-
-
-def _scaled(scenario, model, slots, gain2, method, sdr_rank=1):
-    """The solution of ``slots`` with every current scaled by ``sqrt(gain2)``."""
+def _scaled(solution, gain2):
+    """``solution`` with every current scaled by ``sqrt(gain2)``, so every power by ``gain2``."""
     mu = math.sqrt(gain2)
-    return make_solution(scenario, model, [(Excitation(mu * exc.currents), tau)
-                                           for exc, tau in slots],
-                         method, sdr_rank)
+    return replace(solution, slots=tuple((Excitation(mu * exc.currents), tau)
+                                         for exc, tau in solution.slots),
+                   achieved_sum_power=gain2 * solution.achieved_sum_power,
+                   tx_power=gain2 * solution.tx_power,
+                   per_rx_power=gain2 * solution.per_rx_power)
 
 
 def _at_limits(scenario, model, use_peaks, slots, method, sdr_rank=1):
     """The solution of ``slots`` scaled by the largest gain the cap (and peaks) allow.
 
     The total power cap binds the time-averaged TX power, each peak limit
-    every slot.  Only the scaled schedule is evaluated.
+    every slot.  The schedule is evaluated once, unscaled.
     """
-    gain2 = scenario.total_power_cap / _tx_power(model, slots)
+    unit, ev = _evaluated(scenario, model, slots, method, sdr_rank)
+    gain2 = scenario.total_power_cap / unit.tx_power
     if use_peaks:
-        # C-ordered columns: the array's layout decides how BLAS sums the voltages
-        currents = np.array([exc.currents for exc, _ in slots]).T.copy()
-        gain2 = min(gain2, float(_peak_gain2(scenario, model, currents).min()))
-    return _scaled(scenario, model, slots, gain2, method, sdr_rank)
+        gain2 = min(gain2, float(ev.peak_gain2.min()))
+    return _scaled(unit, gain2)
 
 
 def _reaches(solution, profile, target_power):
@@ -381,20 +357,18 @@ def _at_target(scenario, model, solution, profile, target_power):
     """
     if not _reaches(solution, profile, target_power):
         raise InfeasibleError("the schedule falls short of the target within the limits")
-    p = profile_capped_power(solution, profile)
-    return _scaled(scenario, model, solution.slots, min(1.0, target_power / p),
-                   solution.method, solution.sdr_rank)
+    return _scaled(solution, min(1.0, target_power / profile_capped_power(solution, profile)))
 
 
 def _time_sharing_lp(spectrum, scenario, profile, model, target_power=None):
     """Time-sharing over the eigendirections of a relaxed solution, at its limits.
 
-    Slot l runs direction ``v_l`` at its peak gain ``g_l``
-    (:func:`_peak_gain2`) for the time ``phi_l / g_l``, so every peak limit
-    holds inside it, and ``phi_l`` weighs its powers in the time average.
-    One LP over ``phi`` keeps the time budget ``sum_l phi_l / g_l <= 1``.
-    Without a target it has one more variable t and maximizes it subject
-    to deliveries ``>= d_q t`` and the time-averaged cap (P0); with one it
+    Slot l runs direction ``v_l`` at its peak gain ``g_l`` for the time
+    ``phi_l / g_l``, so every peak limit holds inside it, and ``phi_l``
+    weighs its powers (in watts) in the time average.  One LP over ``phi``
+    keeps the time budget ``sum_l phi_l / g_l <= 1``.  Without a target it
+    has one more variable t and maximizes it subject to deliveries
+    ``>= alpha_q t`` and the time-averaged cap (P0); with one it
     minimizes the TX power subject to the delivery floors, less the
     delivery tolerance (P1).  Time left over stretches every slot alike,
     and the schedule is scaled to its limits.
@@ -403,20 +377,17 @@ def _time_sharing_lp(spectrum, scenario, profile, model, target_power=None):
     _, evecs, rank = spectrum
     vecs = evecs[:, :max(rank, 1)]
     n_slots = vecs.shape[1]
-    tx_power = np.real(np.einsum("il,ij,jl->l", vecs.conj(), model.b_bar, vecs)) / 2.0
-    delivery = np.abs(model.m_vectors @ vecs) ** 2
-    gain2 = _peak_gain2(scenario, model, vecs)
+    ev = evaluate_currents(scenario, model, vecs)
+    gain2 = ev.peak_gain2
     if target_power is None:
-        per_watt = delivery_rhs(scenario, profile, 1.0)
         objective = np.append(np.zeros(n_slots), -1.0)
-        a_le = np.vstack([np.hstack([-delivery, per_watt[:, None]]),
-                          np.append(tx_power, 0.0), np.append(1.0 / gain2, 0.0)])
-        b_le = np.append(np.zeros(per_watt.size), [scenario.total_power_cap, 1.0])
+        a_le = np.vstack([np.hstack([-ev.delivered, profile.alpha[:, None]]),
+                          np.append(ev.tx_power, 0.0), np.append(1.0 / gain2, 0.0)])
+        b_le = np.append(np.zeros(scenario.n_rx), [scenario.total_power_cap, 1.0])
     else:
-        rhs = delivery_rhs(scenario, profile, target_power) * (1.0 - _DELIVERY_REL_TOL)
-        objective = tx_power
-        a_le = np.vstack([-delivery, 1.0 / gain2])
-        b_le = np.append(-rhs, 1.0)
+        objective = ev.tx_power
+        a_le = np.vstack([-ev.delivered, 1.0 / gain2])
+        b_le = np.append(-profile.alpha * target_power * (1.0 - _DELIVERY_REL_TOL), 1.0)
     lp_sol = solve_sdp(SdpProblem(
         np.zeros((0, 0)), np.zeros((len(b_le), 0)), (LE,) * len(b_le), b_le,
         linear_objective=objective, linear=a_le))
@@ -449,23 +420,18 @@ def _gaussian_rounding(spectrum, scenario, profile, model, draws, seed, target_p
     w, inv_sqrt2 = np.empty((rank, draws), complex), 1.0 / math.sqrt(2.0)
     np.multiply(rng.standard_normal((rank, draws)), inv_sqrt2, out=w.real)
     np.multiply(rng.standard_normal((rank, draws)), inv_sqrt2, out=w.imag)
-    y = shaped @ w                                          # (N, draws)
-    # Re(y^H Bbar y) per draw, summed in Bbar y's buffer so that no second
-    # (N, draws) array is made: conj(Bbar y) y has the real part of conj(y) Bbar y
-    p_tx = model.b_bar @ y
-    p_tx = 0.5 * np.multiply(np.conjugate(p_tx, out=p_tx), y, out=p_tx).real.sum(axis=0)
-    gain2 = np.minimum(scenario.total_power_cap / p_tx,
-                       _peak_gain2(scenario, model, y))
-    need = _delivery_gain2(model, y, delivery_rhs(scenario, profile, 1.0))   # per watt
+    ev = evaluate_currents(scenario, model, shaped @ w)       # (N, draws)
+    gain2 = np.minimum(scenario.total_power_cap / ev.tx_power, ev.peak_gain2)
+    capped = _capped_powers(ev.delivered, profile)            # at gain 1
     if target_power is None:
-        best = int(np.argmax(gain2 / need))
+        best = int(np.argmax(gain2 * capped))
     else:
-        ok = np.flatnonzero(gain2 / need >= target_power * (1.0 - _DELIVERY_REL_TOL))
+        ok = np.flatnonzero(gain2 * capped >= target_power * (1.0 - _DELIVERY_REL_TOL))
         if ok.size == 0:
             raise InfeasibleError("no randomized draw satisfies all constraints")
-        gain2_at_target = np.minimum(target_power * need[ok], gain2[ok])
-        best = int(ok[np.argmin(gain2_at_target * p_tx[ok])])
-    return _at_limits(scenario, model, True, [(Excitation(y[:, best]), 1.0)],
+        gain2_at_target = np.minimum(target_power / capped[ok], gain2[ok])
+        best = int(ok[np.argmin(gain2_at_target * ev.tx_power[ok])])
+    return _at_limits(scenario, model, True, [(Excitation(ev.currents[:, best]), 1.0)],
                       METHOD_RANDOMIZATION, rank)
 
 
@@ -627,7 +593,7 @@ def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None)
     if options.method == METHOD_CLOSED_FORM:
         # a direction at 1 W, scaled to the cap
         closed = _closed_form(scenario, 1.0, model, use_peaks)
-        best = _at_limits(scenario, model, False, closed.slots, closed.method)
+        best = _scaled(closed, scenario.total_power_cap / closed.tx_power)
         return profile_capped_power(best, profile), best
     relaxation = _optimal_relaxation(scenario, profile, model, use_peaks, start=start)
     # the zero schedule's profile-capped power is 0.0
@@ -656,8 +622,7 @@ def benchmark_uncoordinated(scenario, target_power=None, max_feasible=False,
     ones = make_solution(scenario, model, slots, METHOD_BENCHMARK)
     if target_power > 0 and ones.achieved_sum_power == 0.0:
         raise InfeasibleError("identical currents do not reach any receiver")
-    gain2 = target_power / ones.achieved_sum_power if target_power > 0 else 0.0
-    sol = _scaled(scenario, model, ones.slots, gain2, METHOD_BENCHMARK)
+    sol = _scaled(ones, target_power / ones.achieved_sum_power if target_power > 0 else 0.0)
     if not _within_limits(scenario, model, sol, use_peak_constraints):
         raise InfeasibleError("target power unreachable with identical currents")
     return sol
@@ -670,8 +635,11 @@ def profile_capped_power(solution, profile):
     ``min_q per_rx_q / alpha_q``; used to compare the benchmark against
     profile-targeted beamforming.
     """
-    alpha = profile.alpha
-    ratios = np.divide(solution.per_rx_power, alpha, out=np.full(alpha.size, np.inf),
-                       where=alpha > 0)
-    val = float(ratios.min()) if ratios.size else 0.0
+    val = float(_capped_powers(solution.per_rx_power[:, None], profile)[0])
     return val if math.isfinite(val) else 0.0
+
+
+def _capped_powers(delivered, profile):
+    """``min_q delivered_q / alpha_q`` over the receivers with a share, per column."""
+    share = profile.alpha > 0
+    return (delivered[share] / profile.alpha[share, None]).min(axis=0, initial=math.inf)

@@ -237,55 +237,22 @@ def build_impedance(scenario: Scenario) -> ImpedanceModel:
                           m_vectors=m_vectors)
 
 
-def _check_dims(model: ImpedanceModel, exc: Excitation):
-    if exc.n_tx != model.n_tx:
-        raise ValueError(f"excitation has {exc.n_tx} entries, model expects {model.n_tx}")
-
-
-def delivered_powers(scenario: Scenario, model: ImpedanceModel, exc: Excitation) -> np.ndarray:
-    """Vector of delivered powers for all receivers."""
-    _check_dims(model, exc)
-    proj = model.m_vectors @ exc.currents
-    p = scenario.omega ** 2 / (2.0 * scenario.rx_resistance) * np.abs(proj) ** 2
-    return p * scenario.rx_power_factor
-
-
-def tx_voltages(model: ImpedanceModel, exc: Excitation) -> np.ndarray:
-    """Source voltage phasors, ``v_n = b_n^H i``."""
-    _check_dims(model, exc)
-    return model.b_columns.conj() @ exc.currents
-
-
-def tx_total_power(model: ImpedanceModel, exc: Excitation) -> float:
-    """Total power drawn from all TX sources, ``0.5 i^H Bbar i``."""
-    _check_dims(model, exc)
-    i = exc.currents
-    return float(np.vdot(i, model.b_bar @ i).real) / 2.0
-
-
-def efficiency(scenario: Scenario, model: ImpedanceModel, schedule) -> float:
-    """Delivered-to-drawn power ratio of a (possibly time-shared) schedule.
-
-    ``schedule`` is a list of ``(Excitation, time_fraction)`` pairs whose
-    fractions are nonnegative and sum to one.
-    """
-    fracs = np.array([tau for _, tau in schedule], dtype=float)
-    if fracs.size == 0 or np.min(fracs) < -1e-12 or abs(fracs.sum() - 1.0) > 1e-9:
-        raise ValueError("time fractions must be nonnegative and sum to 1")
-    p_out = sum(tau * float(np.sum(delivered_powers(scenario, model, exc)))
-                for exc, tau in schedule)
-    p_in = sum(tau * tx_total_power(model, exc) for exc, tau in schedule)
-    if p_in <= 0.0:
-        raise EfficiencyUndefinedError("schedule draws zero transmit power")
-    return p_out / p_in
+def _port_forms(model: ImpedanceModel, currents):
+    """Source voltages ``conj(B) i`` and drawn powers ``0.5 i^H Bbar i`` of a current
+    vector or of each column of a matrix (summed in ``Bbar i``'s buffer)."""
+    if currents.shape[0] != model.n_tx:
+        raise ValueError(f"currents have {currents.shape[0]} rows, model expects {model.n_tx}")
+    p = model.b_bar @ currents
+    p = 0.5 * np.multiply(np.conjugate(p, out=p), currents, out=p).real.sum(axis=0)
+    return model.b_columns.conj() @ currents, p
 
 
 @dataclass(frozen=True)
 class SlackReport:
     """Signed distances to each constraint; negative means violated.
 
-    Beamforming judges a schedule by ``beamforming._within_limits``, which
-    applies ``_SLACK_TOL`` to these slacks; the CLI reports ``min_slack``.
+    Beamforming checks them within ``_SLACK_TOL`` where a target sets a
+    schedule's scale (``_within_limits``); the CLI reports ``min_slack``.
     """
 
     voltage_slack: np.ndarray
@@ -301,11 +268,71 @@ class SlackReport:
         return min(vals)
 
 
+class CurrentEvaluation(NamedTuple):
+    """Per column of an N x L current matrix: source voltages (N x L), drawn
+    power, delivered powers (Q x L) and the largest squared gain keeping every
+    peak limit (inf for a zero column).  Powers scale with a gain squared."""
+
+    currents: np.ndarray
+    voltages: np.ndarray
+    tx_power: np.ndarray
+    delivered: np.ndarray
+    peak_gain2: np.ndarray
+
+    def slacks(self, scenario, column=0) -> SlackReport:
+        """Column ``column``'s slack against the scenario limits."""
+        return SlackReport(
+            voltage_slack=scenario.peak_voltage - np.abs(self.voltages[:, column]),
+            current_slack=scenario.peak_current - np.abs(self.currents[:, column]),
+            total_power_slack=scenario.total_power_cap - float(self.tx_power[column]))
+
+
+def evaluate_currents(scenario: Scenario, model: ImpedanceModel, currents) -> CurrentEvaluation:
+    """The :class:`CurrentEvaluation` of an N x L current matrix."""
+    if np.ndim(currents) != 2:
+        raise ValueError(f"currents must be an N x L matrix, got {np.ndim(currents)} dimensions")
+    voltages, tx_power = _port_forms(model, currents)
+    proj = np.abs(model.m_vectors @ currents)
+    delivered = ((scenario.omega ** 2 / (2.0 * scenario.rx_resistance))[:, None] * (proj * proj)
+                 * scenario.rx_power_factor[:, None])
+    with np.errstate(divide="ignore"):
+        gain2 = np.minimum(
+            (scenario.peak_voltage[:, None] ** 2 / np.abs(voltages) ** 2).min(axis=0),
+            (scenario.peak_current[:, None] ** 2 / np.abs(currents) ** 2).min(axis=0))
+    return CurrentEvaluation(currents, voltages, tx_power, delivered, gain2)
+
+
+def delivered_powers(scenario: Scenario, model: ImpedanceModel, exc: Excitation) -> np.ndarray:
+    """Vector of delivered powers for all receivers."""
+    return evaluate_currents(scenario, model, exc.currents[:, None]).delivered[:, 0]
+
+
+def tx_voltages(model: ImpedanceModel, exc: Excitation) -> np.ndarray:
+    """Source voltage phasors, ``v_n = b_n^H i``."""
+    return _port_forms(model, exc.currents)[0]
+
+
+def tx_total_power(model: ImpedanceModel, exc: Excitation) -> float:
+    """Total power drawn from all TX sources, ``0.5 i^H Bbar i``."""
+    return float(_port_forms(model, exc.currents)[1])
+
+
+def efficiency(scenario: Scenario, model: ImpedanceModel, schedule) -> float:
+    """Delivered-to-drawn power ratio of a (possibly time-shared) schedule.
+
+    ``schedule`` is a list of ``(Excitation, time_fraction)`` pairs whose
+    fractions are nonnegative and sum to one.
+    """
+    fracs = np.array([tau for _, tau in schedule], dtype=float)
+    if fracs.size == 0 or np.min(fracs) < -1e-12 or abs(fracs.sum() - 1.0) > 1e-9:
+        raise ValueError("time fractions must be nonnegative and sum to 1")
+    ev = evaluate_currents(scenario, model, np.stack([exc.currents for exc, _ in schedule], 1))
+    p_in = float(ev.tx_power @ fracs)
+    if p_in <= 0.0:
+        raise EfficiencyUndefinedError("schedule draws zero transmit power")
+    return float(ev.delivered.sum(axis=0) @ fracs) / p_in
+
+
 def constraint_slacks(scenario: Scenario, model: ImpedanceModel, exc: Excitation) -> SlackReport:
     """Per-constraint slack of an excitation against the scenario limits."""
-    v = tx_voltages(model, exc)
-    return SlackReport(
-        voltage_slack=scenario.peak_voltage - np.abs(v),
-        current_slack=scenario.peak_current - np.abs(exc.currents),
-        total_power_slack=scenario.total_power_cap - tx_total_power(model, exc),
-    )
+    return evaluate_currents(scenario, model, exc.currents[:, None]).slacks(scenario)

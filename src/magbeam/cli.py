@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .beamforming import (PowerProfile, SolveOptions, benchmark_uncoordinated,
                           solve_p0, solve_p1)
-from .circuit import build_impedance, constraint_slacks, delivered_powers, tx_voltages
+from .circuit import build_impedance, evaluate_currents
 from .errors import (EstimationError, InfeasibleError, MagbeamError, ScenarioError,
                      SolverError)
 from .estimation import (BLOCK_SINGLE_TX, DRIVEN_ZERO, OPEN_CIRCUIT,
@@ -123,17 +123,15 @@ def write_manifest(path, command, scenario, options, seed, outputs,
 
 
 def solution_to_dict(solution, scenario, model):
-    slots = []
-    for exc, tau in solution.slots:
-        rep = constraint_slacks(scenario, model, exc)
-        slots.append({
-            "time_fraction": tau,
-            "currents_re": exc.currents.real.tolist(),
-            "currents_im": exc.currents.imag.tolist(),
-            "voltages_abs": np.abs(tx_voltages(model, exc)).tolist(),
-            "delivered_w": delivered_powers(scenario, model, exc).tolist(),
-            "min_slack": rep.min_slack,
-        })
+    ev = evaluate_currents(scenario, model,
+                           np.stack([exc.currents for exc, _ in solution.slots], 1))
+    slots = [{"time_fraction": tau,
+              "currents_re": exc.currents.real.tolist(),
+              "currents_im": exc.currents.imag.tolist(),
+              "voltages_abs": np.abs(ev.voltages[:, l]).tolist(),
+              "delivered_w": ev.delivered[:, l].tolist(),
+              "min_slack": ev.slacks(scenario, l).min_slack}
+             for l, (exc, tau) in enumerate(solution.slots)]
     return {
         "method": solution.method,
         "sdr_rank": solution.sdr_rank,

@@ -57,17 +57,6 @@ def boundary_point(scenario, alpha, options=DEFAULT_OPTIONS,
                             relaxation=sol.relaxation)
 
 
-def benchmark_point(scenario, alpha, constrained=True, model=None) -> PowerRegionPoint:
-    """Profile-capped point of the identical-current baseline."""
-    if not isinstance(alpha, PowerProfile):
-        alpha = PowerProfile(alpha)
-    sol = benchmark_uncoordinated(scenario, max_feasible=True,
-                                  use_peak_constraints=constrained, model=model)
-    return PowerRegionPoint(alpha=alpha, p_star=profile_capped_power(sol, alpha),
-                            per_rx=sol.per_rx_power, constrained=constrained,
-                            solution_method=sol.method, sdr_rank=1)
-
-
 def two_user_profiles(grid_size: int):
     """Profiles alpha_1 in {0, 1/G, ..., 1} for a two-receiver sweep."""
     if grid_size < 1:
@@ -110,8 +99,13 @@ def sweep_region(scenario, grid_size=40, baseline=False, alphas=None,
     for prof in profiles:
         start = points[-1].relaxation if points else None
         points.append(boundary_point(scenario, prof, options, model, start=start))
-    base = [benchmark_point(scenario, prof, constrained, model)
-            for prof in profiles] if baseline else []
+    base = []
+    if baseline:
+        bench = benchmark_uncoordinated(scenario, max_feasible=True,
+                                        use_peak_constraints=constrained, model=model)
+        base = [PowerRegionPoint(alpha=prof, p_star=profile_capped_power(bench, prof),
+                                 per_rx=bench.per_rx_power, constrained=constrained,
+                                 solution_method=bench.method) for prof in profiles]
     settings = {"grid_size": grid_size if alphas is None else None,
                 "constrained": constrained, "baseline": baseline,
                 "tool_version": __version__}

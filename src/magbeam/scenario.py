@@ -18,6 +18,8 @@ from .circuit import _FIELDS, Scenario
 from .errors import ScenarioError
 
 _KEYS = {f.attr: f.key for f in _FIELDS}
+# each top-level key and the key of its number(s) in a unit object ("" for none)
+_SUB_KEYS = dict(f.key.partition(".")[::2] for f in _FIELDS)
 _JSON_TYPE = {str: "a string", dict: "an object"}
 
 
@@ -38,6 +40,13 @@ def scenario_from_dict(doc, path="") -> Scenario:
     one raises ``ScenarioError`` naming its key, after ``path``."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object", field=path or "$")
+    for key, value in doc.items():   # a misspelled key is named, not taken as missing
+        if key not in _SUB_KEYS:
+            raise ScenarioError("unknown key", field=f"{path}{key}")
+        sub = _SUB_KEYS[key]
+        for inner in value if sub and isinstance(value, dict) else ():
+            if inner not in ("unit", sub):
+                raise ScenarioError("unknown key", field=f"{path}{key}.{inner}")
     values = {}
     for f in _FIELDS:
         key, _, sub = f.key.partition(".")

@@ -824,8 +824,7 @@ class TestRankPenalty:
         conic, spectrum = relax(tabletop, profile, 12.0, model)
         problem = _relaxation_problem(tabletop, profile, model, True, 12.0)
         schedules = _rank_penalized(problem, conic, spectrum, tabletop, profile, model, True)
-        scaled = [_scaled(tabletop, model, s.slots, 12.0 / profile_capped_power(s, profile),
-                          s.method, s.sdr_rank) for s in schedules]
+        scaled = [_scaled(s, 12.0 / profile_capped_power(s, profile)) for s in schedules]
         assert any(_within_limits(tabletop, model, s, True) for s in scaled)
 
     def test_swallowed_rounding_is_logged(self, caplog):

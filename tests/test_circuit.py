@@ -6,8 +6,9 @@ import pytest
 from conftest import random_excitation, random_scenario
 from magbeam.circuit import (Excitation, Scenario, SlackReport, build_impedance,
                              constraint_slacks, delivered_powers, efficiency,
-                             tx_total_power, tx_voltages)
+                             evaluate_currents, tx_total_power, tx_voltages)
 from magbeam.errors import EfficiencyUndefinedError, ScenarioError
+from magbeam.scenario import bundled_scenario_path, load_scenario
 
 W_TABLE = 42.6e6
 R_RX = 10.5367
@@ -251,6 +252,45 @@ class TestConstraintSlacks:
         rep = constraint_slacks(tabletop_miso, miso_model, Excitation(np.zeros(5)))
         assert isinstance(rep, SlackReport)
         assert rep.min_slack >= -1e-6
+
+
+class TestEvaluateCurrents:
+    @pytest.mark.parametrize("name", ["table2", "table2_miso", "table2_two_user"])
+    def test_columns_match_one_column_functions(self, name):
+        sc = load_scenario(bundled_scenario_path(name))
+        model = build_impedance(sc)
+        rng = np.random.default_rng(11)
+        cur = rng.standard_normal((sc.n_tx, 7)) + 1j * rng.standard_normal((sc.n_tx, 7))
+        cur[:, 3] = 0.0
+        ev = evaluate_currents(sc, model, cur)
+        assert ev.voltages.shape == (sc.n_tx, 7) and ev.delivered.shape == (sc.n_rx, 7)
+        for l in range(7):
+            exc = Excitation(cur[:, l])
+            close = dict(rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(ev.voltages[:, l], tx_voltages(model, exc), **close)
+            np.testing.assert_allclose(ev.tx_power[l], tx_total_power(model, exc), **close)
+            np.testing.assert_allclose(ev.delivered[:, l], delivered_powers(sc, model, exc),
+                                       **close)
+            rep, one = ev.slacks(sc, l), constraint_slacks(sc, model, exc)
+            for got, want in ((rep.voltage_slack, one.voltage_slack),
+                              (rep.current_slack, one.current_slack),
+                              (rep.total_power_slack, one.total_power_slack)):
+                np.testing.assert_allclose(got, want, **close)
+            if l == 3:
+                assert ev.peak_gain2[l] == math.inf and ev.tx_power[l] == 0.0
+                continue
+            # at the peak gain the tightest peak limit holds with zero slack
+            at_peak = constraint_slacks(sc, model, Excitation(math.sqrt(ev.peak_gain2[l])
+                                                              * cur[:, l]))
+            tightest = min(at_peak.voltage_slack.min(), at_peak.current_slack.min())
+            assert abs(tightest) <= 1e-13 * sc.peak_voltage.max()
+
+    def test_refuses_a_vector(self, tabletop):
+        model = build_impedance(tabletop)
+        with pytest.raises(ValueError):
+            evaluate_currents(tabletop, model, np.ones(5, dtype=complex))
+        with pytest.raises(ValueError):
+            evaluate_currents(tabletop, model, np.ones((4, 2), dtype=complex))
 
 
 class TestProperties:

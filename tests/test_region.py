@@ -7,7 +7,7 @@ from magbeam import beamforming
 from magbeam.beamforming import PowerProfile, SolveOptions, solve_p0
 from magbeam.circuit import build_impedance
 from magbeam.conic import kernel, problems
-from magbeam.region import (RegionSweep, benchmark_point, boundary_point,
+from magbeam.region import (RegionSweep, boundary_point,
                             sweep_region, two_user_profiles, write_region_csv,
                             write_sweep_summary)
 from magbeam.scenario import table_scenario
@@ -215,9 +215,10 @@ class TestWarmStartedSweep:
 
 class TestBaselinePoint:
     def test_profile_capped_value(self, tabletop_two_user):
-        point = benchmark_point(tabletop_two_user, [1.0, 0.0], constrained=False)
+        # the baseline points come sorted by profile: [0, 1] first
+        point2, point = sweep_region(tabletop_two_user, alphas=[[1.0, 0.0], [0.0, 1.0]],
+                                     baseline=True, options=NO_PEAKS).baseline_points
         assert point.p_star == pytest.approx(50.4, rel=0.03)
-        point2 = benchmark_point(tabletop_two_user, [0.0, 1.0], constrained=False)
         assert point2.p_star == pytest.approx(27.5, rel=0.03)
 
 

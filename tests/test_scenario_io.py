@@ -220,6 +220,19 @@ def test_mutation_loads_or_is_refused_by_its_key(key_path, steps):
         else:
             if (key_path, entry, value) not in _LOADS or type(value) is bool:
                 wrong.append(f"{value!r}: loads")
+    if not entry:
+        # the key misspelled, its last letter dropped: refused by the new name
+        doc = json.loads(_TABLE2)
+        parent = doc
+        for step in steps[:-1]:
+            parent = parent[step]
+        parent[steps[-1][:-1]] = parent.pop(steps[-1])
+        try:
+            scenario_from_dict(doc)
+            wrong.append("misspelled key: loads")
+        except ScenarioError as exc:
+            if exc.field != key_path[:-1]:
+                wrong.append(f"misspelled key: {exc}")
     assert not wrong
 
 
