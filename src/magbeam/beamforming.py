@@ -15,11 +15,12 @@ rank-two X (the one complex current whose real outer product it is) or,
 without peak limits, any rank (time-sharing its scaled eigenvectors).
 Otherwise it is rounded by a per-slot time-sharing LP and by Gaussian
 randomization, next to re-solves of the relaxation under a rank penalty.
-Every candidate schedule is scaled to the largest gain its limits allow.
-P0 keeps the one delivering the most profile-capped power; P1 keeps,
-among those reaching its target, the one needing the least TX power per
-profile-capped watt there, scaled down to the target.  Only the winner
-carries the relaxation solved.
+Every schedule, the closed form and the benchmark included, is scaled
+once to the largest gain its limits allow (:func:`_at_limits`).  P0 keeps
+the one delivering the most profile-capped power; P1 keeps, among those
+reaching its target (:func:`_reaches`), the one needing the least TX power
+per profile-capped watt, and scales only it down (:func:`_at_target`).
+Only the winner carries the relaxation solved.
 """
 
 import math
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import Excitation, build_impedance, constraint_slacks, evaluate_currents
+from .circuit import Excitation, build_impedance, evaluate_currents
 from .conic import (GE, INFEASIBLE, LE, SdpProblem, numerical_rank,
                     psd_eigendecomposition, solve_sdp)
 from .errors import InfeasibleError, SolverError
@@ -45,7 +46,6 @@ METHOD_RANK_PENALTY = "rank_penalty"
 # ``SolveOptions.method``: every rounding, exact only, one rounding, closed form
 _METHODS = ("auto", "sdr", "ts", "randomization", METHOD_CLOSED_FORM)
 
-_SLACK_TOL = 1e-6
 # relative shortfall a delivered power may have against its floor
 _DELIVERY_REL_TOL = 1e-5
 # eigenvalues below this fraction of the largest do not count toward a rank
@@ -135,11 +135,6 @@ def _model_for(scenario, model):
     return build_impedance(scenario) if model is None else model
 
 
-def make_solution(scenario, model, slots, method, sdr_rank=1):
-    """Assemble a solution record with time-averaged powers."""
-    return _evaluated(scenario, model, slots, method, sdr_rank)[0]
-
-
 def _evaluated(scenario, model, slots, method, sdr_rank=1):
     """The solution record of ``slots`` and the evaluation of their currents."""
     ev = evaluate_currents(scenario, model, np.stack([exc.currents for exc, _ in slots], 1))
@@ -153,7 +148,7 @@ def _evaluated(scenario, model, slots, method, sdr_rank=1):
 
 def zero_solution(scenario, model, method=METHOD_SDR_RANK1):
     exc = Excitation(np.zeros(scenario.n_tx, dtype=complex))
-    return make_solution(scenario, model, [(exc, 1.0)], method, sdr_rank=0)
+    return _evaluated(scenario, model, [(exc, 1.0)], method, sdr_rank=0)[0]
 
 
 def delivery_rhs(scenario, profile, target_power):
@@ -181,25 +176,25 @@ def _uncoupled_demand(model, profile):
     return bool(((profile.alpha > 0) & ((m * m).sum(axis=1) == 0.0)).any())
 
 
+def _check_target(target_power):
+    if not math.isfinite(target_power):
+        raise ValueError(f"target_power must be finite, got {target_power}")
+
+
 def solve_p2_closed_form_single_rx(scenario, target_power, model=None):
     """Single-RX optimum ignoring peak limits: direction R^{-1} m, scaled.
 
     The binding Lagrangian dual makes ``R + gamma* m m^T`` singular exactly
     at ``gamma* = -1/(m^T R^{-1} m)``, whose null vector is ``R^{-1} m``; for
-    identical TX resistances this is the coupling vector itself.
+    identical TX resistances this is the coupling vector itself.  It is
+    scaled to the cap, then down to ``target_power`` (:func:`_at_target`).
     """
-    if scenario.n_rx != 1:
-        raise ValueError("closed form applies to the single-RX case only")
+    _check_target(target_power)
     model = _model_for(scenario, model)
-    m = model.m_vectors[0]
-    if np.linalg.norm(m) == 0.0:
-        raise InfeasibleError("receiver is not coupled to any TX")
+    closed = _closed_form(scenario, model, use_peaks=False)
     if target_power <= 0.0:
         return zero_solution(scenario, model, method=METHOD_CLOSED_FORM)
-    direction = m / scenario.tx_resistance
-    slots = [(Excitation(direction / np.linalg.norm(direction)), 1.0)]
-    unit = make_solution(scenario, model, slots, METHOD_CLOSED_FORM)
-    return _scaled(unit, target_power / unit.achieved_sum_power)
+    return _at_target(closed, None, target_power)
 
 
 def _peak_rows(scenario, model):
@@ -342,22 +337,26 @@ def _at_limits(scenario, model, use_peaks, slots, method, sdr_rank=1):
     return _scaled(unit, gain2)
 
 
-def _reaches(solution, profile, target_power):
-    """True if the schedule delivers ``target_power`` at the profile, within
-    the delivery tolerance."""
-    return profile_capped_power(solution, profile) >= target_power * (1.0 - _DELIVERY_REL_TOL)
+def _reaches(power, target_power):
+    """True where ``power`` (W, or an array) meets ``target_power`` within the
+    delivery tolerance: the one rule that accepts or refuses a target."""
+    return power >= target_power * (1.0 - _DELIVERY_REL_TOL)
 
 
-def _at_target(scenario, model, solution, profile, target_power):
+def _at_target(solution, profile, target_power):
     """A schedule at its limits scaled down to deliver ``target_power``.
 
     Powers scale with the squared gain, so the gain is ``min(1, P/p)`` for
-    the schedule's profile-capped power p; a p short of the target by more
-    than the delivery tolerance raises ``InfeasibleError``.
+    the target P and the schedule's profile-capped power p (its sum power
+    when ``profile`` is None); a p that does not reach P (:func:`_reaches`)
+    raises ``InfeasibleError``.
     """
-    if not _reaches(solution, profile, target_power):
-        raise InfeasibleError("the schedule falls short of the target within the limits")
-    return _scaled(solution, min(1.0, target_power / profile_capped_power(solution, profile)))
+    power = (solution.achieved_sum_power if profile is None
+             else profile_capped_power(solution, profile))
+    if not _reaches(power, target_power):
+        raise InfeasibleError(f"the {solution.method} schedule delivers {power:.6g} W at "
+                              f"its limits, short of the {target_power:.6g} W target")
+    return _scaled(solution, min(1.0, target_power / power))
 
 
 def _time_sharing_lp(spectrum, scenario, profile, model, target_power=None):
@@ -407,9 +406,9 @@ def _gaussian_rounding(spectrum, scenario, profile, model, draws, seed, target_p
 
     Every draw is scaled to the largest gain the cap and peaks allow.
     Without a target the draw delivering the most profile-capped power wins
-    (P0).  With one, only draws reaching the target within the delivery
-    tolerance count, and the one needing the least TX power at the target
-    wins (P1); with no such draw ``InfeasibleError`` is raised.
+    (P0).  With one, of the draws reaching it (:func:`_reaches`) the one
+    needing the least TX power per profile-capped watt wins (P1); with no
+    such draw ``InfeasibleError`` is raised.
     """
     evals, evecs, rank = spectrum
     rank = max(rank, 1)
@@ -426,11 +425,10 @@ def _gaussian_rounding(spectrum, scenario, profile, model, draws, seed, target_p
     if target_power is None:
         best = int(np.argmax(gain2 * capped))
     else:
-        ok = np.flatnonzero(gain2 * capped >= target_power * (1.0 - _DELIVERY_REL_TOL))
+        ok = np.flatnonzero(_reaches(gain2 * capped, target_power))
         if ok.size == 0:
             raise InfeasibleError("no randomized draw satisfies all constraints")
-        gain2_at_target = np.minimum(target_power / capped[ok], gain2[ok])
-        best = int(ok[np.argmin(gain2_at_target * ev.tx_power[ok])])
+        best = int(ok[np.argmin(ev.tx_power[ok] / capped[ok])])
     return _at_limits(scenario, model, True, [(Excitation(ev.currents[:, best]), 1.0)],
                       METHOD_RANDOMIZATION, rank)
 
@@ -519,29 +517,18 @@ def _candidates(scenario, profile, model, relaxation, options, target_power=None
     return candidates + _rank_penalized(*relaxation, scenario, profile, model, use_peaks)
 
 
-def _within_limits(scenario, model, solution, use_peaks):
-    """True if the schedule keeps the total power cap on average and, with
-    peaks, every peak limit in every slot, each within ``_SLACK_TOL``."""
-    if scenario.total_power_cap - solution.tx_power < -_SLACK_TOL:
-        return False
-    reports = (constraint_slacks(scenario, model, exc) for exc, _ in solution.slots)
-    return not use_peaks or all(
-        min(np.min(r.voltage_slack), np.min(r.current_slack)) >= -_SLACK_TOL
-        for r in reports)
-
-
 def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=None):
     """Minimize TX sum power subject to per-RX delivery shares.
 
     The relaxation (:func:`_optimal_relaxation`) is realized or rounded as in
     :func:`solve_p0` (see :func:`_candidates`), every candidate at its
-    limits.  Each candidate that reaches the target there is scaled down to
-    it (:func:`_at_target`), and the one with the most profile-capped power
-    per TX watt wins: the least TX power at the target, with a candidate
-    short of the target by up to the delivery tolerance charged for its
-    shortfall.  No such candidate raises ``InfeasibleError``.  The
-    winner's ``relaxation`` is the relaxation solved.
+    limits.  Of those reaching the target (:func:`_reaches`), the one needing
+    the least TX power per profile-capped watt wins, a ratio that scaling
+    keeps, and only it is scaled down (:func:`_at_target`); no such schedule
+    raises ``InfeasibleError``.  The winner's ``relaxation`` is the
+    relaxation solved.  A non-finite ``target_power`` raises ``ValueError``.
     """
+    _check_target(target_power)
     model = _model_for(scenario, model)
     _check_profile(scenario, profile)
     if target_power <= 0.0:
@@ -551,26 +538,28 @@ def solve_p1(scenario, profile, target_power, options=DEFAULT_OPTIONS, model=Non
 
     use_peaks = options.use_peak_constraints
     if options.method == METHOD_CLOSED_FORM:
-        closed = _closed_form(scenario, target_power, model, use_peaks)
-        if not _within_limits(scenario, model, closed, use_peaks):
-            raise InfeasibleError("the closed form exceeds the total power cap")
-        return closed
+        return _at_target(_closed_form(scenario, model, use_peaks), profile, target_power)
 
     relaxation = _optimal_relaxation(scenario, profile, model, use_peaks, target_power)
     schedules = _candidates(scenario, profile, model, relaxation, options, target_power)
-    candidates = [_at_target(scenario, model, c, profile, target_power)
-                  for c in schedules if _reaches(c, profile, target_power)]
-    if not candidates:
+    reaching = [c for c in schedules
+                if _reaches(profile_capped_power(c, profile), target_power)]
+    if not reaching:
         raise InfeasibleError("no schedule meets the delivery shares within the limits")
-    best = min(candidates, key=lambda c: c.tx_power / profile_capped_power(c, profile))
-    return replace(best, relaxation=relaxation[1])
+    best = min(reaching, key=lambda c: c.tx_power / profile_capped_power(c, profile))
+    return replace(_at_target(best, profile, target_power), relaxation=relaxation[1])
 
 
-def _closed_form(scenario, target_power, model, use_peaks):
-    """The single-RX closed form, which has no peak limits to keep."""
+def _closed_form(scenario, model, use_peaks):
+    """The single-RX closed form's direction at its limits, which are the cap only."""
     if use_peaks:
         raise ValueError("closed form ignores peak limits; use --no-peaks")
-    return solve_p2_closed_form_single_rx(scenario, target_power, model)
+    if scenario.n_rx != 1:
+        raise ValueError("closed form applies to the single-RX case only")
+    if not model.m_vectors[0].any():
+        raise InfeasibleError("receiver is not coupled to any TX")
+    slots = [(Excitation(model.m_vectors[0] / scenario.tx_resistance), 1.0)]
+    return _at_limits(scenario, model, False, slots, METHOD_CLOSED_FORM)
 
 
 def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None):
@@ -591,9 +580,7 @@ def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None)
 
     use_peaks = options.use_peak_constraints
     if options.method == METHOD_CLOSED_FORM:
-        # a direction at 1 W, scaled to the cap
-        closed = _closed_form(scenario, 1.0, model, use_peaks)
-        best = _scaled(closed, scenario.total_power_cap / closed.tx_power)
+        best = _closed_form(scenario, model, use_peaks)
         return profile_capped_power(best, profile), best
     relaxation = _optimal_relaxation(scenario, profile, model, use_peaks, start=start)
     # the zero schedule's profile-capped power is 0.0
@@ -606,26 +593,26 @@ def solve_p0(scenario, profile, options=DEFAULT_OPTIONS, model=None, start=None)
 
 def benchmark_uncoordinated(scenario, target_power=None, max_feasible=False,
                             use_peak_constraints=True, model=None):
-    """Identical current on every TX, scaled to a target or to the limits.
+    """Identical current on every TX, at its limits or scaled down to a target.
 
     The current direction is the all-ones vector; only its magnitude is
-    free.  With ``max_feasible`` the magnitude grows until the first peak
-    limit or the total power cap binds (peaks are skipped when
-    ``use_peak_constraints`` is false).
+    free.  It grows until the first peak limit or the total power cap binds
+    (peaks are skipped when ``use_peak_constraints`` is false): the answer
+    with ``max_feasible``.  A delivered sum ``target_power`` only scales it
+    down (:func:`_at_target`); a non-finite one raises ``ValueError``.
     """
     if (target_power is None) == (not max_feasible):
         raise ValueError("specify exactly one of target_power or max_feasible")
+    if not max_feasible:
+        _check_target(target_power)
     model = _model_for(scenario, model)
-    slots = [(Excitation(np.ones(scenario.n_tx)), 1.0)]
+    sol = _at_limits(scenario, model, use_peak_constraints,
+                     [(Excitation(np.ones(scenario.n_tx)), 1.0)], METHOD_BENCHMARK)
     if max_feasible:
-        return _at_limits(scenario, model, use_peak_constraints, slots, METHOD_BENCHMARK)
-    ones = make_solution(scenario, model, slots, METHOD_BENCHMARK)
-    if target_power > 0 and ones.achieved_sum_power == 0.0:
-        raise InfeasibleError("identical currents do not reach any receiver")
-    sol = _scaled(ones, target_power / ones.achieved_sum_power if target_power > 0 else 0.0)
-    if not _within_limits(scenario, model, sol, use_peak_constraints):
-        raise InfeasibleError("target power unreachable with identical currents")
-    return sol
+        return sol
+    if target_power <= 0.0:
+        return _scaled(sol, 0.0)
+    return _at_target(sol, None, target_power)
 
 
 def profile_capped_power(solution, profile):

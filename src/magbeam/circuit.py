@@ -213,10 +213,6 @@ class Excitation:
         arr.setflags(write=False)
         object.__setattr__(self, "currents", arr)
 
-    @property
-    def n_tx(self):
-        return self.currents.size
-
 
 def build_impedance(scenario: Scenario) -> ImpedanceModel:
     """Assemble the impedance matrices for a scenario (validated on construction)."""
@@ -251,8 +247,9 @@ def _port_forms(model: ImpedanceModel, currents):
 class SlackReport:
     """Signed distances to each constraint; negative means violated.
 
-    Beamforming checks them within ``_SLACK_TOL`` where a target sets a
-    schedule's scale (``_within_limits``); the CLI reports ``min_slack``.
+    Beamforming keeps the limits by scaling a schedule to its largest
+    feasible gain (``CurrentEvaluation.peak_gain2``), not by these
+    distances; the CLI reports their ``min_slack``.
     """
 
     voltage_slack: np.ndarray

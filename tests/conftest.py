@@ -92,5 +92,5 @@ def time_shared(scenario, x_star, model=None):
     """The schedule realizing ``x_star`` exactly by time-sharing its eigenvectors."""
     spectrum = beamforming._spectrum(x_star)
     model = build_impedance(scenario) if model is None else model
-    return beamforming.make_solution(scenario, model, beamforming._time_shared(spectrum),
-                                     beamforming.METHOD_TIME_SHARING, sdr_rank=spectrum[2])
+    return beamforming._evaluated(scenario, model, beamforming._time_shared(spectrum),
+                                  beamforming.METHOD_TIME_SHARING, sdr_rank=spectrum[2])[0]

@@ -364,10 +364,10 @@ def test_criterion_8_four_user_comparison(tabletop):
         if not conic.is_optimal:
             continue
         try:
-            ts = _at_target(tabletop, model, _time_sharing_lp(
+            ts = _at_target(_time_sharing_lp(
                 spectrum, tabletop, FOUR_USER_PROFILE, model, target),
                 FOUR_USER_PROFILE, target)
-            rand = _at_target(tabletop, model, _gaussian_rounding(
+            rand = _at_target(_gaussian_rounding(
                 spectrum, tabletop, FOUR_USER_PROFILE, model, 4000, 8, target),
                 FOUR_USER_PROFILE, target)
         except InfeasibleError:
@@ -480,7 +480,7 @@ def test_criterion_10_property_suites():
                                 use_peak_constraints=False)
         if not conic.is_optimal:
             continue
-        rand = _at_target(sc, model, _gaussian_rounding(
+        rand = _at_target(_gaussian_rounding(
             spectrum, sc, profile, model, 100, trial, 0.5), profile, 0.5)
         if rand.tx_power >= conic.value * (1 - 1e-6):
             ok_sandwich += 1

@@ -6,11 +6,10 @@ import pytest
 
 from conftest import random_scenario, relax, row_matrices, time_shared
 from magbeam import beamforming
-from magbeam.beamforming import (PowerProfile, SolveOptions, _at_limits, _at_target,
-                                 _gaussian_rounding, _peak_rows, _rank_penalized,
-                                 _relaxation_problem, _roundings, _scaled,
-                                 _time_sharing_lp, _within_limits,
-                                 benchmark_uncoordinated,
+from magbeam.beamforming import (DEFAULT_OPTIONS, PowerProfile, SolveOptions, _at_limits,
+                                 _at_target, _gaussian_rounding, _peak_rows,
+                                 _rank_penalized, _reaches, _relaxation_problem,
+                                 _roundings, _time_sharing_lp, benchmark_uncoordinated,
                                  delivery_rhs, profile_capped_power, rank_bound,
                                  solve_p0, solve_p1, solve_p2_closed_form_single_rx)
 from magbeam.circuit import (Excitation, Scenario, build_impedance,
@@ -287,7 +286,7 @@ class TestTimeSharingLp:
         profile = PowerProfile([1.0])
         conic, spectrum = relax(tabletop_miso, profile, 10.0, miso_model)
         assert spectrum[2] == 1
-        sol = _at_target(tabletop_miso, miso_model, _time_sharing_lp(
+        sol = _at_target(_time_sharing_lp(
             spectrum, tabletop_miso, profile, miso_model, 10.0), profile, 10.0)
         assert len(sol.slots) == 1
         assert sol.tx_power == pytest.approx(conic.value, rel=1e-5)
@@ -298,9 +297,9 @@ class TestTimeSharingLp:
         for target in [3.0, 5.0, 7.0]:
             conic, spectrum = relax(tabletop, profile, target, model)
             assert conic.is_optimal and spectrum[2] >= 2
-            ts = _at_target(tabletop, model, _time_sharing_lp(
+            ts = _at_target(_time_sharing_lp(
                 spectrum, tabletop, profile, model, target), profile, target)
-            rand = _at_target(tabletop, model, _gaussian_rounding(
+            rand = _at_target(_gaussian_rounding(
                 spectrum, tabletop, profile, model, 4000, 3, target), profile, target)
             assert ts.tx_power <= rand.tx_power + 1e-9
             assert ts.tx_power == pytest.approx(conic.value, rel=1e-4)
@@ -392,7 +391,7 @@ class TestTimeSharingLp:
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
         model = build_impedance(tabletop)
         _, spectrum = relax(tabletop, profile, 5.0, model)
-        sol = _at_target(tabletop, model, _time_sharing_lp(
+        sol = _at_target(_time_sharing_lp(
             spectrum, tabletop, profile, model, 5.0), profile, 5.0)
         assert all(tau > 1e-9 for _, tau in sol.slots)
         assert sum(tau for _, tau in sol.slots) == pytest.approx(1.0, abs=1e-12)
@@ -407,9 +406,8 @@ class TestRandomization:
         base = solve_p1(tabletop_miso, profile, 2.0 * target, model=miso_model)
         y = base.excitation.currents
         x_star = np.outer(y, y.conj())
-        sol = _at_target(tabletop_miso, miso_model, _gaussian_rounding(
-            beamforming._spectrum(x_star), tabletop_miso, profile, miso_model, 64, 1, target),
-            profile, target)
+        sol = _at_target(_gaussian_rounding(beamforming._spectrum(x_star), tabletop_miso,
+                                            profile, miso_model, 64, 1, target), profile, target)
         assert sol.per_rx_power[0] == pytest.approx(target, rel=1e-9)
         assert sol.tx_power == pytest.approx(0.5 * base.tx_power, rel=1e-9)
 
@@ -417,7 +415,7 @@ class TestRandomization:
         profile = PowerProfile([1.0])
         conic, spectrum = relax(tabletop_miso, profile, 20.0, miso_model)
         assert spectrum[2] == 1
-        sol = _at_target(tabletop_miso, miso_model, _gaussian_rounding(
+        sol = _at_target(_gaussian_rounding(
             spectrum, tabletop_miso, profile, miso_model, 4000, 0, 20.0), profile, 20.0)
         assert sol.tx_power <= conic.value * 1.01
 
@@ -425,9 +423,9 @@ class TestRandomization:
         profile = PowerProfile.normalized([0.1227, 0.03615, 0.7836, 0.05752])
         model = build_impedance(tabletop)
         _, spectrum = relax(tabletop, profile, 5.0, model)
-        a = _at_target(tabletop, model, _gaussian_rounding(
+        a = _at_target(_gaussian_rounding(
             spectrum, tabletop, profile, model, 4000, 7, 5.0), profile, 5.0)
-        b = _at_target(tabletop, model, _gaussian_rounding(
+        b = _at_target(_gaussian_rounding(
             spectrum, tabletop, profile, model, 4000, 7, 5.0), profile, 5.0)
         assert np.array_equal(a.excitation.currents, b.excitation.currents)
         assert a.tx_power == b.tx_power
@@ -824,8 +822,7 @@ class TestRankPenalty:
         conic, spectrum = relax(tabletop, profile, 12.0, model)
         problem = _relaxation_problem(tabletop, profile, model, True, 12.0)
         schedules = _rank_penalized(problem, conic, spectrum, tabletop, profile, model, True)
-        scaled = [_scaled(s, 12.0 / profile_capped_power(s, profile)) for s in schedules]
-        assert any(_within_limits(tabletop, model, s, True) for s in scaled)
+        assert any(_reaches(profile_capped_power(s, profile), 12.0) for s in schedules)
 
     def test_swallowed_rounding_is_logged(self, caplog):
         caplog.set_level("DEBUG", logger="magbeam")
@@ -1083,6 +1080,85 @@ class TestBenchmark:
             float(np.min(sol.per_rx_power / profile.alpha)), rel=1e-12)
 
 
+class TestOneLimitRule:
+    """Every schedule is scaled to its limits once, and a target only scales
+    it down: a target above the schedule's maximum by less than the delivery
+    tolerance is answered at the limits, one beyond it is refused."""
+
+    NEAR_MAXIMUM = [(1.0, True), (1.0 + 1e-6, True), (1.0 + 1e-3, False)]
+
+    @pytest.mark.parametrize("factor, answered", NEAR_MAXIMUM)
+    def test_closed_form_near_its_maximum(self, factor, answered):
+        sc = load_scenario(bundled_scenario_path("table2_miso"))
+        model = build_impedance(sc)
+        closed = SolveOptions(use_peak_constraints=False, method="closed_form")
+        profile = PowerProfile([1.0])
+        p_max, at_cap = solve_p0(sc, profile, closed, model)
+        if not answered:
+            with pytest.raises(InfeasibleError, match="closed_form schedule"):
+                solve_p1(sc, profile, factor * p_max, closed, model)
+            return
+        sol = solve_p1(sc, profile, factor * p_max, closed, model)
+        assert sol.tx_power == pytest.approx(sc.total_power_cap, rel=1e-12)
+        assert np.array_equal(sol.excitation.currents, at_cap.excitation.currents)
+
+    @pytest.mark.parametrize("name", ["table2_miso", "table2_two_user"])
+    @pytest.mark.parametrize("use_peaks", [True, False])
+    @pytest.mark.parametrize("factor, answered", NEAR_MAXIMUM)
+    def test_benchmark_near_its_maximum(self, name, use_peaks, factor, answered):
+        sc = load_scenario(bundled_scenario_path(name))
+        model = build_impedance(sc)
+        at_limits = benchmark_uncoordinated(sc, max_feasible=True,
+                                            use_peak_constraints=use_peaks, model=model)
+        target = factor * at_limits.achieved_sum_power
+        if not answered:
+            with pytest.raises(InfeasibleError, match="benchmark schedule"):
+                benchmark_uncoordinated(sc, target, use_peak_constraints=use_peaks,
+                                        model=model)
+            return
+        sol = benchmark_uncoordinated(sc, target, use_peak_constraints=use_peaks, model=model)
+        assert np.array_equal(sol.excitation.currents, at_limits.excitation.currents)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("solve", [
+        lambda sc, target: solve_p1(sc, PowerProfile([1.0]), target),
+        lambda sc, target: solve_p2_closed_form_single_rx(sc, target),
+        lambda sc, target: benchmark_uncoordinated(sc, target_power=target),
+    ], ids=["p1", "closed_form", "benchmark"])
+    def test_non_finite_target_is_refused(self, tabletop_miso, solve, target):
+        with pytest.raises(ValueError, match="target_power"):
+            solve(tabletop_miso, target)
+
+    @pytest.mark.parametrize("name, alpha, target, options", [
+        ("table2", [0.25] * 4, 5.0, DEFAULT_OPTIONS),
+        ("table2_miso", [1.0], 1.0, DEFAULT_OPTIONS),
+        ("table2_miso", [1.0], 1.0, SolveOptions(use_peak_constraints=False,
+                                                method="closed_form")),
+    ], ids=["roundings", "exact", "closed_form"])
+    def test_p1_scales_only_the_winner(self, name, alpha, target, options, monkeypatch):
+        # the candidates are picked at their limits and only the winner is
+        # scaled down to the target
+        sc = load_scenario(bundled_scenario_path(name))
+        calls, candidates = [], []
+        at_target, candidates_of = beamforming._at_target, beamforming._candidates
+
+        def at_target_spy(*args):
+            calls.append(args)
+            return at_target(*args)
+
+        def candidates_spy(*args, **kwargs):
+            candidates.extend(candidates_of(*args, **kwargs))
+            return candidates
+
+        monkeypatch.setattr(beamforming, "_at_target", at_target_spy)
+        monkeypatch.setattr(beamforming, "_candidates", candidates_spy)
+        sol = solve_p1(sc, PowerProfile(alpha), target, options)
+        assert len(calls) == 1
+        assert profile_capped_power(sol, PowerProfile(alpha)) == pytest.approx(target, rel=1e-12)
+        if name == "table2":
+            assert len(candidates) > 1
+
+
 class TestSandwichProperty:
     def test_relaxation_bounds_rank_one_and_rounding(self):
         rng = np.random.default_rng(24)
@@ -1105,6 +1181,6 @@ class TestSandwichProperty:
                 delivered = delivered_powers(sc, model, exc)
                 if np.all(delivered >= profile.alpha * 0.5 * (1 - 1e-9)):
                     assert feas_power >= conic.value * (1 - 1e-8)
-            rand = _at_target(sc, model, _gaussian_rounding(
+            rand = _at_target(_gaussian_rounding(
                 spectrum, sc, profile, model, 200, trial, 0.5), profile, 0.5)
             assert rand.tx_power >= conic.value * (1 - 1e-6)
