@@ -39,19 +39,12 @@ wrappers or a per-call error state, scalars and step lengths stay Python floats,
 and the residuals and frames fill per-solve buffers: about 145 us an iteration
 and 80 us of set-up a call on a 2-vCPU VM (README).
 
-What the rows are apart from their data, the map from factor columns to
-rows and the inner product's metric, is the caller's :class:`RowMap`.  A
-re-solve of the same rows under another objective, rhs or row scaling
-(``solve_sdp`` from a ``start``) passes the one its cold solve made; only
-the scaled operator is built again.
-
 The dual is  max b.y  s.t.  sum_i y_i A_i + Z = C (Z PSD),
 a_lin^T y + z = c (z >= 0).  X is real or complex as its data are.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +58,10 @@ NUMERICAL_FAILURE = "numerical_failure"
 
 _STEP_FRACTION = 0.99
 _MIN_STEP = 1e-10
+# the stopping rule: optimal once the relative gap and both scaled
+# infeasibilities are within these, numerical_failure after _MAX_ITER iterations
+_GAP_TOL = _FEAS_TOL = 1e-8
+_MAX_ITER = 100
 # a start iterate moves into the interior by this fraction of each cone
 # block's mean eigenvalue (Yildirim & Wright 2002); on the 18 rank-penalized
 # P0 re-solves of the two-user grid, 0.03, 0.05, 0.1 and 0.2 took 227, 281,
@@ -203,40 +200,14 @@ def _schur_complement(v_rows, e, weight):
     return schur
 
 
-class RowMap(NamedTuple):
-    """The rows' part of the kernel's operator that their data leaves alone.
-
-    ``e`` is the k x r map with e[i, j] = 1 where factor column j is row i's,
-    and ``metric`` weighs a point's reals (X's, then u's) in the inner
-    product.  Neither depends on the columns or on the rows' scales, so the
-    re-solves of one problem's rows share one (:func:`row_map`).
-    """
-
-    e: np.ndarray
-    metric: np.ndarray
-
-
-def row_map(factor_rows, k, n, p, dtype):
-    """The :class:`RowMap` of k rows owning the columns ``factor_rows`` over an
-    n x n block of ``dtype`` and p scalars."""
-    factor_rows = np.asarray(factor_rows)
-    if ((factor_rows < 0) | (factor_rows >= k)).any():
-        raise ValueError("factor vectors do not match the rows")
-    nr = (2 if dtype is complex else 1) * n * n
-    return RowMap(e=(factor_rows == np.arange(k)[:, None]).astype(float),
-                  metric=np.concatenate([np.full(nr, block_weight(dtype)), np.ones(p)]))
-
-
-def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
-                     gap_tol=1e-8, feas_tol=1e-8, max_iter=100, start=None):
+def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows, start=None):
     """Run the interior-point iteration; see module docstring for the form.
 
     Row i's matrix is A_i = sum_j f_j f_j^H over the columns f_j of
-    ``a_factors`` (r x n, one column per array row) that ``rows``, the
-    :class:`RowMap` from :func:`row_map`, assigns to row i; a caller
-    re-solving the same rows under new data or scales makes it once.  An LP
-    has ``c_psd`` 0 x 0 and ``a_factors`` r x 0.  Each iteration logs one
-    line at DEBUG on ``magbeam.conic``, a child of the ``magbeam`` logger.
+    ``a_factors`` (r x n, one column per array row) whose entry of ``rows``,
+    the row index of each column, is i.  An LP has ``c_psd`` 0 x 0 and
+    ``a_factors`` r x 0.  Each iteration logs one line at DEBUG on
+    ``magbeam.conic``, a child of the ``magbeam`` logger.
 
     ``start`` is an optional iterate ``(x, u, y, z_psd, z_lin)`` to start
     from instead of the scaled identity, typically the final iterate of a
@@ -244,9 +215,10 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
     its cone blocks is shifted into the interior by ``_WARM_START_SHIFT``
     times its mean eigenvalue, and the multipliers ``y`` restart at zero.
     A start of other dimensions, or complex for real data, raises
-    ``ValueError``.  The status is ``infeasible`` only on a Farkas
-    certificate within ``feas_tol``; a solve that stalls ends
-    ``numerical_failure``.
+    ``ValueError``.  The status is ``optimal`` by the stopping rule
+    (``_GAP_TOL``, ``_FEAS_TOL``), ``infeasible`` only on a Farkas
+    certificate within ``_FEAS_TOL``; a solve that stalls, or reaches
+    ``_MAX_ITER`` iterations, ends ``numerical_failure``.
     """
     b = np.asarray(b, dtype=float)
     k, n = b.size, c_psd.shape[0]
@@ -265,9 +237,11 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
     # are one operator, A(v) = a_met @ v and A^*(y) = y @ a_mat
     reals = 2 if dtype is complex else 1
     nr = reals * n * n
-    e, metric = rows.e, rows.metric
-    if a_factors.shape != (e.shape[1], n) or e.shape[0] != k or metric.size != nr + p:
+    rows = np.asarray(rows)
+    if a_factors.shape != rows.shape + (n,) or ((rows < 0) | (rows >= k)).any():
         raise ValueError("factor vectors do not match the rows")
+    e = (rows == np.arange(k)[:, None]).astype(float)   # e[i, j] = 1 where column j is row i's
+    metric = np.concatenate([np.full(nr, weight), np.ones(p)])
 
     schur = _schur_complement(a_factors, e, weight)
     c = np.concatenate([c_psd.ravel().view(float), c_lin])
@@ -326,20 +300,20 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
     status = NUMERICAL_FAILURE
     stall = 0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         pobj, dobj, rel_gap, p_inf, d_inf = residuals(y)
         mu = float((xv * metric) @ zv) / degree
         if debug:
             log.debug("iter %3d  pobj % .9e  dobj % .9e  pinf %.2e  dinf %.2e  mu %.2e",
                       it, pobj, dobj, p_inf, d_inf, mu)
 
-        if p_inf <= feas_tol and d_inf <= feas_tol and rel_gap <= gap_tol:
+        if p_inf <= _FEAS_TOL and d_inf <= _FEAS_TOL and rel_gap <= _GAP_TOL:
             status = OPTIMAL
             break
 
         # Farkas certificate of primal infeasibility: find y with b.y > 0 and
         # -A^*(y) in the dual cone.
-        if dobj > feas_tol:
+        if dobj > _FEAS_TOL:
             cand = (y / dobj) @ a_mat
             s_cand, v_cand = psd(cand), cand[nr:]
             viol, ref = 0.0, 1.0
@@ -349,15 +323,15 @@ def solve_mixed_cone(c_psd, c_lin, a_factors, a_lin, b, rows,
             if p:
                 viol = max(viol, max(0.0, float(np.max(v_cand))))
                 ref = max(ref, float(np.max(np.abs(v_cand))))
-            if viol / ref <= feas_tol:
+            if viol / ref <= _FEAS_TOL:
                 status = INFEASIBLE
                 break
 
         # improving-ray certificate of unboundedness
         ray_scale = weight * float(diag[0].sum()) + float(u.sum())
-        if ray_scale > 0 and pobj / ray_scale < -max(1e-6, 100 * feas_tol):
+        if ray_scale > 0 and pobj / ray_scale < -max(1e-6, 100 * _FEAS_TOL):
             a_x = b - r_p
-            if math.sqrt(a_x @ a_x) / ray_scale <= feas_tol:
+            if math.sqrt(a_x @ a_x) / ray_scale <= _FEAS_TOL:
                 status = UNBOUNDED
                 break
 

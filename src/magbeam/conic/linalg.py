@@ -85,7 +85,7 @@ def psd_eigendecomposition(x):
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def numerical_rank(eigenvalues, rel_tol=1e-6):
+def numerical_rank(eigenvalues, rel_tol):
     """Count of eigenvalues exceeding ``rel_tol`` times the largest one.
 
     Input must be sorted descending (as returned by

@@ -100,8 +100,8 @@ class _Rows(NamedTuple):
     other fields are the kernel's ``dtype``, each row's Gram norm
     ``psd_norms`` (|A_i|_F, whatever its scale), the ``live`` rows (those
     that constrain something), the live rows' factor ``columns`` stacked in
-    row order with the kernel row of each (``column_rows``), their unit
-    ``slacks`` and the kernel's :class:`~magbeam.conic.kernel.RowMap`.
+    row order with the kernel row of each (``column_rows``) and their unit
+    ``slacks``.
     """
 
     factors: tuple
@@ -112,7 +112,6 @@ class _Rows(NamedTuple):
     columns: np.ndarray
     column_rows: np.ndarray
     slacks: np.ndarray
-    row_map: kernel.RowMap
 
     def of(self, problem, complex_objective):
         """True if these are the problem's rows: its own factor blocks (as
@@ -151,10 +150,8 @@ def _prepare(problem, complex_objective):
     live_cols = live[rows]
     column_rows = (np.cumsum(live) - 1)[rows[live_cols]]
     signs = np.array([_SLACK_SIGN[s] for s in problem.sense])[live]
-    row_map = kernel.row_map(column_rows, signs.size, problem.objective.shape[0],
-                             problem.linear_objective.size + signs.size, dtype)
     return _Rows(problem.factors, problem.sense, dtype, psd_norms, live, factors[live_cols],
-                 column_rows, np.diag(signs), row_map)
+                 column_rows, np.diag(signs))
 
 
 @dataclass
@@ -199,8 +196,8 @@ def solve_sdp(problem: SdpProblem, start: ConicSolution = None) -> ConicSolution
     same factor blocks as objects (``dataclasses.replace`` keeps them, and
     so does every relaxation built from one impedance model) and the same
     senses.  The solve then reuses the rows as that solution prepared them
-    (their stacked columns, Gram norms, live rows, slack columns and the
-    kernel's row map), and the kernel starts from its final iterate moved
+    (their stacked columns and the row of each, Gram norms, live rows and
+    slack columns), and the kernel starts from its final iterate moved
     into the interior, not from the identity.  Without a start, or with one
     of other rows or whose rows no longer fit the problem (another dtype,
     other rows that constrain nothing), the solve prepares its rows and
@@ -238,7 +235,7 @@ def solve_sdp(problem: SdpProblem, start: ConicSolution = None) -> ConicSolution
     res = kernel.solve_mixed_cone(
         c_psd=objective / (2.0 * weight * obj_scale),
         c_lin=np.concatenate([c_u, np.zeros(a_lin.shape[1] - c_u.size)]) / obj_scale,
-        a_factors=a_factors, a_lin=a_lin, b=rhs / scales, rows=rows.row_map,
+        a_factors=a_factors, a_lin=a_lin, b=rhs / scales, rows=rows.column_rows,
         start=None if start is None else start.iterate)
 
     u = res.u[:c_u.size]

@@ -245,7 +245,7 @@ class TestRelaxationWithPeaks:
         # a rank above the provable bound means the solver stopped short;
         # it is a numerical failure, also under ``python -O``
         monkeypatch.setattr(beamforming, "numerical_rank",
-                            lambda evals, rel_tol=1e-6: tabletop.n_tx)
+                            lambda evals, rel_tol: tabletop.n_tx)
         with pytest.raises(SolverError, match="provable bound"):
             solve_p1(tabletop, PowerProfile.uniform(4), 2.0)
 
@@ -279,6 +279,29 @@ class TestRelaxationWithPeaks:
         # complementary slackness and a PSD dual slack
         assert abs(np.real(np.sum(s.conj() * sol.x))) <= 1e-6 * scale
         assert float(np.linalg.eigvalsh((s + s.conj().T) / 2)[0]) >= -1e-6 * np.linalg.norm(s)
+
+
+class TestHermitianIterate:
+    """The kernel's X and Z come back exactly Hermitian, not just within
+    rounding: the condition under which ``_spectrum`` could stop checking X."""
+
+    @staticmethod
+    def _assert_exactly_hermitian(conic):
+        assert conic.is_optimal
+        for m in (conic.x, conic.iterate[3]):   # x and the iterate's z_psd
+            assert np.array_equal(m, m.conj().T)
+
+    @pytest.mark.parametrize("use_peaks", [True, False], ids=["peaks", "no_peaks"])
+    def test_two_user_grid(self, tabletop_two_user, use_peaks):
+        model = build_impedance(tabletop_two_user)
+        for profile in two_user_profiles(40):
+            conic, _ = relax(tabletop_two_user, profile, model=model,
+                             use_peak_constraints=use_peaks)
+            self._assert_exactly_hermitian(conic)
+
+    def test_uniform_p1(self, tabletop):
+        conic, _ = relax(tabletop, PowerProfile.uniform(4), 5.0)
+        self._assert_exactly_hermitian(conic)
 
 
 class TestTimeSharingLp:

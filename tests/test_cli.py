@@ -132,7 +132,7 @@ class TestBeamform:
         # a relaxed rank above the provable bound is a numerical failure,
         # reported with its exit code rather than as a traceback
         monkeypatch.setattr(beamforming, "numerical_rank",
-                            lambda evals, rel_tol=1e-6: 5)
+                            lambda evals, rel_tol: 5)
         code = main(["beamform", TABLE, "--alpha", "0.25,0.25,0.25,0.25",
                      "--target-power", "2"])
         assert code == 70
@@ -396,6 +396,17 @@ class TestEstimate:
     def test_too_few_slots_usage_error(self, tmp_path):
         out = tmp_path / "mse.csv"
         assert main(["estimate", TABLE, "--slots", "3", "--out", str(out)]) == 64
+
+    @pytest.mark.parametrize("estimator", ["pairwise", "perfect"])
+    def test_slots_only_reach_ls(self, tmp_path, estimator):
+        # pairwise rows train on N*Q single-pair slots and perfect rows on Q
+        # random ones, so --slots below Q changes nothing for them
+        args = ["estimate", TABLE, "--estimator", estimator, "--snr-list", "20,30",
+                "--trials", "300", "--no-manifest"]
+        few, many = tmp_path / "few.csv", tmp_path / "many.csv"
+        assert main(args + ["--slots", "2", "--out", str(few)]) == 0
+        assert main(args + ["--slots", "10", "--out", str(many)]) == 0
+        assert few.read_text() == many.read_text()
 
     @pytest.mark.parametrize("estimator", ["ls", "pairwise", "perfect"])
     def test_no_receivers_usage_error(self, tmp_path, capsys, estimator):

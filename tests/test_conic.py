@@ -175,9 +175,10 @@ class TestKernelResult:
         # the relative gap and scaled infeasibilities of the kernel's problem
         # at res, in its own geometry (inner product weight * Re tr(A^H B))
         weight = kernel.HERMITIAN_WEIGHT if np.iscomplexobj(kw["c_psd"]) else 1.0
-        f, e, a_lin, b = kw["a_factors"], kw["rows"].e, kw["a_lin"], kw["b"]
+        f, a_lin, b = kw["a_factors"], kw["a_lin"], kw["b"]
         c, c_lin = (kw["c_psd"] + kw["c_psd"].conj().T) / 2.0, kw["c_lin"]
-        mats = np.einsum("ij,ja,jb->iab", e, f, f.conj())
+        mats = np.zeros((len(b),) + 2 * f.shape[1:], f.dtype)
+        np.add.at(mats, kw["rows"], np.einsum("ja,jb->jab", f, f.conj()))
 
         def dot(p, q):
             return weight * np.sum(p.conj() * q).real
@@ -203,7 +204,9 @@ class TestKernelResult:
             solve_sdp(TestKktCertificates._random_problem(rng, bool(trial % 2)))
             kw = seen.pop()
             res = solve(**kw)
-            short = solve(**{**kw, "max_iter": res.iterations - 1})
+            with monkeypatch.context() as m:
+                m.setattr(kernel, "_MAX_ITER", res.iterations - 1)
+                short = solve(**kw)
             assert (res.status, short.status) == (OPTIMAL, NUMERICAL_FAILURE)
             for field in ("x", "u", "y", "z_psd", "z_lin"):
                 assert np.array_equal(getattr(short, field), getattr(res, field))
@@ -567,12 +570,12 @@ class TestFactoredSchur:
 
     def test_vector_count_must_match_rows(self):
         # two rows on a 3 x 3 block: each column has length 3 and a row
+        # index; a row index must lie in [0, 2)
         for factors, rows in ((np.ones((1, 3)), [0, 1]), (np.ones((2, 2)), [0, 1]),
-                              (np.ones((2, 3)), [0, 2])):
+                              (np.ones((2, 3)), [0, 2]), (np.ones((2, 3)), [-1, 1])):
             with pytest.raises(ValueError, match="vectors"):
                 kernel.solve_mixed_cone(c_psd=np.eye(3), c_lin=np.zeros(0), a_factors=factors,
-                                        a_lin=np.zeros((2, 0)), b=np.ones(2),
-                                        rows=kernel.row_map(np.array(rows), 2, 3, 0, float))
+                                        a_lin=np.zeros((2, 0)), b=np.ones(2), rows=rows)
 
 
 class TestVectorRows:
@@ -764,7 +767,7 @@ class TestWarmStart:
         return kernel.solve_mixed_cone(
             c_psd=np.eye(2, dtype=dtype), c_lin=np.zeros(0),
             a_factors=np.array([[1.0, 0.0]], dtype=dtype), a_lin=np.zeros((1, 0)),
-            b=[1.0], rows=kernel.row_map([0], 1, 2, 0, dtype), start=start)
+            b=[1.0], rows=[0], start=start)
 
     @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
     def test_indefinite_start_ends_numerical_failure(self, dtype):
@@ -836,12 +839,8 @@ class TestSolveLp:
 
     def test_vertex_enumeration_oracle(self, monkeypatch):
         # stopped at 1e-11 gap and feasibility, not the kernel's 1e-8
-        solve = kernel.solve_mixed_cone
-
-        def tight(**kwargs):
-            return solve(**kwargs, gap_tol=1e-11, feas_tol=1e-11)
-
-        monkeypatch.setattr(kernel, "solve_mixed_cone", tight)
+        monkeypatch.setattr(kernel, "_GAP_TOL", 1e-11)
+        monkeypatch.setattr(kernel, "_FEAS_TOL", 1e-11)
         rng = np.random.default_rng(14)
         for trial in range(25):
             n = int(rng.integers(2, 5))
@@ -972,7 +971,7 @@ class TestEigUtilities:
 
     def test_numerical_rank_thresholds(self):
         assert numerical_rank([5.0, 1e-12], 1e-9) == 1
-        assert numerical_rank([0.0, 0.0, 0.0]) == 0
+        assert numerical_rank([0.0, 0.0, 0.0], 1e-6) == 0
         assert numerical_rank([3.0, 2.0, 3e-5], 1e-6) == 3
         assert numerical_rank([3.0, 2.0, 3e-5], 1e-4) == 2
         assert numerical_rank([], 1e-6) == 0
